@@ -8,93 +8,30 @@ verification of every quantitative bound the construction relies on.
 """
 
 from .config import ENVELOPES, RunConfig
-from .errors import (
-    BandEdge,
-    BoundViolated,
-    DecayTooSlow,
-    DegenerateEigenvector,
-    DiracEmbedError,
-    EnvelopeTooLarge,
-    EnvelopeViolation,
-    HorizonTooShort,
-    HypothesisViolated,
-    InconclusiveTail,
-    NonFiniteState,
-    OverlapDetected,
-    PieceTooShort,
-    ResonantFrequency,
-    ResonantPair,
-    ScanTooCoarse,
-    StabilityViolated,
-    StepSizeUnderflow,
-    UnwrapJump,
-    ZeroSolution,
-)
+from .errors import DiracEmbedError, ResonantFrequency, ResonantPair, ScanTooCoarse
 from .floquet import (
-    Band,
-    BandStructure,
-    DerivedPeriodicData,
-    FloquetSolution,
-    GapIndicator,
-    Monodromy,
     band_scan,
     derived_data,
     floquet_solution,
-    gamma_derivative,
     in_band_samples,
     monodromy,
-    quasimomentum,
     write_period_csv,
 )
-from .periodic_core import (
-    IntegratorSpec,
-    PeriodicCoefficient,
-    Trajectory,
-    eval_coefficient,
-    integrate,
-    perturbed_rhs,
-    sample_grid,
-    unperturbed_rhs,
-)
-from .pruefer import (
-    PrueferState,
-    RXiRun,
-    R_xi_rhs,
-    R_xi_system,
-    from_prufer,
-    integrate_R_xi,
-    prufer_rhs,
-    prufer_system,
-    to_prufer,
-    write_trajectory_csv,
-    xi_rate,
-)
+from .periodic_core import PeriodicCoefficient, eval_coefficient
+from .pruefer import R_xi_system, from_prufer, prufer_system, to_prufer
 from .synth import (
     EmbeddingTarget,
-    PotentialPiece,
-    SynthesisSchedule,
-    SynthesizedPotential,
-    TrackRecord,
-    XiTrajectory,
     assemble,
     check_nonresonance,
     choose_C,
     piece_potential,
-    probe_constants,
     rebuild_potential,
     schedule,
-    slaved_amplitude,
-    smooth_compact,
     solve_xi,
     write_manifest,
     write_potential_csv,
 )
 from .verify import (
-    DecayReport,
-    NonembeddingReport,
-    OscCheck,
-    StabilityReport,
-    TailReport,
     adversarial_potential,
     decay_check,
     l2_tail_estimate,

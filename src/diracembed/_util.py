@@ -1,9 +1,12 @@
-"""Small numerical helpers: periodic splines, cumulative Simpson, windows."""
+"""Small numerical helpers: periodic fields, decimation, cumulative Simpson,
+windows."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+
+from .errors import InvariantDrift
 
 
 def frac(x):
@@ -11,51 +14,45 @@ def frac(x):
     return x - np.floor(x)
 
 
-class PeriodicSpline:
-    """Cubic spline with period 1 plus an optional linear winding term.
+class PeriodicField:
+    """f(x) = slope*x + s(frac(x)) with s periodic of period 1.
 
-    Represents f(x) = slope*x + s(frac(x)) where s is a periodic cubic
-    spline on [0, 1].  The derivative slope + s'(frac(x)) is periodic.
+    s is a periodic cubic spline through ``values`` on ``grid``, or the
+    constant ``const`` when no grid is given.  The derivative
+    slope + s'(frac(x)) is periodic.
     """
 
-    def __init__(self, grid: np.ndarray, values: np.ndarray, slope: float = 0.0):
-        vals = np.asarray(values, dtype=float).copy()
-        mism = abs(vals[-1] - vals[0])
-        scale = 1.0 + np.max(np.abs(vals))
-        if mism > 1e-6 * scale:
-            raise ValueError(f"periodic data mismatch at endpoints: {mism:.3e}")
-        vals[-1] = vals[0]
+    def __init__(self, slope: float = 0.0, const: float = 0.0,
+                 grid: np.ndarray | None = None, values: np.ndarray | None = None):
         self.slope = float(slope)
-        self._sp = CubicSpline(grid, vals, bc_type="periodic")
-        self._dsp = self._sp.derivative()
+        self.const = float(const)
+        self._sp = None
+        if grid is not None:
+            vals = np.asarray(values, dtype=float).copy()
+            mism = abs(vals[-1] - vals[0])
+            if mism > 1e-6 * (1.0 + np.max(np.abs(vals))):
+                raise InvariantDrift(
+                    f"periodic data mismatch at endpoints: {mism:.3e}")
+            vals[-1] = vals[0]
+            self._sp = CubicSpline(grid, vals, bc_type="periodic")
+            self._dsp = self._sp.derivative()
 
     def __call__(self, x):
-        return self.slope * x + self._sp(frac(x))
+        if self._sp is not None:
+            return self.slope * x + self._sp(frac(x))
+        return self.slope * np.asarray(x, dtype=float) + self.const \
+            if np.ndim(x) else self.slope * x + self.const
 
     def deriv(self, x):
-        return self.slope + self._dsp(frac(x))
-
-    def mean(self) -> float:
-        """Period average (winding slope excluded)."""
-        return float(self._sp.integrate(0.0, 1.0))
+        if self._sp is not None:
+            return self.slope + self._dsp(frac(x))
+        return np.full(np.shape(x), self.slope) if np.ndim(x) else self.slope
 
 
-class ConstantField:
-    """Callable mimicking PeriodicSpline for an x-independent quantity."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-        self.slope = 0.0
-
-    def __call__(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.value) \
-            if np.ndim(x) else self.value
-
-    def deriv(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-
-    def mean(self) -> float:
-        return self.value
+def decimate(n: int, stride: int) -> np.ndarray:
+    """Indices 0, stride, 2*stride, ... below n, always ending at n - 1."""
+    idx = np.arange(0, n, stride)
+    return idx if idx[-1] == n - 1 else np.append(idx, n - 1)
 
 
 def cumulative_simpson_uniform(f: np.ndarray, h: float, f0: float = 0.0) -> np.ndarray:

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import ENVELOPES, RunConfig
+from .config import RunConfig
 from .errors import (
     DiracEmbedError,
     ResonantFrequency,
@@ -206,7 +206,7 @@ def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
                        **{"lambda_piece": target.lam,
                           "lambda_bystander": bystander.lam, "side": side})
 
-    tracks = track_targets(pot, targets, spec=None)
+    tracks = track_targets(pot, targets)
     for track in tracks.values():
         record("l2-tail", lambda tr=track: l2_tail_estimate(tr),
                target=track.target_index, side=track.side)

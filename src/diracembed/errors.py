@@ -42,6 +42,10 @@ class UnwrapJump(DiracEmbedError):
     """Phase unwrapping saw a jump >= pi/2 between adjacent grid points."""
 
 
+class InvariantDrift(DiracEmbedError):
+    """A conserved or periodic quantity drifted past its tolerance."""
+
+
 class ZeroSolution(DiracEmbedError):
     """Pruefer variables are undefined for the identically-zero solution."""
 

@@ -22,16 +22,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import ConstantField, PeriodicSpline
+from ._util import PeriodicField
 from .errors import (
     BandEdge,
     DegenerateEigenvector,
+    InvariantDrift,
     ScanTooCoarse,
     UnwrapJump,
 )
 from .periodic_core import (
     IntegratorSpec,
     PeriodicCoefficient,
+    dirac_rhs,
     eval_coefficient,
     integrate,
 )
@@ -56,24 +58,13 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-def _matrix_rhs(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float):
-    """System for the fundamental matrix, flattened row-major to length 4."""
-
-    def rhs(x, Y):
-        pv = eval_coefficient(p, x)
-        qv = eval_coefficient(q, x)
-        a11, a12 = -qv, lam + pv
-        a21, a22 = pv - lam, qv
-        return np.array(
-            [
-                a11 * Y[0] + a12 * Y[2],
-                a11 * Y[1] + a12 * Y[3],
-                a21 * Y[0] + a22 * Y[2],
-                a21 * Y[1] + a22 * Y[3],
-            ]
-        )
-
-    return rhs
+def _fundamental_matrix(p: PeriodicCoefficient, q: PeriodicCoefficient,
+                        lam: float, spec: IntegratorSpec | None,
+                        t_eval=None):
+    """Fundamental matrix over one period, rows flattened to length 4."""
+    rhs = dirac_rhs(p, q, lam)
+    return integrate(lambda x, Y: rhs(x, Y.reshape(2, 2)).ravel(), 0.0, 1.0,
+                     np.eye(2).ravel(), spec, t_eval=t_eval)
 
 
 @dataclass(frozen=True)
@@ -84,9 +75,10 @@ class Monodromy:
     matrix: np.ndarray
 
     def __post_init__(self):
+        # Rounding in det grows like |M|^2; deep in a gap |M| ~ |trace|.
         det = float(np.linalg.det(self.matrix))
-        if abs(det - 1.0) > 1e-8:
-            raise ValueError(f"monodromy determinant {det} deviates from 1")
+        if abs(det - 1.0) > 1e-8 * float(np.sum(self.matrix ** 2)):
+            raise InvariantDrift(f"monodromy determinant {det} deviates from 1")
 
     @property
     def trace(self) -> float:
@@ -104,7 +96,7 @@ class GapIndicator:
 def monodromy(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
               spec: IntegratorSpec | None = None) -> Monodromy:
     """Integrate the fundamental matrix over one period."""
-    traj = integrate(_matrix_rhs(p, q, lam), 0.0, 1.0, np.eye(2).ravel(), spec)
+    traj = _fundamental_matrix(p, q, lam, spec)
     return Monodromy(lam=lam, matrix=traj.ys[-1].reshape(2, 2))
 
 
@@ -251,8 +243,7 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
         spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-10),
                        abs_tol=min(spec.abs_tol, 1e-12))
     grid = np.linspace(0.0, 1.0, n_grid + 1)
-    traj = integrate(_matrix_rhs(p, q, lam), 0.0, 1.0, np.eye(2).ravel(), spec,
-                     t_eval=grid)
+    traj = _fundamental_matrix(p, q, lam, spec, t_eval=grid)
     mats = traj.ys  # (n+1, 4) rows [Y00, Y01, Y10, Y11]
     mono = Monodromy(lam=lam, matrix=mats[-1].reshape(2, 2))
     half = mono.trace / 2.0
@@ -342,34 +333,13 @@ class DerivedPeriodicData:
         g2 = np.sqrt(self.v_f(x)) * np.exp(1j * self.gamma2_f(x))
         return g1, g2
 
-    def delta_deriv(self, x):
-        return self.delta_f.deriv(x)
-
-
-class _LinearField:
-    """slope*x + const; periodic part of a winding phase that is constant."""
-
-    def __init__(self, const: float, slope: float):
-        self.const, self.slope = float(const), float(slope)
-
-    def __call__(self, x):
-        return self.slope * np.asarray(x, dtype=float) + self.const \
-            if np.ndim(x) else self.slope * x + self.const
-
-    def deriv(self, x):
-        return np.full(np.shape(x), self.slope) if np.ndim(x) else self.slope
-
-    def mean(self) -> float:
-        return self.const
-
 
 def _make_field(grid, values, slope=0.0, force_const=False):
     values = np.asarray(values, dtype=float)
     spread = np.max(values) - np.min(values)
     if force_const or spread < 1e-12 * max(1.0, np.max(np.abs(values))):
-        const = float(np.mean(values))
-        return _LinearField(const, slope) if slope != 0.0 else ConstantField(const)
-    return PeriodicSpline(grid, values, slope=slope)
+        return PeriodicField(slope, const=float(np.mean(values)))
+    return PeriodicField(slope, grid=grid, values=values)
 
 
 def derived_data(sol: FloquetSolution) -> DerivedPeriodicData:

@@ -19,7 +19,7 @@ trace-free, so Wronskians of solution pairs are constants of motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,10 +32,8 @@ __all__ = [
     "IntegratorSpec",
     "Trajectory",
     "eval_coefficient",
-    "unperturbed_rhs",
-    "perturbed_rhs",
+    "dirac_rhs",
     "integrate",
-    "sample_grid",
 ]
 
 
@@ -89,27 +87,17 @@ def eval_coefficient(coeff: PeriodicCoefficient, x):
     return out if out.ndim else float(out)
 
 
-def unperturbed_rhs(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float):
-    """Right-hand side handle for the periodic system at spectral parameter lam."""
+def dirac_rhs(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float, V=None):
+    """Right-hand side of the system at spectral parameter lam.
+
+    The optional decaying perturbation V(x) is added to p.  y[0] and y[1]
+    may be scalars or equal-length rows (the rows of a fundamental matrix).
+    """
 
     def rhs(x, y):
         pv = eval_coefficient(p, x)
-        qv = eval_coefficient(q, x)
-        return np.array(
-            [
-                -qv * y[0] + (lam + pv) * y[1],
-                (pv - lam) * y[0] + qv * y[1],
-            ]
-        )
-
-    return rhs
-
-
-def perturbed_rhs(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float, V):
-    """Same system with the decaying diagonal perturbation V(x) added to p."""
-
-    def rhs(x, y):
-        pv = eval_coefficient(p, x) + V(x)
+        if V is not None:
+            pv = pv + V(x)
         qv = eval_coefficient(q, x)
         return np.array(
             [
@@ -123,39 +111,27 @@ def perturbed_rhs(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float, V)
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Tolerances and sampling policy for the adaptive integrator."""
+    """Tolerances for the adaptive integrator."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    dense_output_stride: float = 1e-2
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-4):
             raise ValueError("rel_tol must lie in (0, 1e-4]")
         if not (0.0 < self.abs_tol <= 1e-4):
             raise ValueError("abs_tol must lie in (0, 1e-4]")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
-        if not self.dense_output_stride > 0.0:
-            raise ValueError("dense_output_stride must be positive")
 
 
 @dataclass
 class Trajectory:
-    """Adaptive solution with dense evaluation between the recorded nodes."""
+    """Adaptive solution at the recorded nodes."""
 
     xs: np.ndarray
     ys: np.ndarray  # shape (len(xs), dim)
     x0: float
     x1: float
-    dense: object = field(repr=False, default=None)
     nfev: int = 0
-
-    def at(self, x):
-        """Dense-output evaluation; accepts scalars or arrays."""
-        vals = self.dense(x)
-        return np.asarray(vals).T  # (n, dim) for array input, (dim,) for scalar
 
 
 def integrate(rhs, x0: float, x1: float, y0, spec: IntegratorSpec | None = None,
@@ -170,25 +146,10 @@ def integrate(rhs, x0: float, x1: float, y0, spec: IntegratorSpec | None = None,
     if not np.all(np.isfinite(y0)):
         raise NonFiniteState("initial state is not finite")
     if x1 == x0:
-        xs = np.array([x0])
-        ys = y0[None, :].copy()
-        traj = Trajectory(xs=xs, ys=ys, x0=x0, x1=x1, nfev=0)
-        traj.dense = lambda x: np.broadcast_to(
-            y0[:, None], (y0.size, np.size(x))
-        ).squeeze() if np.ndim(x) else y0
-        return traj
+        return Trajectory(xs=np.array([x0]), ys=y0[None, :].copy(), x0=x0, x1=x1)
 
-    sol = solve_ivp(
-        rhs,
-        (x0, x1),
-        y0,
-        method="DOP853",
-        rtol=spec.rel_tol,
-        atol=spec.abs_tol,
-        max_step=spec.max_step,
-        dense_output=True,
-        t_eval=t_eval,
-    )
+    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=spec.rel_tol,
+                    atol=spec.abs_tol, t_eval=t_eval)
     if not sol.success:
         last = np.asarray(sol.y[:, -1]) if sol.y.size else y0
         if not np.all(np.isfinite(last)) or np.max(np.abs(last)) > 1e100:
@@ -196,30 +157,4 @@ def integrate(rhs, x0: float, x1: float, y0, spec: IntegratorSpec | None = None,
         raise StepSizeUnderflow(sol.message)
     if not np.all(np.isfinite(sol.y)):
         raise NonFiniteState("integration produced non-finite samples")
-    return Trajectory(
-        xs=sol.t, ys=sol.y.T, x0=x0, x1=x1, dense=sol.sol, nfev=sol.nfev
-    )
-
-
-def sample_grid(x0: float, x1: float, stride: float, rel: float = 1e-2,
-                pivot: float = 100.0) -> np.ndarray:
-    """Export grid: uniform stride near the origin, geometric of ratio 1+rel
-    once |x| exceeds ``pivot`` so storage stays linear in the log-range."""
-    if x1 <= x0:
-        raise ValueError("need x1 > x0")
-    lo, hi = x0, x1
-    parts = []
-    if lo < pivot:
-        top = min(hi, pivot)
-        n = max(2, int(np.ceil((top - lo) / stride)) + 1)
-        parts.append(np.linspace(lo, top, n))
-        lo = top
-    if hi > lo:
-        start = max(lo, pivot)
-        ratio = 1.0 + rel
-        n = int(np.ceil(np.log(hi / start) / np.log(ratio))) + 1
-        geo = start * ratio ** np.arange(n + 1)
-        geo = geo[geo < hi]
-        parts.append(np.append(geo, hi))
-    xs = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return np.unique(xs)
+    return Trajectory(xs=sol.t, ys=sol.y.T, x0=x0, x1=x1, nfev=sol.nfev)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from ._util import cumulative_simpson_uniform
+from ._util import cumulative_simpson_uniform, decimate
 from .errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
 from .floquet import DerivedPeriodicData, gamma_derivative
 from .periodic_core import IntegratorSpec
@@ -39,7 +39,6 @@ __all__ = [
     "R_xi_system",
     "RXiRun",
     "integrate_R_xi",
-    "write_trajectory_csv",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -201,9 +200,8 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: floa
             ]
 
     arate = max(abs(rate), 1e-2)
-    max_step = min(spec.max_step, 0.5 / arate)
     sol = solve_ivp(zeta_rhs, (x0, x1), [xi0 - rate * x0], method="DOP853",
-                    rtol=spec.rel_tol, atol=spec.abs_tol, max_step=max_step)
+                    rtol=spec.rel_tol, atol=spec.abs_tol, max_step=0.5 / arate)
     if not sol.success:
         raise StepSizeUnderflow(sol.message)
     if not np.all(np.isfinite(sol.y)):
@@ -247,9 +245,7 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: floa
         xi = zeta(xs) + rate * xs
         f = (np.asarray(V(xs), dtype=float) / w) * data.Psi_f(xs) * np.sin(xi)
         F = cumulative_simpson_uniform(f, h, f0=carry)
-        keep_idx = np.arange(0, idx.size, stride)
-        if keep_idx[-1] != idx.size - 1:
-            keep_idx = np.append(keep_idx, idx.size - 1)
+        keep_idx = decimate(idx.size, stride)
         lastblock = stop >= n_total
         upto = idx.size if lastblock else idx.size - 1
         sel = keep_idx[keep_idx < upto] if not lastblock else keep_idx
@@ -269,11 +265,3 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: floa
     xi_samples = zeta(xs_all) + rate * xs_all
     return RXiRun(x0=x0, x1=x1, xs=xs_all, ln_R=ln_all, xi=xi_samples,
                   ln_R_end=float(ln_end), rate=rate, zeta=zeta, nfev=sol.nfev)
-
-
-def write_trajectory_csv(path, xs, R, eta, theta1, theta2, xi) -> None:
-    """Fixed-format trajectory CSV: x, R, ln_R, eta, theta1, theta2, xi."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,R,ln_R,eta,theta1,theta2,xi\n")
-        for row in zip(xs, R, np.log(R), eta, theta1, theta2, xi):
-            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")

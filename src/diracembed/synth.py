@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from ._util import cumulative_simpson_uniform, taper_window
+from ._util import cumulative_simpson_uniform, decimate, taper_window
 from .errors import (
     EnvelopeTooLarge,
     EnvelopeViolation,
@@ -50,10 +50,10 @@ __all__ = [
     "solve_xi",
     "PotentialPiece",
     "piece_potential",
-    "smooth_compact",
     "slaved_amplitude",
     "SynthesisSchedule",
     "TrackRecord",
+    "Tracker",
     "probe_constants",
     "schedule",
     "SynthesizedPotential",
@@ -65,6 +65,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 DECAY_EXPONENT = 100.0  # target slope of ln R against ln((|x|-b)/(a-b))
+TRACK_SPEC = IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)  # bystander flow
 
 
 @dataclass(frozen=True)
@@ -148,11 +149,8 @@ class XiTrajectory:
     C: float
     rate: float
     zeta: object  # PPoly of xi - rate*x over [x_lo, x_hi]
-    nodes_x: np.ndarray
-    nodes_xi: np.ndarray
     nfev: int
     taper_width: float = 0.0
-    spec: IntegratorSpec | None = None
 
     @property
     def x_lo(self) -> float:
@@ -177,7 +175,9 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
     over long pieces.  xi0 is reduced modulo 2*pi.  A positive
     taper_width multiplies the coupling term by the C-infinity window
     vanishing at both edges, so a tapered potential built from this
-    trajectory stays exactly slaved to its own decaying solution.
+    trajectory stays exactly slaved to its own decaying solution (a
+    window multiplied in afterwards would not: the phase defect from the
+    taper zone grows like ((|x|-b)/(a-b))^(C*Psi_mean) across the piece).
     """
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
@@ -195,7 +195,8 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
     C = float(target.C if C is None else C)
     data = target.data
     k = target.k
-    if 2.0 * C / (a - b) > 0.5 * (2.0 * k):
+    # 2C/(a-b) > k, written so that a = b + 2C/k passes exactly.
+    if a < b + 2.0 * C / k:
         raise EnvelopeTooLarge(
             f"2C/(a-b) = {2.0 * C / (a - b):.4g} exceeds half the phase "
             f"rate 2k = {2.0 * k:.4g}; enlarge a - b")
@@ -230,10 +231,9 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
                     * (data.u_f(x) - data.v_f(x) - data.Psi_f(x) * np.cos(xi))]
 
     arate = max(abs(rate), 1e-2)
-    max_step = min(spec.max_step, 0.5 / arate)
     sol = solve_ivp(zeta_rhs, (x_start, x_stop), [xi0 - rate * x_start],
                     method="DOP853", rtol=spec.rel_tol, atol=spec.abs_tol,
-                    max_step=max_step)
+                    max_step=0.5 / arate)
     if not sol.success:
         raise StepSizeUnderflow(sol.message)
     if not np.all(np.isfinite(sol.y)):
@@ -253,9 +253,7 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
         ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
     zeta = CubicHermiteSpline(ts, zs, dz)
     return XiTrajectory(side=side, a=a, b=b, x_end=x_end, xi0=xi0, C=C,
-                        rate=rate, zeta=zeta, nodes_x=sol.t,
-                        nodes_xi=sol.y[0] + rate * sol.t, nfev=sol.nfev,
-                        taper_width=tw, spec=spec)
+                        rate=rate, zeta=zeta, nfev=sol.nfev, taper_width=tw)
 
 
 @dataclass
@@ -340,32 +338,6 @@ def piece_potential(target: EmbeddingTarget, traj: XiTrajectory) -> PotentialPie
                           traj=traj, target=target)
 
 
-def smooth_compact(piece: PotentialPiece, taper_width: float = 1.0) -> PotentialPiece:
-    """Rebuild the piece with a C-infinity window inside the phase drift.
-
-    The smoothed potential equals the raw formula times a window that is
-    1 on the plateau and 0 at the edges, with the phase re-solved so the
-    windowed potential stays exactly slaved to its own decaying
-    solution.  Multiplying the window in after the fact would leave a
-    potential whose seeded solution departs from the decaying branch:
-    the phase defect picked up in the taper zone is amplified like
-    ((|x|-b)/(a-b))^(C*Psi_mean) across the rest of the piece.
-    """
-    if taper_width <= 0.0:
-        raise ValueError("taper_width must be positive")
-    span = piece.x_end - piece.a
-    if taper_width > span / 4.0:
-        raise PieceTooShort(
-            f"taper_width {taper_width} exceeds a quarter of the piece "
-            f"length {span}")
-    if piece.target is None:
-        raise ValueError("piece carries no target reference")
-    traj = solve_xi(piece.target, piece.a, piece.b, piece.xi0, piece.x_end,
-                    side=piece.side, spec=piece.traj.spec, C=piece.C,
-                    taper_width=float(taper_width))
-    return piece_potential(piece.target, traj)
-
-
 def slaved_amplitude(piece: PotentialPiece, lnR_start: float = 0.0):
     """ln R of the decaying solution carried by a piece, by quadrature.
 
@@ -402,6 +374,53 @@ class TrackRecord:
     xi: np.ndarray
     own_starts: list[float]  # |x| of this target's own piece activations
     started_at: float
+
+
+class Tracker:
+    """Advances one target's (ln R, xi) on one side, piece by piece.
+
+    Tracking starts at the target's first own piece with that piece's
+    phase.  Across its own pieces the target rides the slaved solution
+    (quadrature along the stored phase; the decaying branch cannot be
+    re-derived by forward integration); across other targets' pieces a
+    started track integrates the well-conditioned bystander flow.
+    Pieces must arrive in ascending |x|.
+    """
+
+    def __init__(self, target_index: int, target: EmbeddingTarget, side: int):
+        self.target_index, self.target, self.side = target_index, target, side
+        self.xi: float | None = None  # None until the first own piece
+        self.ln_R = 0.0
+        self.own_starts: list[float] = []
+        self._samples: list[tuple] = []  # (xs, ln_R, xi) per piece
+
+    def advance(self, piece: PotentialPiece) -> None:
+        side = self.side
+        if piece.lam == self.target.lam:
+            self.own_starts.append(piece.a)
+            xs, ln_R = slaved_amplitude(piece, self.ln_R)
+            self.xi = float(piece.traj.xi_at(side * piece.x_end))
+            self.ln_R = float(ln_R[-1] if side > 0 else ln_R[0])
+            stride = max(1, int(round(
+                (np.pi / (2.0 * max(abs(piece.rate), 1e-2))) / (xs[1] - xs[0]))))
+            idx = decimate(xs.size, stride)
+            if side < 0:
+                idx = idx[::-1]
+            self._samples.append((xs[idx], ln_R[idx], piece.xi_grid[idx]))
+        elif self.xi is not None:
+            run = integrate_R_xi(self.target.data, piece.V_interp,
+                                 side * piece.a, side * piece.x_end, self.xi,
+                                 spec=TRACK_SPEC, lnR0=self.ln_R)
+            self.xi = float(run.xi[-1])
+            self.ln_R = float(run.ln_R_end)
+            self._samples.append((run.xs, run.ln_R, run.xi))
+
+    def record(self) -> TrackRecord:
+        xs, ln_R, xi = (np.concatenate(col) for col in zip(*self._samples))
+        return TrackRecord(target_index=self.target_index, side=self.side,
+                           xs=xs, ln_R=ln_R, xi=xi,
+                           own_starts=list(self.own_starts),
+                           started_at=self.side * self.own_starts[0])
 
 
 @dataclass
@@ -487,7 +506,6 @@ def schedule(targets, mode: str = "finite", a0: float = None,
              b: float = 0.0, h=None, safety: float = 1.0,
              xi0: float = np.pi / 2, taper_width: float = 1.0,
              spec: IntegratorSpec | None = None,
-             track_spec: IntegratorSpec | None = None,
              C_bound: float | None = None,
              K: float | None = None) -> SynthesisSchedule:
     """Round-robin piece assignment with tracked arrival phases.
@@ -516,7 +534,6 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     if x_max <= a0:
         raise ValueError("x_max must exceed a0")
     spec = spec or IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)
-    track_spec = track_spec or IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)
 
     if C_bound is None or K is None:
         C_probe, K_probe = probe_constants(
@@ -539,10 +556,8 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     else:
         N = n_targets
 
-    # Per-target per-side tracked state; tracking starts at first own piece.
-    states = {(i, s): {"xi": None, "lnR": 0.0, "xs": [], "ln": [], "xiarr": [],
-                       "own": [], "start": None}
-              for i in range(n_targets) for s in (1, -1)}
+    trackers = {(i, side): Tracker(i, t, side)
+                for i, t in enumerate(targets) for side in (1, -1)}
 
     T = [float(a0)]
     Ns: list[int] = []
@@ -562,11 +577,10 @@ def schedule(targets, mode: str = "finite", a0: float = None,
         T_next = b + (T_r - b) * ratio
         if T_next > x_max:
             break
-        i = c
-        target = targets[i]
+        target = targets[c]
         for side in (1, -1):
-            st = states[(i, side)]
-            seed = st["xi"] if st["xi"] is not None else xi0
+            tracked = trackers[(c, side)].xi
+            seed = xi0 if tracked is None else tracked
             traj = solve_xi(target, T_r, b, seed, T_next, side=side, spec=spec,
                             taper_width=min(taper_width, (T_next - T_r) / 4.0))
             piece = piece_potential(target, traj)
@@ -579,64 +593,18 @@ def schedule(targets, mode: str = "finite", a0: float = None,
                         f"|V|(1+|x|) = {lhs[worst]:.4g} exceeds |h| = "
                         f"{rhs[worst]:.4g} at x = {piece.x_grid[worst]:.6g}")
             pieces.append(piece)
-            # Advance every started target across the new piece; the owner
-            # starts here if it has not yet.  The owner rides the piece's
-            # own slaved solution (quadrature along the stored phase; the
-            # decaying branch cannot be re-derived by forward integration),
-            # everyone else integrates the well-conditioned bystander flow.
-            for j in range(N):
-                stj = states[(j, side)]
-                if stj["xi"] is None:
-                    if j != i:
-                        continue
-                    stj["xi"] = float(np.mod(seed, TWO_PI))
-                    stj["lnR"] = 0.0
-                    stj["start"] = side * T_r
-                if j == i:
-                    stj["own"].append(T_r)
-                    xs_sl, ln_sl = slaved_amplitude(piece, stj["lnR"])
-                    stj["xi"] = float(traj.xi_at(side * T_next))
-                    stj["lnR"] = float(ln_sl[-1] if side > 0 else ln_sl[0])
-                    stride = max(1, int(round(
-                        (np.pi / (2.0 * max(abs(piece.rate), 1e-2)))
-                        / (xs_sl[1] - xs_sl[0]))))
-                    idx = np.arange(0, xs_sl.size, stride)
-                    if idx[-1] != xs_sl.size - 1:
-                        idx = np.append(idx, xs_sl.size - 1)
-                    if side < 0:
-                        idx = idx[::-1]
-                    stj["xs"].append(xs_sl[idx])
-                    stj["ln"].append(ln_sl[idx])
-                    stj["xiarr"].append(piece.xi_grid[idx])
-                else:
-                    run = integrate_R_xi(
-                        targets[j].data, piece.V_interp,
-                        side * T_r, side * T_next, stj["xi"],
-                        spec=track_spec, lnR0=stj["lnR"])
-                    stj["xi"] = float(run.xi[-1])
-                    stj["lnR"] = float(run.ln_R_end)
-                    stj["xs"].append(run.xs)
-                    stj["ln"].append(run.ln_R)
-                    stj["xiarr"].append(run.xi)
+            for i in range(n_targets):
+                trackers[(i, side)].advance(piece)
         T.append(T_next)
         Ns.append(N)
         c = (c + 1) % N
 
-    unpieced = [i for i in range(n_targets) if not states[(i, 1)]["own"]]
+    unpieced = [i for i in range(n_targets) if not trackers[(i, 1)].own_starts]
     if unpieced:
         raise HorizonTooShort(
             f"x_max = {x_max:.6g} reached before targets {unpieced} "
             "received a piece; extend the horizon")
-
-    tracks = {}
-    for (i, s), st in states.items():
-        if st["start"] is None:
-            continue
-        tracks[(i, s)] = TrackRecord(
-            target_index=i, side=s,
-            xs=np.concatenate(st["xs"]), ln_R=np.concatenate(st["ln"]),
-            xi=np.concatenate(st["xiarr"]), own_starts=list(st["own"]),
-            started_at=st["start"])
+    tracks = {key: tr.record() for key, tr in trackers.items()}
 
     return SynthesisSchedule(
         targets=list(targets), pieces=pieces, T=T, N=Ns, envelope_h=h,
@@ -657,18 +625,6 @@ class SynthesizedPotential:
     x_grid: np.ndarray
     V_grid: np.ndarray
     metadata: dict
-
-    def V(self, x):
-        """Exact evaluator; 0 on (-a0, a0) and between pieces."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.zeros_like(x)
-        for pc in self.pieces:
-            m = (x >= pc.x_lo) & (x <= pc.x_hi)
-            if np.any(m):
-                out[m] += pc.V_at(x[m])
-        return float(out[0]) if scalar else out
 
     def V_interp(self, x):
         return np.interp(x, self.x_grid, self.V_grid)
@@ -782,9 +738,6 @@ def write_potential_csv(pot: SynthesizedPotential, path: str,
         fh.write("x,V\n")
         for pc in pot.pieces:
             n = pc.x_grid.size
-            stride = max(1, int(np.ceil(n / max_rows_per_piece)))
-            idx = np.arange(0, n, stride)
-            if idx[-1] != n - 1:
-                idx = np.append(idx, n - 1)
+            idx = decimate(n, max(1, int(np.ceil(n / max_rows_per_piece))))
             for xv, vv in zip(pc.x_grid[idx], pc.V_grid[idx]):
                 fh.write(f"{xv:.17g},{vv:.17g}\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cumulative_simpson_uniform, fit_line, frac
+from ._util import cumulative_simpson_uniform, decimate, fit_line, frac
 from .errors import (
     BoundViolated,
     DecayTooSlow,
@@ -30,6 +30,7 @@ from .synth import (
     PotentialPiece,
     SynthesizedPotential,
     TrackRecord,
+    Tracker,
     piece_potential,
     slaved_amplitude,
     solve_xi,
@@ -282,10 +283,7 @@ def decay_check(target: EmbeddingTarget, piece: PotentialPiece,
         raise BoundViolated(
             f"ln R rises {max_rise:.3g} above its start, beyond the "
             f"additive constant {C_add:.3g}")
-    stride = max(1, int(np.ceil(xs.size / 4096)))
-    idx = np.arange(0, xs.size, stride)
-    if idx[-1] != xs.size - 1:
-        idx = np.append(idx, xs.size - 1)
+    idx = decimate(xs.size, max(1, int(np.ceil(xs.size / 4096))))
     return DecayReport(lam=target.lam, side=piece.side, a=piece.a, b=piece.b,
                        x_end=piece.x_end, xs=xs[idx], ln_R=ln_R[idx],
                        slope=float(slope), intercept=float(intercept),
@@ -486,21 +484,15 @@ def l2_tail_estimate(track: TrackRecord, max_ratio: float = 0.5) -> TailReport:
                       verdict=all(r <= max_ratio for r in ratios))
 
 
-def track_targets(pot: SynthesizedPotential, targets=None,
-                  spec: IntegratorSpec | None = None) -> dict:
-    """Advance each target's (ln R, xi) across an assembled potential.
+def track_targets(pot: SynthesizedPotential, targets=None) -> dict:
+    """Replay each target's (ln R, xi) across an assembled potential.
 
-    Tracking starts at the target's first own piece with that piece's
-    stored phase and walks outward piece by piece: across its own pieces
-    the target rides the slaved solution (quadrature along the stored
-    phase — the decaying branch cannot be re-derived by forward
-    integration), across other targets' pieces it integrates the
-    well-conditioned bystander flow.  Records the activation radii, so
-    each record feeds l2_tail_estimate directly.  Keys are
-    (target_index, side).  When targets is None they are taken from the
-    pieces in first-appearance order.
+    Each side's pieces pass in ascending |x| through the same Tracker
+    the schedule uses, so a record equals the schedule's own track and
+    feeds l2_tail_estimate directly.  Keys are (target_index, side).
+    When targets is None they are taken from the pieces in
+    first-appearance order.
     """
-    spec = spec or IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)
     if targets is None:
         targets, seen = [], set()
         for pc in pot.pieces:
@@ -510,51 +502,12 @@ def track_targets(pot: SynthesizedPotential, targets=None,
     tracks = {}
     for i, target in enumerate(targets):
         for side in (1, -1):
-            side_pieces = sorted((pc for pc in pot.pieces if pc.side == side),
-                                 key=lambda pc: pc.a)
-            own_starts = [pc.a for pc in side_pieces
-                          if pc.lam == target.lam]
-            if not own_starts:
-                continue
-            a_first = own_starts[0]
-            xi_cur = None
-            lnR_cur = 0.0
-            xs_all, ln_all, xi_all = [], [], []
-            for pc in side_pieces:
-                if pc.a < a_first:
-                    continue
-                inner, outer = side * pc.a, side * pc.x_end
-                if pc.lam == target.lam:
-                    if xi_cur is None:
-                        xi_cur = pc.xi0
-                    xs_sl, ln_sl = slaved_amplitude(pc, lnR_cur)
-                    lnR_cur = float(ln_sl[-1] if side > 0 else ln_sl[0])
-                    xi_cur = float(pc.traj.xi_at(outer))
-                    stride = max(1, int(round(
-                        (np.pi / (2.0 * max(abs(pc.rate), 1e-2)))
-                        / (xs_sl[1] - xs_sl[0]))))
-                    idx = np.arange(0, xs_sl.size, stride)
-                    if idx[-1] != xs_sl.size - 1:
-                        idx = np.append(idx, xs_sl.size - 1)
-                    if side < 0:
-                        idx = idx[::-1]
-                    xs_all.append(xs_sl[idx])
-                    ln_all.append(ln_sl[idx])
-                    xi_all.append(pc.xi_grid[idx])
-                else:
-                    run = integrate_R_xi(target.data, pc.V_interp,
-                                         inner, outer, xi_cur,
-                                         spec=spec, lnR0=lnR_cur)
-                    xi_cur = float(run.xi[-1])
-                    lnR_cur = float(run.ln_R_end)
-                    xs_all.append(run.xs)
-                    ln_all.append(run.ln_R)
-                    xi_all.append(run.xi)
-            tracks[(i, side)] = TrackRecord(
-                target_index=i, side=side,
-                xs=np.concatenate(xs_all), ln_R=np.concatenate(ln_all),
-                xi=np.concatenate(xi_all), own_starts=own_starts,
-                started_at=side * a_first)
+            tracker = Tracker(i, target, side)
+            for pc in sorted((pc for pc in pot.pieces if pc.side == side),
+                             key=lambda pc: pc.a):
+                tracker.advance(pc)
+            if tracker.own_starts:
+                tracks[(i, side)] = tracker.record()
     return tracks
 
 

@@ -50,6 +50,19 @@ def test_bands_writes_nan_in_gaps(tmp_path, mass_config):
     assert doc["edges"] == pytest.approx([1.5], abs=1e-4)
 
 
+def test_bands_in_a_deep_gap_finds_no_band(tmp_path):
+    # Mass 40: |trace| ~ 1e17 over [0, 3], where det(M) = 1 is lost to
+    # cancellation; that is a valid gap, not a configuration error.
+    cfg = RunConfig(p=PeriodicCoefficient(a0=80.0), q=PeriodicCoefficient(),
+                    lambdas=[0.7], out_dir=str(tmp_path))
+    cfg.save(str(tmp_path / "config.json"))
+    rc = main(["bands", "--config", str(tmp_path / "config.json"),
+               "--scan-resolution", "0.1"])
+    assert rc == EXIT_OK
+    doc = json.loads((tmp_path / "band_edges.json").read_text())
+    assert doc["bands"] == [] and doc["edges"] == []
+
+
 def test_floquet_exports_period_frame(tmp_path, small_run):
     cfg_path, _ = small_run
     rc = main(["floquet", "--config", cfg_path, "--lam", "0.7",

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from diracembed import (
-    BandEdge,
+from diracembed.errors import BandEdge, ScanTooCoarse
+from diracembed.floquet import (
     GapIndicator,
-    IntegratorSpec,
-    PeriodicCoefficient,
-    ScanTooCoarse,
     band_scan,
-    derived_data,
     floquet_solution,
     gamma_derivative,
     in_band_samples,
@@ -18,6 +14,7 @@ from diracembed import (
     quasimomentum,
     write_period_csv,
 )
+from diracembed.periodic_core import IntegratorSpec, PeriodicCoefficient
 
 RNG = np.random.default_rng(20240712)
 

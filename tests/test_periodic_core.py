@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from diracembed import (
+from diracembed.floquet import monodromy
+from diracembed.periodic_core import (
     IntegratorSpec,
     PeriodicCoefficient,
+    dirac_rhs,
     eval_coefficient,
     integrate,
-    monodromy,
-    perturbed_rhs,
-    unperturbed_rhs,
 )
 from diracembed._util import (
     cumulative_simpson_uniform,
@@ -81,7 +80,7 @@ def test_free_flow_is_clockwise_rotation():
     lam = 1.0
     p = q = PeriodicCoefficient()
     y0 = np.array([1.0, 0.5])
-    traj = integrate(unperturbed_rhs(p, q, lam), 0.0, 0.6, y0)
+    traj = integrate(dirac_rhs(p, q, lam), 0.0, 0.6, y0)
     z = (y0[0] + 1j * y0[1]) * np.exp(-1j * lam * 0.6)
     assert traj.ys[-1] == pytest.approx([z.real, z.imag], abs=1e-10)
 
@@ -94,8 +93,8 @@ def test_perturbed_rhs_shifts_p_by_V():
     def V(x):
         return 0.05 * np.sin(3.0 * x)
 
-    shifted = perturbed_rhs(p, q, lam, V)
-    base = unperturbed_rhs(p, q, lam)
+    shifted = dirac_rhs(p, q, lam, V)
+    base = dirac_rhs(p, q, lam)
     for x in RNG.uniform(0.0, 10.0, 16):
         y = RNG.standard_normal(2)
         fs = np.asarray(shifted(x, y))
@@ -108,7 +107,7 @@ def test_perturbed_rhs_shifts_p_by_V():
 def test_wronskian_is_conserved():
     p = PeriodicCoefficient(a0=0.5, cos=(0.2,), sin=(0.1,))
     q = PeriodicCoefficient(a0=-0.3, cos=(0.25,))
-    rhs = unperturbed_rhs(p, q, 1.3)
+    rhs = dirac_rhs(p, q, 1.3)
     ya = integrate(rhs, 0.0, 5.0, np.array([1.0, 0.0]),
                    t_eval=np.linspace(0.0, 5.0, 21))
     yb = integrate(rhs, 0.0, 5.0, np.array([0.0, 1.0]),
@@ -143,18 +142,6 @@ def test_integrator_spec_validation():
         IntegratorSpec(rel_tol=1e-3)
     with pytest.raises(ValueError):
         IntegratorSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorSpec(max_step=0.0)
-
-
-def test_trajectory_dense_eval_matches_nodes():
-    rhs = unperturbed_rhs(PeriodicCoefficient(), PeriodicCoefficient(), 2.0)
-    grid = np.linspace(0.0, 3.0, 13)
-    traj = integrate(rhs, 0.0, 3.0, np.array([1.0, 0.0]), t_eval=grid)
-    assert np.allclose(traj.at(grid), traj.ys, atol=1e-12)
-    mid = 1.2345
-    z = np.exp(-1j * 2.0 * mid)
-    assert traj.at(mid) == pytest.approx([z.real, z.imag], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

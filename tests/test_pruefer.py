@@ -3,20 +3,17 @@
 import numpy as np
 import pytest
 
-from diracembed import (
-    IntegratorSpec,
+from diracembed.errors import ZeroSolution
+from diracembed.periodic_core import IntegratorSpec, dirac_rhs, integrate
+from diracembed.pruefer import (
     PrueferState,
     R_xi_rhs,
     R_xi_system,
-    ZeroSolution,
     from_prufer,
-    integrate,
     integrate_R_xi,
-    perturbed_rhs,
     prufer_rhs,
     prufer_system,
     to_prufer,
-    write_trajectory_csv,
     xi_rate,
 )
 
@@ -155,7 +152,7 @@ def test_prufer_flow_tracks_the_perturbed_system(generic_data):
     y0 = np.array([0.8, -0.4])
     grid = np.linspace(x0, x1, 400)
     spec = IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12)
-    y_traj = integrate(perturbed_rhs(sol.p, sol.q, sol.lam, V),
+    y_traj = integrate(dirac_rhs(sol.p, sol.q, sol.lam, V),
                        x0, x1, y0, spec, t_eval=grid)
     st0 = to_prufer(y0, data, x0)
     z0 = np.array([np.log(st0.R), st0.theta1, st0.theta2])
@@ -219,15 +216,3 @@ def test_integrate_R_xi_downward_anchors_at_the_right(free_data):
         float(up.ln_R_at(40.0)), abs=1e-6)
 
 
-def test_trajectory_csv_export(tmp_path, free_data):
-    data = free_data
-    run = integrate_R_xi(data, lambda x: 0.0 * np.asarray(x), 1.0, 30.0, 0.5)
-    eta = (run.xi - run.xs * 0.0 - float(data.Gamma2_f(0.0))) / 2.0 \
-        - data.gamma1_f(run.xs)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, run.xs, np.exp(run.ln_R), eta,
-                         eta + data.gamma1_f(run.xs),
-                         eta + data.gamma2_f(run.xs), run.xi)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,R,ln_R,eta,theta1,theta2,xi"
-    assert len(lines) == run.xs.size + 1

@@ -6,22 +6,22 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from diracembed import (
-    EmbeddingTarget,
+from diracembed.errors import (
     EnvelopeTooLarge,
     EnvelopeViolation,
     HorizonTooShort,
-    IntegratorSpec,
-    PeriodicCoefficient,
     PieceTooShort,
     ResonantPair,
+)
+from diracembed.periodic_core import IntegratorSpec
+from diracembed.synth import (
+    EmbeddingTarget,
     check_nonresonance,
     choose_C,
     piece_potential,
     rebuild_potential,
     schedule,
     slaved_amplitude,
-    smooth_compact,
     solve_xi,
     write_potential_csv,
 )
@@ -124,6 +124,19 @@ def test_solve_xi_validation(free_target_07):
         solve_xi(t, 500.0, 0.0, 0.5, 900.0)
 
 
+def test_solve_xi_guard_admits_its_boundary(free_pq):
+    # probe_constants puts its first piece at a - b = 2C/k exactly; the
+    # guard must admit that point whatever the rounding, and reject the
+    # next float below it.
+    t = make_target(*free_pq, 0.7011557156163776)
+    b = 0.0
+    a = b + 2.0 * t.C / t.k
+    traj = solve_xi(t, a, b, np.pi / 2, a + 50.0)
+    assert traj.a == a
+    with pytest.raises(EnvelopeTooLarge):
+        solve_xi(t, float(np.nextafter(a, 0.0)), b, np.pi / 2, a + 50.0)
+
+
 def test_piece_envelope_is_exact(free_target_07):
     t = free_target_07
     traj = solve_xi(t, 650.0, 0.0, np.pi / 2, 850.0, taper_width=1.0)
@@ -153,11 +166,10 @@ def test_V_at_evaluator(free_target_07):
                                                   piece.V_grid), atol=1e-12)
 
 
-def test_smooth_compact_resolves_the_window_self_consistently(free_target_07):
+def test_tapered_piece_resolves_the_window_self_consistently(free_target_07):
     t = free_target_07
-    raw = piece_potential(t, solve_xi(t, 650.0, 0.0, 0.8, 850.0,
-                                      taper_width=0.0))
-    smoothed = smooth_compact(raw, taper_width=2.0)
+    smoothed = piece_potential(t, solve_xi(t, 650.0, 0.0, 0.8, 850.0,
+                                           taper_width=2.0))
     assert smoothed.taper_width == 2.0
     assert smoothed.V_at(smoothed.x_lo) == 0.0
     assert smoothed.V_at(smoothed.x_hi) == 0.0
@@ -167,7 +179,7 @@ def test_smooth_compact_resolves_the_window_self_consistently(free_target_07):
     assert smoothed.V_at(mid) == pytest.approx(
         -(t.omega * t.C) * np.sin(xi_mid) / mid, rel=1e-12)
     with pytest.raises(PieceTooShort):
-        smooth_compact(raw, taper_width=60.0)
+        solve_xi(t, 650.0, 0.0, 0.8, 850.0, taper_width=60.0)
 
 
 def test_slaved_amplitude_decays_at_the_certified_slope(free_target_07):
