@@ -103,6 +103,12 @@ def smoothstep(t):
 
 def taper_window(x, lo: float, hi: float, width: float):
     """C-infinity window: 0 outside (lo, hi), 1 on [lo+width, hi-width]."""
+    if isinstance(x, float):  # scalar: settle the edges and the plateau
+        t1, t2 = (x - lo) / width, (hi - x) / width
+        if t1 <= 0.0 or t2 <= 0.0:
+            return 0.0
+        if t1 >= 1.0 and t2 >= 1.0:
+            return 1.0
     x = np.asarray(x, dtype=float)
     return smoothstep((x - lo) / width) * smoothstep((hi - x) / width)
 

@@ -37,6 +37,8 @@ __all__ = [
     "R_xi_rhs",
     "prufer_system",
     "R_xi_system",
+    "PhaseFlow",
+    "phase_flow",
     "RXiRun",
     "integrate_R_xi",
 ]
@@ -134,8 +136,65 @@ def xi_rate(data: DerivedPeriodicData) -> float:
     return 2.0 * data.k + data.delta_f.slope
 
 
+def rate_floor(rate: float) -> float:
+    """|rate| floored at 1e-2: the phase speed that sizes steps and grids."""
+    return max(abs(rate), 1e-2)
+
+
 @dataclass
-class RXiRun:
+class PhaseFlow:
+    """Dense phase from ``phase_flow``: xi = zeta(x) + rate*x."""
+
+    rate: float
+    zeta: object  # Hermite PPoly of xi - rate*x through the accepted nodes
+    nfev: int
+
+    def xi_at(self, x):
+        return self.zeta(x) + self.rate * np.asarray(x, dtype=float)
+
+
+def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
+               xi0: float, spec: IntegratorSpec) -> PhaseFlow:
+    """Solve xi' = 2k + delta' + gain(x, xi) (u - v - Psi cos xi) from x0 to x1.
+
+    The bystander flow under V has gain = -2V(x)/omega; the phase lock
+    has its slaved gain 2C w(x) sin xi/(x - b_s).  The state is
+    zeta = xi - rate*x (bounded, well scaled for error control); gain
+    must accept arrays as well as scalars.
+    """
+    rate = xi_rate(data)
+    k2 = 2.0 * data.k
+    if data.is_constant:
+        c0 = k2 + float(data.delta_f.deriv(0.0)) - rate
+        uv = float(data.u_f(0.0)) - float(data.v_f(0.0))
+        P0 = float(data.Psi_f(0.0))
+
+        def slope(x, xi):
+            return c0 + gain(x, xi) * (uv - P0 * np.cos(xi))
+    else:
+        def slope(x, xi):
+            return (k2 + data.delta_f.deriv(x) - rate
+                    + gain(x, xi) * (data.u_f(x) - data.v_f(x)
+                                     - data.Psi_f(x) * np.cos(xi)))
+
+    sol = solve_ivp(lambda x, z: [slope(x, z[0] + rate * x)], (x0, x1),
+                    [xi0 - rate * x0], method="DOP853", rtol=spec.rel_tol,
+                    atol=spec.abs_tol, max_step=0.5 / rate_floor(rate))
+    if not sol.success:
+        raise StepSizeUnderflow(sol.message)
+    if not np.all(np.isfinite(sol.y)):
+        raise NonFiniteState("phase integration produced non-finite values")
+    # Hermite spline through the accepted nodes; slopes from the rhs.
+    ts, zs = sol.t, sol.y[0]
+    dz = slope(ts, zs + rate * ts)
+    if ts[0] > ts[-1]:
+        ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
+    return PhaseFlow(rate=rate, zeta=CubicHermiteSpline(ts, zs, dz),
+                     nfev=sol.nfev)
+
+
+@dataclass
+class RXiRun(PhaseFlow):
     """Result of the long-horizon (ln R, xi) integration.
 
     ``xs``/``ln_R``/``xi`` are decimated samples (about four per rotation
@@ -149,12 +208,6 @@ class RXiRun:
     ln_R: np.ndarray
     xi: np.ndarray
     ln_R_end: float
-    rate: float
-    zeta: object  # PPoly for xi - rate*x
-    nfev: int
-
-    def xi_at(self, x):
-        return self.zeta(x) + self.rate * np.asarray(x, dtype=float)
 
     def ln_R_at(self, x):
         return np.interp(x, self.xs, self.ln_R) if self.xs[0] <= self.xs[-1] \
@@ -168,60 +221,18 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: floa
                    chunk: int = 4_000_000) -> RXiRun:
     """Integrate xi as a drift variable and recover ln R by quadrature.
 
-    xi never feeds on ln R, so the phase is solved first as
-    zeta = xi - rate*x (bounded, well scaled for error control) and
-    (ln R)' = (V/omega) Psi sin xi is then accumulated with a fourth-order
-    cumulative rule on a uniform grid, in bounded-memory chunks.
+    xi never feeds on ln R, so the phase is solved first by
+    ``phase_flow`` and (ln R)' = (V/omega) Psi sin xi is then accumulated
+    with a fourth-order cumulative rule on a uniform grid, in
+    bounded-memory chunks.
 
     V must accept numpy arrays.
     """
-    spec = spec or IntegratorSpec()
-    rate = xi_rate(data)
     w = data.omega
-    k2 = 2.0 * data.k
-
-    if data.is_constant:
-        u0 = float(data.u_f(0.0))
-        v0 = float(data.v_f(0.0))
-        P0 = float(data.Psi_f(0.0))
-        d0 = float(data.delta_f.deriv(0.0))
-
-        def zeta_rhs(x, z):
-            xi = z[0] + rate * x
-            return [k2 + d0 - rate
-                    - (2.0 * V(x) / w) * (u0 - v0 - P0 * np.cos(xi))]
-    else:
-        def zeta_rhs(x, z):
-            xi = z[0] + rate * x
-            return [
-                k2 + data.delta_f.deriv(x) - rate
-                - (2.0 * V(x) / w) * (data.u_f(x) - data.v_f(x)
-                                      - data.Psi_f(x) * np.cos(xi))
-            ]
-
-    arate = max(abs(rate), 1e-2)
-    sol = solve_ivp(zeta_rhs, (x0, x1), [xi0 - rate * x0], method="DOP853",
-                    rtol=spec.rel_tol, atol=spec.abs_tol, max_step=0.5 / arate)
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-    if not np.all(np.isfinite(sol.y)):
-        raise NonFiniteState("phase integration produced non-finite values")
-
-    # Hermite spline through the accepted nodes; slopes from the rhs.
-    ts, zs = sol.t, sol.y[0]
-    xi_nodes = zs + rate * ts
-    if data.is_constant:
-        dz = k2 + d0 - rate \
-            - (2.0 * np.asarray(V(ts), dtype=float) / w) \
-            * (u0 - v0 - P0 * np.cos(xi_nodes))
-    else:
-        dz = k2 + data.delta_f.deriv(ts) - rate \
-            - (2.0 * np.asarray(V(ts), dtype=float) / w) \
-            * (data.u_f(ts) - data.v_f(ts) - data.Psi_f(ts) * np.cos(xi_nodes))
-    flip = ts[0] > ts[-1]
-    if flip:
-        ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
-    zeta = CubicHermiteSpline(ts, zs, dz)
+    flow = phase_flow(data, lambda x, xi: -2.0 * V(x) / w, x0, x1, xi0,
+                      spec or IntegratorSpec())
+    arate = rate_floor(flow.rate)
+    flip = x0 > x1
 
     h = quad_step if quad_step is not None else 0.05 / arate
     keep = keep_step if keep_step is not None else np.pi / (2.0 * arate)
@@ -242,7 +253,7 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: floa
         stop = min(start + chunk, n_total)
         idx = np.arange(start, stop + 1)
         xs = lo + idx * h
-        xi = zeta(xs) + rate * xs
+        xi = flow.xi_at(xs)
         f = (np.asarray(V(xs), dtype=float) / w) * data.Psi_f(xs) * np.sin(xi)
         F = cumulative_simpson_uniform(f, h, f0=carry)
         keep_idx = decimate(idx.size, stride)
@@ -262,6 +273,5 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: floa
         xs_all, ln_all = xs_all[::-1], ln_all[::-1]
     else:
         ln_end = carry
-    xi_samples = zeta(xs_all) + rate * xs_all
-    return RXiRun(x0=x0, x1=x1, xs=xs_all, ln_R=ln_all, xi=xi_samples,
-                  ln_R_end=float(ln_end), rate=rate, zeta=zeta, nfev=sol.nfev)
+    return RXiRun(**vars(flow), x0=x0, x1=x1, xs=xs_all, ln_R=ln_all,
+                  xi=flow.xi_at(xs_all), ln_R_end=float(ln_end))

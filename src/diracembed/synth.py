@@ -23,24 +23,20 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from ._util import cumulative_simpson_uniform, decimate, taper_window
 from .errors import (
     EnvelopeTooLarge,
     EnvelopeViolation,
     HorizonTooShort,
-    NonFiniteState,
     OverlapDetected,
     PieceTooShort,
     ResonantPair,
     StabilityViolated,
-    StepSizeUnderflow,
 )
 from .floquet import DerivedPeriodicData, FloquetSolution, derived_data, floquet_solution
 from .periodic_core import IntegratorSpec, PeriodicCoefficient
-from .pruefer import integrate_R_xi, xi_rate
+from .pruefer import PhaseFlow, integrate_R_xi, phase_flow, rate_floor
 
 __all__ = [
     "EmbeddingTarget",
@@ -65,6 +61,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 DECAY_EXPONENT = 100.0  # target slope of ln R against ln((|x|-b)/(a-b))
+LOCK_SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)  # phase lock
 TRACK_SPEC = IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)  # bystander flow
 
 
@@ -137,20 +134,8 @@ def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
     return targets
 
 
-@dataclass
-class XiTrajectory:
-    """Dense solution of the phase-lock equation on one piece."""
-
-    side: int
-    a: float
-    b: float
-    x_end: float
-    xi0: float
-    C: float
-    rate: float
-    zeta: object  # PPoly of xi - rate*x over [x_lo, x_hi]
-    nfev: int
-    taper_width: float = 0.0
+class _Span:
+    """Signed support [x_lo, x_hi] of side*[a, x_end]."""
 
     @property
     def x_lo(self) -> float:
@@ -160,8 +145,18 @@ class XiTrajectory:
     def x_hi(self) -> float:
         return self.x_end if self.side > 0 else -self.a
 
-    def xi_at(self, x):
-        return self.zeta(x) + self.rate * np.asarray(x, dtype=float)
+
+@dataclass
+class XiTrajectory(_Span, PhaseFlow):
+    """Dense solution of the phase-lock equation on one piece."""
+
+    side: int
+    a: float
+    b: float
+    x_end: float
+    xi0: float
+    C: float
+    taper_width: float = 0.0
 
 
 def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
@@ -193,71 +188,37 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
             f"taper_width {tw} exceeds a quarter of the piece length "
             f"{x_end - a}")
     C = float(target.C if C is None else C)
-    data = target.data
     k = target.k
     # 2C/(a-b) > k, written so that a = b + 2C/k passes exactly.
     if a < b + 2.0 * C / k:
         raise EnvelopeTooLarge(
             f"2C/(a-b) = {2.0 * C / (a - b):.4g} exceeds half the phase "
             f"rate 2k = {2.0 * k:.4g}; enlarge a - b")
-    spec = spec or IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)
     xi0 = float(np.mod(xi0, TWO_PI))
-    rate = xi_rate(data)
     b_s = side * b
     x_start, x_stop = side * a, side * x_end
-    x_lo_s, x_hi_s = min(x_start, x_stop), max(x_start, x_stop)
-    k2 = 2.0 * k
-    const = data.is_constant
+    lo, hi = sorted((x_start, x_stop))
 
-    def window(x):
-        return taper_window(x, x_lo_s, x_hi_s, tw) if tw > 0.0 else 1.0
+    def gain(x, xi):  # = -2V/omega with V as in _slaved_V
+        w = taper_window(x, lo, hi, tw) if tw > 0.0 else 1.0
+        return 2.0 * C * w * np.sin(xi) / (x - b_s)
 
-    if const:
-        u0 = float(data.u_f(0.0))
-        v0 = float(data.v_f(0.0))
-        P0 = float(data.Psi_f(0.0))
-        d0 = float(data.delta_f.deriv(0.0))
+    flow = phase_flow(target.data, gain, x_start, x_stop, xi0,
+                      spec or LOCK_SPEC)
+    return XiTrajectory(**vars(flow), side=side, a=a, b=b, x_end=x_end,
+                        xi0=xi0, C=C, taper_width=tw)
 
-        def zeta_rhs(x, z):
-            xi = z[0] + rate * x
-            return [k2 + d0 - rate
-                    + (2.0 * C * window(x) * np.sin(xi) / (x - b_s))
-                    * (u0 - v0 - P0 * np.cos(xi))]
-    else:
-        def zeta_rhs(x, z):
-            xi = z[0] + rate * x
-            return [k2 + data.delta_f.deriv(x) - rate
-                    + (2.0 * C * window(x) * np.sin(xi) / (x - b_s))
-                    * (data.u_f(x) - data.v_f(x) - data.Psi_f(x) * np.cos(xi))]
 
-    arate = max(abs(rate), 1e-2)
-    sol = solve_ivp(zeta_rhs, (x_start, x_stop), [xi0 - rate * x_start],
-                    method="DOP853", rtol=spec.rel_tol, atol=spec.abs_tol,
-                    max_step=0.5 / arate)
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-    if not np.all(np.isfinite(sol.y)):
-        raise NonFiniteState("phase-lock integration produced non-finite values")
-    ts, zs = sol.t, sol.y[0]
-    xi_nodes = zs + rate * ts
-    wv = window(ts)
-    if const:
-        dz = (k2 + d0 - rate
-              + (2.0 * C * wv * np.sin(xi_nodes) / (ts - b_s))
-              * (u0 - v0 - P0 * np.cos(xi_nodes)))
-    else:
-        dz = (k2 + data.delta_f.deriv(ts) - rate
-              + (2.0 * C * wv * np.sin(xi_nodes) / (ts - b_s))
-              * (data.u_f(ts) - data.v_f(ts) - data.Psi_f(ts) * np.cos(xi_nodes)))
-    if ts[0] > ts[-1]:
-        ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
-    zeta = CubicHermiteSpline(ts, zs, dz)
-    return XiTrajectory(side=side, a=a, b=b, x_end=x_end, xi0=xi0, C=C,
-                        rate=rate, zeta=zeta, nfev=sol.nfev, taper_width=tw)
+def _slaved_V(omega: float, traj: XiTrajectory, x, xi):
+    """V = -omega C w(x) sin xi / (x - b_s): the piece slaved to its phase."""
+    V = -(omega * traj.C) * np.sin(xi) / (x - traj.side * traj.b)
+    if traj.taper_width > 0.0:
+        V = V * taper_window(x, traj.x_lo, traj.x_hi, traj.taper_width)
+    return V
 
 
 @dataclass
-class PotentialPiece:
+class PotentialPiece(_Span):
     """One compactly supported potential piece targeting a single energy."""
 
     side: int
@@ -278,14 +239,6 @@ class PotentialPiece:
     target: EmbeddingTarget | None = None
 
     @property
-    def x_lo(self) -> float:
-        return self.a if self.side > 0 else -self.x_end
-
-    @property
-    def x_hi(self) -> float:
-        return self.x_end if self.side > 0 else -self.a
-
-    @property
     def side_name(self) -> str:
         return "plus" if self.side > 0 else "minus"
 
@@ -298,12 +251,7 @@ class PotentialPiece:
         m = (x >= self.x_lo) & (x <= self.x_hi)
         if np.any(m):
             xm = x[m]
-            val = -(self.omega * self.C) * np.sin(self.traj.xi_at(xm)) \
-                / (xm - self.side * self.b)
-            if self.taper_width > 0.0:
-                val = val * taper_window(xm, self.x_lo, self.x_hi,
-                                         self.taper_width)
-            out[m] = val
+            out[m] = _slaved_V(self.omega, self.traj, xm, self.traj.xi_at(xm))
         return float(out[0]) if scalar else out
 
     def V_interp(self, x):
@@ -318,7 +266,7 @@ class PotentialPiece:
 
 def _piece_grid(traj: XiTrajectory) -> np.ndarray:
     span = traj.x_hi - traj.x_lo
-    h_target = 0.05 / max(abs(traj.rate), 1e-2)
+    h_target = 0.05 / rate_floor(traj.rate)
     n = max(64, int(np.ceil(span / h_target)))
     return traj.x_lo + (span / n) * np.arange(n + 1)
 
@@ -327,9 +275,7 @@ def piece_potential(target: EmbeddingTarget, traj: XiTrajectory) -> PotentialPie
     """Potential piece slaved to the trajectory's (possibly windowed) phase."""
     xs = _piece_grid(traj)
     xi = traj.xi_at(xs)
-    V = -(target.omega * traj.C) * np.sin(xi) / (xs - traj.side * traj.b)
-    if traj.taper_width > 0.0:
-        V = V * taper_window(xs, traj.x_lo, traj.x_hi, traj.taper_width)
+    V = _slaved_V(target.omega, traj, xs, xi)
     return PotentialPiece(side=traj.side, lam=target.lam, k=target.k,
                           omega=target.omega, C=traj.C, a=traj.a, b=traj.b,
                           x_end=traj.x_end, xi0=traj.xi0,
@@ -402,7 +348,7 @@ class Tracker:
             self.xi = float(piece.traj.xi_at(side * piece.x_end))
             self.ln_R = float(ln_R[-1] if side > 0 else ln_R[0])
             stride = max(1, int(round(
-                (np.pi / (2.0 * max(abs(piece.rate), 1e-2))) / (xs[1] - xs[0]))))
+                (np.pi / (2.0 * rate_floor(piece.rate))) / (xs[1] - xs[0]))))
             idx = decimate(xs.size, stride)
             if side < 0:
                 idx = idx[::-1]
@@ -457,7 +403,7 @@ def probe_constants(targets, *, b: float = 0.0, xi0: float = np.pi / 2,
     """
     from .verify import decay_check, stability_check
 
-    spec = spec or IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)
+    spec = spec or LOCK_SPEC
     env_floor = max(2.0 * t.C / t.k for t in targets)
     C_bound = 0.0
     for t in targets:
@@ -533,7 +479,7 @@ def schedule(targets, mode: str = "finite", a0: float = None,
         raise ValueError(f"need 0 <= b < a0, got b={b}, a0={a0}")
     if x_max <= a0:
         raise ValueError("x_max must exceed a0")
-    spec = spec or IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)
+    spec = spec or LOCK_SPEC
 
     if C_bound is None or K is None:
         C_probe, K_probe = probe_constants(

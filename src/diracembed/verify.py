@@ -26,6 +26,7 @@ from .errors import (
 from .periodic_core import IntegratorSpec
 from .pruefer import integrate_R_xi
 from .synth import (
+    TRACK_SPEC,
     EmbeddingTarget,
     PotentialPiece,
     SynthesizedPotential,
@@ -322,7 +323,7 @@ def stability_check(bystander: EmbeddingTarget, piece: PotentialPiece,
     the piece from R = 1; raises StabilityViolated if any sampled R
     exceeds the threshold.
     """
-    spec = spec or IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)
+    spec = spec or TRACK_SPEC
     start = piece.x_lo if piece.side > 0 else piece.x_hi
     stop = piece.x_hi if piece.side > 0 else piece.x_lo
     data = bystander.data

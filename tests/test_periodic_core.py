@@ -200,6 +200,26 @@ def test_smoothstep_limits_and_monotonicity():
     assert smoothstep(0.5) == pytest.approx(0.5)
 
 
+def test_taper_window_scalar_fast_path_matches_array_path():
+    lo, hi, width = 2.0, 10.0, 1.5
+    # outside, t1 = 0, left blend (t1 = 0.05, 0.47, 0.95), t1 = 1, plateau,
+    # t2 = 1, right blend (t2 = 0.95, 0.47, 0.05), t2 = 0, outside
+    xs = [1.0, 2.0, 2.075, 2.7, 3.425, 3.5, 6.0,
+          8.5, 8.575, 9.3, 9.925, 10.0, 11.0]
+    expect = [0.0, 0.0, None, None, None, 1.0, 1.0,
+              1.0, None, None, None, 0.0, 0.0]
+    for x, e in zip(xs, expect):
+        val = taper_window(x, lo, hi, width)
+        assert type(val) is float
+        assert val == taper_window(np.array([x]), lo, hi, width)[0]
+        assert val == taper_window(np.asarray(x), lo, hi, width)
+        assert val == taper_window(np.float64(x), lo, hi, width)
+        if e is None:
+            assert 0.0 < val < 1.0
+        else:
+            assert val == e
+
+
 def test_taper_window_plateau_and_edges():
     lo, hi, w = 2.0, 10.0, 1.5
     assert taper_window(lo, lo, hi, w) == 0.0

@@ -1,5 +1,7 @@
 """Modified Pruefer transform: round trips, evolution laws, dual paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from diracembed.pruefer import (
     to_prufer,
     xi_rate,
 )
+from diracembed.synth import solve_xi
 
 RNG = np.random.default_rng(20240713)
 
@@ -216,3 +219,23 @@ def test_integrate_R_xi_downward_anchors_at_the_right(free_data):
         float(up.ln_R_at(40.0)), abs=1e-6)
 
 
+
+
+def test_phase_flow_constant_fast_path_is_exact(free_target_07):
+    """Precomputed frame scalars and field calls give the same bits."""
+    fast = free_target_07
+    assert fast.data.is_constant
+    slow = dataclasses.replace(
+        fast, data=dataclasses.replace(fast.data, is_constant=False))
+
+    def V(x):
+        return 0.1 * np.cos(1.3 * np.asarray(x)) / (1.0 + np.asarray(x))
+
+    lock = [solve_xi(t, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
+            for t in (fast, slow)]
+    bystander = [integrate_R_xi(t.data, V, 5.0, 80.0, 0.3)
+                 for t in (fast, slow)]
+    for a, b in (lock, bystander):
+        assert a.nfev == b.nfev
+        assert np.array_equal(a.zeta.x, b.zeta.x)
+        assert np.array_equal(a.zeta.c, b.zeta.c)
