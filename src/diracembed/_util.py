@@ -1,5 +1,5 @@
-"""Small numerical helpers: periodic fields, decimation, cumulative Simpson,
-windows."""
+"""Small numerical helpers: periodic fields, decimation, cumulative Simpson
+(whole or in blocks), windows."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InvariantDrift
+
+QUAD_BLOCK = 4_000_000  # grid intervals per block of a chunked quadrature
 
 
 def frac(x):
@@ -86,6 +88,23 @@ def cumulative_simpson_uniform(f: np.ndarray, h: float, f0: float = 0.0) -> np.n
     if n % 2 == 0:  # trailing point after the last full pair
         out[-1] = out[-2] + h / 12.0 * (-f[-3] + 8.0 * f[-2] + 5.0 * f[-1])
     return out
+
+
+def cumulative_blocks(f, lo: float, h: float, n: int, f0: float = 0.0):
+    """Running integral of f over the grid lo + i*h, i = 0..n, in blocks.
+
+    Yields (start, xs, F) per block of at most QUAD_BLOCK intervals: xs
+    holds lo + i*h for i = start..stop and F the integral from lo, plus
+    f0.  A block's last sample is the next block's first, so memory stays
+    bounded however long the grid.
+    """
+    carry, start = f0, 0
+    while start < n:
+        stop = min(start + QUAD_BLOCK, n)
+        xs = lo + np.arange(start, stop + 1) * h
+        F = cumulative_simpson_uniform(f(xs), h, f0=carry)
+        yield start, xs, F
+        carry, start = F[-1], stop
 
 
 def smoothstep(t):

@@ -32,7 +32,6 @@ from .synth import (
     EmbeddingTarget,
     assemble,
     check_nonresonance,
-    choose_C,
     rebuild_potential,
     schedule,
     write_manifest,
@@ -237,14 +236,10 @@ def cmd_oscillatory(args) -> int:
         cfg = RunConfig.load(args.config)
         out = args.out or cfg.out_dir
         os.makedirs(out, exist_ok=True)
-        sol = floquet_solution(cfg.p, cfg.q, args.lam,
-                               spec=cfg.integrator_spec())
-        data = derived_data(sol)
-        target = EmbeddingTarget(lam=args.lam, k=sol.k, floquet=sol,
-                                 data=data, C=choose_C(data),
-                                 omega=sol.omega)
+        target = EmbeddingTarget.at(cfg.p, cfg.q, args.lam,
+                                    spec=cfg.integrator_spec())
         checks.append(oscillatory_check_42(
-            target, data.Psi_f, args.a, x0_list, args.x_max,
+            target, target.data.Psi_f, args.a, x0_list, args.x_max,
             enforce_nonresonance=not args.allow_resonant))
     else:
         if args.beta1 is None or args.beta2 is None:

@@ -137,8 +137,7 @@ class BandStructure:
 
 def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
               lambda_range: tuple[float, float], resolution: float,
-              spec: IntegratorSpec | None = None,
-              _trace_fn=None) -> BandStructure:
+              spec: IntegratorSpec | None = None) -> BandStructure:
     """Scan trace(lam), bracket |trace|/2 - 1 sign changes, bisect the edges.
 
     Tangential touchings of |trace|/2 = 1 (closed gaps) count as interior.
@@ -148,11 +147,13 @@ def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
     lo, hi = map(float, lambda_range)
     if hi <= lo:
         return BandStructure((lo, hi), resolution, np.array([]), np.array([]), [])
-    if _trace_fn is None:
-        _trace_fn = lambda lam: monodromy(p, q, lam, spec).trace  # noqa: E731
+
+    def trace(lam):
+        return monodromy(p, q, lam, spec).trace
+
     n = max(2, int(round((hi - lo) / resolution)) + 1)
     lams = np.linspace(lo, hi, n)
-    traces = np.array([_trace_fn(lam) for lam in lams])
+    traces = np.array([trace(lam) for lam in lams])
     inside = np.abs(traces) / 2.0 < 1.0 + 1e-12
 
     for i in range(1, len(inside) - 1):
@@ -164,12 +165,12 @@ def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
     def edge_between(a: float, b: float) -> float:
         # a carries the outside sample, b the inside one; the pair may
         # arrive in either x-order.
-        fa = abs(_trace_fn(a)) / 2.0 - 1.0
+        fa = abs(trace(a)) / 2.0 - 1.0
         for _ in range(64):
             mid = 0.5 * (a + b)
             if abs(b - a) <= resolution * 1e-3:
                 break
-            fm = abs(_trace_fn(mid)) / 2.0 - 1.0
+            fm = abs(trace(mid)) / 2.0 - 1.0
             if (fa <= 0.0) == (fm <= 0.0):
                 a, fa = mid, fm
             else:
@@ -189,8 +190,8 @@ def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
         b_hi = lams[j] if j == n - 1 else edge_between(lams[j + 1], lams[j])
         mid = 0.5 * (b_lo + b_hi)
         h = max(1e-6, min(resolution, (b_hi - b_lo) / 8.0) / 2.0)
-        k_lo = np.arccos(np.clip(_trace_fn(mid - h) / 2.0, -1.0, 1.0))
-        k_hi = np.arccos(np.clip(_trace_fn(mid + h) / 2.0, -1.0, 1.0))
+        k_lo = np.arccos(np.clip(trace(mid - h) / 2.0, -1.0, 1.0))
+        k_hi = np.arccos(np.clip(trace(mid + h) / 2.0, -1.0, 1.0))
         bands.append(Band(b_lo, b_hi, 1 if k_hi >= k_lo else -1))
         i = j + 1
     return BandStructure((lo, hi), resolution, lams, traces, bands)
@@ -406,19 +407,16 @@ def gamma_derivative(sol: FloquetSolution, data: DerivedPeriodicData, x):
 
 
 def in_band_samples(p: PeriodicCoefficient, q: PeriodicCoefficient,
-                    window: tuple[float, float], count: int,
-                    spec: IntegratorSpec | None = None,
-                    margin: float = 0.1, cap: float = 0.9,
-                    probe: int = 60) -> list[float]:
-    """Scan a coarse lambda grid and return up to ``count`` values strictly
-    inside bands (|trace|/2 <= cap and k at least ``margin`` from 0, pi)."""
-    lams = np.linspace(window[0], window[1], probe)
+                    window: tuple[float, float], count: int) -> list[float]:
+    """Scan 60 energies across window and return up to ``count`` of them
+    strictly inside bands (|trace|/2 <= 0.9 and k at least 0.1 from 0, pi)."""
+    lams = np.linspace(window[0], window[1], 60)
     good = []
     for lam in lams:
-        t = monodromy(p, q, float(lam), spec).trace / 2.0
-        if abs(t) <= cap:
+        t = monodromy(p, q, float(lam)).trace / 2.0
+        if abs(t) <= 0.9:
             k = float(np.arccos(t))
-            if margin < k < np.pi - margin:
+            if 0.1 < k < np.pi - 0.1:
                 good.append(float(lam))
     if len(good) <= count:
         return good

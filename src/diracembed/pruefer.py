@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from ._util import cumulative_simpson_uniform, decimate
+from ._util import cumulative_blocks, decimate
 from .errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
 from .floquet import DerivedPeriodicData, gamma_derivative
 from .periodic_core import IntegratorSpec
@@ -202,8 +202,6 @@ class RXiRun(PhaseFlow):
     ``xi_at`` is accurate everywhere; ``ln_R_at`` interpolates samples.
     """
 
-    x0: float
-    x1: float
     xs: np.ndarray
     ln_R: np.ndarray
     xi: np.ndarray
@@ -215,16 +213,14 @@ class RXiRun(PhaseFlow):
 
 
 def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: float,
-                   spec: IntegratorSpec | None = None, lnR0: float = 0.0,
-                   quad_step: float | None = None,
-                   keep_step: float | None = None,
-                   chunk: int = 4_000_000) -> RXiRun:
+                   spec: IntegratorSpec | None = None,
+                   lnR0: float = 0.0) -> RXiRun:
     """Integrate xi as a drift variable and recover ln R by quadrature.
 
     xi never feeds on ln R, so the phase is solved first by
     ``phase_flow`` and (ln R)' = (V/omega) Psi sin xi is then accumulated
-    with a fourth-order cumulative rule on a uniform grid, in
-    bounded-memory chunks.
+    with a fourth-order cumulative rule on a uniform grid of step
+    0.05/rate, in bounded-memory blocks.
 
     V must accept numpy arrays.
     """
@@ -234,44 +230,35 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: floa
     arate = rate_floor(flow.rate)
     flip = x0 > x1
 
-    h = quad_step if quad_step is not None else 0.05 / arate
-    keep = keep_step if keep_step is not None else np.pi / (2.0 * arate)
-    stride = max(1, int(round(keep / h)))
-
+    h = 0.05 / arate
+    stride = max(1, int(round((np.pi / (2.0 * arate)) / h)))
     lo, hi = (x0, x1) if not flip else (x1, x0)
-    span = hi - lo
-    n_total = max(2, int(np.ceil(span / h)))
-    h = span / n_total  # exact uniform grid over the requested range
+    n = max(2, int(np.ceil((hi - lo) / h)))
+    h = (hi - lo) / n  # exact uniform grid over the requested range
+
+    def f(xs):
+        return (np.asarray(V(xs), dtype=float) / w) * data.Psi_f(xs) \
+            * np.sin(flow.xi_at(xs))
 
     xs_out: list[np.ndarray] = []
     ln_out: list[np.ndarray] = []
     # The cumulative rule runs left to right; when integrating downward
     # the anchor lnR0 sits at the right end and is applied afterwards.
-    carry = 0.0 if flip else lnR0
-    start = 0
-    while start < n_total:
-        stop = min(start + chunk, n_total)
-        idx = np.arange(start, stop + 1)
-        xs = lo + idx * h
-        xi = flow.xi_at(xs)
-        f = (np.asarray(V(xs), dtype=float) / w) * data.Psi_f(xs) * np.sin(xi)
-        F = cumulative_simpson_uniform(f, h, f0=carry)
-        keep_idx = decimate(idx.size, stride)
-        lastblock = stop >= n_total
-        upto = idx.size if lastblock else idx.size - 1
-        sel = keep_idx[keep_idx < upto] if not lastblock else keep_idx
-        xs_out.append(xs[sel])
-        ln_out.append(F[sel])
-        carry = F[-1]
-        start = stop
+    for start, xs, F in cumulative_blocks(f, lo, h, n, 0.0 if flip else lnR0):
+        keep = decimate(xs.size, stride)
+        if start + xs.size - 1 < n:  # the seam sample opens the next block
+            keep = keep[keep < xs.size - 1]
+        xs_out.append(xs[keep])
+        ln_out.append(F[keep])
+    total = F[-1]
 
     xs_all = np.concatenate(xs_out)
     ln_all = np.concatenate(ln_out)
     if flip:  # ln R(x) = lnR0 - integral from x up to x0; reorder x0 -> x1
-        ln_all = ln_all + (lnR0 - carry)
-        ln_end = lnR0 - carry
+        ln_all = ln_all + (lnR0 - total)
+        ln_end = lnR0 - total
         xs_all, ln_all = xs_all[::-1], ln_all[::-1]
     else:
-        ln_end = carry
-    return RXiRun(**vars(flow), x0=x0, x1=x1, xs=xs_all, ln_R=ln_all,
+        ln_end = total
+    return RXiRun(**vars(flow), xs=xs_all, ln_R=ln_all,
                   xi=flow.xi_at(xs_all), ln_R_end=float(ln_end))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     ResonantPair,
     StabilityViolated,
 )
-from .floquet import DerivedPeriodicData, FloquetSolution, derived_data, floquet_solution
+from .floquet import DerivedPeriodicData, derived_data, floquet_solution
 from .periodic_core import IntegratorSpec, PeriodicCoefficient
 from .pruefer import PhaseFlow, integrate_R_xi, phase_flow, rate_floor
 
@@ -63,18 +63,38 @@ TWO_PI = 2.0 * np.pi
 DECAY_EXPONENT = 100.0  # target slope of ln R against ln((|x|-b)/(a-b))
 LOCK_SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)  # phase lock
 TRACK_SPEC = IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)  # bystander flow
+CSV_ROWS = 2000  # most potential.csv rows per piece
 
 
 @dataclass(frozen=True)
 class EmbeddingTarget:
-    """One energy to embed: Floquet frame plus its decay constant."""
+    """One energy to embed: its Floquet frame plus its decay constant C."""
 
-    lam: float
-    k: float
-    floquet: FloquetSolution
     data: DerivedPeriodicData
     C: float
-    omega: float
+
+    @classmethod
+    def at(cls, p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
+           C: float | None = None, rho_margin: float = 5.0,
+           **frame) -> EmbeddingTarget:
+        """Target at energy lam; ``frame`` goes to ``floquet_solution``.
+
+        C defaults to ``choose_C(data, rho_margin)``.
+        """
+        data = derived_data(floquet_solution(p, q, lam, **frame))
+        return cls(data, choose_C(data, rho_margin) if C is None else C)
+
+    @property
+    def lam(self) -> float:
+        return self.data.lam
+
+    @property
+    def k(self) -> float:
+        return self.data.k
+
+    @property
+    def omega(self) -> float:
+        return self.data.omega
 
     def __post_init__(self):
         if not 0.0 < self.k < np.pi:
@@ -103,8 +123,7 @@ def choose_C(data: DerivedPeriodicData, rho_margin: float = 5.0) -> float:
 def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
                        margin: float = 0.05, *, rho_margin: float = 5.0,
                        spec: IntegratorSpec | None = None,
-                       band_edge_margin: float = 0.0,
-                       n_grid: int = 4096) -> list[EmbeddingTarget]:
+                       band_edge_margin: float = 0.0) -> list[EmbeddingTarget]:
     """Build targets for the given energies, enforcing phase separation.
 
     Requires |k_i - k_j| >= margin for i != j and |k_i + k_j - pi| >=
@@ -115,14 +134,9 @@ def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
     lams = [float(l) for l in lambdas]
     if not lams:
         raise ValueError("no energies given")
-    targets = []
-    for lam in lams:
-        sol = floquet_solution(p, q, lam, spec=spec, n_grid=n_grid,
-                               band_edge_margin=band_edge_margin)
-        data = derived_data(sol)
-        targets.append(EmbeddingTarget(
-            lam=lam, k=sol.k, floquet=sol, data=data,
-            C=choose_C(data, rho_margin), omega=sol.omega))
+    targets = [EmbeddingTarget.at(p, q, lam, rho_margin=rho_margin, spec=spec,
+                                  band_edge_margin=band_edge_margin)
+               for lam in lams]
     ks = [t.k for t in targets]
     for i in range(len(ks)):
         for j in range(i, len(ks)):
@@ -134,8 +148,17 @@ def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
     return targets
 
 
-class _Span:
-    """Signed support [x_lo, x_hi] of side*[a, x_end]."""
+@dataclass
+class XiTrajectory(PhaseFlow):
+    """Dense solution of the phase-lock equation on side*[a, x_end]."""
+
+    side: int
+    a: float
+    b: float
+    x_end: float
+    xi0: float
+    C: float
+    taper_width: float
 
     @property
     def x_lo(self) -> float:
@@ -144,19 +167,6 @@ class _Span:
     @property
     def x_hi(self) -> float:
         return self.x_end if self.side > 0 else -self.a
-
-
-@dataclass
-class XiTrajectory(_Span, PhaseFlow):
-    """Dense solution of the phase-lock equation on one piece."""
-
-    side: int
-    a: float
-    b: float
-    x_end: float
-    xi0: float
-    C: float
-    taper_width: float = 0.0
 
 
 def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
@@ -218,29 +228,24 @@ def _slaved_V(omega: float, traj: XiTrajectory, x, xi):
 
 
 @dataclass
-class PotentialPiece(_Span):
-    """One compactly supported potential piece targeting a single energy."""
+class PotentialPiece(XiTrajectory):
+    """A phase-locked trajectory of one target, with its potential sampled.
 
-    side: int
-    lam: float
-    k: float
-    omega: float
-    C: float
-    a: float
-    b: float
-    x_end: float
-    xi0: float
-    taper_width: float
-    rate: float
+    V is slaved to the phase: V = -omega C w(x) sin xi / (x - b_s).
+    """
+
+    target: EmbeddingTarget
     x_grid: np.ndarray
     xi_grid: np.ndarray
     V_grid: np.ndarray
-    traj: XiTrajectory
-    target: EmbeddingTarget | None = None
 
     @property
-    def side_name(self) -> str:
-        return "plus" if self.side > 0 else "minus"
+    def lam(self) -> float:
+        return self.target.lam
+
+    @property
+    def omega(self) -> float:
+        return self.target.omega
 
     def V_at(self, x):
         """Exact evaluator (spline phase, analytic envelope, taper)."""
@@ -251,7 +256,7 @@ class PotentialPiece(_Span):
         m = (x >= self.x_lo) & (x <= self.x_hi)
         if np.any(m):
             xm = x[m]
-            out[m] = _slaved_V(self.omega, self.traj, xm, self.traj.xi_at(xm))
+            out[m] = _slaved_V(self.omega, self, xm, self.xi_at(xm))
         return float(out[0]) if scalar else out
 
     def V_interp(self, x):
@@ -259,29 +264,22 @@ class PotentialPiece(_Span):
         return np.interp(x, self.x_grid, self.V_grid)
 
     def manifest_entry(self) -> dict:
-        return {"side": self.side_name, "lambda": self.lam, "a": self.a,
+        return {"side": "plus" if self.side > 0 else "minus",
+                "lambda": self.lam, "a": self.a,
                 "b": self.b, "x_end": self.x_end, "xi0": self.xi0,
                 "C": self.C, "taper_width": self.taper_width}
 
 
-def _piece_grid(traj: XiTrajectory) -> np.ndarray:
-    span = traj.x_hi - traj.x_lo
-    h_target = 0.05 / rate_floor(traj.rate)
-    n = max(64, int(np.ceil(span / h_target)))
-    return traj.x_lo + (span / n) * np.arange(n + 1)
-
-
 def piece_potential(target: EmbeddingTarget, traj: XiTrajectory) -> PotentialPiece:
-    """Potential piece slaved to the trajectory's (possibly windowed) phase."""
-    xs = _piece_grid(traj)
+    """Potential piece slaved to the trajectory's (possibly windowed) phase,
+    sampled on a uniform grid of step at most 0.05/rate (64 steps or more)."""
+    span = traj.x_hi - traj.x_lo
+    n = max(64, int(np.ceil(span / (0.05 / rate_floor(traj.rate)))))
+    xs = traj.x_lo + (span / n) * np.arange(n + 1)
     xi = traj.xi_at(xs)
     V = _slaved_V(target.omega, traj, xs, xi)
-    return PotentialPiece(side=traj.side, lam=target.lam, k=target.k,
-                          omega=target.omega, C=traj.C, a=traj.a, b=traj.b,
-                          x_end=traj.x_end, xi0=traj.xi0,
-                          taper_width=traj.taper_width,
-                          rate=traj.rate, x_grid=xs, xi_grid=xi, V_grid=V,
-                          traj=traj, target=target)
+    return PotentialPiece(**vars(traj), target=target, x_grid=xs, xi_grid=xi,
+                          V_grid=V)
 
 
 def slaved_amplitude(piece: PotentialPiece, lnR_start: float = 0.0):
@@ -296,8 +294,6 @@ def slaved_amplitude(piece: PotentialPiece, lnR_start: float = 0.0):
     percent of a piece.  Returns (x ascending, ln R samples) anchored
     to lnR_start at the piece's inner edge |x| = a.
     """
-    if piece.target is None:
-        raise ValueError("piece carries no target reference")
     data = piece.target.data
     xs = piece.x_grid
     h = float(xs[1] - xs[0])
@@ -345,7 +341,7 @@ class Tracker:
         if piece.lam == self.target.lam:
             self.own_starts.append(piece.a)
             xs, ln_R = slaved_amplitude(piece, self.ln_R)
-            self.xi = float(piece.traj.xi_at(side * piece.x_end))
+            self.xi = float(piece.xi_at(side * piece.x_end))
             self.ln_R = float(ln_R[-1] if side > 0 else ln_R[0])
             stride = max(1, int(round(
                 (np.pi / (2.0 * rate_floor(piece.rate))) / (xs[1] - xs[0]))))
@@ -371,24 +367,16 @@ class Tracker:
 
 @dataclass
 class SynthesisSchedule:
-    targets: list[EmbeddingTarget]
+    """Pieces in build order, breakpoints, tracks, and manifest metadata."""
+
     pieces: list[PotentialPiece]
     T: list[float]
     N: list[int]
-    envelope_h: object
-    mode: str
-    a0: float
-    x_max: float
-    b: float
     C_bound: float
     K: float
-    safety: float
-    taper_width: float
-    xi0_default: float
-    ratio_policy: float | None
-    spec: IntegratorSpec
-    tracks: dict = field(default_factory=dict)
-    activations: list = field(default_factory=list)
+    tracks: dict
+    activations: list
+    metadata: dict
 
 
 def probe_constants(targets, *, b: float = 0.0, xi0: float = np.pi / 2,
@@ -550,15 +538,18 @@ def schedule(targets, mode: str = "finite", a0: float = None,
         raise HorizonTooShort(
             f"x_max = {x_max:.6g} reached before targets {unpieced} "
             "received a piece; extend the horizon")
-    tracks = {key: tr.record() for key, tr in trackers.items()}
-
+    metadata = {
+        "mode": mode, "a0": float(a0), "x_max": float(x_max), "b": float(b),
+        "C_bound": float(C_bound), "K": float(K), "safety": float(safety),
+        "taper_width": float(taper_width), "xi0_default": float(xi0),
+        "T": [float(t) for t in T], "N": [int(n) for n in Ns],
+        "targets": [{"lambda": t.lam, "k": t.k, "omega": t.omega, "C": t.C}
+                    for t in targets],
+    }
     return SynthesisSchedule(
-        targets=list(targets), pieces=pieces, T=T, N=Ns, envelope_h=h,
-        mode=mode, a0=float(a0), x_max=float(x_max), b=float(b),
-        C_bound=float(C_bound), K=float(K), safety=float(safety),
-        taper_width=float(taper_width), xi0_default=float(xi0),
-        ratio_policy=ratio_policy, spec=spec, tracks=tracks,
-        activations=activations)
+        pieces=pieces, T=T, N=Ns, C_bound=float(C_bound), K=float(K),
+        tracks={key: tr.record() for key, tr in trackers.items()},
+        activations=activations, metadata=metadata)
 
 
 @dataclass
@@ -566,8 +557,6 @@ class SynthesizedPotential:
     """Assembled even-sided potential: zero outside its pieces."""
 
     pieces: list[PotentialPiece]
-    b: float
-    a0: float
     x_grid: np.ndarray
     V_grid: np.ndarray
     metadata: dict
@@ -581,7 +570,7 @@ class SynthesizedPotential:
         return max(abs(pc.omega) * pc.C for pc in self.pieces)
 
 
-def _assemble_pieces(pieces: list[PotentialPiece], b: float, a0: float,
+def _assemble_pieces(pieces: list[PotentialPiece],
                      metadata: dict) -> SynthesizedPotential:
     order = sorted(range(len(pieces)), key=lambda i: pieces[i].x_lo)
     pieces = [pieces[i] for i in order]
@@ -593,29 +582,13 @@ def _assemble_pieces(pieces: list[PotentialPiece], b: float, a0: float,
                 f"[{right.x_lo:.6g}, {right.x_hi:.6g}]")
     x_grid = np.concatenate([pc.x_grid for pc in pieces])
     V_grid = np.concatenate([pc.V_grid for pc in pieces])
-    return SynthesizedPotential(pieces=pieces, b=b, a0=a0,
-                                x_grid=x_grid, V_grid=V_grid,
+    return SynthesizedPotential(pieces=pieces, x_grid=x_grid, V_grid=V_grid,
                                 metadata=metadata)
 
 
 def assemble(sched: SynthesisSchedule) -> SynthesizedPotential:
     """Fold a schedule's pieces into one evaluator with metadata."""
-    metadata = {
-        "mode": sched.mode,
-        "a0": sched.a0,
-        "x_max": sched.x_max,
-        "b": sched.b,
-        "C_bound": sched.C_bound,
-        "K": sched.K,
-        "safety": sched.safety,
-        "taper_width": sched.taper_width,
-        "xi0_default": sched.xi0_default,
-        "T": [float(t) for t in sched.T],
-        "N": [int(n) for n in sched.N],
-        "targets": [{"lambda": t.lam, "k": t.k, "omega": t.omega, "C": t.C}
-                    for t in sched.targets],
-    }
-    return _assemble_pieces(sched.pieces, sched.b, sched.a0, metadata)
+    return _assemble_pieces(sched.pieces, sched.metadata)
 
 
 def write_manifest(pot: SynthesizedPotential, path: str,
@@ -625,9 +598,8 @@ def write_manifest(pot: SynthesizedPotential, path: str,
     doc = dict(pot.metadata)
     doc["coefficients"] = {"p": p.to_dict(), "q": q.to_dict()}
     doc["integrator"] = {"rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol}
-    fl = {(pc.target.floquet.spec.rel_tol, pc.target.floquet.spec.abs_tol,
-           pc.target.floquet.grid.size - 1)
-          for pc in pot.pieces if pc.target is not None}
+    fl = {(sol.spec.rel_tol, sol.spec.abs_tol, sol.grid.size - 1)
+          for sol in (pc.target.data.sol for pc in pot.pieces)}
     if len(fl) > 1:
         raise ValueError("pieces built from mixed Floquet integrator specs")
     if fl:
@@ -652,14 +624,11 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
     fl = manifest.get("floquet_integrator", manifest["integrator"])
     fl_spec = IntegratorSpec(rel_tol=fl["rel_tol"], abs_tol=fl["abs_tol"])
     n_grid = int(fl.get("n_grid", 4096))
-    frames: dict[float, EmbeddingTarget] = {}
+    frames = {}
     for entry in manifest["targets"]:
         lam = float(entry["lambda"])
-        sol = floquet_solution(p, q, lam, spec=fl_spec, n_grid=n_grid)
-        data = derived_data(sol)
-        frames[lam] = EmbeddingTarget(lam=lam, k=sol.k, floquet=sol,
-                                      data=data, C=float(entry["C"]),
-                                      omega=sol.omega)
+        frames[lam] = EmbeddingTarget.at(p, q, lam, C=float(entry["C"]),
+                                         spec=fl_spec, n_grid=n_grid)
     pieces = []
     for entry in manifest["pieces"]:
         target = frames[float(entry["lambda"])]
@@ -673,17 +642,15 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
             ("mode", "a0", "x_max", "b", "C_bound", "K", "safety",
              "taper_width", "xi0_default", "T", "N", "targets")
             if key in manifest}
-    return _assemble_pieces(pieces, float(manifest["b"]),
-                            float(manifest["a0"]), meta)
+    return _assemble_pieces(pieces, meta)
 
 
-def write_potential_csv(pot: SynthesizedPotential, path: str,
-                        max_rows_per_piece: int = 2000) -> None:
-    """Decimated x,V samples, per piece, in ascending x."""
+def write_potential_csv(pot: SynthesizedPotential, path: str) -> None:
+    """Decimated x,V samples, at most CSV_ROWS per piece, in ascending x."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,V\n")
         for pc in pot.pieces:
             n = pc.x_grid.size
-            idx = decimate(n, max(1, int(np.ceil(n / max_rows_per_piece))))
+            idx = decimate(n, max(1, int(np.ceil(n / CSV_ROWS))))
             for xv, vv in zip(pc.x_grid[idx], pc.V_grid[idx]):
                 fh.write(f"{xv:.17g},{vv:.17g}\n")

@@ -3,8 +3,8 @@
 Every check integrates the claimed inequality directly and reports the
 measured margin; nothing is assumed from the construction.  Oscillatory
 sup-scans share one cumulative quadrature pass over [min x0, x_max] with
-suffix maxima, so the cost is one dense sweep regardless of how many
-checkpoints are requested.
+running extrema per checkpoint, so the cost is one dense sweep regardless
+of how many checkpoints are requested.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cumulative_simpson_uniform, decimate, fit_line, frac
+from ._util import (cumulative_blocks, cumulative_simpson_uniform, decimate,
+                    fit_line, frac)
 from .errors import (
     BoundViolated,
     DecayTooSlow,
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+NONEMBED_SPEC = IntegratorSpec(rel_tol=1e-7, abs_tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -85,62 +87,35 @@ class OscCheck:
                 "products": list(self.products)}
 
 
-def _sup_scan(make_integrand, x_lo: float, x_max: float, h: float,
-              x0_list, chunk: int = 4_000_000):
+def _sup_scan(make_integrand, x_lo: float, x_max: float, h: float, x0_list):
     """sup_{x >= x0} |F(x) - F(x0)| for each x0, F the running integral.
 
-    make_integrand(xs) -> samples.  One forward pass; each chunk keeps its
-    max/min and the partial suffix extrema for checkpoints inside it.
+    make_integrand(xs) -> samples.  One forward pass in blocks; each
+    checkpoint keeps a running max and min of F from its own sample on.
     """
     x0s = sorted(float(v) for v in x0_list)
-    span = x_max - x_lo
-    n_total = max(2, int(np.ceil(span / h)))
-    h = span / n_total
-    # Snap checkpoints onto the grid.
-    idx0 = [int(round((v - x_lo) / h)) for v in x0s]
-    chunk_max: list[float] = []
-    chunk_min: list[float] = []
-    F0: dict[int, float] = {}
-    part_max: dict[int, float] = {}
-    part_min: dict[int, float] = {}
-    in_chunk: dict[int, int] = {}
-    carry = 0.0
-    start = 0
-    ci = 0
-    while start < n_total:
-        stop = min(start + chunk, n_total)
-        i = np.arange(start, stop + 1)
-        xs = x_lo + i * h
-        F = cumulative_simpson_uniform(make_integrand(xs), h, f0=carry)
-        chunk_max.append(float(F.max()))
-        chunk_min.append(float(F.min()))
+    n = max(2, int(np.ceil((x_max - x_lo) / h)))
+    h = (x_max - x_lo) / n
+    idx0 = [int(round((v - x_lo) / h)) for v in x0s]  # snap onto the grid
+    if idx0[-1] > n:
+        raise ValueError("need every x0 <= x_max")
+    F0 = [0.0] * len(x0s)
+    hi = [-np.inf] * len(x0s)
+    lo = [np.inf] * len(x0s)
+    for start, xs, F in cumulative_blocks(make_integrand, x_lo, h, n):
         for j, i0 in enumerate(idx0):
-            if start <= i0 <= stop:
-                loc = i0 - start
-                F0[j] = float(F[loc])
-                part_max[j] = float(F[loc:].max())
-                part_min[j] = float(F[loc:].min())
-                in_chunk[j] = ci
-        carry = float(F[-1])
-        start = stop
-        ci += 1
-    # Suffix extrema over whole chunks.
-    suf_max = np.full(ci + 1, -np.inf)
-    suf_min = np.full(ci + 1, np.inf)
-    for c in range(ci - 1, -1, -1):
-        suf_max[c] = max(chunk_max[c], suf_max[c + 1])
-        suf_min[c] = min(chunk_min[c], suf_min[c + 1])
-    sups = []
-    for j in range(len(x0s)):
-        hi = max(part_max[j], suf_max[in_chunk[j] + 1])
-        lo = min(part_min[j], suf_min[in_chunk[j] + 1])
-        sups.append(max(hi - F0[j], F0[j] - lo))
-    return x0s, sups
+            if i0 < start + xs.size:
+                tail = F[max(i0 - start, 0):]
+                if i0 >= start:
+                    F0[j] = float(tail[0])
+                hi[j] = max(hi[j], float(tail.max()))
+                lo[j] = min(lo[j], float(tail.min()))
+    return x0s, [max(u - f, f - d) for f, u, d in zip(F0, hi, lo)]
 
 
 def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
-                         x_max: float, c: float = 1.0, use_cos: bool = False,
-                         quad_step: float | None = None) -> OscCheck:
+                         x_max: float, c: float = 1.0,
+                         use_cos: bool = False) -> OscCheck:
     """Sup of |int sin(theta)/t^beta2| with theta' = a + c/(1+t^beta1).
 
     Reports sup * x0^beta, beta = min(beta2, beta1+beta2-1, 2*beta2-1);
@@ -158,8 +133,7 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
     x_lo = min(float(v) for v in x0_list)
     if x_lo <= 0.0 or x_max <= x_lo:
         raise ValueError("need 0 < min(x0) < x_max")
-    rate = abs(a) + abs(c)
-    h = quad_step if quad_step is not None else 0.04 / max(rate, 0.5)
+    h = 0.04 / max(abs(a) + abs(c), 0.5)
     osc = np.cos if use_cos else np.sin
 
     if beta1 == 1.0:
@@ -187,8 +161,8 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
 
 
 def oscillatory_check_42(target: EmbeddingTarget, Gamma, a: float, x0_list,
-                         x_max: float, enforce_nonresonance: bool = True,
-                         quad_step: float | None = None) -> OscCheck:
+                         x_max: float,
+                         enforce_nonresonance: bool = True) -> OscCheck:
     """Sup of |int Gamma(t) sin(theta)/t| with theta = a*t + gamma(t) + ln t.
 
     gamma is the periodic part of the target's first phase function.
@@ -212,7 +186,7 @@ def oscillatory_check_42(target: EmbeddingTarget, Gamma, a: float, x0_list,
         raise ValueError("need 0 < min(x0) < x_max")
     slope_per = np.max(np.abs(np.diff(data.gamma1))) * data.x.size / TWO_PI
     rate = abs(a) + abs(g1f.slope) + float(slope_per) + 1.0 / x_lo
-    h = quad_step if quad_step is not None else 0.04 / max(rate, 0.5)
+    h = 0.04 / max(rate, 0.5)
 
     def integrand(xs):
         theta = a * xs + gamma_per(xs) + np.log(xs)
@@ -383,18 +357,15 @@ class NonembeddingReport:
 
 
 def adversarial_potential(target: EmbeddingTarget, x0: float, x_max: float,
-                          eps: float, xi0: float = np.pi / 2,
-                          spec: IntegratorSpec | None = None) -> PotentialPiece:
+                          eps: float) -> PotentialPiece:
     """Phase-locked potential with envelope eps/x — the worst decay driver."""
     C_eff = eps / abs(target.omega)
-    traj = solve_xi(target, x0, 0.0, xi0, x_max, side=1, spec=spec, C=C_eff)
+    traj = solve_xi(target, x0, 0.0, np.pi / 2, x_max, side=1, C=C_eff)
     return piece_potential(target, traj)
 
 
 def nonembedding_check(target: EmbeddingTarget, V, x0: float, x_max: float,
                        eps: float | None = None,
-                       xi0: float = np.pi / 2,
-                       spec: IntegratorSpec | None = None,
                        tol: float = 1e-3) -> NonembeddingReport:
     """Certify R(x) >= R(x0) * (x/x0)^(-C_eps) * (1 - tol) on [x0, x_max].
 
@@ -402,7 +373,6 @@ def nonembedding_check(target: EmbeddingTarget, V, x0: float, x_max: float,
     is enforced, and the measured integral of R^2 is compared against the
     divergent power-law lower bound.
     """
-    spec = spec or IntegratorSpec(rel_tol=1e-7, abs_tol=1e-10)
     if hasattr(V, "V_interp"):  # potential piece: sampled grid is cheapest
         V = V.V_interp
     data = target.data
@@ -415,7 +385,7 @@ def nonembedding_check(target: EmbeddingTarget, V, x0: float, x_max: float,
         raise HypothesisViolated(
             f"C_eps = {C_eps:.4g} >= 1/2; the lower bound needs a smaller "
             "envelope")
-    run = integrate_R_xi(data, V, x0, x_max, xi0, spec=spec, lnR0=0.0)
+    run = integrate_R_xi(data, V, x0, x_max, np.pi / 2, spec=NONEMBED_SPEC)
     margin = run.ln_R + C_eps * np.log(run.xs / x0)
     min_margin = float(np.min(margin))
     if min_margin < np.log1p(-tol):

@@ -13,7 +13,6 @@ from diracembed import (
     EmbeddingTarget,
     PeriodicCoefficient,
     RunConfig,
-    choose_C,
     derived_data,
     floquet_solution,
 )
@@ -23,11 +22,7 @@ FREE_LAM = np.pi / 3.0
 
 
 def make_target(p, q, lam, rho_margin=5.0, spec=None):
-    sol = floquet_solution(p, q, lam, spec=spec)
-    data = derived_data(sol)
-    return EmbeddingTarget(lam=lam, k=sol.k, floquet=sol, data=data,
-                           C=choose_C(data, rho_margin=rho_margin),
-                           omega=sol.omega)
+    return EmbeddingTarget.at(p, q, lam, rho_margin=rho_margin, spec=spec)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
 """Monodromy traces, band structure, Floquet frames, derived period data."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from diracembed import floquet
 from diracembed.errors import BandEdge, ScanTooCoarse
 from diracembed.floquet import (
     GapIndicator,
@@ -25,6 +28,12 @@ def mass_trace(lam, m=MASS):
     """2 cos sqrt(lam^2 - m^2) in bands, 2 cosh sqrt(m^2 - lam^2) in gaps."""
     d = lam * lam - m * m
     return 2.0 * np.cos(np.sqrt(d)) if d >= 0.0 else 2.0 * np.cosh(np.sqrt(-d))
+
+
+def fake_monodromy(monkeypatch, trace):
+    """Make band_scan see the synthetic dispersion trace(lam)."""
+    monkeypatch.setattr(floquet, "monodromy", lambda p, q, lam, spec=None:
+                        SimpleNamespace(trace=trace(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +82,7 @@ def test_band_scan_finds_constant_mass_edge(mass_pq):
     assert bs.edges == [band.lo]
 
 
-def test_band_scan_refines_edges_against_exact_oracle():
+def test_band_scan_refines_edges_against_exact_oracle(monkeypatch):
     # Synthetic dispersion 2 cos(10 lam) + 0.5: |trace| = 2 exactly at
     # cos(10 lam) = 0.75, giving closed-form edges to test the bisection.
     def fake_trace(lam):
@@ -81,8 +90,9 @@ def test_band_scan_refines_edges_against_exact_oracle():
 
     a = np.arccos(0.75)
     expected = [a / 10.0, (2 * np.pi - a) / 10.0, (2 * np.pi + a) / 10.0]
+    fake_monodromy(monkeypatch, fake_trace)
     bs = band_scan(PeriodicCoefficient(), PeriodicCoefficient(),
-                   (0.0, 1.0), 0.02, _trace_fn=fake_trace)
+                   (0.0, 1.0), 0.02)
     assert len(bs.bands) == 2
     assert bs.bands[1].hi == 1.0  # clipped by the scan window
     # bisection stops once the bracket shrinks to resolution/1000
@@ -97,14 +107,15 @@ def test_band_scan_free_case_has_no_interior_edges(free_pq):
     assert np.allclose(bs.traces, 2.0 * np.cos(bs.lambdas), atol=1e-9)
 
 
-def test_band_scan_rejects_features_narrower_than_two_strides():
+def test_band_scan_rejects_features_narrower_than_two_strides(monkeypatch):
     # Synthetic trace: a single in-band point surrounded by gap values.
     def fake_trace(lam):
         return 0.0 if abs(lam - 0.5) < 0.04 else 2.5
 
+    fake_monodromy(monkeypatch, fake_trace)
     with pytest.raises(ScanTooCoarse):
         band_scan(PeriodicCoefficient(), PeriodicCoefficient(),
-                  (0.0, 1.0), 0.1, _trace_fn=fake_trace)
+                  (0.0, 1.0), 0.1)
 
 
 # ---------------------------------------------------------------------------

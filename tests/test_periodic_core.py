@@ -13,7 +13,9 @@ from diracembed.periodic_core import (
     eval_coefficient,
     integrate,
 )
+from diracembed import _util
 from diracembed._util import (
+    cumulative_blocks,
     cumulative_simpson_uniform,
     fit_line,
     frac,
@@ -187,6 +189,28 @@ def test_cumulative_simpson_offset_and_small_sizes():
     shifted = cumulative_simpson_uniform(f, 0.2, f0=3.0)
     plain = cumulative_simpson_uniform(f, 0.2)
     assert np.allclose(shifted, plain + 3.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("block", [2, 3, 7])
+def test_cumulative_blocks_exact_on_quadratics_across_seams(monkeypatch,
+                                                            block):
+    # n = 44 leaves no one-interval block, which would fall back to the
+    # trapezoid rule.
+    monkeypatch.setattr(_util, "QUAD_BLOCK", block)
+    lo, h, n = -1.3, 0.1, 44
+
+    def prim(x):
+        return x**3 - x**2 + 0.5 * x
+
+    starts = []
+    for start, xs, F in cumulative_blocks(lambda x: 3.0 * x**2 - 2.0 * x + 0.5,
+                                          lo, h, n, f0=2.0):
+        assert 3 <= xs.size <= block + 1
+        assert np.array_equal(xs, lo + np.arange(start, start + xs.size) * h)
+        assert np.max(np.abs(F - (2.0 + prim(xs) - prim(lo)))) < 1e-12
+        starts.append(start)
+    assert starts == list(range(0, n, block))
+    assert start + xs.size - 1 == n
 
 
 def test_smoothstep_limits_and_monotonicity():

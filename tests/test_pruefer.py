@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from diracembed import _util, pruefer
 from diracembed.errors import ZeroSolution
 from diracembed.periodic_core import IntegratorSpec, dirac_rhs, integrate
 from diracembed.pruefer import (
@@ -13,6 +14,7 @@ from diracembed.pruefer import (
     R_xi_system,
     from_prufer,
     integrate_R_xi,
+    phase_flow,
     prufer_rhs,
     prufer_system,
     to_prufer,
@@ -219,6 +221,45 @@ def test_integrate_R_xi_downward_anchors_at_the_right(free_data):
         float(up.ln_R_at(40.0)), abs=1e-6)
 
 
+
+
+@pytest.fixture(scope="module")
+def seam_runs(generic_data):
+    """integrate_R_xi over [5, 400] up and down: in one block, and in blocks
+    of 997 and 1000 grid intervals (the grid has ~31k).  The phase does
+    not depend on the block size, so each direction solves it once."""
+
+    def V(x):
+        x = np.asarray(x)
+        return 0.3 * np.sin(1.7 * x) / (1.0 + np.abs(x))
+
+    flows = {}
+
+    def flow_once(data, gain, x0, x1, xi0, spec):
+        if (x0, x1) not in flows:
+            flows[x0, x1] = phase_flow(data, gain, x0, x1, xi0, spec)
+        return flows[x0, x1]
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pruefer, "phase_flow", flow_once)
+        for block in (None, 997, 1000):
+            if block is not None:
+                mp.setattr(_util, "QUAD_BLOCK", block)
+            for ends in ((5.0, 400.0), (400.0, 5.0)):
+                runs[block, ends] = integrate_R_xi(generic_data, V, *ends, 0.4)
+    return runs
+
+
+@pytest.mark.parametrize("block", [997, 1000])
+@pytest.mark.parametrize("ends", [(5.0, 400.0), (400.0, 5.0)])
+def test_integrate_R_xi_is_seamless_across_blocks(seam_runs, block, ends):
+    one, run = seam_runs[None, ends], seam_runs[block, ends]
+    x0, x1 = ends
+    assert run.xs[0] == x0 and run.xs[-1] == x1
+    # strictly monotone: no seam sample is kept twice
+    assert np.all(np.sign(x1 - x0) * np.diff(run.xs) > 0.0)
+    assert abs(run.ln_R_end - one.ln_R_end) < 1e-8
 
 
 def test_phase_flow_constant_fast_path_is_exact(free_target_07):

@@ -48,8 +48,7 @@ def test_target_envelope_and_floor(free_target_07):
     t = free_target_07
     assert t.envelope == pytest.approx(abs(t.omega) * t.C)
     with pytest.raises(ValueError):
-        EmbeddingTarget(lam=t.lam, k=t.k, floquet=t.floquet, data=t.data,
-                        C=50.0, omega=t.omega)
+        EmbeddingTarget(data=t.data, C=50.0)
 
 
 def test_check_nonresonance_accepts_separated_pair(free_pq):
@@ -175,7 +174,7 @@ def test_tapered_piece_resolves_the_window_self_consistently(free_target_07):
     assert smoothed.V_at(smoothed.x_hi) == 0.0
     # On the plateau the potential still has the raw phase-locked form.
     mid = 750.0
-    xi_mid = float(smoothed.traj.xi_at(mid))
+    xi_mid = float(smoothed.xi_at(mid))
     assert smoothed.V_at(mid) == pytest.approx(
         -(t.omega * t.C) * np.sin(xi_mid) / mid, rel=1e-12)
     with pytest.raises(PieceTooShort):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from diracembed import _util
 from diracembed.errors import (
     DecayTooSlow,
     HypothesisViolated,
@@ -16,6 +17,7 @@ from diracembed.errors import (
 from diracembed.periodic_core import IntegratorSpec
 from diracembed.synth import TrackRecord, piece_potential, solve_xi
 from diracembed.verify import (
+    _sup_scan,
     adversarial_potential,
     decay_check,
     l2_tail_estimate,
@@ -145,6 +147,25 @@ def test_oscillatory_powerlaw_hypotheses():
     with pytest.raises(HypothesisViolated):
         oscillatory_check_41(a=1.0, beta1=2.0, beta2=0.4,
                              x0_list=[10.0], x_max=1e3)
+
+
+@pytest.mark.parametrize("block", [997, 1000])
+def test_sup_scan_checkpoint_on_a_block_seam(monkeypatch, block):
+    def integrand(xs):
+        return np.sin(1.3 * xs + np.log(xs)) / xs
+
+    h = 200.0 / 50_000  # the grid on [10, 210]
+    x0s = [10.0, 10.0 + block * h, 10.0 + 3 * block * h, 57.3]
+    one = _sup_scan(integrand, 10.0, 210.0, h, x0s)
+    monkeypatch.setattr(_util, "QUAD_BLOCK", block)
+    split = _sup_scan(integrand, 10.0, 210.0, h, x0s)
+    assert split[0] == one[0]
+    assert np.allclose(split[1], one[1], rtol=1e-10, atol=0.0)
+
+
+def test_sup_scan_rejects_checkpoints_past_x_max():
+    with pytest.raises(ValueError):
+        _sup_scan(np.sin, 10.0, 100.0, 0.1, [10.0, 150.0])
 
 
 def test_oscillatory_periodic_products_bounded(free_target_07):
