@@ -1,10 +1,13 @@
-"""Small numerical helpers: periodic fields, decimation, cumulative Simpson
-(whole or in blocks), windows."""
+"""Small numerical helpers: periodic fields and their fused frame table,
+decimation, cumulative Simpson (whole or in blocks), windows."""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import InvariantDrift
 
@@ -28,7 +31,7 @@ class PeriodicField:
                  grid: np.ndarray | None = None, values: np.ndarray | None = None):
         self.slope = float(slope)
         self.const = float(const)
-        self._sp = None
+        self._sp = self._dsp = None
         if grid is not None:
             vals = np.asarray(values, dtype=float).copy()
             mism = abs(vals[-1] - vals[0])
@@ -49,6 +52,53 @@ class PeriodicField:
         if self._sp is not None:
             return self.slope + self._dsp(frac(x))
         return np.full(np.shape(x), self.slope) if np.ndim(x) else self.slope
+
+
+class FrameTable:
+    """(delta', u, v, Psi) of four PeriodicFields in one table lookup.
+
+    Their cubic coefficients on the shared period ``grid`` form one
+    (4, m, 4) table (delta's quadratic derivative padded with a zero row, a
+    constant field as the column [0, 0, 0, const]).  A float x takes a
+    pure-Python path that repeats scipy's periodic wrap, interval search
+    and power sum, so values equal the field calls bit for bit; arrays
+    take one PPoly call; a fully constant frame returns its constants.
+    """
+
+    def __init__(self, grid, delta: PeriodicField, u: PeriodicField,
+                 v: PeriodicField, Psi: PeriodicField):
+        fields, splines = (delta, u, v, Psi), (delta._dsp, u._sp, v._sp, Psi._sp)
+        self.slopes = tuple(f.slope for f in fields)
+        self.const = None
+        if all(sp is None for sp in splines) and not any(self.slopes[1:]):
+            self.const = (delta.slope, u.const, v.const, Psi.const)
+            return
+        C = np.zeros((4, len(grid) - 1, 4))
+        for j, (f, sp) in enumerate(zip(fields, splines)):
+            if sp is not None:
+                C[4 - sp.c.shape[0]:, :, j] = sp.c
+            elif j:  # a constant derivative column stays zero
+                C[3, :, j] = f.const
+        self._pp = PPoly(C, grid, extrapolate="periodic")
+        self._bp = grid.tolist()
+        self._rows = C.transpose(1, 2, 0).tolist()  # [interval][field] -> c0..c3
+
+    def __call__(self, x):
+        if self.const is not None:
+            return self.const
+        s0, s1, s2, s3 = self.slopes
+        if isinstance(x, float):
+            x = float(x)
+            t = (x - math.floor(x)) % 1.0  # frac, then scipy's periodic wrap
+            i = min(max(bisect_right(self._bp, t) - 1, 0), len(self._rows) - 1)
+            s = t - self._bp[i]
+            ss = s * s
+            r0, r1, r2, r3 = [((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+                              for c0, c1, c2, c3 in self._rows[i]]
+        else:
+            r = self._pp(frac(x))
+            r0, r1, r2, r3 = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
+        return s0 + r0, s1 * x + r1, s2 * x + r2, s3 * x + r3
 
 
 def decimate(n: int, stride: int) -> np.ndarray:

@@ -19,10 +19,11 @@ Conventions fixed here and used everywhere downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from ._util import PeriodicField
+from ._util import FrameTable, PeriodicField
 from .errors import (
     BandEdge,
     DegenerateEigenvector,
@@ -301,7 +302,6 @@ class DerivedPeriodicData:
     gamma1: np.ndarray
     gamma2: np.ndarray
     phi1: np.ndarray
-    phi2: np.ndarray
     Gamma1: np.ndarray
     Psi: np.ndarray
     Gamma2: np.ndarray
@@ -314,7 +314,11 @@ class DerivedPeriodicData:
     Gamma2_f: object
     delta_f: object
     Psi_mean: float
-    is_constant: bool
+
+    @cached_property
+    def frame(self) -> FrameTable:
+        """The phase law's (delta', u, v, Psi) in one lookup; built on first use."""
+        return FrameTable(self.x, self.delta_f, self.u_f, self.v_f, self.Psi_f)
 
     @property
     def k(self) -> float:
@@ -359,7 +363,6 @@ def derived_data(sol: FloquetSolution) -> DerivedPeriodicData:
     Gamma2 = _unwrap_guard(np.arctan2(-v * np.sin(Gamma1), u - v * np.cos(Gamma1)),
                            "Gamma2")
     phi1 = gamma1 - k * x
-    phi2 = gamma2 - k * x
     delta = 2.0 * phi1 + Gamma2
 
     def winding(arr, step):
@@ -377,7 +380,7 @@ def derived_data(sol: FloquetSolution) -> DerivedPeriodicData:
     const = sol.p.is_constant and sol.q.is_constant
     data = DerivedPeriodicData(
         sol=sol, x=x, u=u, v=v, gamma1=gamma1, gamma2=gamma2,
-        phi1=phi1, phi2=phi2, Gamma1=Gamma1, Psi=Psi, Gamma2=Gamma2, delta=delta,
+        phi1=phi1, Gamma1=Gamma1, Psi=Psi, Gamma2=Gamma2, delta=delta,
         u_f=_make_field(x, u, force_const=const),
         v_f=_make_field(x, v, force_const=const),
         Psi_f=_make_field(x, Psi, force_const=const),
@@ -390,7 +393,6 @@ def derived_data(sol: FloquetSolution) -> DerivedPeriodicData:
         delta_f=_make_field(x, delta - TWO_PI * w_delta * x,
                             slope=TWO_PI * w_delta, force_const=const),
         Psi_mean=float(np.trapezoid(Psi, x)),
-        is_constant=const,
     )
     return data
 

@@ -76,8 +76,8 @@ def eval_coefficient(coeff: PeriodicCoefficient, x):
     The argument is reduced to its fractional part first, so values at x
     and x + 1 agree exactly, not just to rounding of 2*pi*(x+1).
     """
-    t = frac(np.asarray(x, dtype=float))
-    out = np.full_like(t, coeff.a0 / 2.0)
+    t = frac(np.float64(x) if isinstance(x, float) else np.asarray(x, dtype=float))
+    out = np.full_like(t, coeff.a0 / 2.0) if t.ndim else np.float64(coeff.a0 / 2.0)
     for n, c in enumerate(coeff.cos, start=1):
         if c:
             out += c * np.cos(2.0 * np.pi * n * t)

@@ -164,18 +164,10 @@ def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
     """
     rate = xi_rate(data)
     k2 = 2.0 * data.k
-    if data.is_constant:
-        c0 = k2 + float(data.delta_f.deriv(0.0)) - rate
-        uv = float(data.u_f(0.0)) - float(data.v_f(0.0))
-        P0 = float(data.Psi_f(0.0))
 
-        def slope(x, xi):
-            return c0 + gain(x, xi) * (uv - P0 * np.cos(xi))
-    else:
-        def slope(x, xi):
-            return (k2 + data.delta_f.deriv(x) - rate
-                    + gain(x, xi) * (data.u_f(x) - data.v_f(x)
-                                     - data.Psi_f(x) * np.cos(xi)))
+    def slope(x, xi):
+        d, u, v, P = data.frame(x)
+        return k2 + d - rate + gain(x, xi) * (u - v - P * np.cos(xi))
 
     sol = solve_ivp(lambda x, z: [slope(x, z[0] + rate * x)], (x0, x1),
                     [xi0 - rate * x0], method="DOP853", rtol=spec.rel_tol,

@@ -104,6 +104,21 @@ def test_verify_catches_tampered_manifest(tmp_path, small_run):
     assert any(d["name"] == "decay" and d.get("side") == 1 for d in bad)
 
 
+def test_periodic_background_synth_then_verify(tmp_path, generic_pq):
+    # Non-constant p and q, the paper's setting, through both commands.
+    p, q = generic_pq
+    cfg = RunConfig(p=p, q=q, lambdas=[0.9, 1.7], mode="finite",
+                    a0=1.2e3, x_max=1.56e3, out_dir=str(tmp_path))
+    cfg_path = str(tmp_path / "config.json")
+    cfg.save(cfg_path)
+    assert main(["synth", "--config", cfg_path]) == EXIT_OK
+    assert main(["verify", "--config", cfg_path,
+                 "--manifest", str(tmp_path / "manifest.json"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    docs = json.loads((tmp_path / "reports.json").read_text())
+    assert len(docs) == 12 and all(d["passed"] for d in docs)
+
+
 def test_oscillatory_powerlaw_path(tmp_path):
     rc = main(["oscillatory", "--a", "1.0", "--beta1", "1.0",
                "--beta2", "1.0", "--x0", "10", "--x0", "100",

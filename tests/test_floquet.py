@@ -4,8 +4,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracembed import floquet
+from diracembed._util import FrameTable, PeriodicField
 from diracembed.errors import BandEdge, ScanTooCoarse
 from diracembed.floquet import (
     GapIndicator,
@@ -119,6 +121,64 @@ def test_band_scan_rejects_features_narrower_than_two_strides(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# fused frame table
+
+
+def frame_fields(data):
+    return data.delta_f.deriv, data.u_f, data.v_f, data.Psi_f
+
+
+def mixed_frame(data):
+    """A periodic frame whose delta (winding plus constant) and u are
+    constant fields."""
+    delta = PeriodicField(data.delta_f.slope + 2.0 * np.pi, const=0.3)
+    u = PeriodicField(const=float(np.mean(data.u)))
+    return (FrameTable(data.x, delta, u, data.v_f, data.Psi_f),
+            (delta.deriv, u, data.v_f, data.Psi_f))
+
+
+def coarse_frame(grid):
+    """Four random fields on a 7-interval grid.  Here a spline's value at
+    the end of the period differs from its start in the last bits, so
+    an x whose frac rounds to 1.0 shows which interval the lookup took."""
+    rng = np.random.default_rng(3)
+    fields = []
+    for slope in (0.7, 0.0, 0.0, 0.0):
+        vals = 1.0 + rng.standard_normal(grid.size)
+        vals[-1] = vals[0]
+        fields.append(PeriodicField(slope, grid=grid, values=vals))
+    return FrameTable(grid, *fields), (fields[0].deriv, *fields[1:])
+
+
+@pytest.mark.parametrize("which", ["generic", "free", "mixed", "coarse"])
+def test_frame_table_equals_the_field_calls(which, generic_data, free_data):
+    data = free_data if which == "free" else generic_data
+    grid = np.linspace(0.0, 1.0, 8) if which == "coarse" else data.x
+    if which == "mixed":
+        table, fields = mixed_frame(data)
+    elif which == "coarse":
+        table, fields = coarse_frame(grid)
+    else:
+        table, fields = data.frame, frame_fields(data)
+    assert (table.const is not None) == (which == "free")
+    # random x, every breakpoint (also shifted), integers, and two x
+    # whose fractional part rounds to 1.0
+    xs = np.concatenate([RNG.uniform(-1e4, 1e4, 1000), grid, grid - 3.0,
+                         np.arange(-20.0, 21.0), [-1e-300, -5e-17]])
+    for x in xs:  # the scalar path, for float64 and for float
+        ref = tuple(f(x) for f in fields)
+        assert table(x) == ref and table(float(x)) == ref
+    for got, f in zip(table(xs), fields):
+        assert np.all(got == f(xs))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_frame_table_scalar_lookup_property(generic_data, x):
+    assert generic_data.frame(x) == tuple(f(x) for f in frame_fields(generic_data))
+
+
+# ---------------------------------------------------------------------------
 # Floquet frames
 
 
@@ -134,7 +194,7 @@ def test_free_floquet_oracles(free_solution, free_data):
     assert np.allclose(data.delta, 0.0, atol=1e-7)
     assert data.delta_f.slope == 0.0
     assert data.Psi_mean == pytest.approx(1.0, abs=1e-9)
-    assert data.is_constant
+    assert data.frame.const is not None  # a constant frame: four numbers
     # gamma1 winds by exactly k per period
     assert data.gamma1_f.slope == pytest.approx(free_solution.k, abs=1e-9)
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracembed.floquet import monodromy
 from diracembed.periodic_core import (
@@ -50,6 +51,15 @@ def test_coefficient_periodicity():
     xs = RNG.uniform(0.0, 1.0, 32)
     assert np.allclose(eval_coefficient(c, xs),
                        eval_coefficient(c, xs + 7.0), atol=1e-12)
+
+
+def test_eval_coefficient_scalar_path_matches_array_path():
+    c = PeriodicCoefficient(a0=0.4, cos=(0.3, 0.0, -0.2), sin=(0.1, 0.05))
+    xs = np.concatenate([RNG.uniform(-1e4, 1e4, 2000), np.linspace(0.0, 1.0, 101),
+                         np.arange(-5.0, 6.0), [1.0 - 1e-17, -1e-300, -5e-17]])
+    for x, ref in zip(xs, eval_coefficient(c, xs)):
+        for v in (eval_coefficient(c, x), eval_coefficient(c, float(x))):
+            assert type(v) is float and v == ref
 
 
 def test_is_constant_and_bound():
@@ -168,6 +178,37 @@ def test_cumulative_simpson_exact_on_quadratics():
     g = xs**3
     G = cumulative_simpson_uniform(g, h)
     assert np.max(np.abs(G[::2] - 0.25 * xs[::2] ** 4)) < 1e-11
+
+
+COEF = st.floats(-10.0, 10.0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(3, 200), h=st.floats(1e-3, 1.0),
+       c=st.tuples(COEF, COEF, COEF, COEF))
+def test_cumulative_simpson_quadratics_everywhere_cubics_at_even(n, h, c):
+    c0, c1, c2, c3 = c
+    t = np.arange(n) * h
+
+    def rule_error(f, F, Fabs):
+        err = cumulative_simpson_uniform(f, h) - F
+        return err, 1e-12 * (1.0 + Fabs)  # rounding, relative to the sum of |f|
+
+    quad = c0 + c1 * t + c2 * t**2
+    err, tol = rule_error(quad, c0 * t + c1 * t**2 / 2 + c2 * t**3 / 3,
+                          abs(c0) * t + abs(c1) * t**2 / 2 + abs(c2) * t**3 / 3)
+    assert np.all(np.abs(err) <= tol)
+    # a cubic is missed only at odd indices, by c3 h^4/4: the local
+    # quadratic there leaves out c3 (t - t0)(t - t1)(t - t2)
+    err, tol = rule_error(quad + c3 * t**3, c0 * t + c1 * t**2 / 2 + c2 * t**3 / 3
+                          + c3 * t**4 / 4,
+                          abs(c0) * t + abs(c1) * t**2 / 2 + abs(c2) * t**3 / 3
+                          + abs(c3) * t**4 / 4)
+    assert np.all(np.abs(err[::2]) <= tol[::2])
+    miss = np.full(err[1::2].shape, -c3 * h**4 / 4)
+    if n % 2 == 0:  # the trailing point takes the last interval of its triple
+        miss[-1] = -miss[-1]
+    assert np.all(np.abs(err[1::2] - miss) <= tol[1::2])
 
 
 def test_cumulative_simpson_fourth_order_on_sin():

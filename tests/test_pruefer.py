@@ -1,14 +1,15 @@
 """Modified Pruefer transform: round trips, evolution laws, dual paths."""
 
-import dataclasses
-
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 
-from diracembed import _util, pruefer
+from diracembed import _util, pruefer, synth
 from diracembed.errors import ZeroSolution
 from diracembed.periodic_core import IntegratorSpec, dirac_rhs, integrate
 from diracembed.pruefer import (
+    PhaseFlow,
     PrueferState,
     R_xi_rhs,
     R_xi_system,
@@ -17,10 +18,11 @@ from diracembed.pruefer import (
     phase_flow,
     prufer_rhs,
     prufer_system,
+    rate_floor,
     to_prufer,
     xi_rate,
 )
-from diracembed.synth import solve_xi
+from diracembed.synth import EmbeddingTarget, choose_C, solve_xi
 
 RNG = np.random.default_rng(20240713)
 
@@ -262,21 +264,48 @@ def test_integrate_R_xi_is_seamless_across_blocks(seam_runs, block, ends):
     assert abs(run.ln_R_end - one.ln_R_end) < 1e-8
 
 
-def test_phase_flow_constant_fast_path_is_exact(free_target_07):
-    """Precomputed frame scalars and field calls give the same bits."""
-    fast = free_target_07
-    assert fast.data.is_constant
-    slow = dataclasses.replace(
-        fast, data=dataclasses.replace(fast.data, is_constant=False))
+def field_flow(data, gain, x0, x1, xi0, spec):
+    """phase_flow's solve, written out with the slope read from the four
+    PeriodicFields instead of the fused frame table."""
+    rate = xi_rate(data)
+    k2 = 2.0 * data.k
+
+    def slope(x, xi):
+        return (k2 + data.delta_f.deriv(x) - rate
+                + gain(x, xi) * (data.u_f(x) - data.v_f(x)
+                                 - data.Psi_f(x) * np.cos(xi)))
+
+    sol = solve_ivp(lambda x, z: [slope(x, z[0] + rate * x)], (x0, x1),
+                    [xi0 - rate * x0], method="DOP853", rtol=spec.rel_tol,
+                    atol=spec.abs_tol, max_step=0.5 / rate_floor(rate))
+    ts, zs = sol.t, sol.y[0]
+    dz = slope(ts, zs + rate * ts)
+    if ts[0] > ts[-1]:
+        ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
+    return PhaseFlow(rate=rate, zeta=CubicHermiteSpline(ts, zs, dz),
+                     nfev=sol.nfev)
+
+
+@pytest.mark.parametrize("which", ["free", "generic"])
+def test_phase_flow_matches_the_field_calls(which, free_target_07,
+                                            generic_data, monkeypatch):
+    """The frame table gives the bits of the four field calls: the same
+    nodes, slopes and nfev for a phase lock and a bystander flow."""
+    target = free_target_07 if which == "free" \
+        else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
 
     def V(x):
         return 0.1 * np.cos(1.3 * np.asarray(x)) / (1.0 + np.asarray(x))
 
-    lock = [solve_xi(t, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
-            for t in (fast, slow)]
-    bystander = [integrate_R_xi(t.data, V, 5.0, 80.0, 0.3)
-                 for t in (fast, slow)]
-    for a, b in (lock, bystander):
+    def runs():
+        return (solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
+                         taper_width=1.0),
+                integrate_R_xi(target.data, V, 5.0, 80.0, 0.3))
+
+    table = runs()
+    monkeypatch.setattr(synth, "phase_flow", field_flow)
+    monkeypatch.setattr(pruefer, "phase_flow", field_flow)
+    for a, b in zip(table, runs()):
         assert a.nfev == b.nfev
         assert np.array_equal(a.zeta.x, b.zeta.x)
         assert np.array_equal(a.zeta.c, b.zeta.c)
