@@ -18,10 +18,11 @@ gamma2 - gamma1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _tableau
 from scipy.interpolate import CubicHermiteSpline
 
 from ._util import cumulative_blocks, decimate
@@ -44,6 +45,17 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+
+# Dormand and Prince's 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5) in scipy's floats; the stepper reads the nonzero (index, coefficient)
+# pairs of stages 1..11 and B.  The error is of order 7: steps go as err^-1/8.
+N_STAGES = _tableau.N_STAGES
+A = [row[:s] for s, row in enumerate(_tableau.A[:N_STAGES].tolist())]
+B, C = _tableau.B.tolist(), _tableau.C[:N_STAGES].tolist()
+E3, E5 = _tableau.E3.tolist(), _tableau.E5.tolist()
+_FEEDS = [[(j, a) for j, a in enumerate(row) if a] for row in A[1:] + [B]]
+_ERRS = [(j, e5, e3) for j, (e5, e3) in enumerate(zip(E5, E3)) if e5 or e3]
+SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 
 @dataclass(frozen=True)
@@ -113,22 +125,12 @@ def R_xi_rhs(data: DerivedPeriodicData, x, xi, V_x):
 
 def prufer_system(data: DerivedPeriodicData, V):
     """ODE handle for y = (ln R, theta1, theta2) under the perturbation V."""
-
-    def rhs(x, y):
-        rlog, t1p, t2p = prufer_rhs(data, x, y[1], y[2], V(x))
-        return np.array([rlog, t1p, t2p])
-
-    return rhs
+    return lambda x, y: np.array(prufer_rhs(data, x, y[1], y[2], V(x)))
 
 
 def R_xi_system(data: DerivedPeriodicData, V):
     """ODE handle for y = (ln R, xi) under the perturbation V."""
-
-    def rhs(x, y):
-        rlog, xip = R_xi_rhs(data, x, y[1], V(x))
-        return np.array([rlog, xip])
-
-    return rhs
+    return lambda x, y: np.array(R_xi_rhs(data, x, y[1], V(x)))
 
 
 def xi_rate(data: DerivedPeriodicData) -> float:
@@ -153,36 +155,100 @@ class PhaseFlow:
         return self.zeta(x) + self.rate * np.asarray(x, dtype=float)
 
 
+def phase_slope(data: DerivedPeriodicData, gain):
+    """zeta' = xi' - rate at (x, xi): math.cos for a float, np.cos for arrays."""
+    rate, k2 = xi_rate(data), 2.0 * data.k
+
+    def slope(x, xi):
+        d, u, v, P = data.frame(x)
+        cos = math.cos if isinstance(xi, float) else np.cos
+        return k2 + d - rate + gain(x, xi) * (u - v - P * cos(xi))
+
+    return slope
+
+
+def _dop853(slope, rate: float, x0: float, x1: float, xi0: float,
+            spec: IntegratorSpec):
+    """Accepted nodes (x, zeta) and nfev of zeta' = slope(x, zeta + rate*x) by
+    scipy's DOP853 control on floats, steps capped at 0.5/rate.  A stage that
+    raises (math.cos(inf), a float division by zero) is a NaN error: a gain
+    that stops being finite ends in StepSizeUnderflow."""
+    rtol, atol, max_step = spec.rel_tol, spec.abs_tol, 0.5 / rate_floor(rate)
+    sign, length = (1.0 if x1 > x0 else -1.0), abs(x1 - x0)
+    x, z = x0, xi0 - rate * x0
+    f = slope(x, z + rate * x)
+    scale = atol + abs(z) * rtol
+    d0, d1 = abs(z) / scale, abs(f) / scale
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    x_try = x + h0 * sign  # x1 == x0 gives h0 = 0: ZeroDivisionError below
+    d2 = abs(slope(x_try, z + h0 * sign * f + rate * x_try) - f) / scale / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
+        else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, length, max_step)
+    xs, zs, nfev, K = [x], [z], 2, [f] + [0.0] * (N_STAGES - 1)
+    while sign * (x - x1) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(x, sign * math.inf) - x)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # NaN too, where scipy loops forever
+                raise StepSizeUnderflow(
+                    "Required step size is less than spacing between numbers.")
+            x_new = min(x + h_abs, x1) if sign > 0.0 else max(x - h_abs, x1)
+            h = x_new - x
+            h_abs = abs(h)
+            nfev += N_STAGES
+            try:
+                for s, feed in enumerate(_FEEDS, 1):
+                    dz = 0.0
+                    for j, a in feed:
+                        dz += K[j] * a
+                    if s < N_STAGES:
+                        xc = x + C[s] * h
+                        K[s] = slope(xc, z + dz * h + rate * xc)
+                z_new = z + h * dz
+                f_new = slope(x + h, z_new + rate * (x + h))  # E5, E3 skip it
+                e5 = e3 = 0.0
+                for j, a5, a3 in _ERRS:
+                    e5 += K[j] * a5
+                    e3 += K[j] * a3
+                scale = atol + max(abs(z), abs(z_new)) * rtol
+                e5, e3 = (e5 / scale) * (e5 / scale), (e3 / scale) * (e3 / scale)
+                err = h_abs * e5 / math.sqrt(e5 + 0.01 * e3) if e5 or e3 else 0.0
+            except (ArithmeticError, ValueError):
+                err = math.nan
+            if err < 1.0:
+                factor = MAX_FACTOR if err == 0.0 \
+                    else min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            rejected = True
+        x, z, K[0] = x_new, z_new, f_new
+        xs.append(x)
+        zs.append(z)
+    return xs, zs, nfev
+
+
 def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
                xi0: float, spec: IntegratorSpec) -> PhaseFlow:
     """Solve xi' = 2k + delta' + gain(x, xi) (u - v - Psi cos xi) from x0 to x1.
 
     The bystander flow under V has gain = -2V(x)/omega; the phase lock
-    has its slaved gain 2C w(x) sin xi/(x - b_s).  The state is
-    zeta = xi - rate*x (bounded, well scaled for error control); gain
-    must accept arrays as well as scalars.
+    has its slaved gain 2C w(x) sin xi/(x - b_s).  The stepper carries
+    zeta = xi - rate*x (bounded, well scaled for error control); a Hermite
+    spline through its nodes is the dense phase.  gain takes floats (the
+    stepper) and arrays (the spline's slopes).
     """
-    rate = xi_rate(data)
-    k2 = 2.0 * data.k
-
-    def slope(x, xi):
-        d, u, v, P = data.frame(x)
-        return k2 + d - rate + gain(x, xi) * (u - v - P * np.cos(xi))
-
-    sol = solve_ivp(lambda x, z: [slope(x, z[0] + rate * x)], (x0, x1),
-                    [xi0 - rate * x0], method="DOP853", rtol=spec.rel_tol,
-                    atol=spec.abs_tol, max_step=0.5 / rate_floor(rate))
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-    if not np.all(np.isfinite(sol.y)):
+    rate, slope = xi_rate(data), phase_slope(data, gain)
+    ts, zs, nfev = _dop853(slope, rate, float(x0), float(x1), float(xi0), spec)
+    ts, zs = np.array(ts), np.array(zs)
+    if not np.all(np.isfinite(zs)):
         raise NonFiniteState("phase integration produced non-finite values")
-    # Hermite spline through the accepted nodes; slopes from the rhs.
-    ts, zs = sol.t, sol.y[0]
     dz = slope(ts, zs + rate * ts)
     if ts[0] > ts[-1]:
         ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
-    return PhaseFlow(rate=rate, zeta=CubicHermiteSpline(ts, zs, dz),
-                     nfev=sol.nfev)
+    return PhaseFlow(rate=rate, zeta=CubicHermiteSpline(ts, zs, dz), nfev=nfev)
 
 
 @dataclass
@@ -214,7 +280,7 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: floa
     with a fourth-order cumulative rule on a uniform grid of step
     0.05/rate, in bounded-memory blocks.
 
-    V must accept numpy arrays.
+    V must accept floats and numpy arrays.
     """
     w = data.omega
     flow = phase_flow(data, lambda x, xi: -2.0 * V(x) / w, x0, x1, xi0,

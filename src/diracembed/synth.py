@@ -19,8 +19,11 @@ targets so that all tracked amplitudes fall geometrically per cycle.
 from __future__ import annotations
 
 import json
+import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -211,7 +214,8 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
 
     def gain(x, xi):  # = -2V/omega with V as in _slaved_V
         w = taper_window(x, lo, hi, tw) if tw > 0.0 else 1.0
-        return 2.0 * C * w * np.sin(xi) / (x - b_s)
+        sin = math.sin if isinstance(xi, float) else np.sin
+        return 2.0 * C * w * sin(xi) / (x - b_s)
 
     flow = phase_flow(target.data, gain, x_start, x_stop, xi0,
                       spec or LOCK_SPEC)
@@ -259,9 +263,19 @@ class PotentialPiece(XiTrajectory):
             out[m] = _slaved_V(self.omega, self, xm, self.xi_at(xm))
         return float(out[0]) if scalar else out
 
+    @cached_property
+    def _views(self):
+        return memoryview(self.x_grid), memoryview(self.V_grid)
+
     def V_interp(self, x):
-        """Fast linear-interp evaluator on the stored sample grid."""
-        return np.interp(x, self.x_grid, self.V_grid)
+        """np.interp on the samples; a float takes its formula on memoryviews."""
+        if not isinstance(x, float):
+            return np.interp(x, self.x_grid, self.V_grid)
+        xp, fp = self._views
+        j = bisect_right(xp, x) - 1
+        if j < 0 or j >= len(xp) - 1:  # past an end (NaN: past the right)
+            return fp[0] if j < 0 else fp[-1] if x == x else x
+        return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
     def manifest_entry(self) -> dict:
         return {"side": "plus" if self.side > 0 else "minus",

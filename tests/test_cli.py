@@ -194,6 +194,28 @@ def test_gap_energy_is_check_failure(tmp_path, mass_config):
     assert rc == EXIT_CHECK
 
 
+def test_step_size_underflow_is_check_failure(tmp_path, small_run,
+                                              monkeypatch, capsys):
+    """A phase lock whose gain turns NaN ends as StepSizeUnderflow: exit 1."""
+    from diracembed import synth
+
+    real = synth.phase_flow
+
+    def nan_past_start(data, gain, x0, x1, xi0, spec):
+        def bad(x, xi):
+            g = gain(x, xi)
+            return g * np.where(np.abs(x) > abs(x0) + 1.0, np.nan, 1.0)
+        return real(data, bad, x0, x1, xi0, spec)
+
+    monkeypatch.setattr(synth, "phase_flow", nan_past_start)
+    cfg_path, _ = small_run
+    with np.errstate(all="ignore"):
+        rc = main(["synth", "--config", cfg_path, "--out", str(tmp_path)])
+    assert rc == EXIT_CHECK
+    assert "check failed: Required step size" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_resonant_oscillatory_frequency(tmp_path, small_run):
     cfg_path, _ = small_run
     rc = main(["oscillatory", "--config", cfg_path, "--lam", "0.7",

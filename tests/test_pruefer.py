@@ -1,15 +1,15 @@
 """Modified Pruefer transform: round trips, evolution laws, dual paths."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
-from diracembed import _util, pruefer, synth
-from diracembed.errors import ZeroSolution
+from diracembed import _util, pruefer
+from diracembed.errors import StepSizeUnderflow, ZeroSolution
 from diracembed.periodic_core import IntegratorSpec, dirac_rhs, integrate
 from diracembed.pruefer import (
-    PhaseFlow,
     PrueferState,
     R_xi_rhs,
     R_xi_system,
@@ -264,26 +264,52 @@ def test_integrate_R_xi_is_seamless_across_blocks(seam_runs, block, ends):
     assert abs(run.ln_R_end - one.ln_R_end) < 1e-8
 
 
-def field_flow(data, gain, x0, x1, xi0, spec):
-    """phase_flow's solve, written out with the slope read from the four
-    PeriodicFields instead of the fused frame table."""
+# ---------------------------------------------------------------------------
+# failure semantics: a gain that stops being finite ends in StepSizeUnderflow
+
+X_BAD = 30.0  # the gains below turn bad past this x
+
+
+def nan_gain(x, xi):
+    bad = np.asarray(x) > X_BAD
+    out = np.where(bad, np.nan, 0.05 * np.cos(xi))
+    return out if np.ndim(out) else float(out)
+
+
+def inf_gain(x, xi):
+    bad = np.asarray(x) > X_BAD
+    out = np.where(bad, np.inf, 0.05 * np.cos(xi))
+    return out if np.ndim(out) else float(out)
+
+
+def zero_division_gain(x, xi):
+    # A Python float divides by zero and raises; a numpy value gives inf.
+    return 0.05 / ((x < X_BAD) * 1.0)
+
+
+@pytest.mark.parametrize("gain", [nan_gain, inf_gain, zero_division_gain],
+                         ids=["nan", "inf", "zero-division"])
+@pytest.mark.parametrize("which", ["free", "generic"])
+def test_phase_flow_non_finite_gain_underflows(gain, which, free_data,
+                                               generic_data):
+    data = free_data if which == "free" else generic_data
+    with np.errstate(all="ignore"), pytest.raises(StepSizeUnderflow):
+        phase_flow(data, gain, 5.0, 80.0, 0.3, IntegratorSpec())
+
+
+def field_slope(data, gain):
+    """phase_slope with the slope read from the four PeriodicFields instead
+    of the fused frame table."""
     rate = xi_rate(data)
     k2 = 2.0 * data.k
 
     def slope(x, xi):
+        cos = math.cos if isinstance(xi, float) else np.cos
         return (k2 + data.delta_f.deriv(x) - rate
                 + gain(x, xi) * (data.u_f(x) - data.v_f(x)
-                                 - data.Psi_f(x) * np.cos(xi)))
+                                 - data.Psi_f(x) * cos(xi)))
 
-    sol = solve_ivp(lambda x, z: [slope(x, z[0] + rate * x)], (x0, x1),
-                    [xi0 - rate * x0], method="DOP853", rtol=spec.rel_tol,
-                    atol=spec.abs_tol, max_step=0.5 / rate_floor(rate))
-    ts, zs = sol.t, sol.y[0]
-    dz = slope(ts, zs + rate * ts)
-    if ts[0] > ts[-1]:
-        ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
-    return PhaseFlow(rate=rate, zeta=CubicHermiteSpline(ts, zs, dz),
-                     nfev=sol.nfev)
+    return slope
 
 
 @pytest.mark.parametrize("which", ["free", "generic"])
@@ -303,9 +329,80 @@ def test_phase_flow_matches_the_field_calls(which, free_target_07,
                 integrate_R_xi(target.data, V, 5.0, 80.0, 0.3))
 
     table = runs()
-    monkeypatch.setattr(synth, "phase_flow", field_flow)
-    monkeypatch.setattr(pruefer, "phase_flow", field_flow)
+    monkeypatch.setattr(pruefer, "phase_slope", field_slope)
     for a, b in zip(table, runs()):
         assert a.nfev == b.nfev
         assert np.array_equal(a.zeta.x, b.zeta.x)
         assert np.array_equal(a.zeta.c, b.zeta.c)
+
+
+def ivp_stepper(slope, rate, x0, x1, xi0, spec):
+    """The stepper's nodes and nfev from scipy's solve_ivp(DOP853)."""
+    sol = solve_ivp(lambda x, z: [slope(x, z[0] + rate * x)], (x0, x1),
+                    [xi0 - rate * x0], method="DOP853", rtol=spec.rel_tol,
+                    atol=spec.abs_tol, max_step=0.5 / rate_floor(rate))
+    assert sol.success
+    return sol.t, sol.y[0], sol.nfev
+
+
+@pytest.mark.parametrize("which", ["free", "generic"])
+def test_stepper_matches_solve_ivp(which, free_target_07, generic_data,
+                                   monkeypatch):
+    """The stepper repeats scipy's DOP853 control on Python floats.  Its
+    stage sums are plain left-to-right additions, not BLAS dot products,
+    so the bits may differ and the step sequences part.  Bounds: |dxi| <
+    1e-8 at the nodes both runs share (at least the two ends), < 1e-4
+    between nodes (Hermite interpolation level, as in
+    test_integrate_R_xi_matches_coupled_solver), nfev within 3%."""
+    target = free_target_07 if which == "free" \
+        else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
+
+    def V(x):
+        return 0.1 * np.cos(1.3 * np.asarray(x)) / (1.0 + np.asarray(x))
+
+    def runs():
+        return (solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
+                         taper_width=1.0),
+                integrate_R_xi(target.data, V, 5.0, 80.0, 0.3))
+
+    ours = runs()
+    monkeypatch.setattr(pruefer, "_dop853", ivp_stepper)
+    for a, b in zip(ours, runs()):
+        lo, hi = a.zeta.x[0], a.zeta.x[-1]
+        assert (lo, hi) == (b.zeta.x[0], b.zeta.x[-1])
+        # nodes of both runs (the two ends at least): solver-level error
+        common = np.intersect1d(a.zeta.x, b.zeta.x)
+        assert np.max(np.abs(a.xi_at(common) - b.xi_at(common))) < 1e-8
+        # between nodes, interpolation-level once the node sets part
+        xs = np.linspace(lo, hi, 20001)
+        assert np.max(np.abs(a.xi_at(xs) - b.xi_at(xs))) < 1e-4
+        assert abs(a.nfev - b.nfev) <= 0.03 * b.nfev
+
+
+def test_dop853_tableau_is_scipys():
+    """The stepper reads scipy's private DOP853 module (present in every
+    scipy >= 1.13); pin what it reads and the control constants."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    from scipy.integrate._ivp import rk
+
+    assert pruefer.N_STAGES == ref.N_STAGES == 12
+    assert len(pruefer.B) == 12
+    assert len(pruefer.E3) == len(pruefer.E5) == 13
+    assert pruefer.C[0] == 0.0
+    assert pruefer.C == ref.C[:12].tolist()
+    assert pruefer.B == ref.B.tolist()
+    assert pruefer.E3 == ref.E3.tolist() and pruefer.E5 == ref.E5.tolist()
+    for s in range(12):
+        assert pruefer.A[s] == ref.A[s, :s].tolist()
+        assert not np.any(ref.A[s, s:12])  # explicit: strictly lower
+    assert all(type(c) is float for c in pruefer.C + pruefer.B + pruefer.E5)
+    # the stepper's zero-skipping feeds and error rows hold every nonzero
+    rows = pruefer.A[1:] + [pruefer.B]
+    for feed, row in zip(pruefer._FEEDS, rows):
+        assert feed == [(j, a) for j, a in enumerate(row) if a != 0.0]
+    assert pruefer._ERRS == [(j, a, b) for j, (a, b) in
+                             enumerate(zip(pruefer.E5, pruefer.E3)) if a or b]
+    assert rk.DOP853.error_estimator_order == 7
+    assert pruefer.ERROR_EXPONENT == -1.0 / (7 + 1)
+    assert (pruefer.SAFETY, pruefer.MIN_FACTOR, pruefer.MAX_FACTOR) == \
+        (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)

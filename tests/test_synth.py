@@ -13,8 +13,11 @@ from diracembed.errors import (
     PieceTooShort,
     ResonantPair,
 )
+from diracembed import pruefer
 from diracembed.periodic_core import IntegratorSpec
+from diracembed.pruefer import integrate_R_xi
 from diracembed.synth import (
+    TRACK_SPEC,
     EmbeddingTarget,
     check_nonresonance,
     choose_C,
@@ -163,6 +166,47 @@ def test_V_at_evaluator(free_target_07):
     sub = piece.x_grid[:: max(1, piece.x_grid.size // 64)]
     assert np.allclose(piece.V_at(sub), np.interp(sub, piece.x_grid,
                                                   piece.V_grid), atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["free", "generic"])
+def test_float_paths_equal_the_array_paths(which, free_target_07,
+                                           free_target_13, generic_data,
+                                           monkeypatch):
+    """The stepper's float paths give the bits of the array paths: V_interp
+    against np.interp on a real piece, and the phase slope (math.cos and
+    math.sin against np.cos and np.sin, the scalar frame lookup against
+    the table) at the accepted nodes of a phase lock and a bystander flow."""
+    if which == "free":
+        t, other = free_target_07, free_target_13
+    else:
+        t = other = EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
+    slopes = []
+    real = pruefer.phase_slope
+
+    def recording(data, gain):
+        slopes.append(real(data, gain))
+        return slopes[-1]
+
+    monkeypatch.setattr(pruefer, "phase_slope", recording)
+    traj = solve_xi(t, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
+    piece = piece_potential(t, traj)
+    run = integrate_R_xi(other.data, piece.V_interp, piece.x_hi, piece.x_lo,
+                         0.4, spec=TRACK_SPEC)
+
+    xp = piece.x_grid
+    pts = np.concatenate([xp, 0.5 * (xp[1:] + xp[:-1]),
+                          [xp[0] - 1.0, xp[-1] + 1.0, -1e9, 1e9]])
+    scalar = [piece.V_interp(float(x)) for x in pts]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(scalar, np.interp(pts, xp, piece.V_grid))
+
+    assert len(slopes) == 2  # the phase lock, then the bystander flow
+    for slope, flow in zip(slopes, (traj, run)):
+        ts = flow.zeta.x
+        xis = flow.xi_at(ts)
+        scalar = [slope(float(x), float(xi)) for x, xi in zip(ts, xis)]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(scalar, slope(ts, xis))
 
 
 def test_tapered_piece_resolves_the_window_self_consistently(free_target_07):
