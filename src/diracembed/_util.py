@@ -4,7 +4,6 @@ decimation, cumulative Simpson (whole or in blocks), windows."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
@@ -60,7 +59,7 @@ class FrameTable:
     Their cubic coefficients on the shared period ``grid`` form one
     (4, m, 4) table (delta's quadratic derivative padded with a zero row, a
     constant field as the column [0, 0, 0, const]).  A float x takes a
-    pure-Python path that repeats scipy's periodic wrap, interval search
+    pure-Python path that repeats scipy's periodic wrap, interval choice
     and power sum, so values equal the field calls bit for bit; arrays
     take one PPoly call; a fully constant frame returns its constants.
     """
@@ -82,6 +81,7 @@ class FrameTable:
         self._pp = PPoly(C, grid, extrapolate="periodic")
         self._bp = grid.tolist()
         self._rows = C.transpose(1, 2, 0).tolist()  # [interval][field] -> c0..c3
+        self._m = len(self._rows)
 
     def __call__(self, x):
         if self.const is not None:
@@ -90,8 +90,15 @@ class FrameTable:
         if isinstance(x, float):
             x = float(x)
             t = (x - math.floor(x)) % 1.0  # frac, then scipy's periodic wrap
-            i = min(max(bisect_right(self._bp, t) - 1, 0), len(self._rows) - 1)
-            s = t - self._bp[i]
+            # The interval of a uniform grid, corrected to bp[i] <= t < bp[i+1]
+            # (bisect_right's answer); bp runs from 0 to 1 and t < 1.
+            bp = self._bp
+            i = int(t * self._m)
+            while bp[i] > t:
+                i -= 1
+            while bp[i + 1] <= t:
+                i += 1
+            s = t - bp[i]
             ss = s * s
             r0, r1, r2, r3 = [((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
                               for c0, c1, c2, c3 in self._rows[i]]
@@ -140,17 +147,20 @@ def cumulative_simpson_uniform(f: np.ndarray, h: float, f0: float = 0.0) -> np.n
     return out
 
 
-def cumulative_blocks(f, lo: float, h: float, n: int, f0: float = 0.0):
+def cumulative_blocks(f, lo: float, h: float, n: int, f0: float = 0.0,
+                      block: int | None = None):
     """Running integral of f over the grid lo + i*h, i = 0..n, in blocks.
 
-    Yields (start, xs, F) per block of at most QUAD_BLOCK intervals: xs
-    holds lo + i*h for i = start..stop and F the integral from lo, plus
-    f0.  A block's last sample is the next block's first, so memory stays
-    bounded however long the grid.
+    Yields (start, xs, F) per block of at most ``block`` intervals
+    (QUAD_BLOCK when None): xs holds lo + i*h for i = start..stop and F
+    the integral from lo, plus f0.  A block's last sample is the next
+    block's first, so memory stays bounded however long the grid; an even
+    block keeps every Simpson pair of the whole grid.
     """
+    block = block or QUAD_BLOCK
     carry, start = f0, 0
     while start < n:
-        stop = min(start + QUAD_BLOCK, n)
+        stop = min(start + block, n)
         xs = lo + np.arange(start, stop + 1) * h
         F = cumulative_simpson_uniform(f(xs), h, f0=carry)
         yield start, xs, F

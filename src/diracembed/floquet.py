@@ -28,7 +28,9 @@ from .errors import (
     BandEdge,
     DegenerateEigenvector,
     InvariantDrift,
+    NonFiniteState,
     ScanTooCoarse,
+    StepSizeUnderflow,
     UnwrapJump,
 )
 from .periodic_core import (
@@ -59,31 +61,39 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-def _fundamental_matrix(p: PeriodicCoefficient, q: PeriodicCoefficient,
-                        lam: float, spec: IntegratorSpec | None,
-                        t_eval=None):
-    """Fundamental matrix over one period, rows flattened to length 4."""
-    rhs = dirac_rhs(p, q, lam)
-    return integrate(lambda x, Y: rhs(x, Y.reshape(2, 2)).ravel(), 0.0, 1.0,
-                     np.eye(2).ravel(), spec, t_eval=t_eval)
+# Magnus steps per period: the first product, and the cap of the doubling.
+MAGNUS_STEPS = 128
+MAGNUS_MAX_STEPS = 2 ** 14
+_MAGNUS_BATCH = 2 ** 18  # energies x steps per vectorized product (8 MB)
+_GAUSS = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 
 
 @dataclass(frozen=True)
 class Monodromy:
-    """Period map of the system at spectral parameter lam."""
+    """Period map of the system at spectral parameter lam.
 
-    lam: float
+    lam may be a float (matrix 2x2) or an array of E energies (matrix
+    (E, 2, 2)); trace follows it, a float or an array.
+    """
+
+    lam: float | np.ndarray
     matrix: np.ndarray
 
     def __post_init__(self):
+        m = self.matrix
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteState("monodromy left the finite range")
         # Rounding in det grows like |M|^2; deep in a gap |M| ~ |trace|.
-        det = float(np.linalg.det(self.matrix))
-        if abs(det - 1.0) > 1e-8 * float(np.sum(self.matrix ** 2)):
-            raise InvariantDrift(f"monodromy determinant {det} deviates from 1")
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        drift = np.abs(det - 1.0) > 1e-8 * np.sum(m ** 2, axis=(-2, -1))
+        if np.any(drift):
+            raise InvariantDrift(f"monodromy determinant {det[drift].flat[0]} "
+                                 "deviates from 1")
 
     @property
-    def trace(self) -> float:
-        return float(self.matrix[0, 0] + self.matrix[1, 1])
+    def trace(self):
+        tr = self.matrix[..., 0, 0] + self.matrix[..., 1, 1]
+        return float(tr) if tr.ndim == 0 else tr
 
 
 @dataclass(frozen=True)
@@ -94,11 +104,82 @@ class GapIndicator:
     excess: float
 
 
-def monodromy(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
+def _magnus_product(p: PeriodicCoefficient, q: PeriodicCoefficient,
+                    lams: np.ndarray, n: int) -> np.ndarray:
+    """exp(Omega_{n-1}) ... exp(Omega_0) over n equal steps, per energy.
+
+    Omega = h/2 (A1 + A2) + (sqrt(3) h^2/12) [A2, A1] is the fourth-order
+    Magnus exponent of A = [[-q, lam + p], [p - lam, q]] at the two Gauss
+    points of a step.  It is trace-free, [[a, b], [c, -a]], and affine in
+    lam, so p and q are evaluated once for every energy, and
+    exp Omega = C I + S Omega with C = cos s, S = sin s / s, s^2 = det Omega
+    (cosh and sinh where det Omega < 0).  Returns the (E, 2, 2) products.
+    """
+    h = 1.0 / n
+    x = h * (np.arange(n)[:, None] + _GAUSS)
+    p1, p2 = eval_coefficient(p, x).T
+    q1, q2 = eval_coefficient(q, x).T
+    k = np.sqrt(3.0) * h * h / 6.0  # twice the commutator weight
+    cross = k * (q1 * p2 - q2 * p1)
+    psum = 0.5 * h * (p1 + p2)
+    a0, a1 = -0.5 * h * (q1 + q2), k * (p1 - p2)
+    b0, b1 = psum + cross, h + k * (q1 - q2)
+    c0, c1 = psum - cross, -h + k * (q1 - q2)
+    out = np.empty((lams.size, 2, 2))
+    chunk = max(1, _MAGNUS_BATCH // n)
+    for lo in range(0, lams.size, chunk):
+        lam = lams[lo:lo + chunk, None]
+        a, b, c = a0 + lam * a1, b0 + lam * b1, c0 + lam * c1
+        neg_det = a * a + b * c
+        s = np.sqrt(np.abs(neg_det))
+        gap = neg_det > 0.0
+        C = np.where(gap, np.cosh(s), np.cos(s))
+        S = np.where(gap, np.sinh(s) / np.where(gap, s, 1.0),
+                     np.sinc(s / np.pi))
+        steps = np.empty(a.shape + (2, 2))
+        steps[..., 0, 0] = C + S * a
+        steps[..., 0, 1] = S * b
+        steps[..., 1, 0] = S * c
+        steps[..., 1, 1] = C - S * a
+        while steps.shape[1] > 1:  # n is a power of two
+            steps = steps[:, 1::2] @ steps[:, 0::2]
+        out[lo:lo + chunk] = steps[:, 0]
+    return out
+
+
+def monodromy(p: PeriodicCoefficient, q: PeriodicCoefficient, lam,
               spec: IntegratorSpec | None = None) -> Monodromy:
-    """Integrate the fundamental matrix over one period."""
-    traj = _fundamental_matrix(p, q, lam, spec)
-    return Monodromy(lam=lam, matrix=traj.ys[-1].reshape(2, 2))
+    """Period map at one energy (a float) or at an array of energies.
+
+    A product of fourth-order Magnus steps: start at MAGNUS_STEPS per
+    period and double N while |tr_2N - tr_N| > rel_tol * max(1, |tr_2N|),
+    then keep the 2N product.  Each energy stops doubling on its own, so
+    a trace does not depend on the other energies in the call.  Raises
+    StepSizeUnderflow when an energy has not settled at MAGNUS_MAX_STEPS.
+    """
+    spec = spec or IntegratorSpec()
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    mats = np.empty((lams.size, 2, 2))
+    todo = np.arange(lams.size)
+    n = MAGNUS_STEPS
+    # Deep in a gap the product may overflow; a non-finite trace counts as
+    # settled here, and Monodromy rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = np.trace(_magnus_product(p, q, lams, n), axis1=1, axis2=2)
+        while todo.size:
+            if n >= MAGNUS_MAX_STEPS:
+                raise StepSizeUnderflow(
+                    f"monodromy not settled at {n} Magnus steps per period "
+                    f"(rel_tol {spec.rel_tol:g})")
+            n *= 2
+            fine = _magnus_product(p, q, lams[todo], n)
+            tr2 = np.trace(fine, axis1=1, axis2=2)
+            moved = np.abs(tr2 - tr) > spec.rel_tol * np.maximum(1.0, np.abs(tr2))
+            mats[todo[~moved]] = fine[~moved]
+            todo, tr = todo[moved], tr2[moved]
+    if np.ndim(lam) == 0:
+        return Monodromy(lam=float(lam), matrix=mats[0])
+    return Monodromy(lam=lams, matrix=mats)
 
 
 def quasimomentum(m: Monodromy):
@@ -154,7 +235,7 @@ def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
 
     n = max(2, int(round((hi - lo) / resolution)) + 1)
     lams = np.linspace(lo, hi, n)
-    traces = np.array([trace(lam) for lam in lams])
+    traces = monodromy(p, q, lams, spec).trace
     inside = np.abs(traces) / 2.0 < 1.0 + 1e-12
 
     for i in range(1, len(inside) - 1):
@@ -163,10 +244,11 @@ def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
                 f"band/gap narrower than two strides near lambda={lams[i]:.6g}"
             )
 
-    def edge_between(a: float, b: float) -> float:
-        # a carries the outside sample, b the inside one; the pair may
+    def edge_between(out: int, inn: int) -> float:
+        # grid sample out lies outside the band, inn inside; the pair may
         # arrive in either x-order.
-        fa = abs(trace(a)) / 2.0 - 1.0
+        a, b = lams[out], lams[inn]
+        fa = abs(traces[out]) / 2.0 - 1.0
         for _ in range(64):
             mid = 0.5 * (a + b)
             if abs(b - a) <= resolution * 1e-3:
@@ -187,8 +269,8 @@ def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
         j = i
         while j + 1 < n and inside[j + 1]:
             j += 1
-        b_lo = lams[i] if i == 0 else edge_between(lams[i - 1], lams[i])
-        b_hi = lams[j] if j == n - 1 else edge_between(lams[j + 1], lams[j])
+        b_lo = lams[i] if i == 0 else edge_between(i - 1, i)
+        b_hi = lams[j] if j == n - 1 else edge_between(j + 1, j)
         mid = 0.5 * (b_lo + b_hi)
         h = max(1e-6, min(resolution, (b_hi - b_lo) / 8.0) / 2.0)
         k_lo = np.arccos(np.clip(trace(mid - h) / 2.0, -1.0, 1.0))
@@ -245,7 +327,9 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
         spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-10),
                        abs_tol=min(spec.abs_tol, 1e-12))
     grid = np.linspace(0.0, 1.0, n_grid + 1)
-    traj = _fundamental_matrix(p, q, lam, spec, t_eval=grid)
+    rhs = dirac_rhs(p, q, lam)
+    traj = integrate(lambda x, Y: rhs(x, Y.reshape(2, 2)).ravel(), 0.0, 1.0,
+                     np.eye(2).ravel(), spec, t_eval=grid)
     mats = traj.ys  # (n+1, 4) rows [Y00, Y01, Y10, Y11]
     mono = Monodromy(lam=lam, matrix=mats[-1].reshape(2, 2))
     half = mono.trace / 2.0
@@ -414,8 +498,7 @@ def in_band_samples(p: PeriodicCoefficient, q: PeriodicCoefficient,
     strictly inside bands (|trace|/2 <= 0.9 and k at least 0.1 from 0, pi)."""
     lams = np.linspace(window[0], window[1], 60)
     good = []
-    for lam in lams:
-        t = monodromy(p, q, float(lam)).trace / 2.0
+    for lam, t in zip(lams, monodromy(p, q, lams).trace / 2.0):
         if abs(t) <= 0.9:
             k = float(np.arccos(t))
             if 0.1 < k < np.pi - 0.1:

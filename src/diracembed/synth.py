@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -265,16 +264,25 @@ class PotentialPiece(XiTrajectory):
 
     @cached_property
     def _views(self):
-        return memoryview(self.x_grid), memoryview(self.V_grid)
+        xp = self.x_grid
+        n = xp.size - 1
+        return (memoryview(xp), memoryview(self.V_grid), n,
+                float(n / (xp[-1] - xp[0])))
 
     def V_interp(self, x):
         """np.interp on the samples; a float takes its formula on memoryviews."""
         if not isinstance(x, float):
             return np.interp(x, self.x_grid, self.V_grid)
-        xp, fp = self._views
-        j = bisect_right(xp, x) - 1
-        if j < 0 or j >= len(xp) - 1:  # past an end (NaN: past the right)
-            return fp[0] if j < 0 else fp[-1] if x == x else x
+        xp, fp, n, scale = self._views
+        if not xp[0] <= x < xp[n]:  # past an end (NaN: past the right)
+            return fp[0] if x < xp[0] else fp[n] if x == x else x
+        # The interval of the uniform grid, corrected to xp[j] <= x < xp[j+1]
+        # as bisect_right would give it.
+        j = int((x - xp[0]) * scale)
+        while xp[j] > x:
+            j -= 1
+        while xp[j + 1] <= x:
+            j += 1
         return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
     def manifest_entry(self) -> dict:

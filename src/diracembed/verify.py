@@ -58,6 +58,9 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 NONEMBED_SPEC = IntegratorSpec(rel_tol=1e-7, abs_tol=1e-10)
+# Grid intervals per block of the sup-scan: even, so Simpson pairs match
+# the one-block scan, and small, so a block's temporaries stay a few MB.
+SCAN_BLOCK = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +93,9 @@ class OscCheck:
 def _sup_scan(make_integrand, x_lo: float, x_max: float, h: float, x0_list):
     """sup_{x >= x0} |F(x) - F(x0)| for each x0, F the running integral.
 
-    make_integrand(xs) -> samples.  One forward pass in blocks; each
-    checkpoint keeps a running max and min of F from its own sample on.
+    make_integrand(xs) -> samples.  One forward pass in blocks of
+    SCAN_BLOCK intervals; each checkpoint keeps a running max and min of F
+    from its own sample on.
     """
     x0s = sorted(float(v) for v in x0_list)
     n = max(2, int(np.ceil((x_max - x_lo) / h)))
@@ -102,7 +106,8 @@ def _sup_scan(make_integrand, x_lo: float, x_max: float, h: float, x0_list):
     F0 = [0.0] * len(x0s)
     hi = [-np.inf] * len(x0s)
     lo = [np.inf] * len(x0s)
-    for start, xs, F in cumulative_blocks(make_integrand, x_lo, h, n):
+    for start, xs, F in cumulative_blocks(make_integrand, x_lo, h, n,
+                                          block=SCAN_BLOCK):
         for j, i0 in enumerate(idx0):
             if i0 < start + xs.size:
                 tail = F[max(i0 - start, 0):]

@@ -63,6 +63,17 @@ def test_bands_in_a_deep_gap_finds_no_band(tmp_path):
     assert doc["bands"] == [] and doc["edges"] == []
 
 
+def test_bands_with_an_overflowing_monodromy_is_a_failed_check(tmp_path):
+    # Mass 1000: the period map overflows the float range, a numerical
+    # failure (exit 1), not a configuration error.
+    cfg = RunConfig(p=PeriodicCoefficient(a0=2000.0), q=PeriodicCoefficient(),
+                    lambdas=[0.7], out_dir=str(tmp_path))
+    cfg.save(str(tmp_path / "config.json"))
+    rc = main(["bands", "--config", str(tmp_path / "config.json"),
+               "--scan-resolution", "0.1"])
+    assert rc == EXIT_CHECK
+
+
 def test_floquet_exports_period_frame(tmp_path, small_run):
     cfg_path, _ = small_run
     rc = main(["floquet", "--config", cfg_path, "--lam", "0.7",

@@ -4,11 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from diracembed import floquet
 from diracembed._util import FrameTable, PeriodicField
-from diracembed.errors import BandEdge, ScanTooCoarse
+from diracembed.errors import (BandEdge, NonFiniteState, ScanTooCoarse,
+                               StepSizeUnderflow)
 from diracembed.floquet import (
     GapIndicator,
     band_scan,
@@ -19,7 +21,8 @@ from diracembed.floquet import (
     quasimomentum,
     write_period_csv,
 )
-from diracembed.periodic_core import IntegratorSpec, PeriodicCoefficient
+from diracembed.periodic_core import (IntegratorSpec, PeriodicCoefficient,
+                                      eval_coefficient)
 
 RNG = np.random.default_rng(20240712)
 
@@ -33,9 +36,10 @@ def mass_trace(lam, m=MASS):
 
 
 def fake_monodromy(monkeypatch, trace):
-    """Make band_scan see the synthetic dispersion trace(lam)."""
+    """Make band_scan see the synthetic dispersion trace(lam), at one
+    energy or an array of them."""
     monkeypatch.setattr(floquet, "monodromy", lambda p, q, lam, spec=None:
-                        SimpleNamespace(trace=trace(lam)))
+                        SimpleNamespace(trace=np.vectorize(trace)(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +68,105 @@ def test_quasimomentum_and_gap_indicator(mass_pq):
     gap = quasimomentum(monodromy(p, q, 0.5))
     assert isinstance(gap, GapIndicator)
     assert gap.excess > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Magnus monodromy against a solve_ivp oracle
+
+BANDS_SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)  # RunConfig's default
+
+
+def ivp_monodromy(p, q, lam):
+    """The period map by DOP853 at rtol 1e-12, atol 1e-14."""
+    def rhs(x, y):
+        pv, qv = eval_coefficient(p, x), eval_coefficient(q, x)
+        A = np.array([[-qv, lam + pv], [pv - lam, qv]])
+        return (A @ y.reshape(2, 2)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.eye(2).ravel(), method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    return sol.y[:, -1].reshape(2, 2)
+
+
+@pytest.fixture(scope="module")
+def generic_scan(generic_pq):
+    p, q = generic_pq
+    lams = np.linspace(0.0, 3.0, 121)
+    ref = np.array([ivp_monodromy(p, q, lam) for lam in lams])
+    return lams, monodromy(p, q, lams, BANDS_SPEC), ref
+
+
+def test_magnus_monodromy_matches_the_ivp_oracle(generic_scan):
+    lams, mono, ref = generic_scan
+    assert mono.matrix.shape == (lams.size, 2, 2)
+    assert mono.trace.shape == lams.shape
+    assert np.max(np.abs(mono.matrix - ref)) <= 1e-8
+
+
+def test_magnus_monodromy_has_unit_determinant(generic_scan):
+    _, mono, _ = generic_scan
+    m = mono.matrix
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    bounded = np.abs(mono.trace) <= 2.0
+    assert bounded.sum() >= 60
+    assert np.max(np.abs(det[bounded] - 1.0)) <= 1e-12
+
+
+def test_batched_trace_equals_the_scalar_calls(generic_pq, generic_scan,
+                                              monkeypatch):
+    p, q = generic_pq
+    lams, mono, _ = generic_scan
+    for lam, tr in zip(lams[::8], mono.trace[::8]):
+        one = monodromy(p, q, float(lam), BANDS_SPEC).trace
+        assert type(one) is float
+        assert one == pytest.approx(tr, rel=1e-13, abs=1e-13)
+    # a product split into chunks of a few energies
+    monkeypatch.setattr(floquet, "_MAGNUS_BATCH", 1000)
+    chunked = monodromy(p, q, lams, BANDS_SPEC).matrix
+    assert np.allclose(chunked, mono.matrix, rtol=1e-13, atol=1e-13)
+
+
+def test_magnus_doubling_stops_at_the_first_settled_pair(generic_pq,
+                                                          monkeypatch):
+    p, q = generic_pq
+    real = floquet._magnus_product
+    counts = []
+    for spec in (BANDS_SPEC, IntegratorSpec(rel_tol=1e-12, abs_tol=1e-14)):
+        runs = []
+
+        def recording(p, q, lams, n):
+            prod = real(p, q, lams, n)
+            runs.append((n, prod[0]))
+            return prod
+
+        monkeypatch.setattr(floquet, "_magnus_product", recording)
+        mono = monodromy(p, q, 2.2, spec)
+        ns = [n for n, _ in runs]
+        tr = [np.trace(m) for _, m in runs]
+        assert ns == [floquet.MAGNUS_STEPS * 2**i for i in range(len(ns))]
+        assert np.array_equal(mono.matrix, runs[-1][1])  # the 2N product
+        tol = [spec.rel_tol * max(1.0, abs(t)) for t in tr]
+        assert abs(tr[-1] - tr[-2]) <= tol[-1]
+        assert all(abs(b - a) > t for a, b, t in zip(tr[:-2], tr[1:-1], tol[1:-1]))
+        counts.append(len(ns))
+    assert 2 <= counts[0] < counts[1]  # the tighter spec doubles further
+
+
+def test_magnus_cap_raises_step_size_underflow(generic_pq, monkeypatch):
+    p, q = generic_pq
+    monkeypatch.setattr(floquet, "MAGNUS_MAX_STEPS", 512)
+    with pytest.raises(StepSizeUnderflow):
+        monodromy(p, q, 2.2, IntegratorSpec(rel_tol=1e-14, abs_tol=1e-14))
+
+
+def test_overflowing_monodromy_is_non_finite():
+    # Mass 1000: |trace| ~ exp(1000) overflows, and the product turns NaN,
+    # which a determinant check alone would let through.
+    with pytest.raises(NonFiniteState):
+        monodromy(PeriodicCoefficient(a0=2000.0), PeriodicCoefficient(), 0.5)
+    with pytest.raises(NonFiniteState):
+        monodromy(PeriodicCoefficient(a0=2000.0), PeriodicCoefficient(),
+                  np.array([0.5, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +253,28 @@ def coarse_frame(grid):
     return FrameTable(grid, *fields), (fields[0].deriv, *fields[1:])
 
 
-@pytest.mark.parametrize("which", ["generic", "free", "mixed", "coarse"])
+@pytest.mark.parametrize("which", ["generic", "free", "mixed", "coarse",
+                                   "skewed"])
 def test_frame_table_equals_the_field_calls(which, generic_data, free_data):
     data = free_data if which == "free" else generic_data
-    grid = np.linspace(0.0, 1.0, 8) if which == "coarse" else data.x
+    grid = {"coarse": np.linspace(0.0, 1.0, 8),
+            # non-uniform: the index correction walks both ways
+            "skewed": (1.0 - np.cos(np.linspace(0.0, np.pi, 8))) / 2.0,
+            }.get(which, data.x)
     if which == "mixed":
         table, fields = mixed_frame(data)
-    elif which == "coarse":
+    elif which in ("coarse", "skewed"):
         table, fields = coarse_frame(grid)
     else:
         table, fields = data.frame, frame_fields(data)
     assert (table.const is not None) == (which == "free")
-    # random x, every breakpoint (also shifted), integers, and two x
-    # whose fractional part rounds to 1.0
+    # random x, every breakpoint (also shifted, and one ulp either side),
+    # integers, two x whose fractional part rounds to 1.0, and three whose
+    # fractional part is a few ulps below 1.0 (the last interval)
     xs = np.concatenate([RNG.uniform(-1e4, 1e4, 1000), grid, grid - 3.0,
-                         np.arange(-20.0, 21.0), [-1e-300, -5e-17]])
+                         np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                         np.arange(-20.0, 21.0), [-1e-300, -5e-17],
+                         [1.0 - 2.0**-53, 3.0 - 2.0**-51, -(2.0**-53)]])
     for x in xs:  # the scalar path, for float64 and for float
         ref = tuple(f(x) for f in fields)
         assert table(x) == ref and table(float(x)) == ref
@@ -174,6 +284,8 @@ def test_frame_table_equals_the_field_calls(which, generic_data, free_data):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=1.0 - 2.0**-53)  # t the last float below 1.0: the last interval
+@example(x=-5e-17)          # frac rounds to 1.0 and wraps to 0.0
 def test_frame_table_scalar_lookup_property(generic_data, x):
     assert generic_data.frame(x) == tuple(f(x) for f in frame_fields(generic_data))
 

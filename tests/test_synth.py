@@ -1,6 +1,7 @@
 """Phase-locked pieces, schedules, assembly, manifests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,10 +196,16 @@ def test_float_paths_equal_the_array_paths(which, free_target_07,
 
     xp = piece.x_grid
     pts = np.concatenate([xp, 0.5 * (xp[1:] + xp[:-1]),
+                          np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
                           [xp[0] - 1.0, xp[-1] + 1.0, -1e9, 1e9]])
     scalar = [piece.V_interp(float(x)) for x in pts]
     assert all(type(v) is float for v in scalar)
     assert np.array_equal(scalar, np.interp(pts, xp, piece.V_grid))
+    # on a non-uniform grid the index correction walks both ways
+    u = np.pi * (xp - xp[0]) / (xp[-1] - xp[0])
+    bent = replace(piece, x_grid=xp[0] + (xp[-1] - xp[0]) * (1.0 - np.cos(u)) / 2)
+    scalar = [bent.V_interp(float(x)) for x in pts]
+    assert np.array_equal(scalar, np.interp(pts, bent.x_grid, bent.V_grid))
 
     assert len(slopes) == 2  # the phase lock, then the bystander flow
     for slope, flow in zip(slopes, (traj, run)):

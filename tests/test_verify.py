@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diracembed import _util
+from diracembed import _util, verify
 from diracembed.errors import (
     DecayTooSlow,
     HypothesisViolated,
@@ -149,18 +149,33 @@ def test_oscillatory_powerlaw_hypotheses():
                              x0_list=[10.0], x_max=1e3)
 
 
+def seam_integrand(xs):
+    return np.sin(1.3 * xs + np.log(xs)) / xs
+
+
 @pytest.mark.parametrize("block", [997, 1000])
 def test_sup_scan_checkpoint_on_a_block_seam(monkeypatch, block):
-    def integrand(xs):
-        return np.sin(1.3 * xs + np.log(xs)) / xs
-
     h = 200.0 / 50_000  # the grid on [10, 210]
     x0s = [10.0, 10.0 + block * h, 10.0 + 3 * block * h, 57.3]
-    one = _sup_scan(integrand, 10.0, 210.0, h, x0s)
-    monkeypatch.setattr(_util, "QUAD_BLOCK", block)
-    split = _sup_scan(integrand, 10.0, 210.0, h, x0s)
+    monkeypatch.setattr(verify, "SCAN_BLOCK", 50_000)
+    one = _sup_scan(seam_integrand, 10.0, 210.0, h, x0s)
+    monkeypatch.setattr(verify, "SCAN_BLOCK", block)
+    split = _sup_scan(seam_integrand, 10.0, 210.0, h, x0s)
     assert split[0] == one[0]
     assert np.allclose(split[1], one[1], rtol=1e-10, atol=0.0)
+
+
+def test_sup_scan_block_size_leaves_the_sups(monkeypatch):
+    # 600k intervals: nine seams at the scan's own block, none at QUAD_BLOCK.
+    block = verify.SCAN_BLOCK
+    h = 200.0 / 600_000
+    x0s = [10.0, 10.0 + block * h, 57.3, 150.0]
+    assert 600_000 > 9 * block and block % 2 == 0
+    split = _sup_scan(seam_integrand, 10.0, 210.0, h, x0s)
+    monkeypatch.setattr(verify, "SCAN_BLOCK", _util.QUAD_BLOCK)
+    one = _sup_scan(seam_integrand, 10.0, 210.0, h, x0s)
+    assert split[0] == one[0]
+    assert np.allclose(split[1], one[1], rtol=1e-12, atol=0.0)
 
 
 def test_sup_scan_rejects_checkpoints_past_x_max():
