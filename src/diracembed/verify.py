@@ -4,7 +4,10 @@ Every check integrates the claimed inequality directly and reports the
 measured margin; nothing is assumed from the construction.  Oscillatory
 sup-scans share one cumulative quadrature pass over [min x0, x_max] with
 running extrema per checkpoint, so the cost is one dense sweep regardless
-of how many checkpoints are requested.
+of how many checkpoints are requested.  The periodic-frame scan steps by
+1/m, so the samples take m phases: Gamma and gamma are tabulated once on
+them and tiled, and every checkpoint a whole number of periods past
+min x0 is a grid point.
 """
 
 from __future__ import annotations
@@ -90,17 +93,15 @@ class OscCheck:
                 "products": list(self.products)}
 
 
-def _sup_scan(make_integrand, x_lo: float, x_max: float, h: float, x0_list):
+def _sup_scan(make_integrand, x_lo: float, h: float, n: int, x0_list):
     """sup_{x >= x0} |F(x) - F(x0)| for each x0, F the running integral.
 
-    make_integrand(xs) -> samples.  One forward pass in blocks of
-    SCAN_BLOCK intervals; each checkpoint keeps a running max and min of F
-    from its own sample on.
+    make_integrand(xs) -> samples on the grid x_lo + i*h, i = 0..n.  One
+    forward pass in blocks of SCAN_BLOCK intervals; each checkpoint, snapped
+    to its nearest grid point, keeps a running max and min of F from there.
     """
     x0s = sorted(float(v) for v in x0_list)
-    n = max(2, int(np.ceil((x_max - x_lo) / h)))
-    h = (x_max - x_lo) / n
-    idx0 = [int(round((v - x_lo) / h)) for v in x0s]  # snap onto the grid
+    idx0 = [int(round((v - x_lo) / h)) for v in x0s]
     if idx0[-1] > n:
         raise ValueError("need every x0 <= x_max")
     F0 = [0.0] * len(x0s)
@@ -139,6 +140,8 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
     if x_lo <= 0.0 or x_max <= x_lo:
         raise ValueError("need 0 < min(x0) < x_max")
     h = 0.04 / max(abs(a) + abs(c), 0.5)
+    n = max(2, int(np.ceil((x_max - x_lo) / h)))
+    h = (x_max - x_lo) / n
     osc = np.cos if use_cos else np.sin
 
     if beta1 == 1.0:
@@ -156,7 +159,7 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
     def integrand(xs):
         return osc(theta(xs)) / xs ** beta2
 
-    x0s, sups = _sup_scan(integrand, x_lo, float(x_max), h, x0_list)
+    x0s, sups = _sup_scan(integrand, x_lo, h, n, x0_list)
     prods = [s * v ** beta for s, v in zip(sups, x0s)]
     kind = "cos" if use_cos else "sin"
     return OscCheck(
@@ -170,10 +173,11 @@ def oscillatory_check_42(target: EmbeddingTarget, Gamma, a: float, x0_list,
                          enforce_nonresonance: bool = True) -> OscCheck:
     """Sup of |int Gamma(t) sin(theta)/t| with theta = a*t + gamma(t) + ln t.
 
-    gamma is the periodic part of the target's first phase function.
-    Products sup * x0 should stay bounded across a decade of x0 when a
-    stays away from 2*pi*Z; passing a resonant a requires explicitly
-    waiving the guard (the divergent control case).
+    gamma is the periodic part of the target's first phase function;
+    Gamma must be 1-periodic (HypothesisViolated otherwise).  Products
+    sup * x0 should stay bounded across a decade of x0 when a stays away
+    from 2*pi*Z; passing a resonant a requires explicitly waiving the
+    guard (the divergent control case).
     """
     dist = abs(a - TWO_PI * np.round(a / TWO_PI))
     if enforce_nonresonance and dist < 1e-3:
@@ -181,23 +185,31 @@ def oscillatory_check_42(target: EmbeddingTarget, Gamma, a: float, x0_list,
             f"a = {a} is within {dist:.2e} of 2*pi*Z; the bound fails there")
     data = target.data
     g1f = data.gamma1_f
-
-    def gamma_per(xs):
-        t = frac(xs)
-        return g1f(t) - g1f.slope * t
-
     x_lo = min(float(v) for v in x0_list)
     if x_lo <= 0.0 or x_max <= x_lo:
         raise ValueError("need 0 < min(x0) < x_max")
     slope_per = np.max(np.abs(np.diff(data.gamma1))) * data.x.size / TWO_PI
     rate = abs(a) + abs(g1f.slope) + float(slope_per) + 1.0 / x_lo
-    h = 0.04 / max(rate, 0.5)
+    # Step 1/m, never coarser than 0.04/rate: sample i = x_lo + i/m sits at
+    # the phase t[i mod m], so Gamma and gamma are tabulated once and tiled.
+    m = int(np.ceil(max(rate, 0.5) / 0.04))
+    t = frac(x_lo + np.arange(m) / m)
+    G, G1 = (np.asarray(Gamma(s), dtype=float) for s in (t, t + 1.0))
+    drift = float(np.max(np.abs(G1 - G)))
+    if drift > 1e-12 * (1.0 + float(np.max(np.abs(G)))):
+        raise HypothesisViolated(
+            f"Gamma is not 1-periodic: it moves by {drift:.2e} over a period")
+    gamma = g1f(t) - g1f.slope * t  # the periodic part of gamma1
 
     def integrand(xs):
-        theta = a * xs + gamma_per(xs) + np.log(xs)
-        return np.asarray(Gamma(xs), dtype=float) * np.sin(theta) / xs
+        i = int(round((xs[0] - x_lo) * m))  # this block's first sample
+        reps = -(-xs.size // m)  # whole periods covering the block
+        Gs, gs = (np.tile(np.roll(tab, -i), reps)[:xs.size]
+                  for tab in (G, gamma))
+        return Gs * np.sin(a * xs + gs + np.log(xs)) / xs
 
-    x0s, sups = _sup_scan(integrand, x_lo, float(x_max), h, x0_list)
+    n = max(2, int(np.ceil((x_max - x_lo) * m)))
+    x0s, sups = _sup_scan(integrand, x_lo, 1.0 / m, n, x0_list)
     prods = [s * v for s, v in zip(sups, x0s)]
     return OscCheck(
         description=f"osc-periodic a={a} lam={target.lam}",

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diracembed import _util, verify
+from diracembed import EmbeddingTarget, _util, verify
 from diracembed.errors import (
     DecayTooSlow,
     HypothesisViolated,
@@ -158,9 +158,9 @@ def test_sup_scan_checkpoint_on_a_block_seam(monkeypatch, block):
     h = 200.0 / 50_000  # the grid on [10, 210]
     x0s = [10.0, 10.0 + block * h, 10.0 + 3 * block * h, 57.3]
     monkeypatch.setattr(verify, "SCAN_BLOCK", 50_000)
-    one = _sup_scan(seam_integrand, 10.0, 210.0, h, x0s)
+    one = _sup_scan(seam_integrand, 10.0, h, 50_000, x0s)
     monkeypatch.setattr(verify, "SCAN_BLOCK", block)
-    split = _sup_scan(seam_integrand, 10.0, 210.0, h, x0s)
+    split = _sup_scan(seam_integrand, 10.0, h, 50_000, x0s)
     assert split[0] == one[0]
     assert np.allclose(split[1], one[1], rtol=1e-10, atol=0.0)
 
@@ -171,16 +171,16 @@ def test_sup_scan_block_size_leaves_the_sups(monkeypatch):
     h = 200.0 / 600_000
     x0s = [10.0, 10.0 + block * h, 57.3, 150.0]
     assert 600_000 > 9 * block and block % 2 == 0
-    split = _sup_scan(seam_integrand, 10.0, 210.0, h, x0s)
+    split = _sup_scan(seam_integrand, 10.0, h, 600_000, x0s)
     monkeypatch.setattr(verify, "SCAN_BLOCK", _util.QUAD_BLOCK)
-    one = _sup_scan(seam_integrand, 10.0, 210.0, h, x0s)
+    one = _sup_scan(seam_integrand, 10.0, h, 600_000, x0s)
     assert split[0] == one[0]
     assert np.allclose(split[1], one[1], rtol=1e-12, atol=0.0)
 
 
 def test_sup_scan_rejects_checkpoints_past_x_max():
     with pytest.raises(ValueError):
-        _sup_scan(np.sin, 10.0, 100.0, 0.1, [10.0, 150.0])
+        _sup_scan(np.sin, 10.0, 0.1, 900, [10.0, 150.0])
 
 
 def test_oscillatory_periodic_products_bounded(free_target_07):
@@ -204,6 +204,71 @@ def test_oscillatory_resonant_control_diverges(free_target_07):
                                x_max=1e6, enforce_nonresonance=False)
     assert rep.max_product_ratio > 10.0
     assert rep.products == sorted(rep.products)
+
+
+@pytest.fixture(scope="module")
+def generic_target_09(generic_pq):
+    return EmbeddingTarget.at(*generic_pq, 0.9)
+
+
+def test_oscillatory_periodic_checkpoints_stay_on_the_grid(generic_target_09):
+    # The scan steps 1/m from min x0, so 1e3 and 1e4 are grid points
+    # whatever x_max is; re-spacing the step to end on x_max snapped them
+    # by up to half a step and moved their sups.
+    t = generic_target_09
+    x0s = [1e2, 1e3, 1e4]
+    base = oscillatory_check_42(t, t.data.Psi_f, 1.0, x0s, x_max=1e5)
+    longer = oscillatory_check_42(t, t.data.Psi_f, 1.0, x0s, x_max=1e5 + 0.37)
+    assert np.allclose(longer.sup_integral, base.sup_integral,
+                       rtol=1e-9, atol=0.0)
+    assert base.max_product_ratio < 4.0
+
+
+def test_oscillatory_periodic_requires_periodic_gamma(free_target_07,
+                                                      generic_target_09):
+    with pytest.raises(HypothesisViolated):
+        oscillatory_check_42(free_target_07, lambda xs: xs, a=1.0,
+                             x0_list=[10.0], x_max=1e3)
+    for t, Gamma in ((free_target_07, lambda xs: np.ones_like(xs)),
+                     (generic_target_09, generic_target_09.data.Psi_f)):
+        rep = oscillatory_check_42(t, Gamma, a=1.0, x0_list=[10.0, 100.0],
+                                   x_max=1e3)
+        assert all(s > 0 for s in rep.sup_integral)
+
+
+def test_oscillatory_periodic_tables_match_direct_evaluation(
+        monkeypatch, generic_target_09):
+    t = generic_target_09
+    g1f, Gamma = t.data.gamma1_f, t.data.Psi_f
+
+    def direct(xs):
+        ts = _util.frac(xs)
+        theta = xs + g1f(ts) - g1f.slope * ts + np.log(xs)
+        return Gamma(xs) * np.sin(theta) / xs
+
+    grids, gaps = [], []
+    blocks = verify.cumulative_blocks
+
+    def spy(f, lo, h, n, **kw):
+        grids.append((lo, h, n))
+
+        def checked(xs):
+            out = f(xs)
+            gaps.append(float(np.max(np.abs(out - direct(xs)))))
+            return out
+        return blocks(checked, lo, h, n, **kw)
+
+    monkeypatch.setattr(verify, "cumulative_blocks", spy)
+    monkeypatch.setattr(verify, "SCAN_BLOCK", 1000)  # blocks start off phase
+    x0s = [1e2, 1e3]
+    rep = oscillatory_check_42(t, Gamma, a=1.0, x0_list=x0s, x_max=2e3)
+    monkeypatch.undo()
+    (lo, h, n), = grids
+    m = round(1.0 / h)
+    assert h == 1.0 / m and 1000 % m != 0 and len(gaps) > 10
+    assert max(gaps) <= 1e-10
+    _, fine = _sup_scan(direct, lo, h / 2, 2 * n, x0s)  # the step 1/(2m)
+    assert np.allclose(fine, rep.sup_integral, rtol=1e-6, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
