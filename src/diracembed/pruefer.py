@@ -251,23 +251,26 @@ def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
     return PhaseFlow(rate=rate, zeta=CubicHermiteSpline(ts, zs, dz), nfev=nfev)
 
 
+def quad_grid(rate: float, x0: float, x1: float):
+    """(lo, h, n): n steps h <= 0.05/rate exactly over [x0, x1] either way."""
+    lo, hi = min(x0, x1), max(x0, x1)
+    n = max(2, int(np.ceil((hi - lo) / (0.05 / rate_floor(rate)))))
+    return lo, (hi - lo) / n, n
+
+
 @dataclass
 class RXiRun(PhaseFlow):
     """Result of the long-horizon (ln R, xi) integration.
 
     ``xs``/``ln_R``/``xi`` are decimated samples (about four per rotation
     of xi); ``ln_R_end`` carries the undecimated cumulative value at x1.
-    ``xi_at`` is accurate everywhere; ``ln_R_at`` interpolates samples.
+    ``xi_at`` is accurate everywhere.
     """
 
     xs: np.ndarray
     ln_R: np.ndarray
     xi: np.ndarray
     ln_R_end: float
-
-    def ln_R_at(self, x):
-        return np.interp(x, self.xs, self.ln_R) if self.xs[0] <= self.xs[-1] \
-            else np.interp(x, self.xs[::-1], self.ln_R[::-1])
 
 
 def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: float,
@@ -285,14 +288,9 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: floa
     w = data.omega
     flow = phase_flow(data, lambda x, xi: -2.0 * V(x) / w, x0, x1, xi0,
                       spec or IntegratorSpec())
-    arate = rate_floor(flow.rate)
     flip = x0 > x1
-
-    h = 0.05 / arate
-    stride = max(1, int(round((np.pi / (2.0 * arate)) / h)))
-    lo, hi = (x0, x1) if not flip else (x1, x0)
-    n = max(2, int(np.ceil((hi - lo) / h)))
-    h = (hi - lo) / n  # exact uniform grid over the requested range
+    lo, h, n = quad_grid(flow.rate, x0, x1)
+    stride = 31  # steps of 0.05/rate in a quarter rotation, pi/(2 rate)
 
     def f(xs):
         return (np.asarray(V(xs), dtype=float) / w) * data.Psi_f(xs) \

@@ -28,7 +28,7 @@ from .errors import (
     StabilityViolated,
 )
 from .periodic_core import IntegratorSpec
-from .pruefer import integrate_R_xi
+from .pruefer import integrate_R_xi, quad_grid
 from .synth import (
     TRACK_SPEC,
     EmbeddingTarget,
@@ -139,9 +139,9 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
     x_lo = min(float(v) for v in x0_list)
     if x_lo <= 0.0 or x_max <= x_lo:
         raise ValueError("need 0 < min(x0) < x_max")
+    # A fixed step from x_lo (ending at or past x_max): checkpoints stay put.
     h = 0.04 / max(abs(a) + abs(c), 0.5)
     n = max(2, int(np.ceil((x_max - x_lo) / h)))
-    h = (x_max - x_lo) / n
     osc = np.cos if use_cos else np.sin
 
     if beta1 == 1.0:
@@ -285,13 +285,14 @@ def decay_check(target: EmbeddingTarget, piece: PotentialPiece,
 
 @dataclass
 class StabilityReport:
-    """Worst bystander amplification over a phase grid, for one piece."""
+    """Worst bystander amplification over a phase grid, and over all phases."""
 
     lam_piece: float
     lam_bystander: float
     side: int
     threshold: float
     max_ratio: float
+    sup_ratio: float
     worst_phase: float
     worst_x: float
     ratios: list[float]
@@ -300,6 +301,7 @@ class StabilityReport:
         return {"name": "stability", "lambda_piece": self.lam_piece,
                 "lambda_bystander": self.lam_bystander, "side": self.side,
                 "threshold": self.threshold, "max_ratio": self.max_ratio,
+                "sup_ratio": self.sup_ratio,
                 "worst_phase": self.worst_phase, "worst_x": self.worst_x,
                 "ratios": self.ratios}
 
@@ -310,31 +312,50 @@ def stability_check(bystander: EmbeddingTarget, piece: PotentialPiece,
                     n_phases: int = 8) -> StabilityReport:
     """Max growth of a non-resonant amplitude across someone else's piece.
 
-    Sweeps n_phases initial Pruefer phases eta0 and integrates R across
-    the piece from R = 1; raises StabilityViolated if any sampled R
-    exceeds the threshold.
+    rho(start) -> rho(x) is real-linear (rho' = -i(V/omega)(u - v) rho +
+    i(V/omega) Psi e^{-i(2 gamma1 + Gamma2)} conj(rho)), so two flows from
+    R = 1, at eta0 = 0 and pi/2, give every eta0: R^2 = mean + half cos 2eta0
+    + cross sin 2eta0, with (Ra^2 +- Rb^2)/2 and Ra Rb cos(eta_a - eta_b).
+    Raises StabilityViolated if max_x R on the n_phases grid (``ratios``)
+    exceeds the threshold; ``sup_ratio`` = max_x sqrt(mean + hypot(half,
+    cross)) is the sup over every eta0, reported but not gated.
     """
     spec = spec or TRACK_SPEC
     start = piece.x_lo if piece.side > 0 else piece.x_hi
     stop = piece.x_hi if piece.side > 0 else piece.x_lo
     data = bystander.data
-    g1s = float(data.gamma1_f(start))
-    G2s = float(data.Gamma2_f(start))
-    ratios = []
-    worst = (1.0, 0.0, start)
-    for eta0 in TWO_PI * np.arange(n_phases) / n_phases:
-        xi0 = 2.0 * (eta0 + g1s) + G2s
-        run = integrate_R_xi(data, piece.V_interp, start, stop, xi0,
-                             spec=spec, lnR0=0.0)
-        imax = int(np.argmax(run.ln_R))
-        ratio = float(np.exp(run.ln_R[imax]))
-        ratios.append(ratio)
-        if ratio > worst[0]:
-            worst = (ratio, float(eta0), float(run.xs[imax]))
+    g1s, G2s = float(data.gamma1_f(start)), float(data.Gamma2_f(start))
+    fa, fb = (integrate_R_xi(data, piece.V_interp, start, stop,
+                             2.0 * (eta0 + g1s) + G2s, spec=spec)
+              for eta0 in (0.0, np.pi / 2))
+    # eta_a - eta_b = drift/2 - pi/2, with (xi_a - xi_b)' = (2V/omega) Psi
+    # (cos xi_a - cos xi_b) summed by ln R's rule on its grid: 0 at V = 0
+    lo, h, n = quad_grid(fa.rate, start, stop)
+    xs = lo + np.arange(n + 1) * h
+    dxi = 2.0 * np.asarray(piece.V_interp(xs), dtype=float) / data.omega \
+        * data.Psi_f(xs) * (np.cos(fa.xi_at(xs)) - np.cos(fb.xi_at(xs)))
+    drift = np.interp(fa.xs, xs, cumulative_simpson_uniform(dxi, h))
+    Ra, Rb = np.exp(fa.ln_R), np.exp(fb.ln_R)
+    mean, half = (Ra * Ra + Rb * Rb) / 2.0, (Ra * Ra - Rb * Rb) / 2.0
+    cross = Ra * Rb * np.sin((drift - drift[0]) / 2.0)
+    ratios, worst = [], (1.0, 0.0, start)
+    for j in range(n_phases):
+        eta0 = TWO_PI * j / n_phases
+        if 4 * j % n_phases:
+            ln_R = 0.5 * np.log(mean + np.cos(2.0 * eta0) * half
+                                + np.sin(2.0 * eta0) * cross)
+        else:  # a quarter turn is a flow itself: R(eta0 + pi) = R(eta0)
+            ln_R = (fb if 4 * j // n_phases % 2 else fa).ln_R
+        imax = int(np.argmax(ln_R))
+        ratios.append(float(np.exp(ln_R[imax])))
+        if ratios[-1] > worst[0]:
+            worst = (ratios[-1], float(eta0), float(fa.xs[imax]))
+    sup = float(np.sqrt(np.max(mean + np.hypot(half, cross))))
     report = StabilityReport(lam_piece=piece.lam, lam_bystander=bystander.lam,
                              side=piece.side, threshold=threshold,
-                             max_ratio=worst[0], worst_phase=worst[1],
-                             worst_x=worst[2], ratios=ratios)
+                             max_ratio=worst[0], sup_ratio=sup,
+                             worst_phase=worst[1], worst_x=worst[2],
+                             ratios=ratios)
     if worst[0] > threshold:
         raise StabilityViolated(
             f"bystander lam={bystander.lam} grows by {worst[0]:.4g} "

@@ -15,7 +15,9 @@ from diracembed.errors import (
     StabilityViolated,
 )
 from diracembed.periodic_core import IntegratorSpec
-from diracembed.synth import TrackRecord, piece_potential, solve_xi
+from diracembed.pruefer import integrate_R_xi
+from diracembed.synth import (TRACK_SPEC, TrackRecord, assemble,
+                              piece_potential, schedule, solve_xi)
 from diracembed.verify import (
     _sup_scan,
     adversarial_potential,
@@ -107,15 +109,59 @@ def test_stability_phase_grid_is_converged(small_pot, free_target_13):
 def test_stability_is_exactly_one_for_zero_potential(free_target_13):
     ghost = SimpleNamespace(x_lo=100.0, x_hi=150.0, side=1, lam=0.7,
                             V_interp=lambda xs: np.zeros_like(xs))
-    rep = stability_check(free_target_13, ghost, n_phases=4)
-    assert rep.max_ratio == 1.0
-    assert rep.ratios == [1.0, 1.0, 1.0, 1.0]
+    for n in (2, 4, 8, 16):  # quarter turns and reconstructed phases alike
+        rep = stability_check(free_target_13, ghost, n_phases=n)
+        assert rep.max_ratio == 1.0 and rep.sup_ratio == 1.0
+        assert rep.ratios == [1.0] * n
 
 
 def test_stability_violation_raises(small_pot, free_target_13):
     piece = _first_piece(small_pot, 0.7)
     with pytest.raises(StabilityViolated):
         stability_check(free_target_13, piece, threshold=0.99)
+
+
+@pytest.fixture(scope="module")
+def generic_pair(generic_pq):
+    # A periodic frame: verify's first pair of a two-target generic_pq run.
+    targets = [EmbeddingTarget.at(*generic_pq, lam) for lam in (0.9, 1.7)]
+    pot = assemble(schedule(targets, mode="finite", a0=1.2e3, x_max=1.56e3))
+    return targets[1], _first_piece(pot, 0.9)
+
+
+@pytest.fixture(scope="module")
+def free_pair(small_pot, free_target_13):
+    return free_target_13, _first_piece(small_pot, 0.7)
+
+
+def _direct_ratios(bystander, piece, n_phases):
+    """max_x R from one integrate_R_xi run per phase eta0 = 2 pi j/n."""
+    start, stop = (piece.x_lo, piece.x_hi) if piece.side > 0 \
+        else (piece.x_hi, piece.x_lo)
+    data = bystander.data
+    g1s, G2s = float(data.gamma1_f(start)), float(data.Gamma2_f(start))
+    out = []
+    for eta0 in 2.0 * np.pi * np.arange(n_phases) / n_phases:
+        run = integrate_R_xi(data, piece.V_interp, start, stop,
+                             2.0 * (eta0 + g1s) + G2s, spec=TRACK_SPEC)
+        out.append(float(np.exp(np.max(run.ln_R))))
+    return out
+
+
+@pytest.mark.parametrize("pair", ["free_pair", "generic_pair"])
+def test_stability_two_flows_match_a_direct_run_per_phase(request, pair):
+    bystander, piece = request.getfixturevalue(pair)
+    direct = _direct_ratios(bystander, piece, 16)
+    for n in (8, 16):
+        rep = stability_check(bystander, piece, n_phases=n)
+        want = direct[::16 // n]
+        assert len(rep.ratios) == n
+        assert max(abs(r - d) for r, d in zip(rep.ratios, want)) <= 5e-5
+        # eta0 = 0 and pi/2 are the two flows themselves
+        assert rep.ratios[0] == want[0] and rep.ratios[n // 4] == want[n // 4]
+        assert rep.max_ratio == max(rep.ratios)
+        assert all(rep.sup_ratio >= r for r in rep.ratios)
+        assert rep.to_dict()["sup_ratio"] == rep.sup_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +174,18 @@ def test_oscillatory_powerlaw_products_bounded():
     assert rep.beta == 1.0
     assert all(s > 0 for s in rep.sup_integral)
     assert rep.max_product_ratio < 4.0
+
+
+def test_oscillatory_powerlaw_checkpoints_stay_on_the_grid():
+    # The step is fixed from min x0, so a longer horizon only appends
+    # samples; re-spacing it to end on x_max moved the 1e3 checkpoint.
+    x0s = [10.0, 100.0, 1000.0]
+    base = oscillatory_check_41(a=1.0, beta1=1.0, beta2=1.0, x0_list=x0s,
+                                x_max=1e4)
+    longer = oscillatory_check_41(a=1.0, beta1=1.0, beta2=1.0, x0_list=x0s,
+                                  x_max=1e4 + 0.37)
+    assert np.allclose(longer.sup_integral, base.sup_integral,
+                       rtol=1e-9, atol=0.0)
 
 
 def test_oscillatory_powerlaw_beta_rule():
