@@ -1,8 +1,9 @@
-"""Small numerical helpers: periodic fields and their fused frame table,
-decimation, cumulative Simpson (whole or in blocks), windows."""
+"""Small helpers: periodic fields and their fused frame table, decimation,
+cumulative Simpson (whole or in blocks), windows, the JSON artifact writer."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -196,3 +197,10 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope and intercept of y against x."""
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(intercept)
+
+
+def write_json(path: str, doc) -> None:
+    """Every JSON artifact: indent 2, sorted keys, a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from ._util import write_json
 from .config import RunConfig
 from .errors import (
     DiracEmbedError,
@@ -29,9 +30,11 @@ from .floquet import (
     write_period_csv,
 )
 from .synth import (
+    ENVELOPE_TOL,
     EmbeddingTarget,
     assemble,
     check_nonresonance,
+    envelope_excess,
     rebuild_potential,
     schedule,
     write_manifest,
@@ -58,8 +61,8 @@ EXIT_RESONANCE = 3
 
 # RunConfig keys that subcommand flags may override.
 _FLOAT_KEYS = ("a0", "x_max", "b", "margin", "band_edge_margin", "rho_margin",
-               "taper_width", "safety", "xi0", "ratio_policy", "rel_tol",
-               "abs_tol", "scan_lo", "scan_hi", "scan_resolution")
+               "taper_width", "safety", "xi0", "rel_tol", "abs_tol", "scan_lo",
+               "scan_hi", "scan_resolution")
 _STR_KEYS = ("mode", "h_name", "out_dir")
 
 
@@ -119,10 +122,7 @@ def cmd_bands(cfg: RunConfig) -> int:
         "bands": [{"lo": b.lo, "hi": b.hi, "k_direction": b.k_direction}
                   for b in bs.bands],
     }
-    with open(os.path.join(out, "band_edges.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "band_edges.json"), doc)
     print(f"bands: {len(bs.bands)} band(s), {len(bs.edges)} interior "
           f"edge(s) in [{cfg.scan_lo:g}, {cfg.scan_hi:g}]")
     return EXIT_OK
@@ -146,8 +146,7 @@ def cmd_synth(cfg: RunConfig) -> int:
                                  rho_margin=cfg.rho_margin, spec=spec,
                                  band_edge_margin=cfg.band_edge_margin)
     sched = schedule(targets, mode=cfg.mode, a0=cfg.a0, x_max=cfg.x_max,
-                     ratio_policy=cfg.ratio_policy, b=cfg.b,
-                     h=cfg.envelope(), safety=cfg.safety, xi0=cfg.xi0,
+                     b=cfg.b, h=cfg.envelope(), safety=cfg.safety, xi0=cfg.xi0,
                      taper_width=cfg.taper_width, spec=spec)
     pot = assemble(sched)
     write_potential_csv(pot, os.path.join(out, "potential.csv"))
@@ -160,41 +159,32 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
     out = _out_dir(cfg)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    pot = rebuild_potential(doc)
+    pot = rebuild_potential(manifest_path)
     by_lam = {pc.lam: pc.target for pc in pot.pieces}
-    targets = [by_lam[float(entry["lambda"])] for entry in doc["targets"]
+    targets = [by_lam[float(entry["lambda"])]
+               for entry in pot.metadata["targets"]
                if float(entry["lambda"]) in by_lam]
 
     reports: list[dict] = []
-    failures = 0
 
     def record(check_name, fn, **context):
-        nonlocal failures
         try:
             rep = fn()
         except DiracEmbedError as exc:
-            failures += 1
-            entry = {"name": check_name, "passed": False, "error": str(exc)}
-            entry.update(context)
-            reports.append(entry)
-            return None
-        d = rep.to_dict()
-        if not d.get("verdict", True):
-            failures += 1
-        d["passed"] = bool(d.get("verdict", True))
+            d = {"name": check_name, "passed": False, "error": str(exc),
+                 **context}
+        else:
+            d = rep.to_dict()
+            d["passed"] = bool(d.get("verdict", True))
         reports.append(d)
-        return rep
 
     for i, target in enumerate(targets):
         for side in (1, -1):
-            own = sorted((pc for pc in pot.pieces
-                          if pc.side == side and pc.lam == target.lam),
-                         key=lambda pc: pc.a)
-            if not own:
+            first = min((pc for pc in pot.pieces
+                         if pc.side == side and pc.lam == target.lam),
+                        key=lambda pc: pc.a, default=None)
+            if first is None:
                 continue
-            first = own[0]
             record("decay", lambda t=target, pc=first: decay_check(t, pc),
                    **{"lambda": target.lam, "side": side})
             for j, bystander in enumerate(targets):
@@ -210,27 +200,24 @@ def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
         record("l2-tail", lambda tr=track: l2_tail_estimate(tr),
                target=track.target_index, side=track.side)
 
-    if doc.get("mode") == "growing":
+    if pot.metadata.get("mode") == "growing":
         h = cfg.envelope()
         if h is None:
             raise ValueError("h_name: required to verify a growing-N run")
-        excess = float(np.max(np.abs(pot.V_grid) * (1.0 + np.abs(pot.x_grid))
-                              - np.abs(h(pot.x_grid))))
-        ok = excess <= 1e-9
-        if not ok:
-            failures += 1
+        excess, _ = envelope_excess(pot.x_grid, pot.V_grid, h)
+        ok = excess <= ENVELOPE_TOL
         reports.append({"name": "envelope", "max_excess": excess,
                         "verdict": ok, "passed": ok})
 
     write_reports_json(reports, os.path.join(out, "reports.json"))
     write_summary_csv(reports, os.path.join(out, "summary.csv"))
     n = len(reports)
+    failures = sum(not d["passed"] for d in reports)
     print(f"verify: {n - failures}/{n} checks passed")
     return EXIT_CHECK if failures else EXIT_OK
 
 
 def cmd_oscillatory(args) -> int:
-    checks = []
     x0_list = args.x0 or [1e2, 1e3, 1e4]
     if args.config is not None and args.lam is not None:
         cfg = RunConfig.load(args.config)
@@ -238,33 +225,23 @@ def cmd_oscillatory(args) -> int:
         os.makedirs(out, exist_ok=True)
         target = EmbeddingTarget.at(cfg.p, cfg.q, args.lam,
                                     spec=cfg.integrator_spec())
-        checks.append(oscillatory_check_42(
+        chk = oscillatory_check_42(
             target, target.data.Psi_f, args.a, x0_list, args.x_max,
-            enforce_nonresonance=not args.allow_resonant))
+            enforce_nonresonance=not args.allow_resonant)
     else:
         if args.beta1 is None or args.beta2 is None:
             raise ValueError(
                 "beta1/beta2: required unless --config/--lam are given")
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
-        checks.append(oscillatory_check_41(
+        chk = oscillatory_check_41(
             args.a, args.beta1, args.beta2, x0_list, args.x_max,
-            c=args.c, use_cos=args.use_cos))
-    docs = []
-    worst = 1.0
-    for chk in checks:
-        d = chk.to_dict()
-        ratio = chk.max_product_ratio
-        d["max_product_ratio"] = ratio
-        d["passed"] = bool(ratio <= args.max_product_ratio)
-        worst = max(worst, ratio)
-        docs.append(d)
-    with open(os.path.join(out, "oscillatory.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(docs, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    ok = all(d["passed"] for d in docs)
-    print(f"oscillatory: max product ratio {worst:.4g} "
+            c=args.c, use_cos=args.use_cos)
+    ratio = chk.max_product_ratio
+    ok = bool(ratio <= args.max_product_ratio)
+    write_json(os.path.join(out, "oscillatory.json"),
+               [dict(chk.to_dict(), max_product_ratio=ratio, passed=ok)])
+    print(f"oscillatory: max product ratio {ratio:.4g} "
           f"({'pass' if ok else 'FAIL'} at {args.max_product_ratio:g})")
     return EXIT_OK if ok else EXIT_CHECK
 

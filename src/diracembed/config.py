@@ -7,10 +7,12 @@ to_dict/from_dict is guaranteed to produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from ._util import write_json
 from .periodic_core import IntegratorSpec, PeriodicCoefficient
 
 __all__ = ["RunConfig", "ENVELOPES"]
@@ -19,6 +21,10 @@ __all__ = ["RunConfig", "ENVELOPES"]
 ENVELOPES = {
     "log": lambda x: np.log(np.e + np.abs(x)),
 }
+
+# The JSON types a field annotation admits; p and q are checked by from_dict.
+_TYPES = {"float": numbers.Real, "str": str, "str | None": (str, type(None)),
+          "list[float]": (list, tuple)}
 
 
 @dataclass
@@ -39,7 +45,6 @@ class RunConfig:
     taper_width: float = 1.0
     safety: float = 1.0
     xi0: float = float(np.pi / 2)
-    ratio_policy: float | None = None
     rel_tol: float = 1.0e-8
     abs_tol: float = 1.0e-11
     scan_lo: float = 0.0
@@ -48,6 +53,10 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if not isinstance(val, _TYPES.get(f.type, object)):
+                raise ValueError(f"{f.name}: expected {f.type}, got {val!r}")
         if self.mode not in ("finite", "growing"):
             raise ValueError(f"mode: {self.mode!r} is not finite/growing")
         if self.h_name is not None and self.h_name not in ENVELOPES:
@@ -65,8 +74,6 @@ class RunConfig:
             raise ValueError("b: must satisfy 0 <= b < a0")
         if self.band_edge_margin < 0.0:
             raise ValueError("band_edge_margin: must be nonnegative")
-        if self.ratio_policy is not None and self.ratio_policy < 1.0:
-            raise ValueError("ratio_policy: must be >= 1")
         for key in ("rel_tol", "abs_tol"):
             val = getattr(self, key)
             if not 0.0 < val <= 1e-4:
@@ -74,8 +81,8 @@ class RunConfig:
         if self.scan_hi <= self.scan_lo:
             raise ValueError("scan_hi: must exceed scan_lo")
         for i, lam in enumerate(self.lambdas):
-            if not np.isfinite(lam):
-                raise ValueError(f"lambdas[{i}]: not finite")
+            if not isinstance(lam, numbers.Real) or not np.isfinite(lam):
+                raise ValueError(f"lambdas[{i}]: {lam!r} is not finite")
 
     def integrator_spec(self) -> IntegratorSpec:
         return IntegratorSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
@@ -92,6 +99,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config: expected a JSON object, got {doc!r}")
         doc = dict(doc)
         unknown = set(doc) - {f for f in cls.__dataclass_fields__}
         if unknown:
@@ -99,13 +108,14 @@ class RunConfig:
         for key in ("p", "q"):
             if key not in doc:
                 raise ValueError(f"{key}: missing coefficient block")
-            doc[key] = PeriodicCoefficient.from_dict(doc[key])
+            try:
+                doc[key] = PeriodicCoefficient.from_dict(doc[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         return cls(**doc)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":

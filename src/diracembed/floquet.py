@@ -43,13 +43,11 @@ from .periodic_core import (
 
 __all__ = [
     "Monodromy",
-    "GapIndicator",
     "Band",
     "BandStructure",
     "FloquetSolution",
     "DerivedPeriodicData",
     "monodromy",
-    "quasimomentum",
     "band_scan",
     "floquet_solution",
     "derived_data",
@@ -70,13 +68,9 @@ _GAUSS = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 
 @dataclass(frozen=True)
 class Monodromy:
-    """Period map of the system at spectral parameter lam.
+    """Period map of the system: a 2x2 matrix at one energy, (E, 2, 2) at
+    E energies; trace follows it, a float or an array."""
 
-    lam may be a float (matrix 2x2) or an array of E energies (matrix
-    (E, 2, 2)); trace follows it, a float or an array.
-    """
-
-    lam: float | np.ndarray
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -94,14 +88,6 @@ class Monodromy:
     def trace(self):
         tr = self.matrix[..., 0, 0] + self.matrix[..., 1, 1]
         return float(tr) if tr.ndim == 0 else tr
-
-
-@dataclass(frozen=True)
-class GapIndicator:
-    """Marks lam outside a band; excess = |trace|/2 - 1 >= 0."""
-
-    lam: float
-    excess: float
 
 
 def _magnus_product(p: PeriodicCoefficient, q: PeriodicCoefficient,
@@ -177,17 +163,7 @@ def monodromy(p: PeriodicCoefficient, q: PeriodicCoefficient, lam,
             moved = np.abs(tr2 - tr) > spec.rel_tol * np.maximum(1.0, np.abs(tr2))
             mats[todo[~moved]] = fine[~moved]
             todo, tr = todo[moved], tr2[moved]
-    if np.ndim(lam) == 0:
-        return Monodromy(lam=float(lam), matrix=mats[0])
-    return Monodromy(lam=lams, matrix=mats)
-
-
-def quasimomentum(m: Monodromy):
-    """arccos(trace/2) in [0, pi] inside a band, else a GapIndicator."""
-    half = m.trace / 2.0
-    if abs(half) <= 1.0:
-        return float(np.arccos(half))
-    return GapIndicator(lam=m.lam, excess=abs(half) - 1.0)
+    return Monodromy(matrix=mats[0] if np.ndim(lam) == 0 else mats)
 
 
 @dataclass(frozen=True)
@@ -301,8 +277,6 @@ class FloquetSolution:
     grid: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    mono: Monodromy
-    eigvec: np.ndarray
     spec: IntegratorSpec = field(default_factory=IntegratorSpec)
 
 
@@ -311,7 +285,7 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
                      band_edge_margin: float = 0.0) -> FloquetSolution:
     """Build g(x) = Phi(x) v on a uniform period grid of n_grid+1 points.
 
-    v is the monodromy eigenvector for exp(+i k), unit norm, first
+    v = g(0) is the monodromy eigenvector for exp(+i k), unit norm, first
     significant component rotated real-positive.  Raises BandEdge outside
     (or too near the edge of) a band and DegenerateEigenvector when the
     eigenpair cannot be resolved.
@@ -331,7 +305,7 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
     traj = integrate(lambda x, Y: rhs(x, Y.reshape(2, 2)).ravel(), 0.0, 1.0,
                      np.eye(2).ravel(), spec, t_eval=grid)
     mats = traj.ys  # (n+1, 4) rows [Y00, Y01, Y10, Y11]
-    mono = Monodromy(lam=lam, matrix=mats[-1].reshape(2, 2))
+    mono = Monodromy(matrix=mats[-1].reshape(2, 2))
     half = mono.trace / 2.0
     if abs(half) >= 1.0:
         raise BandEdge(f"lambda={lam} lies in a gap or at an edge "
@@ -368,7 +342,7 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
         raise DegenerateEigenvector("a component of g vanishes on the grid")
 
     return FloquetSolution(p=p, q=q, lam=lam, k=k, omega=omega, grid=grid,
-                           g1=g1, g2=g2, mono=mono, eigvec=v, spec=spec)
+                           g1=g1, g2=g2, spec=spec)
 
 
 @dataclass

@@ -19,6 +19,7 @@ trace-free, so Wronskians of solution pairs are constants of motion.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,15 @@ class PeriodicCoefficient:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PeriodicCoefficient":
-        return cls(d.get("a0", 0.0), tuple(d.get("cos", ())), tuple(d.get("sin", ())))
+        """The series of a JSON block; a ValueError names a mistyped key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {d!r}")
+        a0, cos, sin = d.get("a0", 0.0), d.get("cos", []), d.get("sin", [])
+        for key, vals in (("a0", [a0]), ("cos", cos), ("sin", sin)):
+            if not isinstance(vals, (list, tuple)) \
+                    or not all(isinstance(v, numbers.Real) for v in vals):
+                raise ValueError(f"{key}: expected numbers, got {d[key]!r}")
+        return cls(a0, tuple(cos), tuple(sin))
 
 
 def eval_coefficient(coeff: PeriodicCoefficient, x):

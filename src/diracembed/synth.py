@@ -26,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import cumulative_simpson_uniform, decimate, taper_window
+from ._util import (cumulative_simpson_uniform, decimate, taper_window,
+                    write_json)
 from .errors import (
     EnvelopeTooLarge,
     EnvelopeViolation,
@@ -53,6 +54,7 @@ __all__ = [
     "TrackRecord",
     "Tracker",
     "probe_constants",
+    "envelope_excess",
     "schedule",
     "SynthesizedPotential",
     "assemble",
@@ -66,6 +68,7 @@ DECAY_EXPONENT = 100.0  # target slope of ln R against ln((|x|-b)/(a-b))
 LOCK_SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)  # phase lock
 TRACK_SPEC = IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)  # bystander flow
 CSV_ROWS = 2000  # most potential.csv rows per piece
+ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
 
 
 @dataclass(frozen=True)
@@ -250,18 +253,6 @@ class PotentialPiece(XiTrajectory):
     def omega(self) -> float:
         return self.target.omega
 
-    def V_at(self, x):
-        """Exact evaluator (spline phase, analytic envelope, taper)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.zeros_like(x)
-        m = (x >= self.x_lo) & (x <= self.x_hi)
-        if np.any(m):
-            xm = x[m]
-            out[m] = _slaved_V(self.omega, self, xm, self.xi_at(xm))
-        return float(out[0]) if scalar else out
-
     @cached_property
     def _views(self):
         xp = self.x_grid
@@ -337,7 +328,6 @@ class TrackRecord:
     ln_R: np.ndarray
     xi: np.ndarray
     own_starts: list[float]  # |x| of this target's own piece activations
-    started_at: float
 
 
 class Tracker:
@@ -383,8 +373,7 @@ class Tracker:
         xs, ln_R, xi = (np.concatenate(col) for col in zip(*self._samples))
         return TrackRecord(target_index=self.target_index, side=self.side,
                            xs=xs, ln_R=ln_R, xi=xi,
-                           own_starts=list(self.own_starts),
-                           started_at=self.side * self.own_starts[0])
+                           own_starts=list(self.own_starts))
 
 
 @dataclass
@@ -457,11 +446,18 @@ def probe_constants(targets, *, b: float = 0.0, xi0: float = np.pi / 2,
                 "practical piece offset")
 
 
+def envelope_excess(x, V, h) -> tuple[float, float]:
+    """max(|V|(1+|x|) - |h(x)|) over the samples and the x where it occurs;
+    growing mode holds while it is at most ENVELOPE_TOL."""
+    gap = np.abs(V) * (1.0 + np.abs(x)) - np.abs(h(x))
+    i = int(np.argmax(gap))
+    return float(gap[i]), float(x[i])
+
+
 def schedule(targets, mode: str = "finite", a0: float = None,
-             x_max: float = None, ratio_policy: float | None = None, *,
-             b: float = 0.0, h=None, safety: float = 1.0,
-             xi0: float = np.pi / 2, taper_width: float = 1.0,
-             spec: IntegratorSpec | None = None,
+             x_max: float = None, *, b: float = 0.0, h=None,
+             safety: float = 1.0, xi0: float = np.pi / 2,
+             taper_width: float = 1.0, spec: IntegratorSpec | None = None,
              C_bound: float | None = None,
              K: float | None = None) -> SynthesisSchedule:
     """Round-robin piece assignment with tracked arrival phases.
@@ -475,7 +471,7 @@ def schedule(targets, mode: str = "finite", a0: float = None,
 
     In growing-N mode targets activate one per cycle once
     h(T_r) >= safety * (N+1) * max envelope of the first N+1 targets,
-    and every sample must satisfy |V|*(1+|x|) <= |h|.
+    and every sample must satisfy |V|*(1+|x|) <= |h| (envelope_excess).
     """
     if not targets:
         raise ValueError("no targets")
@@ -528,8 +524,6 @@ def schedule(targets, mode: str = "finite", a0: float = None,
                 N += 1
                 activations.append((N - 1, T_r))
         ratio = (2.0 ** N * C_bound) ** (1.0 / DECAY_EXPONENT)
-        if ratio_policy is not None:
-            ratio = max(ratio, ratio_policy)
         T_next = b + (T_r - b) * ratio
         if T_next > x_max:
             break
@@ -541,13 +535,11 @@ def schedule(targets, mode: str = "finite", a0: float = None,
                             taper_width=min(taper_width, (T_next - T_r) / 4.0))
             piece = piece_potential(target, traj)
             if mode == "growing":
-                lhs = np.abs(piece.V_grid) * (1.0 + np.abs(piece.x_grid))
-                rhs = np.abs(h(piece.x_grid))
-                if np.any(lhs > rhs + 1e-12):
-                    worst = int(np.argmax(lhs - rhs))
+                excess, x_at = envelope_excess(piece.x_grid, piece.V_grid, h)
+                if excess > ENVELOPE_TOL:
                     raise EnvelopeViolation(
-                        f"|V|(1+|x|) = {lhs[worst]:.4g} exceeds |h| = "
-                        f"{rhs[worst]:.4g} at x = {piece.x_grid[worst]:.6g}")
+                        f"|V|(1+|x|) exceeds |h| by {excess:.4g} at "
+                        f"x = {x_at:.6g}")
             pieces.append(piece)
             for i in range(n_targets):
                 trackers[(i, side)].advance(piece)
@@ -582,14 +574,6 @@ class SynthesizedPotential:
     x_grid: np.ndarray
     V_grid: np.ndarray
     metadata: dict
-
-    def V_interp(self, x):
-        return np.interp(x, self.x_grid, self.V_grid)
-
-    @property
-    def envelope_peak(self) -> float:
-        """Largest |omega|*C over the pieces."""
-        return max(abs(pc.omega) * pc.C for pc in self.pieces)
 
 
 def _assemble_pieces(pieces: list[PotentialPiece],
@@ -629,9 +613,7 @@ def write_manifest(pot: SynthesizedPotential, path: str,
         doc["floquet_integrator"] = {"rel_tol": rel, "abs_tol": ab,
                                      "n_grid": n_grid}
     doc["pieces"] = [pc.manifest_entry() for pc in pot.pieces]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def rebuild_potential(manifest) -> SynthesizedPotential:
@@ -660,10 +642,9 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
                         side=side, spec=spec, C=float(entry["C"]),
                         taper_width=float(entry["taper_width"]))
         pieces.append(piece_potential(target, traj))
-    meta = {key: manifest[key] for key in
-            ("mode", "a0", "x_max", "b", "C_bound", "K", "safety",
-             "taper_width", "xi0_default", "T", "N", "targets")
-            if key in manifest}
+    # Every key but the four that rebuild the pieces is schedule metadata.
+    meta = {key: val for key, val in manifest.items() if key not in
+            ("coefficients", "integrator", "floquet_integrator", "pieces")}
     return _assemble_pieces(pieces, meta)
 
 

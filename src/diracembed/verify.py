@@ -12,13 +12,12 @@ min x0 is a grid point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import (cumulative_blocks, cumulative_simpson_uniform, decimate,
-                    fit_line, frac)
+                    fit_line, frac, write_json)
 from .errors import (
     BoundViolated,
     DecayTooSlow,
@@ -526,23 +525,17 @@ def track_targets(pot: SynthesizedPotential, targets=None) -> dict:
 
 def write_reports_json(reports, path: str) -> None:
     """All reports as one JSON array (to_dict of each report object)."""
-    docs = [r.to_dict() if hasattr(r, "to_dict") else dict(r) for r in reports]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(docs, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [r.to_dict() if hasattr(r, "to_dict") else dict(r)
+                      for r in reports])
 
 
 def write_summary_csv(reports, path: str) -> None:
     """One line per report: name, subject, headline number, verdict."""
 
     def headline(d):
-        for key in ("slope", "max_ratio", "min_margin", "verdict",
-                    "products"):
+        for key in ("slope", "max_ratio", "verdict"):  # verify's checks
             if key in d:
-                val = d[key]
-                if isinstance(val, list):
-                    val = max(val)
-                return key, val
+                return key, d[key]
         return "", ""
 
     with open(path, "w", encoding="utf-8") as fh:

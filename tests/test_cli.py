@@ -2,11 +2,12 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from diracembed import PeriodicCoefficient, RunConfig
+from diracembed import ENVELOPES, PeriodicCoefficient, RunConfig, cli
 from diracembed.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -115,6 +116,28 @@ def test_verify_catches_tampered_manifest(tmp_path, small_run):
     assert any(d["name"] == "decay" and d.get("side") == 1 for d in bad)
 
 
+@pytest.mark.parametrize("V0,rc", [(1e-10, EXIT_CHECK), (1e-12, EXIT_OK)])
+def test_verify_envelope_verdict_is_the_schedule_rule(tmp_path, monkeypatch,
+                                                      V0, rc):
+    # One sample at x = 0 against h = 0 exceeds the envelope by exactly V0;
+    # verify passes it up to the tolerance schedule uses, 1e-12.
+    cfg = RunConfig(p=PeriodicCoefficient(), q=PeriodicCoefficient(),
+                    lambdas=[0.7], mode="growing", h_name="log",
+                    out_dir=str(tmp_path))
+    cfg.save(str(tmp_path / "config.json"))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"mode": "growing", "targets": []}))
+    pot = SimpleNamespace(pieces=[], x_grid=np.array([0.0]),
+                          V_grid=np.array([V0]),
+                          metadata={"mode": "growing", "targets": []})
+    monkeypatch.setattr(cli, "rebuild_potential", lambda manifest: pot)
+    monkeypatch.setitem(ENVELOPES, "log", np.zeros_like)
+    assert main(["verify", "--config", str(tmp_path / "config.json"),
+                 "--manifest", str(manifest)]) == rc
+    docs = json.loads((tmp_path / "reports.json").read_text())
+    assert [(d["name"], d["max_excess"]) for d in docs] == [("envelope", V0)]
+
+
 def test_periodic_background_synth_then_verify(tmp_path, generic_pq):
     # Non-constant p and q, the paper's setting, through both commands.
     p, q = generic_pq
@@ -191,6 +214,21 @@ def test_malformed_config_is_usage_error(tmp_path):
     doc["mode"] = "sideways"
     bad2.write_text(json.dumps(doc))
     assert main(["synth", "--config", str(bad2)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("change", [
+    {"p": {"a0": None}},
+    {"p": 5},
+    {"a0": "2000"},
+    {"lambdas": ["x"]},
+    None,  # a JSON array, not an object
+], ids=["p_a0_null", "p_int", "a0_str", "lambdas_str", "top_level_array"])
+def test_mistyped_config_is_usage_error(tmp_path, change):
+    doc = RunConfig(p=PeriodicCoefficient(), q=PeriodicCoefficient(),
+                    lambdas=[0.7], out_dir=str(tmp_path)).to_dict()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([1, 2] if change is None else {**doc, **change}))
+    assert main(["bands", "--config", str(bad)]) == EXIT_USAGE
 
 
 def test_unknown_flag_is_usage_error(small_run):

@@ -29,12 +29,16 @@ def test_defaults_are_valid():
     (dict(b=-0.5), "b"),
     (dict(b=1.0e4), "b"),
     (dict(band_edge_margin=-0.1), "band_edge_margin"),
-    (dict(ratio_policy=0.9), "ratio_policy"),
+    (dict(a0="2000"), "a0"),
     (dict(rel_tol=0.0), "rel_tol"),
     (dict(abs_tol=1e-3), "abs_tol"),
     (dict(scan_lo=2.0, scan_hi=1.0), "scan_hi"),
     (dict(lambdas=[0.7, np.nan]), "lambdas[1]"),
     (dict(taper_width=0.0), "taper_width"),
+    (dict(h_name=["log"]), "h_name"),
+    (dict(out_dir=3), "out_dir"),
+    (dict(lambdas=["x"]), "lambdas[0]"),
+    (dict(lambdas=0.7), "lambdas"),
 ])
 def test_validation_names_the_offending_key(kw, key):
     import re
@@ -45,8 +49,7 @@ def test_validation_names_the_offending_key(kw, key):
 def test_round_trip_through_file(tmp_path):
     cfg = _cfg(p=PeriodicCoefficient(a0=0.4, cos=(0.3,), sin=(0.1,)),
                mode="growing", h_name="log", a0=10.0, x_max=1e3,
-               lambdas=[5.1, 5.3], ratio_policy=1.5,
-               out_dir=str(tmp_path))
+               lambdas=[5.1, 5.3], out_dir=str(tmp_path))
     path = tmp_path / "config.json"
     cfg.save(str(path))
     back = RunConfig.load(str(path))
@@ -67,6 +70,24 @@ def test_from_dict_requires_coefficients():
     del doc["q"]
     with pytest.raises(ValueError, match="^q"):
         RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("key,block,name", [
+    ("p", {"a0": None}, "^p: a0"),
+    ("q", 5, "^q"),
+    ("p", {"cos": "0.3"}, "^p: cos"),
+    ("q", {"sin": [0.1, None]}, "^q: sin"),
+])
+def test_from_dict_names_a_mistyped_coefficient(key, block, name):
+    doc = _cfg().to_dict()
+    doc[key] = block
+    with pytest.raises(ValueError, match=name):
+        RunConfig.from_dict(doc)
+
+
+def test_from_dict_requires_an_object():
+    with pytest.raises(ValueError, match="^config"):
+        RunConfig.from_dict([1, 2])
 
 
 def test_integrator_spec_carries_tolerances():

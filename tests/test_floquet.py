@@ -12,13 +12,11 @@ from diracembed._util import FrameTable, PeriodicField
 from diracembed.errors import (BandEdge, NonFiniteState, ScanTooCoarse,
                                StepSizeUnderflow)
 from diracembed.floquet import (
-    GapIndicator,
     band_scan,
     floquet_solution,
     gamma_derivative,
     in_band_samples,
     monodromy,
-    quasimomentum,
     write_period_csv,
 )
 from diracembed.periodic_core import (IntegratorSpec, PeriodicCoefficient,
@@ -59,15 +57,6 @@ def test_mass_in_q_gives_the_same_trace():
     for lam in (0.4, 1.8, 2.9):
         assert monodromy(p, q, lam).trace == pytest.approx(
             mass_trace(lam), abs=1e-9)
-
-
-def test_quasimomentum_and_gap_indicator(mass_pq):
-    p, q = mass_pq
-    k = quasimomentum(monodromy(p, q, 2.0))
-    assert k == pytest.approx(np.sqrt(4.0 - MASS**2), abs=1e-9)
-    gap = quasimomentum(monodromy(p, q, 0.5))
-    assert isinstance(gap, GapIndicator)
-    assert gap.excess > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +303,11 @@ def test_free_floquet_oracles(free_solution, free_data):
 def test_floquet_condition_and_eigvec_normalization(generic_data):
     data = generic_data
     sol = data.sol
-    assert np.linalg.norm(sol.eigvec) == pytest.approx(1.0, abs=1e-12)
-    j = 0 if abs(sol.eigvec[0]) > 1e-8 else 1
-    assert sol.eigvec[j].imag == pytest.approx(0.0, abs=1e-12)
-    assert sol.eigvec[j].real > 0.0
+    eigvec = np.array([sol.g1[0], sol.g2[0]])  # g(0) = Phi(0) v = v
+    assert np.linalg.norm(eigvec) == pytest.approx(1.0, abs=1e-12)
+    j = 0 if abs(eigvec[0]) > 1e-8 else 1
+    assert eigvec[j].imag == pytest.approx(0.0, abs=1e-12)
+    assert eigvec[j].real > 0.0
     xs = RNG.uniform(0.0, 3.0, 12)
     mult = np.exp(1j * sol.k)
     g1a, g2a = data.g_eval(xs + 1.0)

@@ -18,10 +18,12 @@ from diracembed import pruefer
 from diracembed.periodic_core import IntegratorSpec
 from diracembed.pruefer import integrate_R_xi
 from diracembed.synth import (
+    ENVELOPE_TOL,
     TRACK_SPEC,
     EmbeddingTarget,
     check_nonresonance,
     choose_C,
+    envelope_excess,
     piece_potential,
     rebuild_potential,
     schedule,
@@ -152,21 +154,22 @@ def test_piece_envelope_is_exact(free_target_07):
         <= abs(piece.omega) * piece.C * (1.0 + 1e-12)
 
 
-def test_V_at_evaluator(free_target_07):
+def test_V_interp_vanishes_off_the_piece(free_target_07):
     t = free_target_07
     traj = solve_xi(t, 650.0, 0.0, 0.8, 850.0, taper_width=1.0)
     piece = piece_potential(t, traj)
-    assert piece.V_at(600.0) == 0.0
-    assert piece.V_at(900.0) == 0.0
-    assert piece.V_at(piece.x_lo) == 0.0  # window vanishes at the edge
+    assert piece.V_interp(600.0) == 0.0
+    assert piece.V_interp(900.0) == 0.0
+    assert piece.V_grid[0] == 0.0 and piece.V_grid[-1] == 0.0  # window edges
     xs = np.asarray([640.0, 700.0, 750.3, 860.0])
-    vals = piece.V_at(xs)
+    vals = piece.V_interp(xs)
     assert vals[0] == 0.0 and vals[-1] == 0.0
-    assert vals[1] == pytest.approx(piece.V_at(700.0))
-    # grid samples agree with the exact evaluator
+    assert vals[1] == pytest.approx(piece.V_interp(700.0))
+    # grid samples agree with the slaved form at the spline phase
     sub = piece.x_grid[:: max(1, piece.x_grid.size // 64)]
-    assert np.allclose(piece.V_at(sub), np.interp(sub, piece.x_grid,
-                                                  piece.V_grid), atol=1e-12)
+    w = taper_window(sub, piece.x_lo, piece.x_hi, piece.taper_width)
+    exact = -(t.omega * piece.C) * np.sin(piece.xi_at(sub)) / sub * w
+    assert np.allclose(piece.V_interp(sub), exact, atol=1e-12)
 
 
 @pytest.mark.parametrize("which", ["free", "generic"])
@@ -221,13 +224,15 @@ def test_tapered_piece_resolves_the_window_self_consistently(free_target_07):
     smoothed = piece_potential(t, solve_xi(t, 650.0, 0.0, 0.8, 850.0,
                                            taper_width=2.0))
     assert smoothed.taper_width == 2.0
-    assert smoothed.V_at(smoothed.x_lo) == 0.0
-    assert smoothed.V_at(smoothed.x_hi) == 0.0
+    assert smoothed.x_grid[0] == smoothed.x_lo
+    assert smoothed.x_grid[-1] == smoothed.x_hi
+    assert smoothed.V_grid[0] == 0.0 and smoothed.V_grid[-1] == 0.0
     # On the plateau the potential still has the raw phase-locked form.
-    mid = 750.0
-    xi_mid = float(smoothed.xi_at(mid))
-    assert smoothed.V_at(mid) == pytest.approx(
-        -(t.omega * t.C) * np.sin(xi_mid) / mid, rel=1e-12)
+    mid = int(np.searchsorted(smoothed.x_grid, 750.0))
+    x_mid = smoothed.x_grid[mid]
+    xi_mid = float(smoothed.xi_at(x_mid))
+    assert smoothed.V_grid[mid] == pytest.approx(
+        -(t.omega * t.C) * np.sin(xi_mid) / x_mid, rel=1e-12)
     with pytest.raises(PieceTooShort):
         solve_xi(t, 650.0, 0.0, 0.8, 850.0, taper_width=60.0)
 
@@ -314,9 +319,9 @@ def test_schedule_tracks_cover_both_sides(small_sched):
         assert np.all(s * np.diff(tr.xs) >= 0.0)
         # ~2.4 lnR drop per own piece dominates the bystander wiggle
         assert tr.ln_R[-1] < -10.0
-    for i in (0, 1):
-        assert sched.tracks[(i, 1)].started_at == \
-            -sched.tracks[(i, -1)].started_at
+    for i in (0, 1):  # mirrored pieces: each side starts at the same |x|
+        assert sched.tracks[(i, 1)].own_starts[0] == \
+            sched.tracks[(i, -1)].own_starts[0]
 
 
 def test_schedule_validation(free_target_07, free_target_13):
@@ -340,6 +345,16 @@ def test_growing_mode_rejects_small_envelope(free_target_07):
                  C_bound=2.5, K=1200.0)
 
 
+@pytest.mark.parametrize("V0,ok", [(1e-10, False), (1e-12, True)])
+def test_envelope_excess_rule(V0, ok):
+    # |V|(1+|x|) - |h| is V0 exactly at x = 0 and negative elsewhere.
+    x = np.array([-2.0, 0.0, 3.0])
+    excess, x_at = envelope_excess(x, np.array([0.0, V0, 0.0]),
+                                   lambda xs: 0.5 * xs)
+    assert (excess, x_at) == (V0, 0.0)
+    assert (excess <= ENVELOPE_TOL) is ok
+
+
 def test_probed_constants_recorded_on_schedule(small_sched):
     # doubled 2C/k floor for lam = 0.7 (C carries solver-level jitter)
     assert small_sched.K == pytest.approx(1200.0, rel=1e-9)
@@ -355,9 +370,8 @@ def test_assembled_potential_geometry(small_pot):
     assert np.all(np.diff(pot.x_grid) >= 0.0)   # junctions may repeat
     a0 = min(pc.a for pc in pot.pieces)
     inner = np.linspace(-a0 + 1.0, a0 - 1.0, 64)
-    assert np.allclose(pot.V_interp(inner), 0.0, atol=1e-15)
-    assert pot.envelope_peak == pytest.approx(
-        max(abs(pc.omega) * pc.C for pc in pot.pieces))
+    assert np.allclose(np.interp(inner, pot.x_grid, pot.V_grid), 0.0,
+                       atol=1e-15)
     for pc in pot.pieces:
         lo, hi = (pc.a, pc.x_end) if pc.side > 0 else (-pc.x_end, -pc.a)
         assert (pc.x_lo, pc.x_hi) == (lo, hi)

@@ -359,8 +359,7 @@ def _synthetic_track(own_starts, alpha):
     xs = np.linspace(own_starts[0], own_starts[-1], 4001)
     return TrackRecord(target_index=0, side=1, xs=xs,
                        ln_R=-alpha * (xs - xs[0]),
-                       xi=np.zeros_like(xs), own_starts=list(own_starts),
-                       started_at=own_starts[0])
+                       xi=np.zeros_like(xs), own_starts=list(own_starts))
 
 
 def test_l2_tail_on_synthetic_geometric_track():
@@ -394,7 +393,6 @@ def test_track_targets_reproduces_schedule_tracks(small_pot, small_sched):
     for key, tr in tracks.items():
         ref = small_sched.tracks[key]
         assert tr.own_starts == ref.own_starts
-        assert tr.started_at == ref.started_at
         for name in ("xs", "ln_R", "xi"):
             assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
 
