@@ -7,7 +7,7 @@ import json
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicSpline
 
 from .errors import InvariantDrift
 
@@ -59,10 +59,10 @@ class FrameTable:
 
     Their cubic coefficients on the shared period ``grid`` form one
     (4, m, 4) table (delta's quadratic derivative padded with a zero row, a
-    constant field as the column [0, 0, 0, const]).  A float x takes a
-    pure-Python path that repeats scipy's periodic wrap, interval choice
-    and power sum, so values equal the field calls bit for bit; arrays
-    take one PPoly call; a fully constant frame returns its constants.
+    constant field as the column [0, 0, 0, const]).  x is a float: the
+    lookup repeats scipy's periodic wrap, interval choice and power sum in
+    pure Python, so values equal the field calls bit for bit; a fully
+    constant frame returns its constants.
     """
 
     def __init__(self, grid, delta: PeriodicField, u: PeriodicField,
@@ -79,33 +79,28 @@ class FrameTable:
                 C[4 - sp.c.shape[0]:, :, j] = sp.c
             elif j:  # a constant derivative column stays zero
                 C[3, :, j] = f.const
-        self._pp = PPoly(C, grid, extrapolate="periodic")
         self._bp = grid.tolist()
         self._rows = C.transpose(1, 2, 0).tolist()  # [interval][field] -> c0..c3
         self._m = len(self._rows)
 
-    def __call__(self, x):
+    def __call__(self, x: float):
         if self.const is not None:
             return self.const
+        x = float(x)
+        t = (x - math.floor(x)) % 1.0  # frac, then scipy's periodic wrap
+        # The interval of a uniform grid, corrected to bp[i] <= t < bp[i+1]
+        # (bisect_right's answer); bp runs from 0 to 1 and t < 1.
+        bp = self._bp
+        i = int(t * self._m)
+        while bp[i] > t:
+            i -= 1
+        while bp[i + 1] <= t:
+            i += 1
+        s = t - bp[i]
+        ss = s * s
+        r0, r1, r2, r3 = [((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+                          for c0, c1, c2, c3 in self._rows[i]]
         s0, s1, s2, s3 = self.slopes
-        if isinstance(x, float):
-            x = float(x)
-            t = (x - math.floor(x)) % 1.0  # frac, then scipy's periodic wrap
-            # The interval of a uniform grid, corrected to bp[i] <= t < bp[i+1]
-            # (bisect_right's answer); bp runs from 0 to 1 and t < 1.
-            bp = self._bp
-            i = int(t * self._m)
-            while bp[i] > t:
-                i -= 1
-            while bp[i + 1] <= t:
-                i += 1
-            s = t - bp[i]
-            ss = s * s
-            r0, r1, r2, r3 = [((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
-                              for c0, c1, c2, c3 in self._rows[i]]
-        else:
-            r = self._pp(frac(x))
-            r0, r1, r2, r3 = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
         return s0 + r0, s1 * x + r1, s2 * x + r2, s3 * x + r3
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -59,11 +60,11 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_RESONANCE = 3
 
-# RunConfig keys that subcommand flags may override.
-_FLOAT_KEYS = ("a0", "x_max", "b", "margin", "band_edge_margin", "rho_margin",
-               "taper_width", "safety", "xi0", "rel_tol", "abs_tol", "scan_lo",
-               "scan_hi", "scan_resolution")
-_STR_KEYS = ("mode", "h_name", "out_dir")
+# RunConfig keys that subcommand flags may override: every float and
+# string field, in field order (lambdas has its own repeatable flag).
+_FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "float")
+_STR_KEYS = tuple(f.name for f in fields(RunConfig)
+                  if f.type.startswith("str"))
 
 
 def _add_config_flags(sp: argparse.ArgumentParser, need_lam: bool = False):
@@ -160,10 +161,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
     out = _out_dir(cfg)
     pot = rebuild_potential(manifest_path)
-    by_lam = {pc.lam: pc.target for pc in pot.pieces}
-    targets = [by_lam[float(entry["lambda"])]
-               for entry in pot.metadata["targets"]
-               if float(entry["lambda"]) in by_lam]
+    targets = pot.targets
 
     reports: list[dict] = []
 

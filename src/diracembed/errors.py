@@ -57,7 +57,7 @@ class ResonantPair(DiracEmbedError):
     """Two quasimomenta violate the non-resonance margins.
 
     Attributes i, j index the offending targets; ``condition`` names the
-    failed margin ("difference", "sum", or "half-period").
+    failed margin: "k_i - k_j" (i != j) or "k_i + k_j - pi" (i == j too).
     """
 
     def __init__(self, i: int, j: int, condition: str, value: float):

@@ -455,15 +455,14 @@ def derived_data(sol: FloquetSolution) -> DerivedPeriodicData:
     return data
 
 
-def gamma_derivative(sol: FloquetSolution, data: DerivedPeriodicData, x):
+def gamma_derivative(data: DerivedPeriodicData, x: float):
     """Exact phase velocities:
     gamma1' = omega (lam + p) / (2 |g1|^2),  gamma2' = omega (lam - p) / (2 |g2|^2).
     """
-    pv = eval_coefficient(sol.p, x)
-    return (
-        sol.omega * (sol.lam + pv) / (2.0 * data.u_f(x)),
-        sol.omega * (sol.lam - pv) / (2.0 * data.v_f(x)),
-    )
+    _, u, v, _ = data.frame(x)
+    pv = eval_coefficient(data.sol.p, x)
+    w, lam = data.omega, data.lam
+    return w * (lam + pv) / (2.0 * u), w * (lam - pv) / (2.0 * v)
 
 
 def in_band_samples(p: PeriodicCoefficient, q: PeriodicCoefficient,

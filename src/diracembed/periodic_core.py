@@ -58,11 +58,6 @@ class PeriodicCoefficient:
     def is_constant(self) -> bool:
         return not any(self.cos) and not any(self.sin)
 
-    @property
-    def bound(self) -> float:
-        """Upper bound for |value| over a period."""
-        return abs(self.a0) / 2.0 + sum(map(abs, self.cos)) + sum(map(abs, self.sin))
-
     def to_dict(self) -> dict:
         return {"a0": self.a0, "cos": list(self.cos), "sin": list(self.sin)}
 

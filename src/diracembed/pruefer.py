@@ -92,8 +92,8 @@ def to_prufer(y, data: DerivedPeriodicData, x: float,
 
 def from_prufer(state: PrueferState, data: DerivedPeriodicData, x: float) -> np.ndarray:
     """Invert the transform: y_j = R |g_j(x)| sin theta_j."""
-    a1 = np.sqrt(float(data.u_f(x)))
-    a2 = np.sqrt(float(data.v_f(x)))
+    _, u, v, _ = data.frame(x)
+    a1, a2 = np.sqrt(u), np.sqrt(v)
     return np.array([
         state.R * a1 * np.sin(state.theta1),
         state.R * a2 * np.sin(state.theta2),
@@ -102,9 +102,8 @@ def from_prufer(state: PrueferState, data: DerivedPeriodicData, x: float) -> np.
 
 def prufer_rhs(data: DerivedPeriodicData, x, theta1, theta2, V_x):
     """Rates ((ln R)', theta1', theta2') in the two-angle form."""
-    u = data.u_f(x)
-    v = data.v_f(x)
-    g1p, g2p = gamma_derivative(data.sol, data, x)
+    _, u, v, _ = data.frame(x)
+    g1p, g2p = gamma_derivative(data, x)
     w = data.omega
     rlog = (V_x / w) * (u * np.sin(2.0 * theta1) - v * np.sin(2.0 * theta2))
     common = (2.0 * V_x / w) * (u * np.sin(theta1) ** 2 - v * np.sin(theta2) ** 2)
@@ -113,13 +112,10 @@ def prufer_rhs(data: DerivedPeriodicData, x, theta1, theta2, V_x):
 
 def R_xi_rhs(data: DerivedPeriodicData, x, xi, V_x):
     """Rates ((ln R)', xi') in the single-phase form."""
-    u = data.u_f(x)
-    v = data.v_f(x)
-    Psi = data.Psi_f(x)
+    d, u, v, Psi = data.frame(x)
     w = data.omega
     rlog = (V_x / w) * Psi * np.sin(xi)
-    xip = 2.0 * data.k + data.delta_f.deriv(x) \
-        - (2.0 * V_x / w) * (u - v - Psi * np.cos(xi))
+    xip = 2.0 * data.k + d - (2.0 * V_x / w) * (u - v - Psi * np.cos(xi))
     return rlog, xip
 
 
@@ -156,21 +152,22 @@ class PhaseFlow:
 
 
 def phase_slope(data: DerivedPeriodicData, gain):
-    """zeta' = xi' - rate at (x, xi): math.cos for a float, np.cos for arrays."""
+    """zeta' = xi' - rate at the float pair (x, xi)."""
     rate, k2 = xi_rate(data), 2.0 * data.k
 
     def slope(x, xi):
         d, u, v, P = data.frame(x)
-        cos = math.cos if isinstance(xi, float) else np.cos
-        return k2 + d - rate + gain(x, xi) * (u - v - P * cos(xi))
+        return k2 + d - rate + gain(x, xi) * (u - v - P * math.cos(xi))
 
     return slope
 
 
 def _dop853(slope, rate: float, x0: float, x1: float, xi0: float,
             spec: IntegratorSpec):
-    """Accepted nodes (x, zeta) and nfev of zeta' = slope(x, zeta + rate*x) by
-    scipy's DOP853 control on floats, steps capped at 0.5/rate.  A stage that
+    """Accepted nodes (x, zeta), their slopes zeta' and nfev of zeta' =
+    slope(x, zeta + rate*x) by scipy's DOP853 control on floats, steps
+    capped at 0.5/rate.  The slopes are the first stage and each step's
+    last (first same as last), so they cost no evaluation.  A stage that
     raises (math.cos(inf), a float division by zero) is a NaN error: a gain
     that stops being finite ends in StepSizeUnderflow."""
     rtol, atol, max_step = spec.rel_tol, spec.abs_tol, 0.5 / rate_floor(rate)
@@ -185,7 +182,7 @@ def _dop853(slope, rate: float, x0: float, x1: float, xi0: float,
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
         else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, length, max_step)
-    xs, zs, nfev, K = [x], [z], 2, [f] + [0.0] * (N_STAGES - 1)
+    xs, zs, dzs, nfev, K = [x], [z], [f], 2, [f] + [0.0] * (N_STAGES - 1)
     while sign * (x - x1) < 0.0:
         min_step = 10.0 * abs(math.nextafter(x, sign * math.inf) - x)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
@@ -227,7 +224,8 @@ def _dop853(slope, rate: float, x0: float, x1: float, xi0: float,
         x, z, K[0] = x_new, z_new, f_new
         xs.append(x)
         zs.append(z)
-    return xs, zs, nfev
+        dzs.append(f_new)
+    return xs, zs, dzs, nfev
 
 
 def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
@@ -237,15 +235,15 @@ def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
     The bystander flow under V has gain = -2V(x)/omega; the phase lock
     has its slaved gain 2C w(x) sin xi/(x - b_s).  The stepper carries
     zeta = xi - rate*x (bounded, well scaled for error control); a Hermite
-    spline through its nodes is the dense phase.  gain takes floats (the
-    stepper) and arrays (the spline's slopes).
+    spline through its nodes, with the stepper's own slopes, is the dense
+    phase.  gain takes floats.
     """
-    rate, slope = xi_rate(data), phase_slope(data, gain)
-    ts, zs, nfev = _dop853(slope, rate, float(x0), float(x1), float(xi0), spec)
-    ts, zs = np.array(ts), np.array(zs)
-    if not np.all(np.isfinite(zs)):
+    rate = xi_rate(data)
+    *nodes, nfev = _dop853(phase_slope(data, gain), rate, float(x0),
+                           float(x1), float(xi0), spec)
+    ts, zs, dz = np.array(nodes)
+    if not np.all(np.isfinite([zs, dz])):
         raise NonFiniteState("phase integration produced non-finite values")
-    dz = slope(ts, zs + rate * ts)
     if ts[0] > ts[-1]:
         ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
     return PhaseFlow(rate=rate, zeta=CubicHermiteSpline(ts, zs, dz), nfev=nfev)

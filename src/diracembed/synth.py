@@ -216,8 +216,7 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
 
     def gain(x, xi):  # = -2V/omega with V as in _slaved_V
         w = taper_window(x, lo, hi, tw) if tw > 0.0 else 1.0
-        sin = math.sin if isinstance(xi, float) else np.sin
-        return 2.0 * C * w * sin(xi) / (x - b_s)
+        return 2.0 * C * w * math.sin(xi) / (x - b_s)
 
     flow = phase_flow(target.data, gain, x_start, x_stop, xi0,
                       spec or LOCK_SPEC)
@@ -574,6 +573,13 @@ class SynthesizedPotential:
     x_grid: np.ndarray
     V_grid: np.ndarray
     metadata: dict
+
+    @property
+    def targets(self) -> list[EmbeddingTarget]:
+        """The pieces' targets, in metadata["targets"] order."""
+        by_lam = {pc.lam: pc.target for pc in self.pieces}
+        lams = (float(entry["lambda"]) for entry in self.metadata["targets"])
+        return [by_lam[lam] for lam in lams if lam in by_lam]
 
 
 def _assemble_pieces(pieces: list[PotentialPiece],

@@ -98,11 +98,12 @@ def _sup_scan(make_integrand, x_lo: float, h: float, n: int, x0_list):
     make_integrand(xs) -> samples on the grid x_lo + i*h, i = 0..n.  One
     forward pass in blocks of SCAN_BLOCK intervals; each checkpoint, snapped
     to its nearest grid point, keeps a running max and min of F from there.
+    A checkpoint needs an interval after it (ValueError otherwise).
     """
     x0s = sorted(float(v) for v in x0_list)
     idx0 = [int(round((v - x_lo) / h)) for v in x0s]
-    if idx0[-1] > n:
-        raise ValueError("need every x0 <= x_max")
+    if idx0[-1] >= n:
+        raise ValueError("need every x0 below x_max")
     F0 = [0.0] * len(x0s)
     hi = [-np.inf] * len(x0s)
     lo = [np.inf] * len(x0s)
@@ -497,18 +498,11 @@ def track_targets(pot: SynthesizedPotential, targets=None) -> dict:
 
     Each side's pieces pass in ascending |x| through the same Tracker
     the schedule uses, so a record equals the schedule's own track and
-    feeds l2_tail_estimate directly.  Keys are (target_index, side).
-    When targets is None they are taken from the pieces in
-    first-appearance order.
+    feeds l2_tail_estimate directly.  Keys are (target_index, side);
+    targets defaults to ``pot.targets``.
     """
-    if targets is None:
-        targets, seen = [], set()
-        for pc in pot.pieces:
-            if pc.lam not in seen:
-                seen.add(pc.lam)
-                targets.append(pc.target)
     tracks = {}
-    for i, target in enumerate(targets):
+    for i, target in enumerate(pot.targets if targets is None else targets):
         for side in (1, -1):
             tracker = Tracker(i, target, side)
             for pc in sorted((pc for pc in pot.pieces if pc.side == side),

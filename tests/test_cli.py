@@ -2,7 +2,6 @@
 
 import json
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from diracembed.cli import (
     EXIT_USAGE,
     main,
 )
+from diracembed.synth import SynthesizedPotential
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +127,9 @@ def test_verify_envelope_verdict_is_the_schedule_rule(tmp_path, monkeypatch,
     cfg.save(str(tmp_path / "config.json"))
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"mode": "growing", "targets": []}))
-    pot = SimpleNamespace(pieces=[], x_grid=np.array([0.0]),
-                          V_grid=np.array([V0]),
-                          metadata={"mode": "growing", "targets": []})
+    pot = SynthesizedPotential(pieces=[], x_grid=np.array([0.0]),
+                               V_grid=np.array([V0]),
+                               metadata={"mode": "growing", "targets": []})
     monkeypatch.setattr(cli, "rebuild_potential", lambda manifest: pot)
     monkeypatch.setitem(ENVELOPES, "log", np.zeros_like)
     assert main(["verify", "--config", str(tmp_path / "config.json"),
@@ -183,6 +183,28 @@ def test_lambda_override_reaches_the_scheduler(tmp_path, small_run):
     rc = main(["synth", "--config", cfg_path, "--out", str(tmp_path),
                "--lambda", "1.0", "--lambda", str(np.pi - 1.0)])
     assert rc == EXIT_RESONANCE
+
+
+def test_every_config_key_has_a_round_tripping_flag(tmp_path, small_run):
+    cfg_path, _ = small_run
+    base = RunConfig.load(cfg_path).to_dict()
+    new = {"lambdas": [0.8, 1.4], "mode": "growing", "h_name": "log",
+           "a0": 3000.0, "x_max": 4000.0, "b": 1.0, "margin": 0.07,
+           "band_edge_margin": 0.01, "rho_margin": 6.0, "taper_width": 2.0,
+           "safety": 1.5, "xi0": 0.3, "rel_tol": 1e-9, "abs_tol": 1e-12,
+           "scan_lo": 0.5, "scan_hi": 2.5, "scan_resolution": 0.02,
+           "out_dir": str(tmp_path)}
+    assert set(new) == set(base) - {"p", "q"}
+    assert all(new[key] != base[key] for key in new)
+    argv = ["synth", "--config", cfg_path]
+    for key, val in new.items():
+        if key == "lambdas":
+            argv += [arg for lam in val for arg in ("--lambda", str(lam))]
+        else:
+            flag = "--out" if key == "out_dir" else f"--{key.replace('_', '-')}"
+            argv += [flag, str(val)]
+    cfg = cli._load_config(cli._build_parser().parse_args(argv))
+    assert cfg.to_dict() == {**base, **new}
 
 
 def test_float_override_must_validate(tmp_path, small_run):
@@ -276,6 +298,14 @@ def test_resonant_oscillatory_frequency(tmp_path, small_run):
 def test_oscillatory_requires_betas_without_config(tmp_path):
     rc = main(["oscillatory", "--a", "1.0", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
+
+
+def test_oscillatory_checkpoint_at_x_max_is_usage_error(tmp_path):
+    # The default checkpoints end at 1e4, so nothing lies past the last one.
+    rc = main(["oscillatory", "--a", "1", "--beta1", "0.5", "--beta2", "1",
+               "--x-max", "1e4", "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert not (tmp_path / "oscillatory.json").exists()
 
 
 # ---------------------------------------------------------------------------

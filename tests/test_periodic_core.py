@@ -62,14 +62,10 @@ def test_eval_coefficient_scalar_path_matches_array_path():
             assert type(v) is float and v == ref
 
 
-def test_is_constant_and_bound():
+def test_is_constant():
     assert PeriodicCoefficient(a0=4.0).is_constant
     assert PeriodicCoefficient(a0=4.0, cos=(0.0,)).is_constant
     assert not PeriodicCoefficient(cos=(0.1,)).is_constant
-    c = PeriodicCoefficient(a0=-2.0, cos=(0.5,), sin=(-0.25,))
-    assert c.bound == pytest.approx(1.0 + 0.5 + 0.25)
-    xs = np.linspace(0.0, 1.0, 2001)
-    assert np.max(np.abs(eval_coefficient(c, xs))) <= c.bound + 1e-12
 
 
 def test_coefficient_dict_round_trip():

@@ -337,12 +337,15 @@ def test_phase_flow_matches_the_field_calls(which, free_target_07,
 
 
 def ivp_stepper(slope, rate, x0, x1, xi0, spec):
-    """The stepper's nodes and nfev from scipy's solve_ivp(DOP853)."""
+    """The stepper's nodes, node slopes and nfev from scipy's
+    solve_ivp(DOP853)."""
     sol = solve_ivp(lambda x, z: [slope(x, z[0] + rate * x)], (x0, x1),
                     [xi0 - rate * x0], method="DOP853", rtol=spec.rel_tol,
                     atol=spec.abs_tol, max_step=0.5 / rate_floor(rate))
     assert sol.success
-    return sol.t, sol.y[0], sol.nfev
+    dz = [slope(float(x), float(z + rate * x))
+          for x, z in zip(sol.t, sol.y[0])]
+    return sol.t, sol.y[0], dz, sol.nfev
 
 
 @pytest.mark.parametrize("which", ["free", "generic"])
@@ -377,6 +380,54 @@ def test_stepper_matches_solve_ivp(which, free_target_07, generic_data,
         xs = np.linspace(lo, hi, 20001)
         assert np.max(np.abs(a.xi_at(xs) - b.xi_at(xs))) < 1e-4
         assert abs(a.nfev - b.nfev) <= 0.03 * b.nfev
+
+
+@pytest.mark.parametrize("which", ["free", "generic"])
+def test_phase_law_sees_floats_only(which, free_target_07, generic_data,
+                                    monkeypatch):
+    """One evaluation path: across a phase lock and a bystander flow the
+    phase law and the frame lookup receive floats only, and the Hermite
+    spline is built from the stepper's own slopes, which are slope(t, xi)
+    at each accepted node."""
+    target = free_target_07 if which == "free" \
+        else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
+    seen, slopes, splines = [], [], []
+    real_slope, real_spline = pruefer.phase_slope, pruefer.CubicHermiteSpline
+    real_frame = _util.FrameTable.__call__
+
+    def frame(table, x):
+        seen.append(x)
+        return real_frame(table, x)
+
+    def phase_slope(data, gain):
+        real = real_slope(data, gain)
+        slopes.append(real)
+
+        def slope(x, xi):
+            seen.extend((x, xi))
+            return real(x, xi)
+
+        return slope
+
+    def spline(ts, zs, dz):
+        splines.append((ts, zs, dz))
+        return real_spline(ts, zs, dz)
+
+    def V(x):
+        return 0.1 * np.cos(1.3 * np.asarray(x)) / (1.0 + np.asarray(x))
+
+    monkeypatch.setattr(_util.FrameTable, "__call__", frame)
+    monkeypatch.setattr(pruefer, "phase_slope", phase_slope)
+    monkeypatch.setattr(pruefer, "CubicHermiteSpline", spline)
+    flows = (solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
+                      taper_width=1.0),
+             integrate_R_xi(target.data, V, 5.0, 80.0, 0.3))
+    assert seen and not any(isinstance(v, np.ndarray) for v in seen)
+    assert len(slopes) == len(splines) == 2
+    for slope, (ts, zs, dz), flow in zip(slopes, splines, flows):
+        nodes = [slope(float(t), float(z + flow.rate * t))
+                 for t, z in zip(ts, zs)]
+        assert np.array_equal(dz, nodes)
 
 
 def test_dop853_tableau_is_scipys():

@@ -177,21 +177,26 @@ def test_float_paths_equal_the_array_paths(which, free_target_07,
                                            free_target_13, generic_data,
                                            monkeypatch):
     """The stepper's float paths give the bits of the array paths: V_interp
-    against np.interp on a real piece, and the phase slope (math.cos and
-    math.sin against np.cos and np.sin, the scalar frame lookup against
-    the table) at the accepted nodes of a phase lock and a bystander flow."""
+    against np.interp on a real piece, and the phase slope, re-evaluated
+    at the accepted nodes of a phase lock and a bystander flow, against
+    the slopes the stepper handed to the Hermite spline."""
     if which == "free":
         t, other = free_target_07, free_target_13
     else:
         t = other = EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
-    slopes = []
-    real = pruefer.phase_slope
+    slopes, splines = [], []
+    real, real_spline = pruefer.phase_slope, pruefer.CubicHermiteSpline
 
     def recording(data, gain):
         slopes.append(real(data, gain))
         return slopes[-1]
 
+    def spline(ts, zs, dz):
+        splines.append((ts, zs, dz))
+        return real_spline(ts, zs, dz)
+
     monkeypatch.setattr(pruefer, "phase_slope", recording)
+    monkeypatch.setattr(pruefer, "CubicHermiteSpline", spline)
     traj = solve_xi(t, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
     piece = piece_potential(t, traj)
     run = integrate_R_xi(other.data, piece.V_interp, piece.x_hi, piece.x_lo,
@@ -211,12 +216,11 @@ def test_float_paths_equal_the_array_paths(which, free_target_07,
     assert np.array_equal(scalar, np.interp(pts, bent.x_grid, bent.V_grid))
 
     assert len(slopes) == 2  # the phase lock, then the bystander flow
-    for slope, flow in zip(slopes, (traj, run)):
-        ts = flow.zeta.x
-        xis = flow.xi_at(ts)
+    for slope, (ts, zs, dz), flow in zip(slopes, splines, (traj, run)):
+        xis = zs + flow.rate * ts
         scalar = [slope(float(x), float(xi)) for x, xi in zip(ts, xis)]
         assert all(type(v) is float for v in scalar)
-        assert np.array_equal(scalar, slope(ts, xis))
+        assert np.array_equal(scalar, dz)
 
 
 def test_tapered_piece_resolves_the_window_self_consistently(free_target_07):
