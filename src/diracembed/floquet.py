@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+FRAME_INTERVALS = 4096  # uniform period-grid intervals of a Floquet frame
 
 
 # Magnus steps per period: the first product, and the cap of the doubling.
@@ -281,9 +282,9 @@ class FloquetSolution:
 
 
 def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
-                     spec: IntegratorSpec | None = None, n_grid: int = 4096,
+                     spec: IntegratorSpec | None = None,
                      band_edge_margin: float = 0.0) -> FloquetSolution:
-    """Build g(x) = Phi(x) v on a uniform period grid of n_grid+1 points.
+    """Build g(x) = Phi(x) v on the FRAME_INTERVALS+1 points of a period grid.
 
     v = g(0) is the monodromy eigenvector for exp(+i k), unit norm, first
     significant component rotated real-positive.  Raises BandEdge outside
@@ -300,7 +301,7 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
     if spec.rel_tol > 1e-10 or spec.abs_tol > 1e-12:
         spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-10),
                        abs_tol=min(spec.abs_tol, 1e-12))
-    grid = np.linspace(0.0, 1.0, n_grid + 1)
+    grid = np.linspace(0.0, 1.0, FRAME_INTERVALS + 1)
     rhs = dirac_rhs(p, q, lam)
     traj = integrate(lambda x, Y: rhs(x, Y.reshape(2, 2)).ravel(), 0.0, 1.0,
                      np.eye(2).ravel(), spec, t_eval=grid)

@@ -37,7 +37,8 @@ from .errors import (
     ResonantPair,
     StabilityViolated,
 )
-from .floquet import DerivedPeriodicData, derived_data, floquet_solution
+from .floquet import (FRAME_INTERVALS, DerivedPeriodicData, derived_data,
+                      floquet_solution)
 from .periodic_core import IntegratorSpec, PeriodicCoefficient
 from .pruefer import PhaseFlow, integrate_R_xi, phase_flow, rate_floor
 
@@ -397,52 +398,45 @@ def probe_constants(targets, *, b: float = 0.0, xi0: float = np.pi / 2,
     C_bound = 2 * sup R(x)*((|x|-b)/(a-b))^100 / R(a) over a probe piece,
     maximized over targets.  K doubles from the phase-rate floor 2C/k
     until every ordered bystander pair stays within factor 1.5 over a
-    probe piece, then is doubled once more as safety.
+    probe piece, then is doubled once more as safety.  The pieces lock at
+    ``spec`` (LOCK_SPEC); bystander flows across them run at TRACK_SPEC.
     """
     from .verify import decay_check, stability_check
 
     spec = spec or LOCK_SPEC
-    env_floor = max(2.0 * t.C / t.k for t in targets)
-    C_bound = 0.0
-    for t in targets:
-        a_p = b + env_floor
-        x_end = b + (a_p - b) * float(np.exp(0.25))
-        traj = solve_xi(t, a_p, b, xi0, x_end, side=1, spec=spec,
-                        taper_width=min(taper_width, (x_end - a_p) / 4.0))
-        piece = piece_potential(t, traj)
-        rep = decay_check(t, piece)
-        C_bound = max(C_bound, rep.C_bound)
 
+    def probe_piece(t, a, x_end):
+        traj = solve_xi(t, a, b, xi0, x_end, side=1, spec=spec,
+                        taper_width=min(taper_width, (x_end - a) / 4.0))
+        return piece_potential(t, traj)
+
+    env_floor = max(2.0 * t.C / t.k for t in targets)
+    a_p = b + env_floor
+    x_p = b + (a_p - b) * float(np.exp(0.25))
+    C_bound = max(decay_check(t, probe_piece(t, a_p, x_p)).C_bound
+                  for t in targets)
     ratio_max = max((2.0 ** len(targets) * C_bound) ** (1.0 / DECAY_EXPONENT),
                     1.0 + 1e-6)
+
+    def bystanders_hold(a_s):
+        x_end = b + (a_s - b) * ratio_max
+        for i, ti in enumerate(targets):
+            piece = probe_piece(ti, a_s, x_end)
+            for tj in targets[:i] + targets[i + 1:]:
+                try:
+                    stability_check(tj, piece, threshold=1.5)
+                except StabilityViolated:
+                    return False
+        return True
+
     K_try = env_floor
-    while True:
-        ok = True
-        if len(targets) > 1:
-            a_s = b + K_try
-            x_end = b + (a_s - b) * ratio_max
-            for i, ti in enumerate(targets):
-                traj = solve_xi(ti, a_s, b, xi0, x_end, side=1, spec=spec,
-                                taper_width=min(taper_width,
-                                                (x_end - a_s) / 4.0))
-                piece = piece_potential(ti, traj)
-                for j, tj in enumerate(targets):
-                    if i == j:
-                        continue
-                    try:
-                        stability_check(tj, piece, spec=spec, threshold=1.5)
-                    except StabilityViolated:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            return C_bound, 2.0 * K_try
+    while len(targets) > 1 and not bystanders_hold(b + K_try):
         K_try *= 2.0
         if K_try > 1e12:
             raise HorizonTooShort(
                 "bystander stability does not reach factor 1.5 at any "
                 "practical piece offset")
+    return C_bound, 2.0 * K_try
 
 
 def envelope_excess(x, V, h) -> tuple[float, float]:
@@ -614,10 +608,9 @@ def write_manifest(pot: SynthesizedPotential, path: str,
           for sol in (pc.target.data.sol for pc in pot.pieces)}
     if len(fl) > 1:
         raise ValueError("pieces built from mixed Floquet integrator specs")
-    if fl:
-        rel, ab, n_grid = next(iter(fl))
-        doc["floquet_integrator"] = {"rel_tol": rel, "abs_tol": ab,
-                                     "n_grid": n_grid}
+    [(rel, ab, n_grid)] = fl  # a potential has at least one piece
+    doc["floquet_integrator"] = {"rel_tol": rel, "abs_tol": ab,
+                                 "n_grid": n_grid}
     doc["pieces"] = [pc.manifest_entry() for pc in pot.pieces]
     write_json(path, doc)
 
@@ -631,14 +624,16 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
     q = PeriodicCoefficient.from_dict(manifest["coefficients"]["q"])
     spec = IntegratorSpec(rel_tol=manifest["integrator"]["rel_tol"],
                           abs_tol=manifest["integrator"]["abs_tol"])
-    fl = manifest.get("floquet_integrator", manifest["integrator"])
+    fl = manifest["floquet_integrator"]
+    if fl.get("n_grid") != FRAME_INTERVALS:
+        raise ValueError(f"floquet_integrator.n_grid: {fl.get('n_grid')!r}, "
+                         f"but frames are built on {FRAME_INTERVALS} intervals")
     fl_spec = IntegratorSpec(rel_tol=fl["rel_tol"], abs_tol=fl["abs_tol"])
-    n_grid = int(fl.get("n_grid", 4096))
     frames = {}
     for entry in manifest["targets"]:
         lam = float(entry["lambda"])
         frames[lam] = EmbeddingTarget.at(p, q, lam, C=float(entry["C"]),
-                                         spec=fl_spec, n_grid=n_grid)
+                                         spec=fl_spec)
     pieces = []
     for entry in manifest["pieces"]:
         target = frames[float(entry["lambda"])]

@@ -307,26 +307,25 @@ class StabilityReport:
 
 
 def stability_check(bystander: EmbeddingTarget, piece: PotentialPiece,
-                    spec: IntegratorSpec | None = None,
                     threshold: float = 2.0,
                     n_phases: int = 8) -> StabilityReport:
     """Max growth of a non-resonant amplitude across someone else's piece.
 
     rho(start) -> rho(x) is real-linear (rho' = -i(V/omega)(u - v) rho +
-    i(V/omega) Psi e^{-i(2 gamma1 + Gamma2)} conj(rho)), so two flows from
-    R = 1, at eta0 = 0 and pi/2, give every eta0: R^2 = mean + half cos 2eta0
-    + cross sin 2eta0, with (Ra^2 +- Rb^2)/2 and Ra Rb cos(eta_a - eta_b).
-    Raises StabilityViolated if max_x R on the n_phases grid (``ratios``)
-    exceeds the threshold; ``sup_ratio`` = max_x sqrt(mean + hypot(half,
-    cross)) is the sup over every eta0, reported but not gated.
+    i(V/omega) Psi e^{-i(2 gamma1 + Gamma2)} conj(rho)), so two TRACK_SPEC
+    flows from R = 1, at eta0 = 0 and pi/2, give every eta0: R^2 = mean +
+    half cos 2eta0 + cross sin 2eta0, with (Ra^2 +- Rb^2)/2 and Ra Rb
+    cos(eta_a - eta_b).  Raises StabilityViolated if max_x R on the
+    n_phases grid (``ratios``) exceeds the threshold; ``sup_ratio`` =
+    max_x sqrt(mean + hypot(half, cross)), the sup over every eta0, is
+    reported but not gated.
     """
-    spec = spec or TRACK_SPEC
     start = piece.x_lo if piece.side > 0 else piece.x_hi
     stop = piece.x_hi if piece.side > 0 else piece.x_lo
     data = bystander.data
     g1s, G2s = float(data.gamma1_f(start)), float(data.Gamma2_f(start))
     fa, fb = (integrate_R_xi(data, piece.V_interp, start, stop,
-                             2.0 * (eta0 + g1s) + G2s, spec=spec)
+                             2.0 * (eta0 + g1s) + G2s, spec=TRACK_SPEC)
               for eta0 in (0.0, np.pi / 2))
     # eta_a - eta_b = drift/2 - pi/2, with (xi_a - xi_b)' = (2V/omega) Psi
     # (cos xi_a - cos xi_b) summed by ln R's rule on its grid: 0 at V = 0
@@ -445,6 +444,8 @@ def nonembedding_check(target: EmbeddingTarget, V, x0: float, x_max: float,
 # ---------------------------------------------------------------------------
 # L^2 tails of scheduled runs
 
+TAIL_RATIO = 0.5  # most energy a cycle may carry, relative to the last one
+
 
 @dataclass
 class TailReport:
@@ -464,12 +465,12 @@ class TailReport:
                 "verdict": self.verdict}
 
 
-def l2_tail_estimate(track: TrackRecord, max_ratio: float = 0.5) -> TailReport:
+def l2_tail_estimate(track: TrackRecord) -> TailReport:
     """Cycle-over-cycle integral of R^2 along one tracked amplitude.
 
     A cycle runs between consecutive activations of the target's own
     pieces; the verdict is positive when every complete cycle carries at
-    most max_ratio of the previous one's energy.
+    most TAIL_RATIO of the previous one's energy.
     """
     bounds = sorted(track.own_starts)
     if len(bounds) < 4:
@@ -490,7 +491,7 @@ def l2_tail_estimate(track: TrackRecord, max_ratio: float = 0.5) -> TailReport:
     return TailReport(target_index=track.target_index, side=track.side,
                       cycle_bounds=[float(v) for v in bounds],
                       cycle_sums=sums, ratios=ratios,
-                      verdict=all(r <= max_ratio for r in ratios))
+                      verdict=all(r <= TAIL_RATIO for r in ratios))
 
 
 def track_targets(pot: SynthesizedPotential, targets=None) -> dict:

@@ -14,7 +14,7 @@ from diracembed.cli import (
     EXIT_USAGE,
     main,
 )
-from diracembed.synth import SynthesizedPotential
+from diracembed.synth import SynthesizedPotential, rebuild_potential
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +224,24 @@ def test_missing_manifest_is_usage_error(tmp_path, small_run):
                "--manifest", str(tmp_path / "nope.json"),
                "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
+
+
+def test_manifest_with_another_frame_grid_is_usage_error(tmp_path, small_run,
+                                                         capsys):
+    # Frames are built on one period grid; a manifest naming another would
+    # otherwise rebuild a different potential without a word.
+    cfg_path, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["floquet_integrator"]["n_grid"] = 2048
+    with pytest.raises(ValueError, match="floquet_integrator.n_grid"):
+        rebuild_potential(doc)
+    tampered = tmp_path / "manifest.json"
+    tampered.write_text(json.dumps(doc))
+    rc = main(["verify", "--config", cfg_path,
+               "--manifest", str(tampered), "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert "floquet_integrator.n_grid" in capsys.readouterr().err
 
 
 def test_malformed_config_is_usage_error(tmp_path):

@@ -14,7 +14,7 @@ from diracembed.errors import (
     PieceTooShort,
     ResonantPair,
 )
-from diracembed import pruefer
+from diracembed import pruefer, synth, verify
 from diracembed.periodic_core import IntegratorSpec
 from diracembed.pruefer import integrate_R_xi
 from diracembed.synth import (
@@ -25,6 +25,7 @@ from diracembed.synth import (
     choose_C,
     envelope_excess,
     piece_potential,
+    probe_constants,
     rebuild_potential,
     schedule,
     slaved_amplitude,
@@ -363,6 +364,24 @@ def test_probed_constants_recorded_on_schedule(small_sched):
     # doubled 2C/k floor for lam = 0.7 (C carries solver-level jitter)
     assert small_sched.K == pytest.approx(1200.0, rel=1e-9)
     assert 1.5 < small_sched.C_bound < 4.0
+
+
+def test_probe_bystander_flows_run_at_track_spec(free_target_07,
+                                                 free_target_13, monkeypatch):
+    # The probe's spec (LOCK_SPEC) locks its pieces' phases; its bystander
+    # flows run at TRACK_SPEC like every other, and K and C_bound stay put.
+    specs = []
+
+    def spy(*args, **kwargs):
+        specs.append(kwargs.get("spec"))
+        return integrate_R_xi(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "integrate_R_xi", spy)
+    monkeypatch.setattr(verify, "integrate_R_xi", spy)
+    C_bound, K = probe_constants([free_target_07, free_target_13])
+    assert specs == [TRACK_SPEC] * 4  # two flows per ordered pair, one try
+    assert K == pytest.approx(1200.0, rel=1e-9)
+    assert C_bound == pytest.approx(2.4276234227564455, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
