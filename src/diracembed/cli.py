@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from ._util import write_json
-from .config import RunConfig
+from .config import ENVELOPES, RunConfig
 from .errors import (
     DiracEmbedError,
     ResonantFrequency,
@@ -131,7 +131,7 @@ def cmd_bands(cfg: RunConfig) -> int:
 
 def cmd_floquet(cfg: RunConfig, lam: float) -> int:
     out = _out_dir(cfg)
-    sol = floquet_solution(cfg.p, cfg.q, lam, spec=cfg.integrator_spec())
+    sol = floquet_solution(cfg.p, cfg.q, lam)
     data = derived_data(sol)
     path = os.path.join(out, "floquet.csv")
     write_period_csv(data, path)
@@ -144,12 +144,14 @@ def cmd_synth(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     spec = cfg.integrator_spec()
     targets = check_nonresonance(cfg.lambdas, cfg.p, cfg.q, cfg.margin,
-                                 rho_margin=cfg.rho_margin, spec=spec,
+                                 rho_margin=cfg.rho_margin,
                                  band_edge_margin=cfg.band_edge_margin)
     sched = schedule(targets, mode=cfg.mode, a0=cfg.a0, x_max=cfg.x_max,
                      b=cfg.b, h=cfg.envelope(), safety=cfg.safety, xi0=cfg.xi0,
                      taper_width=cfg.taper_width, spec=spec)
     pot = assemble(sched)
+    if cfg.mode == "growing":
+        pot.metadata["h_name"] = cfg.h_name  # verify's envelope
     write_potential_csv(pot, os.path.join(out, "potential.csv"))
     write_manifest(pot, os.path.join(out, "manifest.json"),
                    cfg.p, cfg.q, spec)
@@ -199,9 +201,11 @@ def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
                target=track.target_index, side=track.side)
 
     if pot.metadata.get("mode") == "growing":
-        h = cfg.envelope()
-        if h is None:
-            raise ValueError("h_name: required to verify a growing-N run")
+        h_name = pot.metadata.get("h_name")
+        if not isinstance(h_name, str) or h_name not in ENVELOPES:
+            raise ValueError(f"h_name: {h_name!r} in a growing-mode manifest "
+                             f"is not one of {sorted(ENVELOPES)}")
+        h = ENVELOPES[h_name]
         excess, _ = envelope_excess(pot.x_grid, pot.V_grid, h)
         ok = excess <= ENVELOPE_TOL
         reports.append({"name": "envelope", "max_excess": excess,
@@ -221,8 +225,7 @@ def cmd_oscillatory(args) -> int:
         cfg = RunConfig.load(args.config)
         out = args.out or cfg.out_dir
         os.makedirs(out, exist_ok=True)
-        target = EmbeddingTarget.at(cfg.p, cfg.q, args.lam,
-                                    spec=cfg.integrator_spec())
+        target = EmbeddingTarget.at(cfg.p, cfg.q, args.lam)
         chk = oscillatory_check_42(
             target, target.data.Psi_f, args.a, x0_list, args.x_max,
             enforce_nonresonance=not args.allow_resonant)

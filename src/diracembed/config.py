@@ -74,10 +74,7 @@ class RunConfig:
             raise ValueError("b: must satisfy 0 <= b < a0")
         if self.band_edge_margin < 0.0:
             raise ValueError("band_edge_margin: must be nonnegative")
-        for key in ("rel_tol", "abs_tol"):
-            val = getattr(self, key)
-            if not 0.0 < val <= 1e-4:
-                raise ValueError(f"{key}: must lie in (0, 1e-4]")
+        self.integrator_spec()  # rel_tol/abs_tol range
         if self.scan_hi <= self.scan_lo:
             raise ValueError("scan_hi: must exceed scan_lo")
         for i, lam in enumerate(self.lambdas):

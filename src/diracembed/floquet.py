@@ -18,7 +18,7 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +58,9 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 FRAME_INTERVALS = 4096  # uniform period-grid intervals of a Floquet frame
+# The unit-cell solve is cheap, and the frame's invariant gates (omega
+# constancy, Floquet condition at 1e-8) need this accuracy.
+FRAME_SPEC = IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12)
 
 
 # Magnus steps per period: the first product, and the cap of the doubling.
@@ -278,33 +281,22 @@ class FloquetSolution:
     grid: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    spec: IntegratorSpec = field(default_factory=IntegratorSpec)
 
 
 def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
-                     spec: IntegratorSpec | None = None,
                      band_edge_margin: float = 0.0) -> FloquetSolution:
-    """Build g(x) = Phi(x) v on the FRAME_INTERVALS+1 points of a period grid.
+    """Build g(x) = Phi(x) v on the FRAME_INTERVALS+1 points of a period
+    grid, solving the unit cell at FRAME_SPEC.
 
     v = g(0) is the monodromy eigenvector for exp(+i k), unit norm, first
     significant component rotated real-positive.  Raises BandEdge outside
     (or too near the edge of) a band and DegenerateEigenvector when the
     eigenpair cannot be resolved.
-
-    The unit-cell solve is cheap, and the invariant gates below (omega
-    constancy, Floquet condition at 1e-8) demand more accuracy than the
-    long-horizon tolerances callers typically carry, so the requested
-    tolerances are clamped to at most 1e-10 / 1e-12 here.  The spec
-    stored on the result is the effective (clamped) one.
     """
-    spec = spec or IntegratorSpec()
-    if spec.rel_tol > 1e-10 or spec.abs_tol > 1e-12:
-        spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-10),
-                       abs_tol=min(spec.abs_tol, 1e-12))
     grid = np.linspace(0.0, 1.0, FRAME_INTERVALS + 1)
     rhs = dirac_rhs(p, q, lam)
     traj = integrate(lambda x, Y: rhs(x, Y.reshape(2, 2)).ravel(), 0.0, 1.0,
-                     np.eye(2).ravel(), spec, t_eval=grid)
+                     np.eye(2).ravel(), FRAME_SPEC, t_eval=grid)
     mats = traj.ys  # (n+1, 4) rows [Y00, Y01, Y10, Y11]
     mono = Monodromy(matrix=mats[-1].reshape(2, 2))
     half = mono.trace / 2.0
@@ -343,7 +335,7 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
         raise DegenerateEigenvector("a component of g vanishes on the grid")
 
     return FloquetSolution(p=p, q=q, lam=lam, k=k, omega=omega, grid=grid,
-                           g1=g1, g2=g2, spec=spec)
+                           g1=g1, g2=g2)
 
 
 @dataclass

@@ -37,8 +37,8 @@ from .errors import (
     ResonantPair,
     StabilityViolated,
 )
-from .floquet import (FRAME_INTERVALS, DerivedPeriodicData, derived_data,
-                      floquet_solution)
+from .floquet import (FRAME_INTERVALS, FRAME_SPEC, DerivedPeriodicData,
+                      derived_data, floquet_solution)
 from .periodic_core import IntegratorSpec, PeriodicCoefficient
 from .pruefer import PhaseFlow, integrate_R_xi, phase_flow, rate_floor
 
@@ -70,6 +70,9 @@ LOCK_SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)  # phase lock
 TRACK_SPEC = IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)  # bystander flow
 CSV_ROWS = 2000  # most potential.csv rows per piece
 ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
+# The manifest's record of how every Floquet frame is built.
+FRAME_RECIPE = {"rel_tol": FRAME_SPEC.rel_tol, "abs_tol": FRAME_SPEC.abs_tol,
+                "n_grid": FRAME_INTERVALS}
 
 
 @dataclass(frozen=True)
@@ -82,12 +85,12 @@ class EmbeddingTarget:
     @classmethod
     def at(cls, p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
            C: float | None = None, rho_margin: float = 5.0,
-           **frame) -> EmbeddingTarget:
-        """Target at energy lam; ``frame`` goes to ``floquet_solution``.
+           band_edge_margin: float = 0.0) -> EmbeddingTarget:
+        """Target at energy lam, its frame from ``floquet_solution``.
 
         C defaults to ``choose_C(data, rho_margin)``.
         """
-        data = derived_data(floquet_solution(p, q, lam, **frame))
+        data = derived_data(floquet_solution(p, q, lam, band_edge_margin))
         return cls(data, choose_C(data, rho_margin) if C is None else C)
 
     @property
@@ -128,7 +131,6 @@ def choose_C(data: DerivedPeriodicData, rho_margin: float = 5.0) -> float:
 
 def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
                        margin: float = 0.05, *, rho_margin: float = 5.0,
-                       spec: IntegratorSpec | None = None,
                        band_edge_margin: float = 0.0) -> list[EmbeddingTarget]:
     """Build targets for the given energies, enforcing phase separation.
 
@@ -140,7 +142,7 @@ def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
     lams = [float(l) for l in lambdas]
     if not lams:
         raise ValueError("no energies given")
-    targets = [EmbeddingTarget.at(p, q, lam, rho_margin=rho_margin, spec=spec,
+    targets = [EmbeddingTarget.at(p, q, lam, rho_margin=rho_margin,
                                   band_edge_margin=band_edge_margin)
                for lam in lams]
     ks = [t.k for t in targets]
@@ -604,13 +606,7 @@ def write_manifest(pot: SynthesizedPotential, path: str,
     doc = dict(pot.metadata)
     doc["coefficients"] = {"p": p.to_dict(), "q": q.to_dict()}
     doc["integrator"] = {"rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol}
-    fl = {(sol.spec.rel_tol, sol.spec.abs_tol, sol.grid.size - 1)
-          for sol in (pc.target.data.sol for pc in pot.pieces)}
-    if len(fl) > 1:
-        raise ValueError("pieces built from mixed Floquet integrator specs")
-    [(rel, ab, n_grid)] = fl  # a potential has at least one piece
-    doc["floquet_integrator"] = {"rel_tol": rel, "abs_tol": ab,
-                                 "n_grid": n_grid}
+    doc["floquet_integrator"] = FRAME_RECIPE
     doc["pieces"] = [pc.manifest_entry() for pc in pot.pieces]
     write_json(path, doc)
 
@@ -625,15 +621,14 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
     spec = IntegratorSpec(rel_tol=manifest["integrator"]["rel_tol"],
                           abs_tol=manifest["integrator"]["abs_tol"])
     fl = manifest["floquet_integrator"]
-    if fl.get("n_grid") != FRAME_INTERVALS:
-        raise ValueError(f"floquet_integrator.n_grid: {fl.get('n_grid')!r}, "
-                         f"but frames are built on {FRAME_INTERVALS} intervals")
-    fl_spec = IntegratorSpec(rel_tol=fl["rel_tol"], abs_tol=fl["abs_tol"])
+    for key, val in FRAME_RECIPE.items():
+        if fl.get(key) != val:
+            raise ValueError(f"floquet_integrator.{key}: {fl.get(key)!r}, "
+                             f"but every frame is built with {val!r}")
     frames = {}
     for entry in manifest["targets"]:
         lam = float(entry["lambda"])
-        frames[lam] = EmbeddingTarget.at(p, q, lam, C=float(entry["C"]),
-                                         spec=fl_spec)
+        frames[lam] = EmbeddingTarget.at(p, q, lam, C=float(entry["C"]))
     pieces = []
     for entry in manifest["pieces"]:
         target = frames[float(entry["lambda"])]

@@ -21,8 +21,8 @@ from diracembed.cli import main as cli_main
 FREE_LAM = np.pi / 3.0
 
 
-def make_target(p, q, lam, rho_margin=5.0, spec=None):
-    return EmbeddingTarget.at(p, q, lam, rho_margin=rho_margin, spec=spec)
+def make_target(p, q, lam, rho_margin=5.0):
+    return EmbeddingTarget.at(p, q, lam, rho_margin=rho_margin)
 
 
 @pytest.fixture(scope="session")

@@ -84,6 +84,22 @@ def test_floquet_exports_period_frame(tmp_path, small_run):
     assert head.startswith("x,re_g1,im_g1,re_g2,im_g2")
 
 
+def test_floquet_frame_ignores_the_config_tolerances(tmp_path, generic_pq):
+    # rel_tol/abs_tol set the phase lock, never the frame: a config tighter
+    # than FRAME_SPEC writes the default config's bytes.
+    p, q = generic_pq
+    frames = []
+    for name, tols in (("default", {}),
+                       ("tight", {"rel_tol": 1e-12, "abs_tol": 1e-14})):
+        cfg = RunConfig(p=p, q=q, lambdas=[0.9], out_dir=str(tmp_path / name),
+                        **tols)
+        cfg.save(str(tmp_path / f"{name}.json"))
+        assert main(["floquet", "--config", str(tmp_path / f"{name}.json"),
+                     "--lam", "0.9"]) == EXIT_OK
+        frames.append((tmp_path / name / "floquet.csv").read_bytes())
+    assert frames[0] == frames[1]
+
+
 def test_verify_passes_on_clean_manifest(tmp_path, small_run):
     cfg_path, out = small_run
     rc = main(["verify", "--config", cfg_path,
@@ -116,26 +132,48 @@ def test_verify_catches_tampered_manifest(tmp_path, small_run):
     assert any(d["name"] == "decay" and d.get("side") == 1 for d in bad)
 
 
-@pytest.mark.parametrize("V0,rc", [(1e-10, EXIT_CHECK), (1e-12, EXIT_OK)])
-def test_verify_envelope_verdict_is_the_schedule_rule(tmp_path, monkeypatch,
-                                                      V0, rc):
-    # One sample at x = 0 against h = 0 exceeds the envelope by exactly V0;
-    # verify passes it up to the tolerance schedule uses, 1e-12.
+def _verify_growing_manifest(tmp_path, monkeypatch, metadata, V0,
+                             **cfg_kw):
+    # verify on a one-sample growing-mode potential at x = 0, with h = 0.
     cfg = RunConfig(p=PeriodicCoefficient(), q=PeriodicCoefficient(),
-                    lambdas=[0.7], mode="growing", h_name="log",
-                    out_dir=str(tmp_path))
+                    lambdas=[0.7], out_dir=str(tmp_path), **cfg_kw)
     cfg.save(str(tmp_path / "config.json"))
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"mode": "growing", "targets": []}))
+    manifest.write_text(json.dumps(metadata))
     pot = SynthesizedPotential(pieces=[], x_grid=np.array([0.0]),
-                               V_grid=np.array([V0]),
-                               metadata={"mode": "growing", "targets": []})
+                               V_grid=np.array([V0]), metadata=metadata)
     monkeypatch.setattr(cli, "rebuild_potential", lambda manifest: pot)
     monkeypatch.setitem(ENVELOPES, "log", np.zeros_like)
-    assert main(["verify", "--config", str(tmp_path / "config.json"),
-                 "--manifest", str(manifest)]) == rc
+    return main(["verify", "--config", str(tmp_path / "config.json"),
+                 "--manifest", str(manifest)])
+
+
+@pytest.mark.parametrize("V0,rc,cfg_kw", [
+    (1e-10, EXIT_CHECK, {"mode": "growing", "h_name": "log"}),
+    (1e-12, EXIT_OK, {"mode": "growing", "h_name": "log"}),
+    (1e-10, EXIT_CHECK, {}),
+], ids=["1e-10-1", "1e-12-0", "finite-config"])
+def test_verify_envelope_verdict_is_the_schedule_rule(tmp_path, monkeypatch,
+                                                      V0, rc, cfg_kw):
+    # The sample exceeds the envelope by exactly V0; verify passes it up to
+    # the tolerance schedule uses, 1e-12.  h comes from the manifest, so a
+    # finite config verifies a growing-mode manifest all the same.
+    meta = {"mode": "growing", "h_name": "log", "targets": []}
+    assert _verify_growing_manifest(tmp_path, monkeypatch, meta, V0,
+                                    **cfg_kw) == rc
     docs = json.loads((tmp_path / "reports.json").read_text())
     assert [(d["name"], d["max_excess"]) for d in docs] == [("envelope", V0)]
+
+
+@pytest.mark.parametrize("extra", [{}, {"h_name": ["log"]}],
+                         ids=["missing", "not_a_name"])
+def test_growing_manifest_without_h_name_is_usage_error(tmp_path, monkeypatch,
+                                                        capsys, extra):
+    meta = {"mode": "growing", "targets": [], **extra}
+    assert _verify_growing_manifest(tmp_path, monkeypatch, meta, 0.0,
+                                    mode="growing",
+                                    h_name="log") == EXIT_USAGE
+    assert "h_name" in capsys.readouterr().err
 
 
 def test_periodic_background_synth_then_verify(tmp_path, generic_pq):
@@ -226,22 +264,24 @@ def test_missing_manifest_is_usage_error(tmp_path, small_run):
     assert rc == EXIT_USAGE
 
 
-def test_manifest_with_another_frame_grid_is_usage_error(tmp_path, small_run,
-                                                         capsys):
-    # Frames are built on one period grid; a manifest naming another would
+@pytest.mark.parametrize("key,val", [("n_grid", 2048), ("rel_tol", 1e-8),
+                                     ("abs_tol", 1e-14)])
+def test_manifest_with_another_frame_recipe_is_usage_error(
+        tmp_path, small_run, capsys, key, val):
+    # Frames are built by one recipe; a manifest naming another would
     # otherwise rebuild a different potential without a word.
     cfg_path, out = small_run
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["floquet_integrator"]["n_grid"] = 2048
-    with pytest.raises(ValueError, match="floquet_integrator.n_grid"):
+    doc["floquet_integrator"][key] = val
+    with pytest.raises(ValueError, match=f"floquet_integrator.{key}"):
         rebuild_potential(doc)
     tampered = tmp_path / "manifest.json"
     tampered.write_text(json.dumps(doc))
     rc = main(["verify", "--config", cfg_path,
                "--manifest", str(tampered), "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
-    assert "floquet_integrator.n_grid" in capsys.readouterr().err
+    assert f"floquet_integrator.{key}" in capsys.readouterr().err
 
 
 def test_malformed_config_is_usage_error(tmp_path):

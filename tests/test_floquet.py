@@ -1,5 +1,6 @@
 """Monodromy traces, band structure, Floquet frames, derived period data."""
 
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -368,14 +369,11 @@ def test_band_edge_raised_in_gap_and_near_edges(mass_pq):
         floquet_solution(p, q, lam, band_edge_margin=0.2)
 
 
-def test_floquet_tolerances_are_clamped(free_pq):
-    p, q = free_pq
-    sol = floquet_solution(p, q, 1.0,
-                           spec=IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11))
-    assert sol.spec.rel_tol == 1e-10
-    assert sol.spec.abs_tol == 1e-12
-    tight = IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13)
-    assert floquet_solution(p, q, 1.0, spec=tight).spec == tight
+def test_floquet_frame_has_one_spec():
+    # Every frame is solved at FRAME_SPEC; no caller picks a tolerance.
+    assert floquet.FRAME_SPEC == IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12)
+    assert "spec" not in inspect.signature(floquet_solution).parameters
+    assert "spec" not in floquet.FloquetSolution.__dataclass_fields__
 
 
 def test_in_band_samples_inside_bands(mass_pq):
