@@ -164,7 +164,15 @@ def cumulative_blocks(f, lo: float, h: float, n: int, f0: float = 0.0,
 
 
 def smoothstep(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, exp(-1/t) blend between."""
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1, exp(-1/t) blend between.
+
+    A float stays a float: the blend takes numpy's exp on it, which gives
+    the bits of the array path (math.exp need not)."""
+    if isinstance(t, float):
+        if not 0.0 < t < 1.0:  # NaN too, as the array path has it
+            return 1.0 if t >= 1.0 else 0.0
+        a, b = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+        return float(a / (a + b))
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     out[t >= 1.0] = 1.0
@@ -177,13 +185,15 @@ def smoothstep(t):
 
 
 def taper_window(x, lo: float, hi: float, width: float):
-    """C-infinity window: 0 outside (lo, hi), 1 on [lo+width, hi-width]."""
-    if isinstance(x, float):  # scalar: settle the edges and the plateau
+    """C-infinity window: 0 outside (lo, hi), 1 on [lo+width, hi-width].
+
+    A float x stays on floats, with the array path's bits: the plateau
+    returns at once, the rest goes through smoothstep's float branch."""
+    if isinstance(x, float):
         t1, t2 = (x - lo) / width, (hi - x) / width
-        if t1 <= 0.0 or t2 <= 0.0:
-            return 0.0
         if t1 >= 1.0 and t2 >= 1.0:
             return 1.0
+        return smoothstep(t1) * smoothstep(t2)
     x = np.asarray(x, dtype=float)
     return smoothstep((x - lo) / width) * smoothstep((hi - x) / width)
 

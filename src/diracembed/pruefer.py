@@ -152,8 +152,19 @@ class PhaseFlow:
 
 
 def phase_slope(data: DerivedPeriodicData, gain):
-    """zeta' = xi' - rate at the float pair (x, xi)."""
+    """zeta' = xi' - rate at the float pair (x, xi).
+
+    A constant frame is folded into two constants, summed in the order of
+    the general slope, so its bits are the same."""
     rate, k2 = xi_rate(data), 2.0 * data.k
+    if data.frame.const is not None:
+        d, u, v, P = data.frame.const
+        c0, uv = k2 + d - rate, u - v
+
+        def const_slope(x, xi):
+            return c0 + gain(x, xi) * (uv - P * math.cos(xi))
+
+        return const_slope
 
     def slope(x, xi):
         d, u, v, P = data.frame(x)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -611,33 +612,52 @@ def write_manifest(pot: SynthesizedPotential, path: str,
     write_json(path, doc)
 
 
+def _field(doc, key: str, where: str = "", kind=numbers.Real):
+    """doc[key] of the manifest object ``where``, a float when kind is a
+    number.  A value of the wrong JSON type is a ValueError naming its key,
+    as a config's is; a missing key stays a KeyError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where or 'manifest'}: expected a JSON object, "
+                         f"got {doc!r}")
+    name, val = f"{where}.{key}" if where else key, doc[key]
+    if not isinstance(val, kind):
+        expected = "a number" if kind is numbers.Real else kind.__name__
+        raise ValueError(f"{name}: expected {expected}, got {val!r}")
+    return float(val) if kind is numbers.Real else val
+
+
 def rebuild_potential(manifest) -> SynthesizedPotential:
     """Re-synthesize a potential from its manifest (path or dict)."""
     if isinstance(manifest, (str, os.PathLike)):
         with open(manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    p = PeriodicCoefficient.from_dict(manifest["coefficients"]["p"])
-    q = PeriodicCoefficient.from_dict(manifest["coefficients"]["q"])
-    spec = IntegratorSpec(rel_tol=manifest["integrator"]["rel_tol"],
-                          abs_tol=manifest["integrator"]["abs_tol"])
-    fl = manifest["floquet_integrator"]
+    coefficients = _field(manifest, "coefficients", kind=dict)
+    p, q = (PeriodicCoefficient.from_dict(
+        _field(coefficients, key, "coefficients", dict)) for key in ("p", "q"))
+    integrator = _field(manifest, "integrator", kind=dict)
+    spec = IntegratorSpec(rel_tol=_field(integrator, "rel_tol", "integrator"),
+                          abs_tol=_field(integrator, "abs_tol", "integrator"))
+    fl = _field(manifest, "floquet_integrator", kind=dict)
     for key, val in FRAME_RECIPE.items():
         if fl.get(key) != val:
             raise ValueError(f"floquet_integrator.{key}: {fl.get(key)!r}, "
                              f"but every frame is built with {val!r}")
     frames = {}
-    for entry in manifest["targets"]:
-        lam = float(entry["lambda"])
-        frames[lam] = EmbeddingTarget.at(p, q, lam, C=float(entry["C"]))
+    for i, entry in enumerate(_field(manifest, "targets", kind=list)):
+        lam, C = (_field(entry, key, f"targets[{i}]") for key in ("lambda", "C"))
+        frames[lam] = EmbeddingTarget.at(p, q, lam, C=C)
     pieces = []
-    for entry in manifest["pieces"]:
-        target = frames[float(entry["lambda"])]
-        side = 1 if entry["side"] == "plus" else -1
-        traj = solve_xi(target, float(entry["a"]), float(entry["b"]),
-                        float(entry["xi0"]), float(entry["x_end"]),
-                        side=side, spec=spec, C=float(entry["C"]),
-                        taper_width=float(entry["taper_width"]))
-        pieces.append(piece_potential(target, traj))
+    for i, entry in enumerate(_field(manifest, "pieces", kind=list)):
+        lam, a, b, xi0, x_end, C, tw = (
+            _field(entry, key, f"pieces[{i}]") for key in
+            ("lambda", "a", "b", "xi0", "x_end", "C", "taper_width"))
+        side = _field(entry, "side", f"pieces[{i}]", str)
+        if side not in ("plus", "minus"):
+            raise ValueError(f"pieces[{i}].side: {side!r} is not plus/minus")
+        traj = solve_xi(frames[lam], a, b, xi0, x_end,
+                        side=1 if side == "plus" else -1, spec=spec, C=C,
+                        taper_width=tw)
+        pieces.append(piece_potential(frames[lam], traj))
     # Every key but the four that rebuild the pieces is schedule metadata.
     meta = {key: val for key, val in manifest.items() if key not in
             ("coefficients", "integrator", "floquet_integrator", "pieces")}

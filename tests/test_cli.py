@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,32 @@ def test_manifest_with_another_frame_recipe_is_usage_error(
                "--manifest", str(tampered), "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
     assert f"floquet_integrator.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,tamper", [
+    ("targets[0].lambda",
+     lambda doc: doc["targets"][0].update({"lambda": [0.7]})),
+    ("floquet_integrator", lambda doc: doc.update(
+        floquet_integrator=list(doc["floquet_integrator"].values()))),
+    ("pieces[0].side", lambda doc: doc["pieces"][0].update(side="PLUS")),
+], ids=["lambda_list", "floquet_integrator_list", "side_unknown"])
+def test_mistyped_manifest_is_usage_error(tmp_path, small_run, capsys, key,
+                                          tamper):
+    # A manifest value of the wrong JSON type, or a side other than
+    # plus/minus, is a configuration error that names its key, not a
+    # traceback or a failed check.
+    cfg_path, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    tamper(doc)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        rebuild_potential(doc)
+    tampered = tmp_path / "manifest.json"
+    tampered.write_text(json.dumps(doc))
+    rc = main(["verify", "--config", cfg_path,
+               "--manifest", str(tampered), "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert key in capsys.readouterr().err
 
 
 def test_malformed_config_is_usage_error(tmp_path):

@@ -281,6 +281,27 @@ def test_taper_window_scalar_fast_path_matches_array_path():
             assert val == e
 
 
+def test_float_branches_match_one_long_array_evaluation():
+    """smoothstep and taper_window on floats give the bits of the array
+    path, where numpy's exp runs over long vectors: a dense sweep of both
+    blend zones and of t within 1e-3 of 0 and of 1."""
+    near = RNG.uniform(0.0, 1e-3, 5000)
+    ts = np.concatenate([np.linspace(-0.1, 1.1, 20001), near, 1.0 - near,
+                         [5e-324, 1e-300, -0.0, np.nan, np.inf, -np.inf]])
+    floats = [smoothstep(t) for t in ts.tolist()]
+    assert all(type(v) is float for v in floats)
+    with np.errstate(over="ignore"):  # -1/5e-324 in the array path
+        assert np.array_equal(floats, smoothstep(ts))
+    lo, hi, width = 2.0, 10.0, 1.5
+    xs = np.concatenate([np.linspace(lo - 0.1, lo + width + 0.1, 20001),
+                         np.linspace(hi - width - 0.1, hi + 0.1, 20001),
+                         lo + width * near, lo + width * (1.0 - near),
+                         hi - width * near, hi - width * (1.0 - near)])
+    floats = [taper_window(x, lo, hi, width) for x in xs.tolist()]
+    assert all(type(v) is float for v in floats)
+    assert np.array_equal(floats, taper_window(xs, lo, hi, width))
+
+
 def test_taper_window_plateau_and_edges():
     lo, hi, w = 2.0, 10.0, 1.5
     assert taper_window(lo, lo, hi, w) == 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from diracembed import _util, pruefer
+from diracembed import _util, derived_data, floquet_solution, pruefer
 from diracembed.errors import StepSizeUnderflow, ZeroSolution
 from diracembed.periodic_core import IntegratorSpec, dirac_rhs, integrate
 from diracembed.pruefer import (
@@ -428,6 +428,36 @@ def test_phase_law_sees_floats_only(which, free_target_07, generic_data,
         nodes = [slope(float(t), float(z + flow.rate * t))
                  for t, z in zip(ts, zs)]
         assert np.array_equal(dz, nodes)
+
+
+@pytest.mark.parametrize("which", ["free", "mass", "generic"])
+def test_phase_slope_is_the_phase_law_on_the_frame(which, free_data, mass_pq,
+                                                    generic_data, monkeypatch):
+    """At many float pairs (x, xi) the slope is k2 + d - rate + g*(u - v -
+    P*cos xi) with (d, u, v, P) = data.frame(x), bit for bit.  A constant
+    frame is folded into the slope, which then never calls the lookup; any
+    other frame is read once per evaluation."""
+    data = {"free": free_data, "generic": generic_data,
+            "mass": derived_data(floquet_solution(*mass_pq, 2.0))}[which]
+    assert (data.frame.const is None) == (which == "generic")
+    rate, k2 = xi_rate(data), 2.0 * data.k
+
+    def gain(x, xi):
+        return 0.37 * math.sin(xi) / (x + 3.0)
+
+    xs = RNG.uniform(-50.0, 50.0, 400).tolist()
+    xis = RNG.uniform(-20.0, 20.0, 400).tolist()
+    expect = []
+    for x, xi in zip(xs, xis):
+        d, u, v, P = data.frame(x)
+        expect.append(k2 + d - rate + gain(x, xi) * (u - v - P * math.cos(xi)))
+    lookups = []
+    real_frame = _util.FrameTable.__call__
+    monkeypatch.setattr(_util.FrameTable, "__call__",
+                        lambda table, x: lookups.append(x) or real_frame(table, x))
+    slope = pruefer.phase_slope(data, gain)
+    assert [slope(x, xi) for x, xi in zip(xs, xis)] == expect
+    assert lookups == ([] if data.frame.const is not None else xs)
 
 
 def test_dop853_tableau_is_scipys():
