@@ -11,7 +11,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import InvariantDrift
 
-QUAD_BLOCK = 4_000_000  # grid intervals per block of a chunked quadrature
+# Intervals per block of a chunked quadrature: even, so Simpson pairs match
+# the one-block integral; small, so a block's temporaries stay a few MB.
+QUAD_BLOCK = 2 ** 16
 
 
 def frac(x):
@@ -143,20 +145,17 @@ def cumulative_simpson_uniform(f: np.ndarray, h: float, f0: float = 0.0) -> np.n
     return out
 
 
-def cumulative_blocks(f, lo: float, h: float, n: int, f0: float = 0.0,
-                      block: int | None = None):
+def cumulative_blocks(f, lo: float, h: float, n: int, f0: float = 0.0):
     """Running integral of f over the grid lo + i*h, i = 0..n, in blocks.
 
-    Yields (start, xs, F) per block of at most ``block`` intervals
-    (QUAD_BLOCK when None): xs holds lo + i*h for i = start..stop and F
-    the integral from lo, plus f0.  A block's last sample is the next
-    block's first, so memory stays bounded however long the grid; an even
-    block keeps every Simpson pair of the whole grid.
+    Yields (start, xs, F) per block of at most QUAD_BLOCK intervals: xs
+    holds lo + i*h for i = start..stop and F the integral from lo, plus
+    f0.  A block's last sample is the next block's first, so memory stays
+    bounded however long the grid.
     """
-    block = block or QUAD_BLOCK
     carry, start = f0, 0
     while start < n:
-        stop = min(start + block, n)
+        stop = min(start + QUAD_BLOCK, n)
         xs = lo + np.arange(start, stop + 1) * h
         F = cumulative_simpson_uniform(f(xs), h, f0=carry)
         yield start, xs, F

@@ -102,10 +102,9 @@ def _out_dir(cfg: RunConfig) -> str:
 
 def cmd_bands(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    spec = cfg.integrator_spec()
     try:
         bs = band_scan(cfg.p, cfg.q, (cfg.scan_lo, cfg.scan_hi),
-                       cfg.scan_resolution, spec)
+                       cfg.scan_resolution)
     except ScanTooCoarse as exc:
         raise ScanTooCoarse(
             f"{exc}; rerun with a smaller scan_resolution") from exc
@@ -142,19 +141,17 @@ def cmd_floquet(cfg: RunConfig, lam: float) -> int:
 
 def cmd_synth(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    spec = cfg.integrator_spec()
     targets = check_nonresonance(cfg.lambdas, cfg.p, cfg.q, cfg.margin,
                                  rho_margin=cfg.rho_margin,
                                  band_edge_margin=cfg.band_edge_margin)
     sched = schedule(targets, mode=cfg.mode, a0=cfg.a0, x_max=cfg.x_max,
                      b=cfg.b, h=cfg.envelope(), safety=cfg.safety, xi0=cfg.xi0,
-                     taper_width=cfg.taper_width, spec=spec)
+                     taper_width=cfg.taper_width)
     pot = assemble(sched)
     if cfg.mode == "growing":
         pot.metadata["h_name"] = cfg.h_name  # verify's envelope
     write_potential_csv(pot, os.path.join(out, "potential.csv"))
-    write_manifest(pot, os.path.join(out, "manifest.json"),
-                   cfg.p, cfg.q, spec)
+    write_manifest(pot, os.path.join(out, "manifest.json"), cfg.p, cfg.q)
     print(f"synth: {len(pot.pieces)} pieces, {len(sched.T) - 1} cycle "
           f"breakpoints to T={sched.T[-1]:.6g}, N_final={sched.N[-1]}")
     return EXIT_OK

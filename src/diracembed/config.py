@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ._util import write_json
-from .periodic_core import IntegratorSpec, PeriodicCoefficient
+from .periodic_core import PeriodicCoefficient
 
 __all__ = ["RunConfig", "ENVELOPES"]
 
@@ -45,8 +45,6 @@ class RunConfig:
     taper_width: float = 1.0
     safety: float = 1.0
     xi0: float = float(np.pi / 2)
-    rel_tol: float = 1.0e-8
-    abs_tol: float = 1.0e-11
     scan_lo: float = 0.0
     scan_hi: float = 3.0
     scan_resolution: float = 0.01
@@ -74,15 +72,11 @@ class RunConfig:
             raise ValueError("b: must satisfy 0 <= b < a0")
         if self.band_edge_margin < 0.0:
             raise ValueError("band_edge_margin: must be nonnegative")
-        self.integrator_spec()  # rel_tol/abs_tol range
         if self.scan_hi <= self.scan_lo:
             raise ValueError("scan_hi: must exceed scan_lo")
         for i, lam in enumerate(self.lambdas):
             if not isinstance(lam, numbers.Real) or not np.isfinite(lam):
                 raise ValueError(f"lambdas[{i}]: {lam!r} is not finite")
-
-    def integrator_spec(self) -> IntegratorSpec:
-        return IntegratorSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
     def envelope(self):
         return ENVELOPES[self.h_name] if self.h_name else None

@@ -61,6 +61,7 @@ FRAME_INTERVALS = 4096  # uniform period-grid intervals of a Floquet frame
 # The unit-cell solve is cheap, and the frame's invariant gates (omega
 # constancy, Floquet condition at 1e-8) need this accuracy.
 FRAME_SPEC = IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12)
+BANDS_TOL = 1e-8  # monodromy's rel_tol for every trace band_scan takes
 
 
 # Magnus steps per period: the first product, and the cap of the doubling.
@@ -138,7 +139,7 @@ def _magnus_product(p: PeriodicCoefficient, q: PeriodicCoefficient,
 
 
 def monodromy(p: PeriodicCoefficient, q: PeriodicCoefficient, lam,
-              spec: IntegratorSpec | None = None) -> Monodromy:
+              rel_tol: float = 1e-10) -> Monodromy:
     """Period map at one energy (a float) or at an array of energies.
 
     A product of fourth-order Magnus steps: start at MAGNUS_STEPS per
@@ -147,7 +148,6 @@ def monodromy(p: PeriodicCoefficient, q: PeriodicCoefficient, lam,
     a trace does not depend on the other energies in the call.  Raises
     StepSizeUnderflow when an energy has not settled at MAGNUS_MAX_STEPS.
     """
-    spec = spec or IntegratorSpec()
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     mats = np.empty((lams.size, 2, 2))
     todo = np.arange(lams.size)
@@ -160,11 +160,11 @@ def monodromy(p: PeriodicCoefficient, q: PeriodicCoefficient, lam,
             if n >= MAGNUS_MAX_STEPS:
                 raise StepSizeUnderflow(
                     f"monodromy not settled at {n} Magnus steps per period "
-                    f"(rel_tol {spec.rel_tol:g})")
+                    f"(rel_tol {rel_tol:g})")
             n *= 2
             fine = _magnus_product(p, q, lams[todo], n)
             tr2 = np.trace(fine, axis1=1, axis2=2)
-            moved = np.abs(tr2 - tr) > spec.rel_tol * np.maximum(1.0, np.abs(tr2))
+            moved = np.abs(tr2 - tr) > rel_tol * np.maximum(1.0, np.abs(tr2))
             mats[todo[~moved]] = fine[~moved]
             todo, tr = todo[moved], tr2[moved]
     return Monodromy(matrix=mats[0] if np.ndim(lam) == 0 else mats)
@@ -198,8 +198,8 @@ class BandStructure:
 
 
 def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
-              lambda_range: tuple[float, float], resolution: float,
-              spec: IntegratorSpec | None = None) -> BandStructure:
+              lambda_range: tuple[float, float],
+              resolution: float) -> BandStructure:
     """Scan trace(lam), bracket |trace|/2 - 1 sign changes, bisect the edges.
 
     Tangential touchings of |trace|/2 = 1 (closed gaps) count as interior.
@@ -211,11 +211,11 @@ def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
         return BandStructure((lo, hi), resolution, np.array([]), np.array([]), [])
 
     def trace(lam):
-        return monodromy(p, q, lam, spec).trace
+        return monodromy(p, q, lam, BANDS_TOL).trace
 
     n = max(2, int(round((hi - lo) / resolution)) + 1)
     lams = np.linspace(lo, hi, n)
-    traces = monodromy(p, q, lams, spec).trace
+    traces = monodromy(p, q, lams, BANDS_TOL).trace
     inside = np.abs(traces) / 2.0 < 1.0 + 1e-12
 
     for i in range(1, len(inside) - 1):

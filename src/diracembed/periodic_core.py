@@ -120,12 +120,6 @@ class IntegratorSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-4):
-            raise ValueError("rel_tol must lie in (0, 1e-4]")
-        if not (0.0 < self.abs_tol <= 1e-4):
-            raise ValueError("abs_tol must lie in (0, 1e-4]")
-
 
 @dataclass
 class Trajectory:

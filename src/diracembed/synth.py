@@ -71,7 +71,8 @@ LOCK_SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)  # phase lock
 TRACK_SPEC = IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)  # bystander flow
 CSV_ROWS = 2000  # most potential.csv rows per piece
 ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
-# The manifest's record of how every Floquet frame is built.
+# The manifest's records of how every phase lock and Floquet frame is built.
+LOCK_RECIPE = {"rel_tol": LOCK_SPEC.rel_tol, "abs_tol": LOCK_SPEC.abs_tol}
 FRAME_RECIPE = {"rel_tol": FRAME_SPEC.rel_tol, "abs_tol": FRAME_SPEC.abs_tol,
                 "n_grid": FRAME_INTERVALS}
 
@@ -180,10 +181,9 @@ class XiTrajectory(PhaseFlow):
 
 def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
              x_end: float, side: int = 1,
-             spec: IntegratorSpec | None = None,
              C: float | None = None,
              taper_width: float = 0.0) -> XiTrajectory:
-    """Integrate the phase-lock equation outward from |x| = a.
+    """Integrate the phase-lock equation outward from |x| = a, at LOCK_SPEC.
 
     The phase is solved as zeta = xi - rate*x so the state stays bounded
     over long pieces.  xi0 is reduced modulo 2*pi.  A positive
@@ -222,8 +222,7 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
         w = taper_window(x, lo, hi, tw) if tw > 0.0 else 1.0
         return 2.0 * C * w * math.sin(xi) / (x - b_s)
 
-    flow = phase_flow(target.data, gain, x_start, x_stop, xi0,
-                      spec or LOCK_SPEC)
+    flow = phase_flow(target.data, gain, x_start, x_stop, xi0, LOCK_SPEC)
     return XiTrajectory(**vars(flow), side=side, a=a, b=b, x_end=x_end,
                         xi0=xi0, C=C, taper_width=tw)
 
@@ -394,22 +393,19 @@ class SynthesisSchedule:
 
 
 def probe_constants(targets, *, b: float = 0.0, xi0: float = np.pi / 2,
-                    taper_width: float = 1.0,
-                    spec: IntegratorSpec | None = None) -> tuple[float, float]:
+                    taper_width: float = 1.0) -> tuple[float, float]:
     """Measure the decay prefactor C_bound and the piece-offset floor K.
 
     C_bound = 2 * sup R(x)*((|x|-b)/(a-b))^100 / R(a) over a probe piece,
     maximized over targets.  K doubles from the phase-rate floor 2C/k
     until every ordered bystander pair stays within factor 1.5 over a
     probe piece, then is doubled once more as safety.  The pieces lock at
-    ``spec`` (LOCK_SPEC); bystander flows across them run at TRACK_SPEC.
+    LOCK_SPEC; bystander flows across them run at TRACK_SPEC.
     """
     from .verify import decay_check, stability_check
 
-    spec = spec or LOCK_SPEC
-
     def probe_piece(t, a, x_end):
-        traj = solve_xi(t, a, b, xi0, x_end, side=1, spec=spec,
+        traj = solve_xi(t, a, b, xi0, x_end, side=1,
                         taper_width=min(taper_width, (x_end - a) / 4.0))
         return piece_potential(t, traj)
 
@@ -453,7 +449,7 @@ def envelope_excess(x, V, h) -> tuple[float, float]:
 def schedule(targets, mode: str = "finite", a0: float = None,
              x_max: float = None, *, b: float = 0.0, h=None,
              safety: float = 1.0, xi0: float = np.pi / 2,
-             taper_width: float = 1.0, spec: IntegratorSpec | None = None,
+             taper_width: float = 1.0,
              C_bound: float | None = None,
              K: float | None = None) -> SynthesisSchedule:
     """Round-robin piece assignment with tracked arrival phases.
@@ -481,11 +477,10 @@ def schedule(targets, mode: str = "finite", a0: float = None,
         raise ValueError(f"need 0 <= b < a0, got b={b}, a0={a0}")
     if x_max <= a0:
         raise ValueError("x_max must exceed a0")
-    spec = spec or LOCK_SPEC
 
     if C_bound is None or K is None:
         C_probe, K_probe = probe_constants(
-            targets, b=b, xi0=xi0, taper_width=taper_width, spec=spec)
+            targets, b=b, xi0=xi0, taper_width=taper_width)
         C_bound = C_probe if C_bound is None else C_bound
         K = K_probe if K is None else K
     if a0 - b < K:
@@ -527,7 +522,7 @@ def schedule(targets, mode: str = "finite", a0: float = None,
         for side in (1, -1):
             tracked = trackers[(c, side)].xi
             seed = xi0 if tracked is None else tracked
-            traj = solve_xi(target, T_r, b, seed, T_next, side=side, spec=spec,
+            traj = solve_xi(target, T_r, b, seed, T_next, side=side,
                             taper_width=min(taper_width, (T_next - T_r) / 4.0))
             piece = piece_potential(target, traj)
             if mode == "growing":
@@ -601,12 +596,11 @@ def assemble(sched: SynthesisSchedule) -> SynthesizedPotential:
 
 
 def write_manifest(pot: SynthesizedPotential, path: str,
-                   p: PeriodicCoefficient, q: PeriodicCoefficient,
-                   spec: IntegratorSpec) -> None:
+                   p: PeriodicCoefficient, q: PeriodicCoefficient) -> None:
     """JSON manifest sufficient to rebuild the potential bit-identically."""
     doc = dict(pot.metadata)
     doc["coefficients"] = {"p": p.to_dict(), "q": q.to_dict()}
-    doc["integrator"] = {"rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol}
+    doc["integrator"] = LOCK_RECIPE
     doc["floquet_integrator"] = FRAME_RECIPE
     doc["pieces"] = [pc.manifest_entry() for pc in pot.pieces]
     write_json(path, doc)
@@ -634,14 +628,13 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
     coefficients = _field(manifest, "coefficients", kind=dict)
     p, q = (PeriodicCoefficient.from_dict(
         _field(coefficients, key, "coefficients", dict)) for key in ("p", "q"))
-    integrator = _field(manifest, "integrator", kind=dict)
-    spec = IntegratorSpec(rel_tol=_field(integrator, "rel_tol", "integrator"),
-                          abs_tol=_field(integrator, "abs_tol", "integrator"))
-    fl = _field(manifest, "floquet_integrator", kind=dict)
-    for key, val in FRAME_RECIPE.items():
-        if fl.get(key) != val:
-            raise ValueError(f"floquet_integrator.{key}: {fl.get(key)!r}, "
-                             f"but every frame is built with {val!r}")
+    for block, recipe in (("integrator", LOCK_RECIPE),
+                          ("floquet_integrator", FRAME_RECIPE)):
+        doc = _field(manifest, block, kind=dict)
+        for key, val in recipe.items():
+            if doc.get(key) != val:
+                raise ValueError(f"{block}.{key}: {doc.get(key)!r}, but "
+                                 f"every run is built with {val!r}")
     frames = {}
     for i, entry in enumerate(_field(manifest, "targets", kind=list)):
         lam, C = (_field(entry, key, f"targets[{i}]") for key in ("lambda", "C"))
@@ -655,7 +648,7 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
         if side not in ("plus", "minus"):
             raise ValueError(f"pieces[{i}].side: {side!r} is not plus/minus")
         traj = solve_xi(frames[lam], a, b, xi0, x_end,
-                        side=1 if side == "plus" else -1, spec=spec, C=C,
+                        side=1 if side == "plus" else -1, C=C,
                         taper_width=tw)
         pieces.append(piece_potential(frames[lam], traj))
     # Every key but the four that rebuild the pieces is schedule metadata.

@@ -60,9 +60,6 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 NONEMBED_SPEC = IntegratorSpec(rel_tol=1e-7, abs_tol=1e-10)
-# Grid intervals per block of the sup-scan: even, so Simpson pairs match
-# the one-block scan, and small, so a block's temporaries stay a few MB.
-SCAN_BLOCK = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +93,7 @@ def _sup_scan(make_integrand, x_lo: float, h: float, n: int, x0_list):
     """sup_{x >= x0} |F(x) - F(x0)| for each x0, F the running integral.
 
     make_integrand(xs) -> samples on the grid x_lo + i*h, i = 0..n.  One
-    forward pass in blocks of SCAN_BLOCK intervals; each checkpoint, snapped
+    forward pass in blocks (cumulative_blocks); each checkpoint, snapped
     to its nearest grid point, keeps a running max and min of F from there.
     A checkpoint needs an interval after it (ValueError otherwise).
     """
@@ -107,8 +104,7 @@ def _sup_scan(make_integrand, x_lo: float, h: float, n: int, x0_list):
     F0 = [0.0] * len(x0s)
     hi = [-np.inf] * len(x0s)
     lo = [np.inf] * len(x0s)
-    for start, xs, F in cumulative_blocks(make_integrand, x_lo, h, n,
-                                          block=SCAN_BLOCK):
+    for start, xs, F in cumulative_blocks(make_integrand, x_lo, h, n):
         for j, i0 in enumerate(idx0):
             if i0 < start + xs.size:
                 tail = F[max(i0 - start, 0):]
@@ -148,8 +144,9 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
         def theta(xs):
             return a * xs + c * np.log1p(xs)
     else:
-        # theta(x) = a*x + c * int_0^x dt/(1+t^beta1), tabulated once.
-        grid = np.linspace(0.0, x_max, 400_001)
+        # theta(x) = a*x + c * int_0^x dt/(1+t^beta1), tabulated once up to
+        # the scan's last sample, which may lie past x_max.
+        grid = np.linspace(0.0, x_lo + n * h, 400_001)
         prim = cumulative_simpson_uniform(1.0 / (1.0 + grid ** beta1),
                                           grid[1] - grid[0])
 
@@ -525,7 +522,10 @@ def write_reports_json(reports, path: str) -> None:
 
 
 def write_summary_csv(reports, path: str) -> None:
-    """One line per report: name, subject, headline number, verdict."""
+    """One line per report: name, subject, side, headline metric and value.
+
+    The subject is the energy, the target index, or for stability the
+    piece's and the bystander's energies as ``piece/bystander``."""
 
     def headline(d):
         for key in ("slope", "max_ratio", "verdict"):  # verify's checks
@@ -534,9 +534,13 @@ def write_summary_csv(reports, path: str) -> None:
         return "", ""
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("name,subject,metric,value\n")
+        fh.write("name,subject,side,metric,value\n")
         for r in reports:
             d = r.to_dict() if hasattr(r, "to_dict") else dict(r)
-            subject = d.get("lambda", d.get("target", d.get("a", "")))
+            if "lambda_piece" in d:
+                subject = f"{d['lambda_piece']}/{d['lambda_bystander']}"
+            else:
+                subject = d.get("lambda", d.get("target", d.get("a", "")))
             key, val = headline(d)
-            fh.write(f"{d.get('name', '?')},{subject},{key},{val}\n")
+            fh.write(f"{d.get('name', '?')},{subject},{d.get('side', '')},"
+                     f"{key},{val}\n")

@@ -85,22 +85,6 @@ def test_floquet_exports_period_frame(tmp_path, small_run):
     assert head.startswith("x,re_g1,im_g1,re_g2,im_g2")
 
 
-def test_floquet_frame_ignores_the_config_tolerances(tmp_path, generic_pq):
-    # rel_tol/abs_tol set the phase lock, never the frame: a config tighter
-    # than FRAME_SPEC writes the default config's bytes.
-    p, q = generic_pq
-    frames = []
-    for name, tols in (("default", {}),
-                       ("tight", {"rel_tol": 1e-12, "abs_tol": 1e-14})):
-        cfg = RunConfig(p=p, q=q, lambdas=[0.9], out_dir=str(tmp_path / name),
-                        **tols)
-        cfg.save(str(tmp_path / f"{name}.json"))
-        assert main(["floquet", "--config", str(tmp_path / f"{name}.json"),
-                     "--lam", "0.9"]) == EXIT_OK
-        frames.append((tmp_path / name / "floquet.csv").read_bytes())
-    assert frames[0] == frames[1]
-
-
 def test_verify_passes_on_clean_manifest(tmp_path, small_run):
     cfg_path, out = small_run
     rc = main(["verify", "--config", cfg_path,
@@ -113,6 +97,12 @@ def test_verify_passes_on_clean_manifest(tmp_path, small_run):
     assert {"decay", "stability", "l2-tail"} <= names
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert len(lines) == len(docs) + 1
+    # Each row names its check, subject and side, and no two rows share them.
+    assert lines[0] == "name,subject,side,metric,value"
+    rows = [tuple(line.split(",")[:3]) for line in lines[1:]]
+    assert len(set(rows)) == len(rows)
+    assert all(subject for _, subject, _ in rows)
+    assert ("stability", "0.7/1.3", "-1") in rows
 
 
 def test_verify_catches_tampered_manifest(tmp_path, small_run):
@@ -230,9 +220,8 @@ def test_every_config_key_has_a_round_tripping_flag(tmp_path, small_run):
     new = {"lambdas": [0.8, 1.4], "mode": "growing", "h_name": "log",
            "a0": 3000.0, "x_max": 4000.0, "b": 1.0, "margin": 0.07,
            "band_edge_margin": 0.01, "rho_margin": 6.0, "taper_width": 2.0,
-           "safety": 1.5, "xi0": 0.3, "rel_tol": 1e-9, "abs_tol": 1e-12,
-           "scan_lo": 0.5, "scan_hi": 2.5, "scan_resolution": 0.02,
-           "out_dir": str(tmp_path)}
+           "safety": 1.5, "xi0": 0.3, "scan_lo": 0.5, "scan_hi": 2.5,
+           "scan_resolution": 0.02, "out_dir": str(tmp_path)}
     assert set(new) == set(base) - {"p", "q"}
     assert all(new[key] != base[key] for key in new)
     argv = ["synth", "--config", cfg_path]
@@ -266,23 +255,28 @@ def test_missing_manifest_is_usage_error(tmp_path, small_run):
 
 
 @pytest.mark.parametrize("key,val", [("n_grid", 2048), ("rel_tol", 1e-8),
-                                     ("abs_tol", 1e-14)])
+                                     ("abs_tol", 1e-14),
+                                     ("integrator.rel_tol", 1e-9),
+                                     ("integrator.abs_tol", 1e-12)])
 def test_manifest_with_another_frame_recipe_is_usage_error(
         tmp_path, small_run, capsys, key, val):
-    # Frames are built by one recipe; a manifest naming another would
-    # otherwise rebuild a different potential without a word.
+    # Frames and phase locks are built by one recipe each; a manifest naming
+    # another would otherwise rebuild a different potential without a word.
+    block, _, name = key.rpartition(".")
+    block = block or "floquet_integrator"  # a bare key is the frame's
+    path = f"{block}.{name}"
     cfg_path, out = small_run
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["floquet_integrator"][key] = val
-    with pytest.raises(ValueError, match=f"floquet_integrator.{key}"):
+    doc[block][name] = val
+    with pytest.raises(ValueError, match=re.escape(path)):
         rebuild_potential(doc)
     tampered = tmp_path / "manifest.json"
     tampered.write_text(json.dumps(doc))
     rc = main(["verify", "--config", cfg_path,
                "--manifest", str(tampered), "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
-    assert f"floquet_integrator.{key}" in capsys.readouterr().err
+    assert path in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,tamper", [

@@ -30,8 +30,8 @@ def test_defaults_are_valid():
     (dict(b=1.0e4), "b"),
     (dict(band_edge_margin=-0.1), "band_edge_margin"),
     (dict(a0="2000"), "a0"),
-    (dict(rel_tol=0.0), "rel_tol"),
-    (dict(abs_tol=1e-3), "abs_tol"),
+    (dict(margin=0.0), "margin"),
+    (dict(scan_resolution=-0.01), "scan_resolution"),
     (dict(scan_lo=2.0, scan_hi=1.0), "scan_hi"),
     (dict(lambdas=[0.7, np.nan]), "lambdas[1]"),
     (dict(taper_width=0.0), "taper_width"),
@@ -63,6 +63,10 @@ def test_from_dict_rejects_unknown_keys():
     doc["zeta"] = 2.0
     with pytest.raises(ValueError, match="^x_mx"):
         RunConfig.from_dict(doc)
+    # The phase lock's tolerances are constants, not config keys.
+    for key in ("rel_tol", "abs_tol"):
+        with pytest.raises(ValueError, match=f"^{key}: unknown config key"):
+            RunConfig.from_dict({**_cfg().to_dict(), key: 1e-8})
 
 
 def test_from_dict_requires_coefficients():
@@ -88,11 +92,6 @@ def test_from_dict_names_a_mistyped_coefficient(key, block, name):
 def test_from_dict_requires_an_object():
     with pytest.raises(ValueError, match="^config"):
         RunConfig.from_dict([1, 2])
-
-
-def test_integrator_spec_carries_tolerances():
-    spec = _cfg(rel_tol=1e-9, abs_tol=1e-12).integrator_spec()
-    assert spec.rel_tol == 1e-9 and spec.abs_tol == 1e-12
 
 
 def test_log_envelope():

@@ -37,7 +37,7 @@ def mass_trace(lam, m=MASS):
 def fake_monodromy(monkeypatch, trace):
     """Make band_scan see the synthetic dispersion trace(lam), at one
     energy or an array of them."""
-    monkeypatch.setattr(floquet, "monodromy", lambda p, q, lam, spec=None:
+    monkeypatch.setattr(floquet, "monodromy", lambda p, q, lam, rel_tol=None:
                         SimpleNamespace(trace=np.vectorize(trace)(lam)))
 
 
@@ -63,8 +63,6 @@ def test_mass_in_q_gives_the_same_trace():
 # ---------------------------------------------------------------------------
 # Magnus monodromy against a solve_ivp oracle
 
-BANDS_SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)  # RunConfig's default
-
 
 def ivp_monodromy(p, q, lam):
     """The period map by DOP853 at rtol 1e-12, atol 1e-14."""
@@ -83,7 +81,7 @@ def generic_scan(generic_pq):
     p, q = generic_pq
     lams = np.linspace(0.0, 3.0, 121)
     ref = np.array([ivp_monodromy(p, q, lam) for lam in lams])
-    return lams, monodromy(p, q, lams, BANDS_SPEC), ref
+    return lams, monodromy(p, q, lams, floquet.BANDS_TOL), ref
 
 
 def test_magnus_monodromy_matches_the_ivp_oracle(generic_scan):
@@ -107,12 +105,12 @@ def test_batched_trace_equals_the_scalar_calls(generic_pq, generic_scan,
     p, q = generic_pq
     lams, mono, _ = generic_scan
     for lam, tr in zip(lams[::8], mono.trace[::8]):
-        one = monodromy(p, q, float(lam), BANDS_SPEC).trace
+        one = monodromy(p, q, float(lam), floquet.BANDS_TOL).trace
         assert type(one) is float
         assert one == pytest.approx(tr, rel=1e-13, abs=1e-13)
     # a product split into chunks of a few energies
     monkeypatch.setattr(floquet, "_MAGNUS_BATCH", 1000)
-    chunked = monodromy(p, q, lams, BANDS_SPEC).matrix
+    chunked = monodromy(p, q, lams, floquet.BANDS_TOL).matrix
     assert np.allclose(chunked, mono.matrix, rtol=1e-13, atol=1e-13)
 
 
@@ -121,7 +119,7 @@ def test_magnus_doubling_stops_at_the_first_settled_pair(generic_pq,
     p, q = generic_pq
     real = floquet._magnus_product
     counts = []
-    for spec in (BANDS_SPEC, IntegratorSpec(rel_tol=1e-12, abs_tol=1e-14)):
+    for rel_tol in (floquet.BANDS_TOL, 1e-12):
         runs = []
 
         def recording(p, q, lams, n):
@@ -130,23 +128,23 @@ def test_magnus_doubling_stops_at_the_first_settled_pair(generic_pq,
             return prod
 
         monkeypatch.setattr(floquet, "_magnus_product", recording)
-        mono = monodromy(p, q, 2.2, spec)
+        mono = monodromy(p, q, 2.2, rel_tol)
         ns = [n for n, _ in runs]
         tr = [np.trace(m) for _, m in runs]
         assert ns == [floquet.MAGNUS_STEPS * 2**i for i in range(len(ns))]
         assert np.array_equal(mono.matrix, runs[-1][1])  # the 2N product
-        tol = [spec.rel_tol * max(1.0, abs(t)) for t in tr]
+        tol = [rel_tol * max(1.0, abs(t)) for t in tr]
         assert abs(tr[-1] - tr[-2]) <= tol[-1]
         assert all(abs(b - a) > t for a, b, t in zip(tr[:-2], tr[1:-1], tol[1:-1]))
         counts.append(len(ns))
-    assert 2 <= counts[0] < counts[1]  # the tighter spec doubles further
+    assert 2 <= counts[0] < counts[1]  # the tighter tolerance doubles further
 
 
 def test_magnus_cap_raises_step_size_underflow(generic_pq, monkeypatch):
     p, q = generic_pq
     monkeypatch.setattr(floquet, "MAGNUS_MAX_STEPS", 512)
     with pytest.raises(StepSizeUnderflow):
-        monodromy(p, q, 2.2, IntegratorSpec(rel_tol=1e-14, abs_tol=1e-14))
+        monodromy(p, q, 2.2, 1e-14)
 
 
 def test_overflowing_monodromy_is_non_finite():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from diracembed.floquet import monodromy
 from diracembed.periodic_core import (
-    IntegratorSpec,
     PeriodicCoefficient,
     dirac_rhs,
     eval_coefficient,
@@ -137,19 +136,6 @@ def test_free_monodromy_trace():
     for lam in (0.3, 1.0, 2.5):
         assert monodromy(p, q, lam).trace == pytest.approx(2.0 * np.cos(lam),
                                                            abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# integrator plumbing
-
-
-def test_integrator_spec_validation():
-    with pytest.raises(ValueError):
-        IntegratorSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorSpec(rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        IntegratorSpec(abs_tol=-1.0)
 
 
 # ---------------------------------------------------------------------------

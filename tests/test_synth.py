@@ -1,5 +1,6 @@
 """Phase-locked pieces, schedules, assembly, manifests."""
 
+import inspect
 import json
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from diracembed.errors import (
     PieceTooShort,
     ResonantPair,
 )
-from diracembed import pruefer, synth, verify
+from diracembed import floquet, pruefer, synth, verify
 from diracembed.periodic_core import IntegratorSpec
 from diracembed.pruefer import integrate_R_xi
 from diracembed.synth import (
@@ -83,12 +84,13 @@ def test_check_nonresonance_rejections(free_pq):
 # single pieces
 
 
-def test_solve_xi_free_reduction_oracle(free_target_07):
+def test_solve_xi_free_reduction_oracle(free_target_07, monkeypatch):
     # Free frame: xi' = 2k - C sin(2 xi)/(x - b), windowless.
     t = free_target_07
     a, b, x_end, xi0 = 700.0, 0.0, 900.0, 1.1
-    traj = solve_xi(t, a, b, xi0, x_end, taper_width=0.0,
-                    spec=IntegratorSpec(rel_tol=1e-12, abs_tol=1e-12))
+    monkeypatch.setattr(synth, "LOCK_SPEC",
+                        IntegratorSpec(rel_tol=1e-12, abs_tol=1e-12))
+    traj = solve_xi(t, a, b, xi0, x_end, taper_width=0.0)
 
     ref = solve_ivp(
         lambda x, y: [2.0 * t.k - t.C * np.sin(2.0 * y[0]) / (x - b)],
@@ -368,8 +370,8 @@ def test_probed_constants_recorded_on_schedule(small_sched):
 
 def test_probe_bystander_flows_run_at_track_spec(free_target_07,
                                                  free_target_13, monkeypatch):
-    # The probe's spec (LOCK_SPEC) locks its pieces' phases; its bystander
-    # flows run at TRACK_SPEC like every other, and K and C_bound stay put.
+    # The probe's pieces lock at LOCK_SPEC; its bystander flows run at
+    # TRACK_SPEC like every other, and K and C_bound stay put.
     specs = []
 
     def spy(*args, **kwargs):
@@ -382,6 +384,13 @@ def test_probe_bystander_flows_run_at_track_spec(free_target_07,
     assert specs == [TRACK_SPEC] * 4  # two flows per ordered pair, one try
     assert K == pytest.approx(1200.0, rel=1e-9)
     assert C_bound == pytest.approx(2.4276234227564455, rel=1e-12)
+
+
+def test_no_caller_picks_a_phase_lock_tolerance():
+    # Every phase lock runs at LOCK_SPEC and every band scan at BANDS_TOL.
+    for fn in (solve_xi, probe_constants, schedule, synth.write_manifest,
+               floquet.band_scan):
+        assert "spec" not in inspect.signature(fn).parameters, fn.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +444,8 @@ def test_manifest_carries_the_build_recipe(small_run):
             "floquet_integrator", "mode", "b", "C_bound", "K",
             "T"} <= set(doc)
     assert {"p", "q"} <= set(doc["coefficients"])
+    assert doc["integrator"] == synth.LOCK_RECIPE == {"rel_tol": 1e-8,
+                                                      "abs_tol": 1e-11}
     assert doc["floquet_integrator"]["rel_tol"] <= 1e-10
     entry = doc["pieces"][0]
     assert {"side", "lambda", "a", "b", "x_end", "xi0", "C",

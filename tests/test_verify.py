@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diracembed import EmbeddingTarget, _util, verify
+from diracembed import EmbeddingTarget, _util, synth, verify
 from diracembed.errors import (
     DecayTooSlow,
     HypothesisViolated,
@@ -63,7 +63,8 @@ def test_decay_threshold_is_enforced(free_target_07, long_piece):
         decay_check(free_target_07, long_piece, slope_threshold=-200.0)
 
 
-def test_decay_constant_stable_under_solver_tolerances(free_target_07):
+def test_decay_constant_stable_under_solver_tolerances(free_target_07,
+                                                        monkeypatch):
     # The scheduling prefactor must not be a solver artifact: rebuilding
     # the piece with hundred-fold tighter phase tolerances moves C_bound
     # by well under a percent.
@@ -72,8 +73,8 @@ def test_decay_constant_stable_under_solver_tolerances(free_target_07):
     reps = []
     for spec in (IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11),
                  IntegratorSpec(rel_tol=1e-10, abs_tol=1e-13)):
-        traj = solve_xi(t, a, 0.0, np.pi / 2, x_end, taper_width=1.0,
-                        spec=spec)
+        monkeypatch.setattr(synth, "LOCK_SPEC", spec)
+        traj = solve_xi(t, a, 0.0, np.pi / 2, x_end, taper_width=1.0)
         reps.append(decay_check(t, piece_potential(t, traj)))
     c0, c1 = reps[0].C_bound, reps[1].C_bound
     assert abs(c1 - c0) / c0 < 0.01
@@ -207,6 +208,25 @@ def test_oscillatory_powerlaw_hypotheses():
                              x0_list=[10.0], x_max=1e3)
 
 
+def test_oscillatory_powerlaw_phase_reaches_the_last_sample(monkeypatch):
+    # beta1 = 2: theta = a*x + c*arctan(x).  The scan's last sample lies
+    # a step past x_max (10.52 against 10.51); the tabulated integral must
+    # reach it there too, not stop at x_max.
+    scans = []
+
+    def spy(make_integrand, x_lo, h, n, x0_list):
+        scans.append((make_integrand, x_lo + h * np.arange(n + 1)))
+        return _sup_scan(make_integrand, x_lo, h, n, x0_list)
+
+    monkeypatch.setattr(verify, "_sup_scan", spy)
+    oscillatory_check_41(a=1.0, beta1=2.0, beta2=1.0, x0_list=[10.0],
+                         x_max=10.51)
+    (integrand, xs), = scans
+    assert xs[-1] > 10.51
+    exact = np.sin(xs + np.arctan(xs)) / xs
+    assert np.max(np.abs(integrand(xs) - exact)) < 1e-12
+
+
 def seam_integrand(xs):
     return np.sin(1.3 * xs + np.log(xs)) / xs
 
@@ -215,22 +235,22 @@ def seam_integrand(xs):
 def test_sup_scan_checkpoint_on_a_block_seam(monkeypatch, block):
     h = 200.0 / 50_000  # the grid on [10, 210]
     x0s = [10.0, 10.0 + block * h, 10.0 + 3 * block * h, 57.3]
-    monkeypatch.setattr(verify, "SCAN_BLOCK", 50_000)
+    monkeypatch.setattr(_util, "QUAD_BLOCK", 50_000)
     one = _sup_scan(seam_integrand, 10.0, h, 50_000, x0s)
-    monkeypatch.setattr(verify, "SCAN_BLOCK", block)
+    monkeypatch.setattr(_util, "QUAD_BLOCK", block)
     split = _sup_scan(seam_integrand, 10.0, h, 50_000, x0s)
     assert split[0] == one[0]
     assert np.allclose(split[1], one[1], rtol=1e-10, atol=0.0)
 
 
 def test_sup_scan_block_size_leaves_the_sups(monkeypatch):
-    # 600k intervals: nine seams at the scan's own block, none at QUAD_BLOCK.
-    block = verify.SCAN_BLOCK
+    # 600k intervals: nine seams at QUAD_BLOCK, none in one block.
+    block = _util.QUAD_BLOCK
     h = 200.0 / 600_000
     x0s = [10.0, 10.0 + block * h, 57.3, 150.0]
     assert 600_000 > 9 * block and block % 2 == 0
     split = _sup_scan(seam_integrand, 10.0, h, 600_000, x0s)
-    monkeypatch.setattr(verify, "SCAN_BLOCK", _util.QUAD_BLOCK)
+    monkeypatch.setattr(_util, "QUAD_BLOCK", 600_000)
     one = _sup_scan(seam_integrand, 10.0, h, 600_000, x0s)
     assert split[0] == one[0]
     assert np.allclose(split[1], one[1], rtol=1e-12, atol=0.0)
@@ -307,17 +327,17 @@ def test_oscillatory_periodic_tables_match_direct_evaluation(
     grids, gaps = [], []
     blocks = verify.cumulative_blocks
 
-    def spy(f, lo, h, n, **kw):
+    def spy(f, lo, h, n):
         grids.append((lo, h, n))
 
         def checked(xs):
             out = f(xs)
             gaps.append(float(np.max(np.abs(out - direct(xs)))))
             return out
-        return blocks(checked, lo, h, n, **kw)
+        return blocks(checked, lo, h, n)
 
     monkeypatch.setattr(verify, "cumulative_blocks", spy)
-    monkeypatch.setattr(verify, "SCAN_BLOCK", 1000)  # blocks start off phase
+    monkeypatch.setattr(_util, "QUAD_BLOCK", 1000)  # blocks start off phase
     x0s = [1e2, 1e3]
     rep = oscillatory_check_42(t, Gamma, a=1.0, x0_list=x0s, x_max=2e3)
     monkeypatch.undo()
@@ -417,5 +437,5 @@ def test_report_files(tmp_path, free_target_07, long_piece):
     assert docs[0]["name"] == "decay"
     write_summary_csv([rep], str(cpath))
     lines = cpath.read_text().splitlines()
-    assert lines[0] == "name,subject,metric,value"
-    assert lines[1].startswith("decay,")
+    assert lines[0] == "name,subject,side,metric,value"
+    assert lines[1].startswith("decay,0.7,1,slope,")
