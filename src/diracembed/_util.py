@@ -11,8 +11,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import InvariantDrift
 
-# Intervals per block of a chunked quadrature: even, so Simpson pairs match
-# the one-block integral; small, so a block's temporaries stay a few MB.
+# Intervals per block of a chunked quadrature or Magnus product: even, so
+# Simpson pairs match the one-block integral; small, so a block's
+# temporaries stay a few MB.
 QUAD_BLOCK = 2 ** 16
 
 

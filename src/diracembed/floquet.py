@@ -68,7 +68,7 @@ BANDS_TOL = 1e-8  # monodromy's rel_tol for every trace band_scan takes
 MAGNUS_STEPS = 128
 MAGNUS_MAX_STEPS = 2 ** 14
 _MAGNUS_BATCH = 2 ** 18  # energies x steps per vectorized product (8 MB)
-_GAUSS = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+GAUSS_NODES = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,26 @@ class Monodromy:
         return float(tr) if tr.ndim == 0 else tr
 
 
+def expm_traceless(a, b, c) -> np.ndarray:
+    """exp Omega for Omega = [[a, b], [c, -a]], elementwise over arrays.
+
+    exp Omega = C I + S Omega with C = cos s, S = sin s / s, s^2 = det
+    Omega (cosh and sinh where det Omega < 0).  Omega = 0 gives I exactly.
+    Returns a.shape + (2, 2).
+    """
+    neg_det = a * a + b * c
+    s = np.sqrt(np.abs(neg_det))
+    gap = neg_det > 0.0
+    C = np.where(gap, np.cosh(s), np.cos(s))
+    S = np.where(gap, np.sinh(s) / np.where(gap, s, 1.0), np.sinc(s / np.pi))
+    out = np.empty(np.shape(a) + (2, 2))
+    out[..., 0, 0] = C + S * a
+    out[..., 0, 1] = S * b
+    out[..., 1, 0] = S * c
+    out[..., 1, 1] = C - S * a
+    return out
+
+
 def _magnus_product(p: PeriodicCoefficient, q: PeriodicCoefficient,
                     lams: np.ndarray, n: int) -> np.ndarray:
     """exp(Omega_{n-1}) ... exp(Omega_0) over n equal steps, per energy.
@@ -102,12 +122,11 @@ def _magnus_product(p: PeriodicCoefficient, q: PeriodicCoefficient,
     Omega = h/2 (A1 + A2) + (sqrt(3) h^2/12) [A2, A1] is the fourth-order
     Magnus exponent of A = [[-q, lam + p], [p - lam, q]] at the two Gauss
     points of a step.  It is trace-free, [[a, b], [c, -a]], and affine in
-    lam, so p and q are evaluated once for every energy, and
-    exp Omega = C I + S Omega with C = cos s, S = sin s / s, s^2 = det Omega
-    (cosh and sinh where det Omega < 0).  Returns the (E, 2, 2) products.
+    lam, so p and q are evaluated once for every energy; ``expm_traceless``
+    takes each step.  Returns the (E, 2, 2) products.
     """
     h = 1.0 / n
-    x = h * (np.arange(n)[:, None] + _GAUSS)
+    x = h * (np.arange(n)[:, None] + GAUSS_NODES)
     p1, p2 = eval_coefficient(p, x).T
     q1, q2 = eval_coefficient(q, x).T
     k = np.sqrt(3.0) * h * h / 6.0  # twice the commutator weight
@@ -120,18 +139,7 @@ def _magnus_product(p: PeriodicCoefficient, q: PeriodicCoefficient,
     chunk = max(1, _MAGNUS_BATCH // n)
     for lo in range(0, lams.size, chunk):
         lam = lams[lo:lo + chunk, None]
-        a, b, c = a0 + lam * a1, b0 + lam * b1, c0 + lam * c1
-        neg_det = a * a + b * c
-        s = np.sqrt(np.abs(neg_det))
-        gap = neg_det > 0.0
-        C = np.where(gap, np.cosh(s), np.cos(s))
-        S = np.where(gap, np.sinh(s) / np.where(gap, s, 1.0),
-                     np.sinc(s / np.pi))
-        steps = np.empty(a.shape + (2, 2))
-        steps[..., 0, 0] = C + S * a
-        steps[..., 0, 1] = S * b
-        steps[..., 1, 0] = S * c
-        steps[..., 1, 1] = C - S * a
+        steps = expm_traceless(a0 + lam * a1, b0 + lam * b1, c0 + lam * c1)
         while steps.shape[1] > 1:  # n is a power of two
             steps = steps[:, 1::2] @ steps[:, 0::2]
         out[lo:lo + chunk] = steps[:, 0]

@@ -25,9 +25,11 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _tableau
 from scipy.interpolate import CubicHermiteSpline
 
-from ._util import cumulative_blocks, decimate
+from . import _util
+from ._util import decimate
 from .errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
-from .floquet import DerivedPeriodicData, gamma_derivative
+from .floquet import (GAUSS_NODES, DerivedPeriodicData, expm_traceless,
+                      gamma_derivative)
 from .periodic_core import IntegratorSpec
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "R_xi_rhs",
     "prufer_system",
     "R_xi_system",
-    "PhaseFlow",
     "phase_flow",
     "RXiRun",
     "integrate_R_xi",
@@ -139,18 +140,6 @@ def rate_floor(rate: float) -> float:
     return max(abs(rate), 1e-2)
 
 
-@dataclass
-class PhaseFlow:
-    """Dense phase from ``phase_flow``: xi = zeta(x) + rate*x."""
-
-    rate: float
-    zeta: object  # Hermite PPoly of xi - rate*x through the accepted nodes
-    nfev: int
-
-    def xi_at(self, x):
-        return self.zeta(x) + self.rate * np.asarray(x, dtype=float)
-
-
 def phase_slope(data: DerivedPeriodicData, gain):
     """zeta' = xi' - rate at the float pair (x, xi).
 
@@ -240,14 +229,13 @@ def _dop853(slope, rate: float, x0: float, x1: float, xi0: float,
 
 
 def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
-               xi0: float, spec: IntegratorSpec) -> PhaseFlow:
+               xi0: float, spec: IntegratorSpec):
     """Solve xi' = 2k + delta' + gain(x, xi) (u - v - Psi cos xi) from x0 to x1.
 
-    The bystander flow under V has gain = -2V(x)/omega; the phase lock
-    has its slaved gain 2C w(x) sin xi/(x - b_s).  The stepper carries
-    zeta = xi - rate*x (bounded, well scaled for error control); a Hermite
-    spline through its nodes, with the stepper's own slopes, is the dense
-    phase.  gain takes floats.
+    The phase lock's gain is its slaved 2C w(x) sin xi/(x - b_s).  The
+    stepper carries zeta = xi - rate*x (bounded, well scaled for error
+    control).  Returns (rate, zeta, nfev), zeta the Hermite spline through
+    the nodes with the stepper's own slopes.  gain takes floats.
     """
     rate = xi_rate(data)
     *nodes, nfev = _dop853(phase_slope(data, gain), rate, float(x0),
@@ -257,73 +245,117 @@ def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
         raise NonFiniteState("phase integration produced non-finite values")
     if ts[0] > ts[-1]:
         ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
-    return PhaseFlow(rate=rate, zeta=CubicHermiteSpline(ts, zs, dz), nfev=nfev)
+    return rate, CubicHermiteSpline(ts, zs, dz), nfev
 
 
-def quad_grid(rate: float, x0: float, x1: float):
-    """(lo, h, n): n steps h <= 0.05/rate exactly over [x0, x1] either way."""
-    lo, hi = min(x0, x1), max(x0, x1)
-    n = max(2, int(np.ceil((hi - lo) / (0.05 / rate_floor(rate)))))
-    return lo, (hi - lo) / n, n
+# A bystander flow settles when its Magnus steps h and 2h give propagators
+# within FLOW_TOL of each other, relative in the Frobenius norm, at every
+# sample.  V_interp's kinks inside a step leave the product first order in
+# h, so that difference bounds the error of the step-h product itself.
+FLOW_TOL = 1e-5
+FLOW_HALVINGS = 6  # most halvings of the first step, 0.05/rate or less
+SAMPLE_STRIDE = 32  # first steps per sample: about four per turn of xi
 
 
 @dataclass
-class RXiRun(PhaseFlow):
-    """Result of the long-horizon (ln R, xi) integration.
-
-    ``xs``/``ln_R``/``xi`` are decimated samples (about four per rotation
-    of xi); ``ln_R_end`` carries the undecimated cumulative value at x1.
-    ``xi_at`` is accurate everywhere.
-    """
+class RXiRun:
+    """A bystander flow from (lnR0, xi0) at x0: samples xs from x0 to x1,
+    with ln_R, xi and Phi, the propagator of (Re rho, Im rho) from x0.
+    nfev counts the evaluations of V, two per Magnus step."""
 
     xs: np.ndarray
     ln_R: np.ndarray
     xi: np.ndarray
+    Phi: np.ndarray
     ln_R_end: float
+    nfev: int
 
 
-def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float, xi0: float,
-                   spec: IntegratorSpec | None = None,
-                   lnR0: float = 0.0) -> RXiRun:
-    """Integrate xi as a drift variable and recover ln R by quadrature.
+def bystander_phase(data: DerivedPeriodicData, x):
+    """phi = 2 gamma1 + Gamma2, so that xi = 2 eta + phi."""
+    return 2.0 * data.gamma1_f(x) + data.Gamma2_f(x)
 
-    xi never feeds on ln R, so the phase is solved first by
-    ``phase_flow`` and (ln R)' = (V/omega) Psi sin xi is then accumulated
-    with a fourth-order cumulative rule on a uniform grid of step
-    0.05/rate, in bounded-memory blocks.
 
-    V must accept floats and numpy arrays.
+def _propagate(data: DerivedPeriodicData, V, x0: float, x1: float, n: int,
+               stride: int) -> np.ndarray:
+    """Phi at x0 + t H, H = (x1 - x0)/n, for t = 0, stride, 2 stride ... n.
+
+    Phi' = A Phi, A = (V/omega) [[Psi sin phi, (u - v) + Psi cos phi],
+    [Psi cos phi - (u - v), -Psi sin phi]], the real form of rho' =
+    i(V/omega)(-(u - v) rho + Psi e^{-i phi} conj(rho)).  Each step is the
+    fourth-order Magnus exponent at its two Gauss points, taken by
+    ``expm_traceless``; a stride of steps is multiplied out by halving
+    (stride is a power of two), the strides of a block of about QUAD_BLOCK
+    steps are chained by a doubling scan, and Python loops over blocks.
     """
-    w = data.omega
-    flow = phase_flow(data, lambda x, xi: -2.0 * V(x) / w, x0, x1, xi0,
-                      spec or IntegratorSpec())
-    flip = x0 > x1
-    lo, h, n = quad_grid(flow.rate, x0, x1)
-    stride = 31  # steps of 0.05/rate in a quarter rotation, pi/(2 rate)
+    H = (x1 - x0) / n
+    w = np.sqrt(3.0) * H * H / 12.0  # the commutator's weight
+    block = max(stride, _util.QUAD_BLOCK // stride * stride)
+    out, carry = [np.eye(2)[None]], np.eye(2)
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        x = x0 + H * (np.arange(start, start + m)[:, None] + GAUSS_NODES)
+        g = np.asarray(V(x), dtype=float) / data.omega
+        Pg, phi = g * data.Psi_f(x), bystander_phase(data, x)
+        d = g * (data.u_f(x) - data.v_f(x))
+        alpha, Pc = Pg * np.sin(phi), Pg * np.cos(phi)
+        (a1, a2), (b1, b2), (c1, c2) = alpha.T, (Pc + d).T, (Pc - d).T
+        # Omega = H/2 (A1 + A2) + w [A2, A1]
+        steps = expm_traceless(0.5 * H * (a1 + a2) + w * (b2 * c1 - b1 * c2),
+                               0.5 * H * (b1 + b2) + 2 * w * (a2 * b1 - b2 * a1),
+                               0.5 * H * (c1 + c2) + 2 * w * (c2 * a1 - a2 * c1))
+        # Identity steps pad the last block to whole strides: its last
+        # sample then falls on x1.
+        steps = np.concatenate([steps, np.broadcast_to(
+            np.eye(2), (-m % stride, 2, 2))]).reshape(-1, stride, 2, 2)
+        while steps.shape[1] > 1:
+            steps = steps[:, 1::2] @ steps[:, 0::2]
+        prods, shift = steps[:, 0], 1
+        while shift < len(prods):
+            prods[shift:] = prods[shift:] @ prods[:-shift]
+            shift *= 2
+        out.append(prods @ carry)
+        carry = out[-1][-1]
+    return np.concatenate(out)
 
-    def f(xs):
-        return (np.asarray(V(xs), dtype=float) / w) * data.Psi_f(xs) \
-            * np.sin(flow.xi_at(xs))
 
-    xs_out: list[np.ndarray] = []
-    ln_out: list[np.ndarray] = []
-    # The cumulative rule runs left to right; when integrating downward
-    # the anchor lnR0 sits at the right end and is applied afterwards.
-    for start, xs, F in cumulative_blocks(f, lo, h, n, 0.0 if flip else lnR0):
-        keep = decimate(xs.size, stride)
-        if start + xs.size - 1 < n:  # the seam sample opens the next block
-            keep = keep[keep < xs.size - 1]
-        xs_out.append(xs[keep])
-        ln_out.append(F[keep])
-    total = F[-1]
+def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float,
+                   xi0: float, lnR0: float = 0.0) -> RXiRun:
+    """(ln R, xi) of a bystander from (lnR0, xi0) at x0 to x1 under V.
 
-    xs_all = np.concatenate(xs_out)
-    ln_all = np.concatenate(ln_out)
-    if flip:  # ln R(x) = lnR0 - integral from x up to x0; reorder x0 -> x1
-        ln_all = ln_all + (lnR0 - total)
-        ln_end = lnR0 - total
-        xs_all, ln_all = xs_all[::-1], ln_all[::-1]
+    rho0 = e^{i eta0}, eta0 = (xi0 - phi(x0))/2, rides the propagator Phi
+    of ``_propagate``, and xi = 2 arg(Phi rho0) + phi.  The step starts at
+    0.05/rate or less and halves until the product agrees with the one at
+    twice the step to FLOW_TOL (StepSizeUnderflow after FLOW_HALVINGS
+    halvings, NonFiniteState on overflow).  V takes numpy arrays.
+    """
+    x0, x1 = float(x0), float(x1)
+    n = max(2, int(np.ceil(abs(x1 - x0) / (0.05 / rate_floor(xi_rate(data))))))
+    n += n % 2
+    eta0 = 0.5 * (xi0 - float(bystander_phase(data, x0)))
+    stride = SAMPLE_STRIDE
+    coarse = _propagate(data, V, x0, x1, n // 2, stride // 2)
+    nfev = n
+    for _ in range(FLOW_HALVINGS + 1):
+        Phi = _propagate(data, V, x0, x1, n, stride)
+        nfev += 2 * n
+        if not np.all(np.isfinite(Phi)):
+            raise NonFiniteState("bystander flow left the finite range")
+        gap = np.sum((Phi - coarse) ** 2, axis=(1, 2)) \
+            / np.sum(Phi * Phi, axis=(1, 2))
+        if np.max(gap) <= FLOW_TOL * FLOW_TOL:
+            break
+        coarse, n, stride = Phi, 2 * n, 2 * stride
     else:
-        ln_end = total
-    return RXiRun(**vars(flow), xs=xs_all, ln_R=ln_all,
-                  xi=flow.xi_at(xs_all), ln_R_end=float(ln_end))
+        raise StepSizeUnderflow(
+            f"bystander flow not settled at {n // 2} Magnus steps")
+    t = decimate(n + 1, stride)
+    xs = x0 + t * ((x1 - x0) / n)
+    xs[-1] = x1
+    c, s = math.cos(eta0), math.sin(eta0)
+    x, y = (Phi[:, :, 0] * c + Phi[:, :, 1] * s).T  # Phi rho0
+    turn = np.unwrap(np.arctan2(c * y - s * x, c * x + s * y))  # eta - eta0
+    phi = bystander_phase(data, xs)
+    ln_R = lnR0 + np.log(np.hypot(x, y) / math.hypot(c, s))
+    return RXiRun(xs=xs, ln_R=ln_R, xi=xi0 + 2.0 * turn + (phi - phi[0]),
+                  Phi=Phi, ln_R_end=float(ln_R[-1]), nfev=nfev)

@@ -23,7 +23,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .errors import (
 from .floquet import (FRAME_INTERVALS, FRAME_SPEC, DerivedPeriodicData,
                       derived_data, floquet_solution)
 from .periodic_core import IntegratorSpec, PeriodicCoefficient
-from .pruefer import PhaseFlow, integrate_R_xi, phase_flow, rate_floor
+from .pruefer import integrate_R_xi, phase_flow, rate_floor
 
 __all__ = [
     "EmbeddingTarget",
@@ -68,7 +67,6 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 DECAY_EXPONENT = 100.0  # target slope of ln R against ln((|x|-b)/(a-b))
 LOCK_SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)  # phase lock
-TRACK_SPEC = IntegratorSpec(rel_tol=1e-6, abs_tol=1e-9)  # bystander flow
 CSV_ROWS = 2000  # most potential.csv rows per piece
 ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
 # The manifest's records of how every phase lock and Floquet frame is built.
@@ -159,9 +157,13 @@ def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
 
 
 @dataclass
-class XiTrajectory(PhaseFlow):
-    """Dense solution of the phase-lock equation on side*[a, x_end]."""
+class XiTrajectory:
+    """Dense solution of the phase-lock equation on side*[a, x_end]:
+    xi = zeta(x) + rate*x, zeta from ``phase_flow``."""
 
+    rate: float
+    zeta: object  # Hermite PPoly of xi - rate*x through the accepted nodes
+    nfev: int
     side: int
     a: float
     b: float
@@ -169,6 +171,9 @@ class XiTrajectory(PhaseFlow):
     xi0: float
     C: float
     taper_width: float
+
+    def xi_at(self, x):
+        return self.zeta(x) + self.rate * np.asarray(x, dtype=float)
 
     @property
     def x_lo(self) -> float:
@@ -222,8 +227,9 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
         w = taper_window(x, lo, hi, tw) if tw > 0.0 else 1.0
         return 2.0 * C * w * math.sin(xi) / (x - b_s)
 
-    flow = phase_flow(target.data, gain, x_start, x_stop, xi0, LOCK_SPEC)
-    return XiTrajectory(**vars(flow), side=side, a=a, b=b, x_end=x_end,
+    rate, zeta, nfev = phase_flow(target.data, gain, x_start, x_stop, xi0,
+                                  LOCK_SPEC)
+    return XiTrajectory(rate, zeta, nfev, side=side, a=a, b=b, x_end=x_end,
                         xi0=xi0, C=C, taper_width=tw)
 
 
@@ -255,28 +261,9 @@ class PotentialPiece(XiTrajectory):
     def omega(self) -> float:
         return self.target.omega
 
-    @cached_property
-    def _views(self):
-        xp = self.x_grid
-        n = xp.size - 1
-        return (memoryview(xp), memoryview(self.V_grid), n,
-                float(n / (xp[-1] - xp[0])))
-
     def V_interp(self, x):
-        """np.interp on the samples; a float takes its formula on memoryviews."""
-        if not isinstance(x, float):
-            return np.interp(x, self.x_grid, self.V_grid)
-        xp, fp, n, scale = self._views
-        if not xp[0] <= x < xp[n]:  # past an end (NaN: past the right)
-            return fp[0] if x < xp[0] else fp[n] if x == x else x
-        # The interval of the uniform grid, corrected to xp[j] <= x < xp[j+1]
-        # as bisect_right would give it.
-        j = int((x - xp[0]) * scale)
-        while xp[j] > x:
-            j -= 1
-        while xp[j + 1] <= x:
-            j += 1
-        return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+        """V at x by np.interp on the samples, 0 off the piece."""
+        return np.interp(x, self.x_grid, self.V_grid)
 
     def manifest_entry(self) -> dict:
         return {"side": "plus" if self.side > 0 else "minus",
@@ -366,7 +353,7 @@ class Tracker:
         elif self.xi is not None:
             run = integrate_R_xi(self.target.data, piece.V_interp,
                                  side * piece.a, side * piece.x_end, self.xi,
-                                 spec=TRACK_SPEC, lnR0=self.ln_R)
+                                 lnR0=self.ln_R)
             self.xi = float(run.xi[-1])
             self.ln_R = float(run.ln_R_end)
             self._samples.append((run.xs, run.ln_R, run.xi))
@@ -400,7 +387,7 @@ def probe_constants(targets, *, b: float = 0.0, xi0: float = np.pi / 2,
     maximized over targets.  K doubles from the phase-rate floor 2C/k
     until every ordered bystander pair stays within factor 1.5 over a
     probe piece, then is doubled once more as safety.  The pieces lock at
-    LOCK_SPEC; bystander flows across them run at TRACK_SPEC.
+    LOCK_SPEC, and stability_check propagates the bystanders across them.
     """
     from .verify import decay_check, stability_check
 

@@ -12,7 +12,7 @@ min x0 is a grid point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,10 +26,8 @@ from .errors import (
     ResonantFrequency,
     StabilityViolated,
 )
-from .periodic_core import IntegratorSpec
-from .pruefer import integrate_R_xi, quad_grid
+from .pruefer import integrate_R_xi
 from .synth import (
-    TRACK_SPEC,
     EmbeddingTarget,
     PotentialPiece,
     SynthesizedPotential,
@@ -59,7 +57,25 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-NONEMBED_SPEC = IntegratorSpec(rel_tol=1e-7, abs_tol=1e-10)
+# Report fields under another name in reports.json.
+JSON_NAMES = {"lam": "lambda", "lam_piece": "lambda_piece",
+              "lam_bystander": "lambda_bystander", "target_index": "target",
+              "description": "name", "x0_list": "x0"}
+
+
+class Report:
+    """A check's report; ``to_dict`` is its reports.json record: the check's
+    NAME, then every field but the arrays, renamed by JSON_NAMES."""
+
+    NAME = None
+
+    def to_dict(self) -> dict:
+        doc = {} if self.NAME is None else {"name": self.NAME}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if not isinstance(val, np.ndarray):
+                doc[JSON_NAMES.get(f.name, f.name)] = val
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +83,7 @@ NONEMBED_SPEC = IntegratorSpec(rel_tol=1e-7, abs_tol=1e-10)
 
 
 @dataclass
-class OscCheck:
+class OscCheck(Report):
     """Sup of |int_{x0}^x integrand| for each checkpoint, with products."""
 
     description: str
@@ -81,12 +97,6 @@ class OscCheck:
     def max_product_ratio(self) -> float:
         lo = min(self.products)
         return float(max(self.products) / lo) if lo > 0 else np.inf
-
-    def to_dict(self) -> dict:
-        return {"name": self.description, "a": self.a, "beta": self.beta,
-                "x0": list(self.x0_list),
-                "sup_integral": list(self.sup_integral),
-                "products": list(self.products)}
 
 
 def _sup_scan(make_integrand, x_lo: float, h: float, n: int, x0_list):
@@ -218,8 +228,10 @@ def oscillatory_check_42(target: EmbeddingTarget, Gamma, a: float, x0_list,
 
 
 @dataclass
-class DecayReport:
+class DecayReport(Report):
     """Fitted power-law decay of one tracked amplitude across a piece."""
+
+    NAME = "decay"
 
     lam: float
     side: int
@@ -234,13 +246,6 @@ class DecayReport:
     C_bound: float
     max_rise: float
     n_samples: int
-
-    def to_dict(self) -> dict:
-        return {"name": "decay", "lambda": self.lam, "side": self.side,
-                "a": self.a, "b": self.b, "x_end": self.x_end,
-                "slope": self.slope, "intercept": self.intercept,
-                "C_add": self.C_add, "C_bound": self.C_bound,
-                "max_rise": self.max_rise, "n_samples": self.n_samples}
 
 
 def decay_check(target: EmbeddingTarget, piece: PotentialPiece,
@@ -281,8 +286,10 @@ def decay_check(target: EmbeddingTarget, piece: PotentialPiece,
 
 
 @dataclass
-class StabilityReport:
+class StabilityReport(Report):
     """Worst bystander amplification over a phase grid, and over all phases."""
+
+    NAME = "stability"
 
     lam_piece: float
     lam_bystander: float
@@ -294,68 +301,41 @@ class StabilityReport:
     worst_x: float
     ratios: list[float]
 
-    def to_dict(self) -> dict:
-        return {"name": "stability", "lambda_piece": self.lam_piece,
-                "lambda_bystander": self.lam_bystander, "side": self.side,
-                "threshold": self.threshold, "max_ratio": self.max_ratio,
-                "sup_ratio": self.sup_ratio,
-                "worst_phase": self.worst_phase, "worst_x": self.worst_x,
-                "ratios": self.ratios}
-
 
 def stability_check(bystander: EmbeddingTarget, piece: PotentialPiece,
                     threshold: float = 2.0,
                     n_phases: int = 8) -> StabilityReport:
     """Max growth of a non-resonant amplitude across someone else's piece.
 
-    rho(start) -> rho(x) is real-linear (rho' = -i(V/omega)(u - v) rho +
-    i(V/omega) Psi e^{-i(2 gamma1 + Gamma2)} conj(rho)), so two TRACK_SPEC
-    flows from R = 1, at eta0 = 0 and pi/2, give every eta0: R^2 = mean +
-    half cos 2eta0 + cross sin 2eta0, with (Ra^2 +- Rb^2)/2 and Ra Rb
-    cos(eta_a - eta_b).  Raises StabilityViolated if max_x R on the
-    n_phases grid (``ratios``) exceeds the threshold; ``sup_ratio`` =
-    max_x sqrt(mean + hypot(half, cross)), the sup over every eta0, is
-    reported but not gated.
+    rho(start) -> rho(x) is real-linear, so one bystander flow gives its
+    propagator Phi at every sample x, and R(x; eta0) = |Phi(x) (cos eta0,
+    sin eta0)| for every start phase eta0.  Raises StabilityViolated if
+    max_x R on the n_phases grid (``ratios``) exceeds the threshold;
+    ``sup_ratio`` = max_x ||Phi(x)||_2, the sup over every eta0, is
+    reported but not gated.  V = 0 makes every step, so every ratio, 1.
     """
     start = piece.x_lo if piece.side > 0 else piece.x_hi
     stop = piece.x_hi if piece.side > 0 else piece.x_lo
-    data = bystander.data
-    g1s, G2s = float(data.gamma1_f(start)), float(data.Gamma2_f(start))
-    fa, fb = (integrate_R_xi(data, piece.V_interp, start, stop,
-                             2.0 * (eta0 + g1s) + G2s, spec=TRACK_SPEC)
-              for eta0 in (0.0, np.pi / 2))
-    # eta_a - eta_b = drift/2 - pi/2, with (xi_a - xi_b)' = (2V/omega) Psi
-    # (cos xi_a - cos xi_b) summed by ln R's rule on its grid: 0 at V = 0
-    lo, h, n = quad_grid(fa.rate, start, stop)
-    xs = lo + np.arange(n + 1) * h
-    dxi = 2.0 * np.asarray(piece.V_interp(xs), dtype=float) / data.omega \
-        * data.Psi_f(xs) * (np.cos(fa.xi_at(xs)) - np.cos(fb.xi_at(xs)))
-    drift = np.interp(fa.xs, xs, cumulative_simpson_uniform(dxi, h))
-    Ra, Rb = np.exp(fa.ln_R), np.exp(fb.ln_R)
-    mean, half = (Ra * Ra + Rb * Rb) / 2.0, (Ra * Ra - Rb * Rb) / 2.0
-    cross = Ra * Rb * np.sin((drift - drift[0]) / 2.0)
-    ratios, worst = [], (1.0, 0.0, start)
-    for j in range(n_phases):
-        eta0 = TWO_PI * j / n_phases
-        if 4 * j % n_phases:
-            ln_R = 0.5 * np.log(mean + np.cos(2.0 * eta0) * half
-                                + np.sin(2.0 * eta0) * cross)
-        else:  # a quarter turn is a flow itself: R(eta0 + pi) = R(eta0)
-            ln_R = (fb if 4 * j // n_phases % 2 else fa).ln_R
-        imax = int(np.argmax(ln_R))
-        ratios.append(float(np.exp(ln_R[imax])))
-        if ratios[-1] > worst[0]:
-            worst = (ratios[-1], float(eta0), float(fa.xs[imax]))
-    sup = float(np.sqrt(np.max(mean + np.hypot(half, cross))))
+    # The start phase is immaterial here: Phi carries every phase.
+    run = integrate_R_xi(bystander.data, piece.V_interp, start, stop, 0.0)
+    (a, b), (c, d) = np.moveaxis(run.Phi[..., None], 0, 2)  # (S, 1) each
+    eta = TWO_PI * np.arange(n_phases) / n_phases
+    cos, sin = np.cos(eta), np.sin(eta)
+    R = np.hypot(a * cos + b * sin, c * cos + d * sin) / np.hypot(cos, sin)
+    imax = np.argmax(R, axis=0)
+    ratios = R[imax, np.arange(n_phases)].tolist()
+    j = int(np.argmax(ratios))  # R = 1 at the start: ratios are >= 1
+    sup = float(np.max(np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) / 2.0)
     report = StabilityReport(lam_piece=piece.lam, lam_bystander=bystander.lam,
                              side=piece.side, threshold=threshold,
-                             max_ratio=worst[0], sup_ratio=sup,
-                             worst_phase=worst[1], worst_x=worst[2],
-                             ratios=ratios)
-    if worst[0] > threshold:
+                             max_ratio=ratios[j], sup_ratio=sup,
+                             worst_phase=float(eta[j]),
+                             worst_x=float(run.xs[imax[j]]), ratios=ratios)
+    if report.max_ratio > threshold:
         raise StabilityViolated(
-            f"bystander lam={bystander.lam} grows by {worst[0]:.4g} "
-            f"(> {threshold}) at x={worst[2]:.6g}, phase {worst[1]:.3f}")
+            f"bystander lam={bystander.lam} grows by {report.max_ratio:.4g} "
+            f"(> {threshold}) at x={report.worst_x:.6g}, "
+            f"phase {report.worst_phase:.3f}")
     return report
 
 
@@ -364,8 +344,10 @@ def stability_check(bystander: EmbeddingTarget, piece: PotentialPiece,
 
 
 @dataclass
-class NonembeddingReport:
+class NonembeddingReport(Report):
     """Lower-bound certificate: amplitude cannot decay into L^2."""
+
+    NAME = "nonembedding"
 
     lam: float
     eps: float
@@ -380,14 +362,6 @@ class NonembeddingReport:
     l2_measured: float
     l2_lower_bound: float
     square_summable: bool
-
-    def to_dict(self) -> dict:
-        return {"name": "nonembedding", "lambda": self.lam, "eps": self.eps,
-                "C_omega": self.C_omega, "C_eps": self.C_eps, "x0": self.x0,
-                "x_max": self.x_max, "min_margin": self.min_margin,
-                "tol": self.tol, "l2_measured": self.l2_measured,
-                "l2_lower_bound": self.l2_lower_bound,
-                "square_summable": self.square_summable}
 
 
 def adversarial_potential(target: EmbeddingTarget, x0: float, x_max: float,
@@ -419,7 +393,7 @@ def nonembedding_check(target: EmbeddingTarget, V, x0: float, x_max: float,
         raise HypothesisViolated(
             f"C_eps = {C_eps:.4g} >= 1/2; the lower bound needs a smaller "
             "envelope")
-    run = integrate_R_xi(data, V, x0, x_max, np.pi / 2, spec=NONEMBED_SPEC)
+    run = integrate_R_xi(data, V, x0, x_max, np.pi / 2)
     margin = run.ln_R + C_eps * np.log(run.xs / x0)
     min_margin = float(np.min(margin))
     if min_margin < np.log1p(-tol):
@@ -445,8 +419,10 @@ TAIL_RATIO = 0.5  # most energy a cycle may carry, relative to the last one
 
 
 @dataclass
-class TailReport:
+class TailReport(Report):
     """Per-cycle energy of one tracked amplitude and its geometric decay."""
+
+    NAME = "l2-tail"
 
     target_index: int
     side: int
@@ -454,12 +430,6 @@ class TailReport:
     cycle_sums: list[float]
     ratios: list[float]
     verdict: bool
-
-    def to_dict(self) -> dict:
-        return {"name": "l2-tail", "target": self.target_index,
-                "side": self.side, "cycle_bounds": self.cycle_bounds,
-                "cycle_sums": self.cycle_sums, "ratios": self.ratios,
-                "verdict": self.verdict}
 
 
 def l2_tail_estimate(track: TrackRecord) -> TailReport:

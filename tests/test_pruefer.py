@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from diracembed import _util, derived_data, floquet_solution, pruefer
-from diracembed.errors import StepSizeUnderflow, ZeroSolution
+from diracembed.errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
 from diracembed.periodic_core import IntegratorSpec, dirac_rhs, integrate
 from diracembed.pruefer import (
     PrueferState,
@@ -22,7 +22,7 @@ from diracembed.pruefer import (
     to_prufer,
     xi_rate,
 )
-from diracembed.synth import EmbeddingTarget, choose_C, solve_xi
+from diracembed.synth import EmbeddingTarget, choose_C, piece_potential, solve_xi
 
 RNG = np.random.default_rng(20240713)
 
@@ -195,16 +195,13 @@ def test_integrate_R_xi_matches_coupled_solver(free_data):
         return 0.3 * np.sin(2.7 * np.asarray(x)) / (1.0 + np.asarray(x))
 
     x0, x1, xi0 = 10.0, 200.0, 0.6
-    run = integrate_R_xi(data, V, x0, x1, xi0,
-                         spec=IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12))
+    run = integrate_R_xi(data, V, x0, x1, xi0)
     ref = integrate(R_xi_system(data, lambda x: float(V(x))), x0, x1,
                     np.array([0.0, xi0]),
                     IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13),
                     t_eval=run.xs)
     assert abs(run.ln_R_end - ref.ys[-1, 0]) < 1e-6
     assert np.max(np.abs(run.ln_R - ref.ys[:, 0])) < 1e-6
-    # xi samples pass through the Hermite reconstruction between accepted
-    # solver nodes, so they carry interpolation-level error, not solver error
     assert np.max(np.abs(run.xi - ref.ys[:, 1])) < 1e-4
 
 
@@ -215,36 +212,86 @@ def test_integrate_R_xi_downward_anchors_at_the_right(free_data):
         return 0.1 * np.cos(1.3 * np.asarray(x)) / (1.0 + np.asarray(x))
 
     up = integrate_R_xi(data, V, 5.0, 80.0, 0.3, lnR0=0.25)
-    down = integrate_R_xi(data, V, 80.0, 5.0, float(up.xi_at(80.0)),
+    down = integrate_R_xi(data, V, 80.0, 5.0, float(up.xi[-1]),
                           lnR0=float(up.ln_R_end))
     assert down.xs[0] == 80.0 and down.xs[-1] == 5.0
     assert down.ln_R_end == pytest.approx(0.25, abs=1e-7)
-    assert np.interp(40.0, down.xs[::-1], down.ln_R[::-1]) == pytest.approx(
-        np.interp(40.0, up.xs, up.ln_R), abs=1e-6)
+    assert down.xi[-1] == pytest.approx(0.3, abs=1e-6)
+    # halfway, from either end
+    mid_up = integrate_R_xi(data, V, 5.0, 40.0, 0.3, lnR0=0.25)
+    mid_down = integrate_R_xi(data, V, 80.0, 40.0, float(up.xi[-1]),
+                              lnR0=float(up.ln_R_end))
+    assert mid_down.ln_R_end == pytest.approx(mid_up.ln_R_end, abs=1e-6)
+    assert mid_down.xi[-1] == pytest.approx(mid_up.xi[-1], abs=1e-6)
 
 
+def test_integrate_R_xi_generic_frame_matches_a_tight_reference(generic_pq):
+    """A periodic frame, as verify meets it: lam = 1.7 across lam = 0.9's
+    piece on [800, 900], against an rtol 1e-12 run of the (ln R, xi)
+    system under the same V_interp, taken node to node of the piece's
+    grid so that V is smooth inside every call."""
+    t09, t17 = (EmbeddingTarget.at(*generic_pq, lam) for lam in (0.9, 1.7))
+    piece = piece_potential(t09, solve_xi(t09, 800.0, 0.0, 0.4, 900.0,
+                                          taper_width=1.0))
+    rhs = R_xi_system(t17.data, piece.V_interp)
+    nodes = piece.x_grid
+    assert (nodes[0], nodes[-1]) == (800.0, 900.0)
+    for xi0 in (0.3, 2.0):
+        run = integrate_R_xi(t17.data, piece.V_interp, 800.0, 900.0, xi0)
+        y = [0.0, xi0]
+        for lo, hi in zip(nodes[:-1], nodes[1:]):
+            y = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-12,
+                          atol=1e-13).y[:, -1]
+        assert abs(run.xi[-1] - y[1]) < 1e-5
+        assert abs(run.ln_R_end - y[0]) < 3e-5
+
+
+def test_integrate_R_xi_halves_the_step_until_settled(free_data, monkeypatch):
+    """The product at the first step is checked against twice that step;
+    a bound it cannot meet halves the step FLOW_HALVINGS times and then
+    raises, and a V that is not finite raises NonFiniteState."""
+    def V(x):
+        return 0.3 * np.sin(1.7 * np.asarray(x)) / (1.0 + np.asarray(x))
+
+    n = int(np.ceil(75.0 / (0.05 / rate_floor(xi_rate(free_data)))))
+    n += n % 2  # the first step: 0.05/rate or less, n even
+    run = integrate_R_xi(free_data, V, 5.0, 80.0, 0.4)
+    assert run.nfev == n + 2 * n  # the check at 2h, then h: settled
+    monkeypatch.setattr(pruefer, "FLOW_TOL", 0.0)
+    with pytest.raises(StepSizeUnderflow):
+        integrate_R_xi(free_data, V, 5.0, 80.0, 0.4)
+    monkeypatch.undo()
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteState):
+        integrate_R_xi(free_data, lambda x: V(x) / (x < 30.0), 5.0, 80.0, 0.4)
+
+
+def test_magnus_product_is_fourth_order(generic_data):
+    # Under a smooth V, doubling the steps cuts the propagator's error
+    # about 16-fold (a Magnus exponent without its commutator term would
+    # be second order: 4-fold).
+    def V(x):
+        return 0.3 * np.sin(1.7 * x) / (1.0 + x)
+
+    def end(n):
+        return pruefer._propagate(generic_data, V, 5.0, 80.0, n, n)[-1]
+
+    ref = end(2 ** 14)
+    coarse, fine = (np.max(np.abs(end(n) - ref)) for n in (256, 512))
+    assert coarse / fine > 12.0
 
 
 @pytest.fixture(scope="module")
 def seam_runs(generic_data):
     """integrate_R_xi over [5, 400] up and down: in one block, and in blocks
-    of 997 and 1000 grid intervals (the grid has ~31k).  The phase does
-    not depend on the block size, so each direction solves it once."""
+    of 997 and 1000 Magnus steps (rounded down to whole samples; the grid
+    has ~31k steps)."""
 
     def V(x):
         x = np.asarray(x)
         return 0.3 * np.sin(1.7 * x) / (1.0 + np.abs(x))
 
-    flows = {}
-
-    def flow_once(data, gain, x0, x1, xi0, spec):
-        if (x0, x1) not in flows:
-            flows[x0, x1] = phase_flow(data, gain, x0, x1, xi0, spec)
-        return flows[x0, x1]
-
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pruefer, "phase_flow", flow_once)
         for block in (None, 997, 1000):
             if block is not None:
                 mp.setattr(_util, "QUAD_BLOCK", block)
@@ -259,9 +306,11 @@ def test_integrate_R_xi_is_seamless_across_blocks(seam_runs, block, ends):
     one, run = seam_runs[None, ends], seam_runs[block, ends]
     x0, x1 = ends
     assert run.xs[0] == x0 and run.xs[-1] == x1
-    # strictly monotone: no seam sample is kept twice
+    # the same samples, strictly monotone: no seam sample is kept twice
+    assert np.array_equal(run.xs, one.xs)
     assert np.all(np.sign(x1 - x0) * np.diff(run.xs) > 0.0)
-    assert abs(run.ln_R_end - one.ln_R_end) < 1e-8
+    assert abs(run.ln_R_end - one.ln_R_end) < 1e-12
+    assert np.max(np.abs(run.xi - one.xi)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +365,20 @@ def field_slope(data, gain):
 def test_phase_flow_matches_the_field_calls(which, free_target_07,
                                             generic_data, monkeypatch):
     """The frame table gives the bits of the four field calls: the same
-    nodes, slopes and nfev for a phase lock and a bystander flow."""
+    nodes, slopes and nfev for a phase lock."""
     target = free_target_07 if which == "free" \
         else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
 
-    def V(x):
-        return 0.1 * np.cos(1.3 * np.asarray(x)) / (1.0 + np.asarray(x))
+    def run():
+        return solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
+                        taper_width=1.0)
 
-    def runs():
-        return (solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
-                         taper_width=1.0),
-                integrate_R_xi(target.data, V, 5.0, 80.0, 0.3))
-
-    table = runs()
+    a = run()
     monkeypatch.setattr(pruefer, "phase_slope", field_slope)
-    for a, b in zip(table, runs()):
-        assert a.nfev == b.nfev
-        assert np.array_equal(a.zeta.x, b.zeta.x)
-        assert np.array_equal(a.zeta.c, b.zeta.c)
+    b = run()
+    assert a.nfev == b.nfev
+    assert np.array_equal(a.zeta.x, b.zeta.x)
+    assert np.array_equal(a.zeta.c, b.zeta.c)
 
 
 def ivp_stepper(slope, rate, x0, x1, xi0, spec):
@@ -353,42 +398,37 @@ def test_stepper_matches_solve_ivp(which, free_target_07, generic_data,
                                    monkeypatch):
     """The stepper repeats scipy's DOP853 control on Python floats.  Its
     stage sums are plain left-to-right additions, not BLAS dot products,
-    so the bits may differ and the step sequences part.  Bounds: |dxi| <
-    1e-8 at the nodes both runs share (at least the two ends), < 1e-4
-    between nodes (Hermite interpolation level, as in
-    test_integrate_R_xi_matches_coupled_solver), nfev within 3%."""
+    so the bits may differ and the step sequences part.  Bounds on a phase
+    lock: |dxi| < 1e-8 at the nodes both runs share (at least the two
+    ends), < 1e-4 between nodes (Hermite interpolation level), nfev
+    within 3%."""
     target = free_target_07 if which == "free" \
         else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
 
-    def V(x):
-        return 0.1 * np.cos(1.3 * np.asarray(x)) / (1.0 + np.asarray(x))
+    def run():
+        return solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
+                        taper_width=1.0)
 
-    def runs():
-        return (solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
-                         taper_width=1.0),
-                integrate_R_xi(target.data, V, 5.0, 80.0, 0.3))
-
-    ours = runs()
+    a = run()
     monkeypatch.setattr(pruefer, "_dop853", ivp_stepper)
-    for a, b in zip(ours, runs()):
-        lo, hi = a.zeta.x[0], a.zeta.x[-1]
-        assert (lo, hi) == (b.zeta.x[0], b.zeta.x[-1])
-        # nodes of both runs (the two ends at least): solver-level error
-        common = np.intersect1d(a.zeta.x, b.zeta.x)
-        assert np.max(np.abs(a.xi_at(common) - b.xi_at(common))) < 1e-8
-        # between nodes, interpolation-level once the node sets part
-        xs = np.linspace(lo, hi, 20001)
-        assert np.max(np.abs(a.xi_at(xs) - b.xi_at(xs))) < 1e-4
-        assert abs(a.nfev - b.nfev) <= 0.03 * b.nfev
+    b = run()
+    lo, hi = a.zeta.x[0], a.zeta.x[-1]
+    assert (lo, hi) == (b.zeta.x[0], b.zeta.x[-1])
+    # nodes of both runs (the two ends at least): solver-level error
+    common = np.intersect1d(a.zeta.x, b.zeta.x)
+    assert np.max(np.abs(a.xi_at(common) - b.xi_at(common))) < 1e-8
+    # between nodes, interpolation-level once the node sets part
+    xs = np.linspace(lo, hi, 20001)
+    assert np.max(np.abs(a.xi_at(xs) - b.xi_at(xs))) < 1e-4
+    assert abs(a.nfev - b.nfev) <= 0.03 * b.nfev
 
 
 @pytest.mark.parametrize("which", ["free", "generic"])
 def test_phase_law_sees_floats_only(which, free_target_07, generic_data,
                                     monkeypatch):
-    """One evaluation path: across a phase lock and a bystander flow the
-    phase law and the frame lookup receive floats only, and the Hermite
-    spline is built from the stepper's own slopes, which are slope(t, xi)
-    at each accepted node."""
+    """One evaluation path: across a phase lock the phase law and the frame
+    lookup receive floats only, and the Hermite spline is built from the
+    stepper's own slopes, which are slope(t, xi) at each accepted node."""
     target = free_target_07 if which == "free" \
         else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
     seen, slopes, splines = [], [], []
@@ -413,21 +453,14 @@ def test_phase_law_sees_floats_only(which, free_target_07, generic_data,
         splines.append((ts, zs, dz))
         return real_spline(ts, zs, dz)
 
-    def V(x):
-        return 0.1 * np.cos(1.3 * np.asarray(x)) / (1.0 + np.asarray(x))
-
     monkeypatch.setattr(_util.FrameTable, "__call__", frame)
     monkeypatch.setattr(pruefer, "phase_slope", phase_slope)
     monkeypatch.setattr(pruefer, "CubicHermiteSpline", spline)
-    flows = (solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
-                      taper_width=1.0),
-             integrate_R_xi(target.data, V, 5.0, 80.0, 0.3))
+    flow = solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
     assert seen and not any(isinstance(v, np.ndarray) for v in seen)
-    assert len(slopes) == len(splines) == 2
-    for slope, (ts, zs, dz), flow in zip(slopes, splines, flows):
-        nodes = [slope(float(t), float(z + flow.rate * t))
-                 for t, z in zip(ts, zs)]
-        assert np.array_equal(dz, nodes)
+    (slope,), ((ts, zs, dz),) = slopes, splines
+    nodes = [slope(float(t), float(z + flow.rate * t)) for t, z in zip(ts, zs)]
+    assert np.array_equal(dz, nodes)
 
 
 @pytest.mark.parametrize("which", ["free", "mass", "generic"])

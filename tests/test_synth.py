@@ -2,7 +2,6 @@
 
 import inspect
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +14,11 @@ from diracembed.errors import (
     PieceTooShort,
     ResonantPair,
 )
-from diracembed import floquet, pruefer, synth, verify
+from diracembed import floquet, pruefer, synth
 from diracembed.periodic_core import IntegratorSpec
 from diracembed.pruefer import integrate_R_xi
 from diracembed.synth import (
     ENVELOPE_TOL,
-    TRACK_SPEC,
     EmbeddingTarget,
     check_nonresonance,
     choose_C,
@@ -177,16 +175,12 @@ def test_V_interp_vanishes_off_the_piece(free_target_07):
 
 @pytest.mark.parametrize("which", ["free", "generic"])
 def test_float_paths_equal_the_array_paths(which, free_target_07,
-                                           free_target_13, generic_data,
-                                           monkeypatch):
-    """The stepper's float paths give the bits of the array paths: V_interp
-    against np.interp on a real piece, and the phase slope, re-evaluated
-    at the accepted nodes of a phase lock and a bystander flow, against
-    the slopes the stepper handed to the Hermite spline."""
-    if which == "free":
-        t, other = free_target_07, free_target_13
-    else:
-        t = other = EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
+                                           generic_data, monkeypatch):
+    """The stepper's float path gives the bits of the array path: the
+    phase slope, re-evaluated at the accepted nodes of a phase lock,
+    against the slopes the stepper handed to the Hermite spline."""
+    t = free_target_07 if which == "free" \
+        else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
     slopes, splines = [], []
     real, real_spline = pruefer.phase_slope, pruefer.CubicHermiteSpline
 
@@ -201,29 +195,11 @@ def test_float_paths_equal_the_array_paths(which, free_target_07,
     monkeypatch.setattr(pruefer, "phase_slope", recording)
     monkeypatch.setattr(pruefer, "CubicHermiteSpline", spline)
     traj = solve_xi(t, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
-    piece = piece_potential(t, traj)
-    run = integrate_R_xi(other.data, piece.V_interp, piece.x_hi, piece.x_lo,
-                         0.4, spec=TRACK_SPEC)
-
-    xp = piece.x_grid
-    pts = np.concatenate([xp, 0.5 * (xp[1:] + xp[:-1]),
-                          np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
-                          [xp[0] - 1.0, xp[-1] + 1.0, -1e9, 1e9]])
-    scalar = [piece.V_interp(float(x)) for x in pts]
+    (slope,), ((ts, zs, dz),) = slopes, splines
+    xis = zs + traj.rate * ts
+    scalar = [slope(float(x), float(xi)) for x, xi in zip(ts, xis)]
     assert all(type(v) is float for v in scalar)
-    assert np.array_equal(scalar, np.interp(pts, xp, piece.V_grid))
-    # on a non-uniform grid the index correction walks both ways
-    u = np.pi * (xp - xp[0]) / (xp[-1] - xp[0])
-    bent = replace(piece, x_grid=xp[0] + (xp[-1] - xp[0]) * (1.0 - np.cos(u)) / 2)
-    scalar = [bent.V_interp(float(x)) for x in pts]
-    assert np.array_equal(scalar, np.interp(pts, bent.x_grid, bent.V_grid))
-
-    assert len(slopes) == 2  # the phase lock, then the bystander flow
-    for slope, (ts, zs, dz), flow in zip(slopes, splines, (traj, run)):
-        xis = zs + flow.rate * ts
-        scalar = [slope(float(x), float(xi)) for x, xi in zip(ts, xis)]
-        assert all(type(v) is float for v in scalar)
-        assert np.array_equal(scalar, dz)
+    assert np.array_equal(scalar, dz)
 
 
 def test_tapered_piece_resolves_the_window_self_consistently(free_target_07):
@@ -368,28 +344,20 @@ def test_probed_constants_recorded_on_schedule(small_sched):
     assert 1.5 < small_sched.C_bound < 4.0
 
 
-def test_probe_bystander_flows_run_at_track_spec(free_target_07,
-                                                 free_target_13, monkeypatch):
-    # The probe's pieces lock at LOCK_SPEC; its bystander flows run at
-    # TRACK_SPEC like every other, and K and C_bound stay put.
-    specs = []
-
-    def spy(*args, **kwargs):
-        specs.append(kwargs.get("spec"))
-        return integrate_R_xi(*args, **kwargs)
-
-    monkeypatch.setattr(synth, "integrate_R_xi", spy)
-    monkeypatch.setattr(verify, "integrate_R_xi", spy)
+def test_probe_constants_hold_their_pins(free_target_07, free_target_13):
+    # The probe's pieces lock at LOCK_SPEC and its stability checks gate
+    # at 1.5 on one try: K is the doubled 2C/k floor, C_bound the decay
+    # prefactor of the probe piece.
     C_bound, K = probe_constants([free_target_07, free_target_13])
-    assert specs == [TRACK_SPEC] * 4  # two flows per ordered pair, one try
     assert K == pytest.approx(1200.0, rel=1e-9)
     assert C_bound == pytest.approx(2.4276234227564455, rel=1e-12)
 
 
 def test_no_caller_picks_a_phase_lock_tolerance():
-    # Every phase lock runs at LOCK_SPEC and every band scan at BANDS_TOL.
+    # Every phase lock runs at LOCK_SPEC, every band scan at BANDS_TOL and
+    # every bystander flow settles at pruefer.FLOW_TOL.
     for fn in (solve_xi, probe_constants, schedule, synth.write_manifest,
-               floquet.band_scan):
+               floquet.band_scan, integrate_R_xi):
         assert "spec" not in inspect.signature(fn).parameters, fn.__name__
 
 

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from diracembed import EmbeddingTarget, _util, synth, verify
 from diracembed.errors import (
@@ -15,9 +16,9 @@ from diracembed.errors import (
     StabilityViolated,
 )
 from diracembed.periodic_core import IntegratorSpec
-from diracembed.pruefer import integrate_R_xi
-from diracembed.synth import (TRACK_SPEC, TrackRecord, assemble,
-                              piece_potential, schedule, solve_xi)
+from diracembed.pruefer import R_xi_system, integrate_R_xi
+from diracembed.synth import (TrackRecord, assemble, piece_potential,
+                              schedule, solve_xi)
 from diracembed.verify import (
     _sup_scan,
     adversarial_potential,
@@ -135,34 +136,39 @@ def free_pair(small_pot, free_target_13):
     return free_target_13, _first_piece(small_pot, 0.7)
 
 
-def _direct_ratios(bystander, piece, n_phases):
-    """max_x R from one integrate_R_xi run per phase eta0 = 2 pi j/n."""
-    start, stop = (piece.x_lo, piece.x_hi) if piece.side > 0 \
-        else (piece.x_hi, piece.x_lo)
+def _direct_ratios(bystander, piece, n_phases, xs):
+    """max R over the samples xs from one solve_ivp run of the (ln R, xi)
+    system per phase eta0 = 2 pi j/n.  The system is 2 pi-periodic in xi,
+    so eta0 + pi repeats eta0 and only the first half of the phases runs."""
+    start, stop = xs[0], xs[-1]
     data = bystander.data
     g1s, G2s = float(data.gamma1_f(start)), float(data.Gamma2_f(start))
+    rhs = R_xi_system(data, piece.V_interp)
     out = []
-    for eta0 in 2.0 * np.pi * np.arange(n_phases) / n_phases:
-        run = integrate_R_xi(data, piece.V_interp, start, stop,
-                             2.0 * (eta0 + g1s) + G2s, spec=TRACK_SPEC)
-        out.append(float(np.exp(np.max(run.ln_R))))
-    return out
+    for eta0 in 2.0 * np.pi * np.arange(n_phases // 2) / n_phases:
+        sol = solve_ivp(rhs, (start, stop), [0.0, 2.0 * (eta0 + g1s) + G2s],
+                        method="DOP853", rtol=1e-10, atol=1e-12, t_eval=xs)
+        assert sol.success
+        out.append(float(np.exp(np.max(sol.y[0]))))
+    return out + out
 
 
 @pytest.mark.parametrize("pair", ["free_pair", "generic_pair"])
-def test_stability_two_flows_match_a_direct_run_per_phase(request, pair):
+def test_stability_matches_a_direct_run_per_phase(request, pair):
     bystander, piece = request.getfixturevalue(pair)
-    direct = _direct_ratios(bystander, piece, 16)
-    for n in (8, 16):
-        rep = stability_check(bystander, piece, n_phases=n)
-        want = direct[::16 // n]
-        assert len(rep.ratios) == n
-        assert max(abs(r - d) for r, d in zip(rep.ratios, want)) <= 5e-5
-        # eta0 = 0 and pi/2 are the two flows themselves
-        assert rep.ratios[0] == want[0] and rep.ratios[n // 4] == want[n // 4]
-        assert rep.max_ratio == max(rep.ratios)
-        assert all(rep.sup_ratio >= r for r in rep.ratios)
-        assert rep.to_dict()["sup_ratio"] == rep.sup_ratio
+    start, stop = (piece.x_lo, piece.x_hi) if piece.side > 0 \
+        else (piece.x_hi, piece.x_lo)
+    xs = integrate_R_xi(bystander.data, piece.V_interp, start, stop, 0.0).xs
+    direct = _direct_ratios(bystander, piece, 8, xs)
+    rep = stability_check(bystander, piece, n_phases=8)
+    assert len(rep.ratios) == 8
+    assert max(abs(r - d) for r, d in zip(rep.ratios, direct)) <= 5e-5
+    assert rep.max_ratio == max(rep.ratios)
+    assert all(rep.sup_ratio >= r for r in rep.ratios)
+    assert rep.to_dict()["sup_ratio"] == rep.sup_ratio
+    # a finer phase grid reads the same propagator at more phases
+    assert stability_check(bystander, piece, n_phases=16).ratios[::2] \
+        == rep.ratios
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +433,23 @@ def test_tails_across_assembled_potential(small_pot):
 
 # ---------------------------------------------------------------------------
 # report output
+
+
+def test_report_records_keep_their_keys(free_pair, free_target_07):
+    # reports.json's records: every field but the arrays, lam as lambda
+    bystander, piece = free_pair
+    assert set(stability_check(bystander, piece).to_dict()) == {
+        "name", "lambda_piece", "lambda_bystander", "side", "threshold",
+        "max_ratio", "sup_ratio", "worst_phase", "worst_x", "ratios"}
+    adversary = adversarial_potential(free_target_07, x0=20.0, x_max=200.0,
+                                      eps=0.4)
+    doc = nonembedding_check(free_target_07, adversary, x0=20.0,
+                             x_max=200.0).to_dict()
+    assert set(doc) == {
+        "name", "lambda", "eps", "C_omega", "C_eps", "x0", "x_max",
+        "min_margin", "tol", "l2_measured", "l2_lower_bound",
+        "square_summable"}
+    assert doc["name"] == "nonembedding" and doc["lambda"] == 0.7
 
 
 def test_report_files(tmp_path, free_target_07, long_piece):
