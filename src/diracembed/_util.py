@@ -146,15 +146,15 @@ def cumulative_simpson_uniform(f: np.ndarray, h: float, f0: float = 0.0) -> np.n
     return out
 
 
-def cumulative_blocks(f, lo: float, h: float, n: int, f0: float = 0.0):
+def cumulative_blocks(f, lo: float, h: float, n: int):
     """Running integral of f over the grid lo + i*h, i = 0..n, in blocks.
 
     Yields (start, xs, F) per block of at most QUAD_BLOCK intervals: xs
-    holds lo + i*h for i = start..stop and F the integral from lo, plus
-    f0.  A block's last sample is the next block's first, so memory stays
-    bounded however long the grid.
+    holds lo + i*h for i = start..stop and F the integral from lo.  A
+    block's last sample is the next block's first, so memory stays bounded
+    however long the grid.
     """
-    carry, start = f0, 0
+    carry, start = 0.0, 0
     while start < n:
         stop = min(start + QUAD_BLOCK, n)
         xs = lo + np.arange(start, stop + 1) * h

@@ -34,7 +34,6 @@ from .errors import (
     UnwrapJump,
 )
 from .periodic_core import (
-    IntegratorSpec,
     PeriodicCoefficient,
     dirac_rhs,
     eval_coefficient,
@@ -60,7 +59,7 @@ TWO_PI = 2.0 * np.pi
 FRAME_INTERVALS = 4096  # uniform period-grid intervals of a Floquet frame
 # The unit-cell solve is cheap, and the frame's invariant gates (omega
 # constancy, Floquet condition at 1e-8) need this accuracy.
-FRAME_SPEC = IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12)
+FRAME_RTOL, FRAME_ATOL = 1e-10, 1e-12
 BANDS_TOL = 1e-8  # monodromy's rel_tol for every trace band_scan takes
 
 
@@ -294,7 +293,7 @@ class FloquetSolution:
 def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
                      band_edge_margin: float = 0.0) -> FloquetSolution:
     """Build g(x) = Phi(x) v on the FRAME_INTERVALS+1 points of a period
-    grid, solving the unit cell at FRAME_SPEC.
+    grid, solving the unit cell at FRAME_RTOL and FRAME_ATOL.
 
     v = g(0) is the monodromy eigenvector for exp(+i k), unit norm, first
     significant component rotated real-positive.  Raises BandEdge outside
@@ -304,7 +303,7 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
     grid = np.linspace(0.0, 1.0, FRAME_INTERVALS + 1)
     rhs = dirac_rhs(p, q, lam)
     traj = integrate(lambda x, Y: rhs(x, Y.reshape(2, 2)).ravel(), 0.0, 1.0,
-                     np.eye(2).ravel(), FRAME_SPEC, t_eval=grid)
+                     np.eye(2).ravel(), FRAME_RTOL, FRAME_ATOL, t_eval=grid)
     mats = traj.ys  # (n+1, 4) rows [Y00, Y01, Y10, Y11]
     mono = Monodromy(matrix=mats[-1].reshape(2, 2))
     half = mono.trace / 2.0

@@ -30,7 +30,6 @@ from .errors import NonFiniteState, StepSizeUnderflow
 
 __all__ = [
     "PeriodicCoefficient",
-    "IntegratorSpec",
     "Trajectory",
     "eval_coefficient",
     "dirac_rhs",
@@ -113,41 +112,31 @@ def dirac_rhs(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float, V=None
     return rhs
 
 
-@dataclass(frozen=True)
-class IntegratorSpec:
-    """Tolerances for the adaptive integrator."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-
 @dataclass
 class Trajectory:
     """Adaptive solution at the recorded nodes."""
 
     xs: np.ndarray
     ys: np.ndarray  # shape (len(xs), dim)
-    x0: float
-    x1: float
     nfev: int = 0
 
 
-def integrate(rhs, x0: float, x1: float, y0, spec: IntegratorSpec | None = None,
+def integrate(rhs, x0: float, x1: float, y0, rtol: float, atol: float,
               t_eval=None) -> Trajectory:
-    """Integrate y' = rhs(x, y) from x0 to x1 with an 8th-order adaptive scheme.
+    """Integrate y' = rhs(x, y) from x0 to x1 with an 8th-order adaptive scheme
+    at relative and absolute tolerances rtol and atol.
 
     Raises NonFiniteState if the state leaves the finite range and
     StepSizeUnderflow if the step controller stalls.
     """
-    spec = spec or IntegratorSpec()
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise NonFiniteState("initial state is not finite")
     if x1 == x0:
-        return Trajectory(xs=np.array([x0]), ys=y0[None, :].copy(), x0=x0, x1=x1)
+        return Trajectory(xs=np.array([x0]), ys=y0[None, :].copy())
 
-    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=spec.rel_tol,
-                    atol=spec.abs_tol, t_eval=t_eval)
+    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=rtol,
+                    atol=atol, t_eval=t_eval)
     if not sol.success:
         last = np.asarray(sol.y[:, -1]) if sol.y.size else y0
         if not np.all(np.isfinite(last)) or np.max(np.abs(last)) > 1e100:
@@ -155,4 +144,4 @@ def integrate(rhs, x0: float, x1: float, y0, spec: IntegratorSpec | None = None,
         raise StepSizeUnderflow(sol.message)
     if not np.all(np.isfinite(sol.y)):
         raise NonFiniteState("integration produced non-finite samples")
-    return Trajectory(xs=sol.t, ys=sol.y.T, x0=x0, x1=x1, nfev=sol.nfev)
+    return Trajectory(xs=sol.t, ys=sol.y.T, nfev=sol.nfev)

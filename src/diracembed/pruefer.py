@@ -30,7 +30,6 @@ from ._util import decimate
 from .errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
 from .floquet import (GAUSS_NODES, DerivedPeriodicData, expm_traceless,
                       gamma_derivative)
-from .periodic_core import IntegratorSpec
 
 __all__ = [
     "PrueferState",
@@ -57,6 +56,7 @@ E3, E5 = _tableau.E3.tolist(), _tableau.E5.tolist()
 _FEEDS = [[(j, a) for j, a in enumerate(row) if a] for row in A[1:] + [B]]
 _ERRS = [(j, e5, e3) for j, (e5, e3) in enumerate(zip(E5, E3)) if e5 or e3]
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
+LOCK_RTOL, LOCK_ATOL = 1e-8, 1e-11  # the tolerances of every phase lock
 
 
 @dataclass(frozen=True)
@@ -162,15 +162,14 @@ def phase_slope(data: DerivedPeriodicData, gain):
     return slope
 
 
-def _dop853(slope, rate: float, x0: float, x1: float, xi0: float,
-            spec: IntegratorSpec):
+def _dop853(slope, rate: float, x0: float, x1: float, xi0: float):
     """Accepted nodes (x, zeta), their slopes zeta' and nfev of zeta' =
     slope(x, zeta + rate*x) by scipy's DOP853 control on floats, steps
     capped at 0.5/rate.  The slopes are the first stage and each step's
     last (first same as last), so they cost no evaluation.  A stage that
     raises (math.cos(inf), a float division by zero) is a NaN error: a gain
     that stops being finite ends in StepSizeUnderflow."""
-    rtol, atol, max_step = spec.rel_tol, spec.abs_tol, 0.5 / rate_floor(rate)
+    rtol, atol, max_step = LOCK_RTOL, LOCK_ATOL, 0.5 / rate_floor(rate)
     sign, length = (1.0 if x1 > x0 else -1.0), abs(x1 - x0)
     x, z = x0, xi0 - rate * x0
     f = slope(x, z + rate * x)
@@ -229,7 +228,7 @@ def _dop853(slope, rate: float, x0: float, x1: float, xi0: float,
 
 
 def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
-               xi0: float, spec: IntegratorSpec):
+               xi0: float):
     """Solve xi' = 2k + delta' + gain(x, xi) (u - v - Psi cos xi) from x0 to x1.
 
     The phase lock's gain is its slaved 2C w(x) sin xi/(x - b_s).  The
@@ -239,7 +238,7 @@ def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
     """
     rate = xi_rate(data)
     *nodes, nfev = _dop853(phase_slope(data, gain), rate, float(x0),
-                           float(x1), float(xi0), spec)
+                           float(x1), float(xi0))
     ts, zs, dz = np.array(nodes)
     if not np.all(np.isfinite([zs, dz])):
         raise NonFiniteState("phase integration produced non-finite values")

@@ -37,10 +37,11 @@ from .errors import (
     ResonantPair,
     StabilityViolated,
 )
-from .floquet import (FRAME_INTERVALS, FRAME_SPEC, DerivedPeriodicData,
-                      derived_data, floquet_solution)
-from .periodic_core import IntegratorSpec, PeriodicCoefficient
-from .pruefer import integrate_R_xi, phase_flow, rate_floor
+from .floquet import (FRAME_ATOL, FRAME_INTERVALS, FRAME_RTOL,
+                      DerivedPeriodicData, derived_data, floquet_solution)
+from .periodic_core import PeriodicCoefficient
+from .pruefer import (LOCK_ATOL, LOCK_RTOL, integrate_R_xi, phase_flow,
+                      rate_floor)
 
 __all__ = [
     "EmbeddingTarget",
@@ -66,12 +67,11 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 DECAY_EXPONENT = 100.0  # target slope of ln R against ln((|x|-b)/(a-b))
-LOCK_SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11)  # phase lock
 CSV_ROWS = 2000  # most potential.csv rows per piece
 ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
 # The manifest's records of how every phase lock and Floquet frame is built.
-LOCK_RECIPE = {"rel_tol": LOCK_SPEC.rel_tol, "abs_tol": LOCK_SPEC.abs_tol}
-FRAME_RECIPE = {"rel_tol": FRAME_SPEC.rel_tol, "abs_tol": FRAME_SPEC.abs_tol,
+LOCK_RECIPE = {"rel_tol": LOCK_RTOL, "abs_tol": LOCK_ATOL}
+FRAME_RECIPE = {"rel_tol": FRAME_RTOL, "abs_tol": FRAME_ATOL,
                 "n_grid": FRAME_INTERVALS}
 
 
@@ -188,7 +188,7 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
              x_end: float, side: int = 1,
              C: float | None = None,
              taper_width: float = 0.0) -> XiTrajectory:
-    """Integrate the phase-lock equation outward from |x| = a, at LOCK_SPEC.
+    """Integrate the phase-lock equation outward from |x| = a.
 
     The phase is solved as zeta = xi - rate*x so the state stays bounded
     over long pieces.  xi0 is reduced modulo 2*pi.  A positive
@@ -227,8 +227,7 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
         w = taper_window(x, lo, hi, tw) if tw > 0.0 else 1.0
         return 2.0 * C * w * math.sin(xi) / (x - b_s)
 
-    rate, zeta, nfev = phase_flow(target.data, gain, x_start, x_stop, xi0,
-                                  LOCK_SPEC)
+    rate, zeta, nfev = phase_flow(target.data, gain, x_start, x_stop, xi0)
     return XiTrajectory(rate, zeta, nfev, side=side, a=a, b=b, x_end=x_end,
                         xi0=xi0, C=C, taper_width=tw)
 
@@ -317,6 +316,8 @@ class TrackRecord:
     ln_R: np.ndarray
     xi: np.ndarray
     own_starts: list[float]  # |x| of this target's own piece activations
+    max_seam_gap: float = 0.0  # largest |xi arriving - xi0| mod 2 pi
+    seam_a: float = math.nan  # the a of that piece
 
 
 class Tracker:
@@ -326,8 +327,9 @@ class Tracker:
     phase.  Across its own pieces the target rides the slaved solution
     (quadrature along the stored phase; the decaying branch cannot be
     re-derived by forward integration); across other targets' pieces a
-    started track integrates the well-conditioned bystander flow.
-    Pieces must arrive in ascending |x|.
+    started track integrates the well-conditioned bystander flow.  An own
+    piece's seed xi0 should continue the arriving xi mod 2 pi: the largest
+    such seam gap is recorded.  Pieces must arrive in ascending |x|.
     """
 
     def __init__(self, target_index: int, target: EmbeddingTarget, side: int):
@@ -335,11 +337,16 @@ class Tracker:
         self.xi: float | None = None  # None until the first own piece
         self.ln_R = 0.0
         self.own_starts: list[float] = []
+        self.max_seam_gap, self.seam_a = 0.0, math.nan
         self._samples: list[tuple] = []  # (xs, ln_R, xi) per piece
 
     def advance(self, piece: PotentialPiece) -> None:
         side = self.side
         if piece.lam == self.target.lam:
+            if self.xi is not None:
+                gap = abs((self.xi - piece.xi0 + np.pi) % TWO_PI - np.pi)
+                if gap > self.max_seam_gap:
+                    self.max_seam_gap, self.seam_a = float(gap), piece.a
             self.own_starts.append(piece.a)
             xs, ln_R = slaved_amplitude(piece, self.ln_R)
             self.xi = float(piece.xi_at(side * piece.x_end))
@@ -362,7 +369,9 @@ class Tracker:
         xs, ln_R, xi = (np.concatenate(col) for col in zip(*self._samples))
         return TrackRecord(target_index=self.target_index, side=self.side,
                            xs=xs, ln_R=ln_R, xi=xi,
-                           own_starts=list(self.own_starts))
+                           own_starts=list(self.own_starts),
+                           max_seam_gap=self.max_seam_gap,
+                           seam_a=self.seam_a)
 
 
 @dataclass
@@ -386,8 +395,8 @@ def probe_constants(targets, *, b: float = 0.0, xi0: float = np.pi / 2,
     C_bound = 2 * sup R(x)*((|x|-b)/(a-b))^100 / R(a) over a probe piece,
     maximized over targets.  K doubles from the phase-rate floor 2C/k
     until every ordered bystander pair stays within factor 1.5 over a
-    probe piece, then is doubled once more as safety.  The pieces lock at
-    LOCK_SPEC, and stability_check propagates the bystanders across them.
+    probe piece, then is doubled once more as safety.  stability_check
+    propagates the bystanders across the probe pieces.
     """
     from .verify import decay_check, stability_check
 
@@ -436,9 +445,7 @@ def envelope_excess(x, V, h) -> tuple[float, float]:
 def schedule(targets, mode: str = "finite", a0: float = None,
              x_max: float = None, *, b: float = 0.0, h=None,
              safety: float = 1.0, xi0: float = np.pi / 2,
-             taper_width: float = 1.0,
-             C_bound: float | None = None,
-             K: float | None = None) -> SynthesisSchedule:
+             taper_width: float = 1.0) -> SynthesisSchedule:
     """Round-robin piece assignment with tracked arrival phases.
 
     Each step builds mirrored pieces on (T_r, T_{r+1}) and (-T_{r+1},
@@ -465,11 +472,8 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     if x_max <= a0:
         raise ValueError("x_max must exceed a0")
 
-    if C_bound is None or K is None:
-        C_probe, K_probe = probe_constants(
-            targets, b=b, xi0=xi0, taper_width=taper_width)
-        C_bound = C_probe if C_bound is None else C_bound
-        K = K_probe if K is None else K
+    C_bound, K = probe_constants(targets, b=b, xi0=xi0,
+                                 taper_width=taper_width)
     if a0 - b < K:
         raise PieceTooShort(
             f"a0 - b = {a0 - b:.6g} is below the probed offset floor "

@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+DECAY_SLOPE_MAX = -95.0  # largest fitted slope of ln R across a piece
+TAIL_RATIO = 0.5  # most energy a cycle may carry, relative to the last one
+SEAM_TOL = 1e-9  # most an own piece's seed may stray from the arriving xi
 # Report fields under another name in reports.json.
 JSON_NAMES = {"lam": "lambda", "lam_piece": "lambda_piece",
               "lam_bystander": "lambda_bystander", "target_index": "target",
@@ -248,8 +251,7 @@ class DecayReport(Report):
     n_samples: int
 
 
-def decay_check(target: EmbeddingTarget, piece: PotentialPiece,
-                slope_threshold: float = -95.0) -> DecayReport:
+def decay_check(target: EmbeddingTarget, piece: PotentialPiece) -> DecayReport:
     """Fit the decay of the piece's slaved amplitude across the piece.
 
     ln R is obtained by quadrature along the piece's stored phase — the
@@ -259,7 +261,7 @@ def decay_check(target: EmbeddingTarget, piece: PotentialPiece,
     growing solution scales like ((|x|-b)/(a-b))^(C*Psi_mean), which
     exceeds 1/eps_machine within a few percent of a piece.  Asserts the
     fitted slope of ln R against ln((|x|-b)/(a-b)) is at most
-    slope_threshold and that ln R never exceeds its start value by more
+    DECAY_SLOPE_MAX and that ln R never exceeds its start value by more
     than the additive constant; also measures the scheduling prefactor
     C_bound = 2 * sup R * ((|x|-b)/(a-b))^100.
     """
@@ -271,8 +273,8 @@ def decay_check(target: EmbeddingTarget, piece: PotentialPiece,
     rise = ln_R - ln_R[0]
     C_add = float(np.max(rise + 100.0 * lnratio))
     max_rise = float(np.max(rise))
-    if slope > slope_threshold:
-        raise DecayTooSlow(slope, slope_threshold)
+    if slope > DECAY_SLOPE_MAX:
+        raise DecayTooSlow(slope, DECAY_SLOPE_MAX)
     if max_rise > max(C_add, 0.0) + 1e-9:
         raise BoundViolated(
             f"ln R rises {max_rise:.3g} above its start, beyond the "
@@ -415,8 +417,6 @@ def nonembedding_check(target: EmbeddingTarget, V, x0: float, x_max: float,
 # ---------------------------------------------------------------------------
 # L^2 tails of scheduled runs
 
-TAIL_RATIO = 0.5  # most energy a cycle may carry, relative to the last one
-
 
 @dataclass
 class TailReport(Report):
@@ -430,6 +430,7 @@ class TailReport(Report):
     cycle_sums: list[float]
     ratios: list[float]
     verdict: bool
+    max_seam_gap: float
 
 
 def l2_tail_estimate(track: TrackRecord) -> TailReport:
@@ -437,8 +438,14 @@ def l2_tail_estimate(track: TrackRecord) -> TailReport:
 
     A cycle runs between consecutive activations of the target's own
     pieces; the verdict is positive when every complete cycle carries at
-    most TAIL_RATIO of the previous one's energy.
+    most TAIL_RATIO of the previous one's energy.  A seam gap above
+    SEAM_TOL breaks the chain of own pieces: BoundViolated.
     """
+    if track.max_seam_gap > SEAM_TOL:
+        raise BoundViolated(
+            f"target {track.target_index}, side {track.side}: the own piece "
+            f"at |x| = {track.seam_a:.6g} starts {track.max_seam_gap:.3g} "
+            f"rad off the arriving phase (SEAM_TOL {SEAM_TOL:g})")
     bounds = sorted(track.own_starts)
     if len(bounds) < 4:
         raise InconclusiveTail(
@@ -458,7 +465,8 @@ def l2_tail_estimate(track: TrackRecord) -> TailReport:
     return TailReport(target_index=track.target_index, side=track.side,
                       cycle_bounds=[float(v) for v in bounds],
                       cycle_sums=sums, ratios=ratios,
-                      verdict=all(r <= TAIL_RATIO for r in ratios))
+                      verdict=all(r <= TAIL_RATIO for r in ratios),
+                      max_seam_gap=track.max_seam_gap)
 
 
 def track_targets(pot: SynthesizedPotential, targets=None) -> dict:

@@ -123,6 +123,31 @@ def test_verify_catches_tampered_manifest(tmp_path, small_run):
     assert any(d["name"] == "decay" and d.get("side") == 1 for d in bad)
 
 
+def test_verify_catches_a_broken_chain_of_own_pieces(tmp_path, small_run):
+    # Four later plus-side seeds of lam = 0.7 leave the phase the track
+    # brings to them.  Each shifted piece still decays, but the pieces no
+    # longer chain into one solution: the seam check fails both plus-side
+    # tails (lam = 1.3 crosses the shifted pieces as a bystander).
+    cfg_path, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    own = sorted((e for e in doc["pieces"]
+                  if e["side"] == "plus" and e["lambda"] == 0.7),
+                 key=lambda e: e["a"])
+    for entry in own[-4:]:
+        entry["xi0"] += 1.5
+    tampered = tmp_path / "manifest.json"
+    tampered.write_text(json.dumps(doc))
+    rc = main(["verify", "--config", cfg_path,
+               "--manifest", str(tampered), "--out", str(tmp_path)])
+    assert rc == EXIT_CHECK
+    docs = json.loads((tmp_path / "reports.json").read_text())
+    bad = [d for d in docs if not d["passed"]]
+    assert [(d["name"], d["side"]) for d in bad] == [("l2-tail", 1)] * 2
+    assert "side 1" in bad[0]["error"]
+    assert f"|x| = {own[-4]['a']:.6g} " in bad[0]["error"]
+
+
 def _verify_growing_manifest(tmp_path, monkeypatch, metadata, V0,
                              **cfg_kw):
     # verify on a one-sample growing-mode potential at x = 0, with h = 0.
@@ -351,11 +376,11 @@ def test_step_size_underflow_is_check_failure(tmp_path, small_run,
 
     real = synth.phase_flow
 
-    def nan_past_start(data, gain, x0, x1, xi0, spec):
+    def nan_past_start(data, gain, x0, x1, xi0):
         def bad(x, xi):
             g = gain(x, xi)
             return g * np.where(np.abs(x) > abs(x0) + 1.0, np.nan, 1.0)
-        return real(data, bad, x0, x1, xi0, spec)
+        return real(data, bad, x0, x1, xi0)
 
     monkeypatch.setattr(synth, "phase_flow", nan_past_start)
     cfg_path, _ = small_run

@@ -20,8 +20,7 @@ from diracembed.floquet import (
     monodromy,
     write_period_csv,
 )
-from diracembed.periodic_core import (IntegratorSpec, PeriodicCoefficient,
-                                      eval_coefficient)
+from diracembed.periodic_core import PeriodicCoefficient, eval_coefficient
 
 RNG = np.random.default_rng(20240712)
 
@@ -368,8 +367,9 @@ def test_band_edge_raised_in_gap_and_near_edges(mass_pq):
 
 
 def test_floquet_frame_has_one_spec():
-    # Every frame is solved at FRAME_SPEC; no caller picks a tolerance.
-    assert floquet.FRAME_SPEC == IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12)
+    # Every frame is solved at FRAME_RTOL/FRAME_ATOL; no caller picks a
+    # tolerance.
+    assert (floquet.FRAME_RTOL, floquet.FRAME_ATOL) == (1e-10, 1e-12)
     assert "spec" not in inspect.signature(floquet_solution).parameters
     assert "spec" not in floquet.FloquetSolution.__dataclass_fields__
 

@@ -87,7 +87,7 @@ def test_free_flow_is_clockwise_rotation():
     lam = 1.0
     p = q = PeriodicCoefficient()
     y0 = np.array([1.0, 0.5])
-    traj = integrate(dirac_rhs(p, q, lam), 0.0, 0.6, y0)
+    traj = integrate(dirac_rhs(p, q, lam), 0.0, 0.6, y0, 1e-10, 1e-12)
     z = (y0[0] + 1j * y0[1]) * np.exp(-1j * lam * 0.6)
     assert traj.ys[-1] == pytest.approx([z.real, z.imag], abs=1e-10)
 
@@ -115,9 +115,9 @@ def test_wronskian_is_conserved():
     p = PeriodicCoefficient(a0=0.5, cos=(0.2,), sin=(0.1,))
     q = PeriodicCoefficient(a0=-0.3, cos=(0.25,))
     rhs = dirac_rhs(p, q, 1.3)
-    ya = integrate(rhs, 0.0, 5.0, np.array([1.0, 0.0]),
+    ya = integrate(rhs, 0.0, 5.0, np.array([1.0, 0.0]), 1e-10, 1e-12,
                    t_eval=np.linspace(0.0, 5.0, 21))
-    yb = integrate(rhs, 0.0, 5.0, np.array([0.0, 1.0]),
+    yb = integrate(rhs, 0.0, 5.0, np.array([0.0, 1.0]), 1e-10, 1e-12,
                    t_eval=np.linspace(0.0, 5.0, 21))
     w = ya.ys[:, 0] * yb.ys[:, 1] - ya.ys[:, 1] * yb.ys[:, 0]
     assert np.max(np.abs(w - 1.0)) < 1e-9
@@ -227,10 +227,10 @@ def test_cumulative_blocks_exact_on_quadratics_across_seams(monkeypatch,
 
     starts = []
     for start, xs, F in cumulative_blocks(lambda x: 3.0 * x**2 - 2.0 * x + 0.5,
-                                          lo, h, n, f0=2.0):
+                                          lo, h, n):
         assert 3 <= xs.size <= block + 1
         assert np.array_equal(xs, lo + np.arange(start, start + xs.size) * h)
-        assert np.max(np.abs(F - (2.0 + prim(xs) - prim(lo)))) < 1e-12
+        assert np.max(np.abs(F - (prim(xs) - prim(lo)))) < 1e-12
         starts.append(start)
     assert starts == list(range(0, n, block))
     assert start + xs.size - 1 == n

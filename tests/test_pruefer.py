@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from diracembed import _util, derived_data, floquet_solution, pruefer
 from diracembed.errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
-from diracembed.periodic_core import IntegratorSpec, dirac_rhs, integrate
+from diracembed.periodic_core import dirac_rhs, integrate
 from diracembed.pruefer import (
     PrueferState,
     R_xi_rhs,
@@ -158,12 +158,12 @@ def test_prufer_flow_tracks_the_perturbed_system(generic_data):
     x0, x1 = 1.0, 100.0
     y0 = np.array([0.8, -0.4])
     grid = np.linspace(x0, x1, 400)
-    spec = IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12)
     y_traj = integrate(dirac_rhs(sol.p, sol.q, sol.lam, V),
-                       x0, x1, y0, spec, t_eval=grid)
+                       x0, x1, y0, 1e-10, 1e-12, t_eval=grid)
     st0 = to_prufer(y0, data, x0)
     z0 = np.array([np.log(st0.R), st0.theta1, st0.theta2])
-    z_traj = integrate(prufer_system(data, V), x0, x1, z0, spec, t_eval=grid)
+    z_traj = integrate(prufer_system(data, V), x0, x1, z0, 1e-10, 1e-12,
+                       t_eval=grid)
     eta_prev = st0.eta
     worst = 0.0
     for xg, yg, zg in zip(grid, y_traj.ys, z_traj.ys):
@@ -197,9 +197,7 @@ def test_integrate_R_xi_matches_coupled_solver(free_data):
     x0, x1, xi0 = 10.0, 200.0, 0.6
     run = integrate_R_xi(data, V, x0, x1, xi0)
     ref = integrate(R_xi_system(data, lambda x: float(V(x))), x0, x1,
-                    np.array([0.0, xi0]),
-                    IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13),
-                    t_eval=run.xs)
+                    np.array([0.0, xi0]), 1e-11, 1e-13, t_eval=run.xs)
     assert abs(run.ln_R_end - ref.ys[-1, 0]) < 1e-6
     assert np.max(np.abs(run.ln_R - ref.ys[:, 0])) < 1e-6
     assert np.max(np.abs(run.xi - ref.ys[:, 1])) < 1e-4
@@ -343,7 +341,7 @@ def test_phase_flow_non_finite_gain_underflows(gain, which, free_data,
                                                generic_data):
     data = free_data if which == "free" else generic_data
     with np.errstate(all="ignore"), pytest.raises(StepSizeUnderflow):
-        phase_flow(data, gain, 5.0, 80.0, 0.3, IntegratorSpec())
+        phase_flow(data, gain, 5.0, 80.0, 0.3)
 
 
 def field_slope(data, gain):
@@ -381,12 +379,13 @@ def test_phase_flow_matches_the_field_calls(which, free_target_07,
     assert np.array_equal(a.zeta.c, b.zeta.c)
 
 
-def ivp_stepper(slope, rate, x0, x1, xi0, spec):
+def ivp_stepper(slope, rate, x0, x1, xi0):
     """The stepper's nodes, node slopes and nfev from scipy's
-    solve_ivp(DOP853)."""
+    solve_ivp(DOP853) at the phase lock's tolerances."""
     sol = solve_ivp(lambda x, z: [slope(x, z[0] + rate * x)], (x0, x1),
-                    [xi0 - rate * x0], method="DOP853", rtol=spec.rel_tol,
-                    atol=spec.abs_tol, max_step=0.5 / rate_floor(rate))
+                    [xi0 - rate * x0], method="DOP853",
+                    rtol=pruefer.LOCK_RTOL, atol=pruefer.LOCK_ATOL,
+                    max_step=0.5 / rate_floor(rate))
     assert sol.success
     dz = [slope(float(x), float(z + rate * x))
           for x, z in zip(sol.t, sol.y[0])]

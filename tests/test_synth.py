@@ -15,7 +15,6 @@ from diracembed.errors import (
     ResonantPair,
 )
 from diracembed import floquet, pruefer, synth
-from diracembed.periodic_core import IntegratorSpec
 from diracembed.pruefer import integrate_R_xi
 from diracembed.synth import (
     ENVELOPE_TOL,
@@ -86,8 +85,8 @@ def test_solve_xi_free_reduction_oracle(free_target_07, monkeypatch):
     # Free frame: xi' = 2k - C sin(2 xi)/(x - b), windowless.
     t = free_target_07
     a, b, x_end, xi0 = 700.0, 0.0, 900.0, 1.1
-    monkeypatch.setattr(synth, "LOCK_SPEC",
-                        IntegratorSpec(rel_tol=1e-12, abs_tol=1e-12))
+    monkeypatch.setattr(pruefer, "LOCK_RTOL", 1e-12)
+    monkeypatch.setattr(pruefer, "LOCK_ATOL", 1e-12)
     traj = solve_xi(t, a, b, xi0, x_end, taper_width=0.0)
 
     ref = solve_ivp(
@@ -315,17 +314,17 @@ def test_schedule_validation(free_target_07, free_target_13):
         schedule(targets, mode="growing", a0=2e3, x_max=3e3)  # no h
     with pytest.raises(ValueError):
         schedule(targets, a0=2e3, x_max=1e3)
+    # The probe gives K = 1200: a0 = 500 is too close in.
     with pytest.raises(PieceTooShort):
-        schedule(targets, a0=500.0, x_max=1e3, C_bound=2.5, K=1200.0)
+        schedule(targets, a0=500.0, x_max=1e3)
     with pytest.raises(HorizonTooShort):
-        schedule(targets, a0=2e3, x_max=2.02e3, C_bound=2.5, K=1200.0)
+        schedule(targets, a0=2e3, x_max=2.02e3)
 
 
 def test_growing_mode_rejects_small_envelope(free_target_07):
     with pytest.raises(EnvelopeViolation):
         schedule([free_target_07], mode="growing", a0=2e3, x_max=3e3,
-                 h=lambda x: np.log(np.e + np.abs(x)),
-                 C_bound=2.5, K=1200.0)
+                 h=lambda x: np.log(np.e + np.abs(x)))
 
 
 @pytest.mark.parametrize("V0,ok", [(1e-10, False), (1e-12, True)])
@@ -345,7 +344,7 @@ def test_probed_constants_recorded_on_schedule(small_sched):
 
 
 def test_probe_constants_hold_their_pins(free_target_07, free_target_13):
-    # The probe's pieces lock at LOCK_SPEC and its stability checks gate
+    # The probe's pieces lock at LOCK_RTOL and its stability checks gate
     # at 1.5 on one try: K is the doubled 2C/k floor, C_bound the decay
     # prefactor of the probe piece.
     C_bound, K = probe_constants([free_target_07, free_target_13])
@@ -354,10 +353,11 @@ def test_probe_constants_hold_their_pins(free_target_07, free_target_13):
 
 
 def test_no_caller_picks_a_phase_lock_tolerance():
-    # Every phase lock runs at LOCK_SPEC, every band scan at BANDS_TOL and
-    # every bystander flow settles at pruefer.FLOW_TOL.
+    # Every phase lock runs at pruefer.LOCK_RTOL/LOCK_ATOL, every band scan
+    # at BANDS_TOL and every bystander flow settles at pruefer.FLOW_TOL.
     for fn in (solve_xi, probe_constants, schedule, synth.write_manifest,
-               floquet.band_scan, integrate_R_xi):
+               floquet.band_scan, integrate_R_xi, pruefer.phase_flow,
+               pruefer._dop853):
         assert "spec" not in inspect.signature(fn).parameters, fn.__name__
 
 

@@ -25,7 +25,7 @@ def load_tracer():
     return mod
 
 
-def test_tracer_wraps_solve_xi_and_integrate_R_xi(free_target_07):
+def test_tracer_wraps_solve_xi_and_integrate_R_xi(free_target_07, free_pq):
     tracing = load_tracer()
     modules = (cli, floquet, synth, verify)
     saved = [dict(vars(mod)) for mod in modules]
@@ -36,6 +36,7 @@ def test_tracer_wraps_solve_xi_and_integrate_R_xi(free_target_07):
         traj = synth.solve_xi(t, 700.0, 0.0, 0.3, 720.0)
         run = verify.integrate_R_xi(
             t.data, lambda x: 0.01 * np.cos(np.asarray(x)), 5.0, 25.0, 0.3)
+        floquet.floquet_solution(*free_pq, 0.7)  # through floquet.integrate
     finally:
         for mod, names in zip(modules, saved):
             for name, value in names.items():
@@ -46,5 +47,8 @@ def test_tracer_wraps_solve_xi_and_integrate_R_xi(free_target_07):
     assert spans["synth.solve_xi"]["length"] == 20.0
     assert spans["pruefer.integrate_R_xi"]["nfev"] == run.nfev > 0
     assert spans["pruefer.integrate_R_xi"]["length"] == 20.0
+    assert spans["floquet.monodromy"]["length"] == 1.0
+    assert spans["floquet.monodromy"]["nfev"] > 0
+    assert floquet.integrate is saved[1]["integrate"]
     assert synth.solve_xi is saved[2]["solve_xi"]
     assert verify.integrate_R_xi is saved[3]["integrate_R_xi"]

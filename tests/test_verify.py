@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from diracembed import EmbeddingTarget, _util, synth, verify
+from diracembed import EmbeddingTarget, _util, pruefer, verify
 from diracembed.errors import (
     DecayTooSlow,
     HypothesisViolated,
@@ -15,7 +15,6 @@ from diracembed.errors import (
     ResonantFrequency,
     StabilityViolated,
 )
-from diracembed.periodic_core import IntegratorSpec
 from diracembed.pruefer import R_xi_system, integrate_R_xi
 from diracembed.synth import (TrackRecord, assemble, piece_potential,
                               schedule, solve_xi)
@@ -59,9 +58,11 @@ def test_decay_slope_matches_design_exponent(free_target_07, long_piece):
     assert d["name"] == "decay" and d["slope"] == rep.slope
 
 
-def test_decay_threshold_is_enforced(free_target_07, long_piece):
+def test_decay_threshold_is_enforced(free_target_07, long_piece,
+                                     monkeypatch):
+    monkeypatch.setattr(verify, "DECAY_SLOPE_MAX", -200.0)
     with pytest.raises(DecayTooSlow):
-        decay_check(free_target_07, long_piece, slope_threshold=-200.0)
+        decay_check(free_target_07, long_piece)
 
 
 def test_decay_constant_stable_under_solver_tolerances(free_target_07,
@@ -72,9 +73,9 @@ def test_decay_constant_stable_under_solver_tolerances(free_target_07,
     t = free_target_07
     a, x_end = 650.0, float(650.0 * np.e ** 0.5)
     reps = []
-    for spec in (IntegratorSpec(rel_tol=1e-8, abs_tol=1e-11),
-                 IntegratorSpec(rel_tol=1e-10, abs_tol=1e-13)):
-        monkeypatch.setattr(synth, "LOCK_SPEC", spec)
+    for rtol, atol in ((1e-8, 1e-11), (1e-10, 1e-13)):
+        monkeypatch.setattr(pruefer, "LOCK_RTOL", rtol)
+        monkeypatch.setattr(pruefer, "LOCK_ATOL", atol)
         traj = solve_xi(t, a, 0.0, np.pi / 2, x_end, taper_width=1.0)
         reps.append(decay_check(t, piece_potential(t, traj)))
     c0, c1 = reps[0].C_bound, reps[1].C_bound
