@@ -1,7 +1,7 @@
 """Command line front end: bands, floquet, synth, verify, oscillatory.
 
-Every subcommand reads one JSON config (flags can override individual
-keys), writes its artifacts into the output directory, and returns a
+Every subcommand reads one JSON config (only --out overrides a key, the
+output directory), writes its artifacts there, and returns a
 process exit code: 0 all checks pass, 1 a check failed, 2 usage/config
 error, 3 resonance obstruction.
 """
@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .synth import (
     write_potential_csv,
 )
 from .verify import (
+    PRODUCT_RATIO_MAX,
     l2_tail_estimate,
     decay_check,
     oscillatory_check_41,
@@ -60,12 +60,6 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_RESONANCE = 3
 
-# RunConfig keys that subcommand flags may override: every float and
-# string field, in field order (lambdas has its own repeatable flag).
-_FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "float")
-_STR_KEYS = tuple(f.name for f in fields(RunConfig)
-                  if f.type.startswith("str"))
-
 
 def _add_config_flags(sp: argparse.ArgumentParser, need_lam: bool = False):
     sp.add_argument("--config", required=True, metavar="PATH",
@@ -73,26 +67,8 @@ def _add_config_flags(sp: argparse.ArgumentParser, need_lam: bool = False):
     if need_lam:
         sp.add_argument("--lam", type=float, required=True,
                         help="energy inside a band")
-    sp.add_argument("--lambda", dest="lambdas", action="append", type=float,
-                    default=None, metavar="LAM",
-                    help="override target energies (repeatable)")
-    for key in _FLOAT_KEYS:
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float,
-                        default=None, help=f"override config key {key}")
-    for key in _STR_KEYS:
-        flag = "--out" if key == "out_dir" else f"--{key.replace('_', '-')}"
-        sp.add_argument(flag, dest=key, default=None,
-                        help=f"override config key {key}")
-
-
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig.load(args.config)
-    doc = cfg.to_dict()
-    for key in _FLOAT_KEYS + _STR_KEYS + ("lambdas",):
-        val = getattr(args, key, None)
-        if val is not None:
-            doc[key] = val
-    return RunConfig.from_dict(doc)
+    sp.add_argument("--out", default=None, metavar="DIR",
+                    help="output directory, in place of the config's out_dir")
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -141,12 +117,9 @@ def cmd_floquet(cfg: RunConfig, lam: float) -> int:
 
 def cmd_synth(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    targets = check_nonresonance(cfg.lambdas, cfg.p, cfg.q, cfg.margin,
-                                 rho_margin=cfg.rho_margin,
-                                 band_edge_margin=cfg.band_edge_margin)
+    targets = check_nonresonance(cfg.lambdas, cfg.p, cfg.q, cfg.margin)
     sched = schedule(targets, mode=cfg.mode, a0=cfg.a0, x_max=cfg.x_max,
-                     b=cfg.b, h=cfg.envelope(), safety=cfg.safety, xi0=cfg.xi0,
-                     taper_width=cfg.taper_width)
+                     b=cfg.b, h=cfg.envelope())
     pot = assemble(sched)
     if cfg.mode == "growing":
         pot.metadata["h_name"] = cfg.h_name  # verify's envelope
@@ -236,11 +209,11 @@ def cmd_oscillatory(args) -> int:
             args.a, args.beta1, args.beta2, x0_list, args.x_max,
             c=args.c, use_cos=args.use_cos)
     ratio = chk.max_product_ratio
-    ok = bool(ratio <= args.max_product_ratio)
+    ok = bool(ratio <= PRODUCT_RATIO_MAX)
     write_json(os.path.join(out, "oscillatory.json"),
                [dict(chk.to_dict(), max_product_ratio=ratio, passed=ok)])
     print(f"oscillatory: max product ratio {ratio:.4g} "
-          f"({'pass' if ok else 'FAIL'} at {args.max_product_ratio:g})")
+          f"({'pass' if ok else 'FAIL'} at {PRODUCT_RATIO_MAX:g})")
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -277,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--use-cos", action="store_true")
     sp.add_argument("--x0", action="append", type=float, default=None)
     sp.add_argument("--x-max", type=float, default=1e6)
-    sp.add_argument("--max-product-ratio", type=float, default=4.0)
     sp.add_argument("--allow-resonant", action="store_true")
     sp.add_argument("--out", default=None)
     return parser
@@ -292,7 +264,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "oscillatory":
             return cmd_oscillatory(args)
-        cfg = _load_config(args)
+        cfg = RunConfig.load(args.config)
+        cfg.out_dir = args.out or cfg.out_dir
         if args.command == "bands":
             return cmd_bands(cfg)
         if args.command == "floquet":

@@ -29,7 +29,7 @@ _TYPES = {"float": numbers.Real, "str": str, "str | None": (str, type(None)),
 
 @dataclass
 class RunConfig:
-    """Coefficients, targets, and numeric knobs for a full run."""
+    """A run's inputs; the method's own choices are module constants."""
 
     p: PeriodicCoefficient
     q: PeriodicCoefficient
@@ -40,11 +40,6 @@ class RunConfig:
     x_max: float = 2.0e4
     b: float = 0.0
     margin: float = 0.05
-    band_edge_margin: float = 0.0
-    rho_margin: float = 5.0
-    taper_width: float = 1.0
-    safety: float = 1.0
-    xi0: float = float(np.pi / 2)
     scan_lo: float = 0.0
     scan_hi: float = 3.0
     scan_resolution: float = 0.01
@@ -62,16 +57,13 @@ class RunConfig:
                 f"h_name: {self.h_name!r} not one of {sorted(ENVELOPES)}")
         if self.mode == "growing" and self.h_name is None:
             raise ValueError("h_name: required when mode is growing")
-        for key in ("a0", "x_max", "margin", "rho_margin", "taper_width",
-                    "safety", "scan_resolution"):
+        for key in ("a0", "x_max", "margin", "scan_resolution"):
             if getattr(self, key) <= 0.0:
                 raise ValueError(f"{key}: must be positive")
         if self.x_max <= self.a0:
             raise ValueError("x_max: must exceed a0")
         if not 0.0 <= self.b < self.a0:
             raise ValueError("b: must satisfy 0 <= b < a0")
-        if self.band_edge_margin < 0.0:
-            raise ValueError("band_edge_margin: must be nonnegative")
         if self.scan_hi <= self.scan_lo:
             raise ValueError("scan_hi: must exceed scan_lo")
         for i, lam in enumerate(self.lambdas):

@@ -290,15 +290,15 @@ class FloquetSolution:
     g2: np.ndarray
 
 
-def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
-                     band_edge_margin: float = 0.0) -> FloquetSolution:
+def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient,
+                     lam: float) -> FloquetSolution:
     """Build g(x) = Phi(x) v on the FRAME_INTERVALS+1 points of a period
     grid, solving the unit cell at FRAME_RTOL and FRAME_ATOL.
 
     v = g(0) is the monodromy eigenvector for exp(+i k), unit norm, first
     significant component rotated real-positive.  Raises BandEdge outside
-    (or too near the edge of) a band and DegenerateEigenvector when the
-    eigenpair cannot be resolved.
+    a band or on its edge and DegenerateEigenvector when the eigenpair
+    cannot be resolved.
     """
     grid = np.linspace(0.0, 1.0, FRAME_INTERVALS + 1)
     rhs = dirac_rhs(p, q, lam)
@@ -311,8 +311,6 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
         raise BandEdge(f"lambda={lam} lies in a gap or at an edge "
                        f"(|trace|/2 = {abs(half):.6f})")
     k = float(np.arccos(half))
-    if band_edge_margin > 0.0 and not (band_edge_margin < k < np.pi - band_edge_margin):
-        raise BandEdge(f"k={k:.4f} within {band_edge_margin} of a band edge")
 
     w, vecs = np.linalg.eig(mono.matrix)
     idx = int(np.argmax(w.imag))

@@ -67,6 +67,10 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 DECAY_EXPONENT = 100.0  # target slope of ln R against ln((|x|-b)/(a-b))
+RHO_MARGIN = 5.0  # C gives slope -(DECAY_EXPONENT + RHO_MARGIN)
+XI0 = np.pi / 2  # the first own piece's phase
+TAPER_WIDTH = 1.0  # edge window of a piece, at most a quarter of its length
+SAFETY = 1.0  # growing mode: h must cover SAFETY times the active envelopes
 CSV_ROWS = 2000  # most potential.csv rows per piece
 ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
 # The manifest's records of how every phase lock and Floquet frame is built.
@@ -84,14 +88,13 @@ class EmbeddingTarget:
 
     @classmethod
     def at(cls, p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
-           C: float | None = None, rho_margin: float = 5.0,
-           band_edge_margin: float = 0.0) -> EmbeddingTarget:
+           C: float | None = None) -> EmbeddingTarget:
         """Target at energy lam, its frame from ``floquet_solution``.
 
-        C defaults to ``choose_C(data, rho_margin)``.
+        C defaults to ``choose_C(data)``.
         """
-        data = derived_data(floquet_solution(p, q, lam, band_edge_margin))
-        return cls(data, choose_C(data, rho_margin) if C is None else C)
+        data = derived_data(floquet_solution(p, q, lam))
+        return cls(data, choose_C(data) if C is None else C)
 
     @property
     def lam(self) -> float:
@@ -122,16 +125,13 @@ class EmbeddingTarget:
         return abs(self.omega) * self.C
 
 
-def choose_C(data: DerivedPeriodicData, rho_margin: float = 5.0) -> float:
-    """Decay constant giving slope -(100 + rho_margin) for this frame."""
-    if rho_margin <= 0.0:
-        raise ValueError("rho_margin must be positive")
-    return 2.0 * (DECAY_EXPONENT + rho_margin) / data.Psi_mean
+def choose_C(data: DerivedPeriodicData) -> float:
+    """Decay constant giving slope -(100 + RHO_MARGIN) for this frame."""
+    return 2.0 * (DECAY_EXPONENT + RHO_MARGIN) / data.Psi_mean
 
 
 def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
-                       margin: float = 0.05, *, rho_margin: float = 5.0,
-                       band_edge_margin: float = 0.0) -> list[EmbeddingTarget]:
+                       margin: float = 0.05) -> list[EmbeddingTarget]:
     """Build targets for the given energies, enforcing phase separation.
 
     Requires |k_i - k_j| >= margin for i != j and |k_i + k_j - pi| >=
@@ -142,9 +142,7 @@ def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
     lams = [float(l) for l in lambdas]
     if not lams:
         raise ValueError("no energies given")
-    targets = [EmbeddingTarget.at(p, q, lam, rho_margin=rho_margin,
-                                  band_edge_margin=band_edge_margin)
-               for lam in lams]
+    targets = [EmbeddingTarget.at(p, q, lam) for lam in lams]
     ks = [t.k for t in targets]
     for i in range(len(ks)):
         for j in range(i, len(ks)):
@@ -344,7 +342,9 @@ class Tracker:
         side = self.side
         if piece.lam == self.target.lam:
             if self.xi is not None:
-                gap = abs((self.xi - piece.xi0 + np.pi) % TWO_PI - np.pi)
+                # Both reductions are exact: no rounding floor grows with xi.
+                gap = abs(math.remainder(
+                    math.remainder(self.xi, TWO_PI) - piece.xi0, TWO_PI))
                 if gap > self.max_seam_gap:
                     self.max_seam_gap, self.seam_a = float(gap), piece.a
             self.own_starts.append(piece.a)
@@ -388,8 +388,7 @@ class SynthesisSchedule:
     metadata: dict
 
 
-def probe_constants(targets, *, b: float = 0.0, xi0: float = np.pi / 2,
-                    taper_width: float = 1.0) -> tuple[float, float]:
+def probe_constants(targets, *, b: float = 0.0) -> tuple[float, float]:
     """Measure the decay prefactor C_bound and the piece-offset floor K.
 
     C_bound = 2 * sup R(x)*((|x|-b)/(a-b))^100 / R(a) over a probe piece,
@@ -401,8 +400,8 @@ def probe_constants(targets, *, b: float = 0.0, xi0: float = np.pi / 2,
     from .verify import decay_check, stability_check
 
     def probe_piece(t, a, x_end):
-        traj = solve_xi(t, a, b, xi0, x_end, side=1,
-                        taper_width=min(taper_width, (x_end - a) / 4.0))
+        traj = solve_xi(t, a, b, XI0, x_end, side=1,
+                        taper_width=min(TAPER_WIDTH, (x_end - a) / 4.0))
         return piece_potential(t, traj)
 
     env_floor = max(2.0 * t.C / t.k for t in targets)
@@ -443,9 +442,8 @@ def envelope_excess(x, V, h) -> tuple[float, float]:
 
 
 def schedule(targets, mode: str = "finite", a0: float = None,
-             x_max: float = None, *, b: float = 0.0, h=None,
-             safety: float = 1.0, xi0: float = np.pi / 2,
-             taper_width: float = 1.0) -> SynthesisSchedule:
+             x_max: float = None, *, b: float = 0.0,
+             h=None) -> SynthesisSchedule:
     """Round-robin piece assignment with tracked arrival phases.
 
     Each step builds mirrored pieces on (T_r, T_{r+1}) and (-T_{r+1},
@@ -456,7 +454,7 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     so each full cycle at worst halves every tracked amplitude.
 
     In growing-N mode targets activate one per cycle once
-    h(T_r) >= safety * (N+1) * max envelope of the first N+1 targets,
+    h(T_r) >= SAFETY * (N+1) * max envelope of the first N+1 targets,
     and every sample must satisfy |V|*(1+|x|) <= |h| (envelope_excess).
     """
     if not targets:
@@ -472,8 +470,7 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     if x_max <= a0:
         raise ValueError("x_max must exceed a0")
 
-    C_bound, K = probe_constants(targets, b=b, xi0=xi0,
-                                 taper_width=taper_width)
+    C_bound, K = probe_constants(targets, b=b)
     if a0 - b < K:
         raise PieceTooShort(
             f"a0 - b = {a0 - b:.6g} is below the probed offset floor "
@@ -483,7 +480,7 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     envelopes = [t.envelope for t in targets]
     if mode == "growing":
         N = 1
-        if abs(h(a0)) < safety * 1.0 * envelopes[0]:
+        if abs(h(a0)) < SAFETY * 1.0 * envelopes[0]:
             raise EnvelopeViolation(
                 f"|h(a0)| = {abs(h(a0)):.4g} cannot cover the first "
                 f"target's envelope {envelopes[0]:.4g}")
@@ -501,7 +498,7 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     while True:
         T_r = T[-1]
         if c == 0 and mode == "growing" and N < n_targets:
-            need = safety * (N + 1) * max(envelopes[:N + 1])
+            need = SAFETY * (N + 1) * max(envelopes[:N + 1])
             if abs(h(T_r)) >= need:
                 N += 1
                 activations.append((N - 1, T_r))
@@ -512,9 +509,9 @@ def schedule(targets, mode: str = "finite", a0: float = None,
         target = targets[c]
         for side in (1, -1):
             tracked = trackers[(c, side)].xi
-            seed = xi0 if tracked is None else tracked
+            seed = XI0 if tracked is None else tracked
             traj = solve_xi(target, T_r, b, seed, T_next, side=side,
-                            taper_width=min(taper_width, (T_next - T_r) / 4.0))
+                            taper_width=min(TAPER_WIDTH, (T_next - T_r) / 4.0))
             piece = piece_potential(target, traj)
             if mode == "growing":
                 excess, x_at = envelope_excess(piece.x_grid, piece.V_grid, h)
@@ -536,8 +533,8 @@ def schedule(targets, mode: str = "finite", a0: float = None,
             "received a piece; extend the horizon")
     metadata = {
         "mode": mode, "a0": float(a0), "x_max": float(x_max), "b": float(b),
-        "C_bound": float(C_bound), "K": float(K), "safety": float(safety),
-        "taper_width": float(taper_width), "xi0_default": float(xi0),
+        "C_bound": float(C_bound), "K": float(K), "safety": SAFETY,
+        "taper_width": TAPER_WIDTH, "xi0_default": XI0,
         "T": [float(t) for t in T], "N": [int(n) for n in Ns],
         "targets": [{"lambda": t.lam, "k": t.k, "omega": t.omega, "C": t.C}
                     for t in targets],

@@ -58,6 +58,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 DECAY_SLOPE_MAX = -95.0  # largest fitted slope of ln R across a piece
+PRODUCT_RATIO_MAX = 4.0  # most sup * x0^beta may vary over the checkpoints
 TAIL_RATIO = 0.5  # most energy a cycle may carry, relative to the last one
 SEAM_TOL = 1e-9  # most an own piece's seed may stray from the arriving xi
 # Report fields under another name in reports.json.

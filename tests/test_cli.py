@@ -1,4 +1,4 @@
-"""Command-line driver: artifacts, overrides, exit codes, determinism."""
+"""Command line: artifacts, the config file, exit codes, determinism."""
 
 import json
 import os
@@ -18,24 +18,24 @@ from diracembed.cli import (
 from diracembed.synth import SynthesizedPotential, rebuild_potential
 
 
-@pytest.fixture(scope="module")
-def mass_config(tmp_path_factory):
-    root = tmp_path_factory.mktemp("mass_cfg")
-    cfg = RunConfig(p=PeriodicCoefficient(a0=3.0), q=PeriodicCoefficient(),
-                    lambdas=[2.0], out_dir=str(root / "out"))
-    path = root / "config.json"
-    cfg.save(str(path))
-    return str(path)
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 
 
-def test_bands_writes_nan_in_gaps(tmp_path, mass_config):
-    rc = main(["bands", "--config", mass_config, "--out", str(tmp_path),
-               "--scan-lo", "0.5", "--scan-hi", "2.0",
-               "--scan-resolution", "0.05"])
+def _save_config(tmp_path, p=None, **kw) -> str:
+    """A RunConfig on p (free by default) and q = 0, saved in tmp_path."""
+    kw.setdefault("lambdas", [0.7])
+    cfg = RunConfig(p=p or PeriodicCoefficient(), q=PeriodicCoefficient(),
+                    out_dir=str(tmp_path), **kw)
+    cfg.save(str(tmp_path / "config.json"))
+    return str(tmp_path / "config.json")
+
+
+def test_bands_writes_nan_in_gaps(tmp_path):
+    cfg_path = _save_config(tmp_path, PeriodicCoefficient(a0=3.0),
+                            lambdas=[2.0], scan_lo=0.5, scan_hi=2.0,
+                            scan_resolution=0.05)
+    rc = main(["bands", "--config", cfg_path])
     assert rc == EXIT_OK
     rows = (tmp_path / "bands.csv").read_text().splitlines()
     assert rows[0] == "lambda,trace,k"
@@ -55,12 +55,9 @@ def test_bands_writes_nan_in_gaps(tmp_path, mass_config):
 def test_bands_in_a_deep_gap_finds_no_band(tmp_path):
     # Mass 40: |trace| ~ 1e17 over [0, 3], where det(M) = 1 is lost to
     # cancellation; that is a valid gap, not a configuration error.
-    cfg = RunConfig(p=PeriodicCoefficient(a0=80.0), q=PeriodicCoefficient(),
-                    lambdas=[0.7], out_dir=str(tmp_path))
-    cfg.save(str(tmp_path / "config.json"))
-    rc = main(["bands", "--config", str(tmp_path / "config.json"),
-               "--scan-resolution", "0.1"])
-    assert rc == EXIT_OK
+    cfg_path = _save_config(tmp_path, PeriodicCoefficient(a0=80.0),
+                            scan_resolution=0.1)
+    assert main(["bands", "--config", cfg_path]) == EXIT_OK
     doc = json.loads((tmp_path / "band_edges.json").read_text())
     assert doc["bands"] == [] and doc["edges"] == []
 
@@ -68,12 +65,9 @@ def test_bands_in_a_deep_gap_finds_no_band(tmp_path):
 def test_bands_with_an_overflowing_monodromy_is_a_failed_check(tmp_path):
     # Mass 1000: the period map overflows the float range, a numerical
     # failure (exit 1), not a configuration error.
-    cfg = RunConfig(p=PeriodicCoefficient(a0=2000.0), q=PeriodicCoefficient(),
-                    lambdas=[0.7], out_dir=str(tmp_path))
-    cfg.save(str(tmp_path / "config.json"))
-    rc = main(["bands", "--config", str(tmp_path / "config.json"),
-               "--scan-resolution", "0.1"])
-    assert rc == EXIT_CHECK
+    cfg_path = _save_config(tmp_path, PeriodicCoefficient(a0=2000.0),
+                            scan_resolution=0.1)
+    assert main(["bands", "--config", cfg_path]) == EXIT_CHECK
 
 
 def test_floquet_exports_period_frame(tmp_path, small_run):
@@ -227,44 +221,51 @@ def test_oscillatory_periodic_path(tmp_path, small_run):
 
 
 # ---------------------------------------------------------------------------
-# overrides
+# the config file is the run
 
 
-def test_lambda_override_reaches_the_scheduler(tmp_path, small_run):
-    # Overriding the targets with a resonant pair must trip the guard,
-    # proving the repeatable --lambda flag replaced the config list.
+def test_resonant_energies_exit_3(tmp_path):
+    # k = 1 and k = pi - 1 on the free background: k_1 + k_2 = pi.
+    cfg_path = _save_config(tmp_path, lambdas=[1.0, np.pi - 1.0])
+    assert main(["synth", "--config", cfg_path]) == EXIT_RESONANCE
+
+
+@pytest.mark.parametrize("key", ["band_edge_margin", "rho_margin",
+                                 "taper_width", "safety", "xi0"])
+def test_removed_config_key_is_usage_error(tmp_path, small_run, capsys, key):
+    # The method's own choices are constants (synth.RHO_MARGIN, TAPER_WIDTH,
+    # SAFETY, XI0), so a config naming one is an unknown key.
     cfg_path, _ = small_run
-    rc = main(["synth", "--config", cfg_path, "--out", str(tmp_path),
-               "--lambda", "1.0", "--lambda", str(np.pi - 1.0)])
-    assert rc == EXIT_RESONANCE
+    doc = {**RunConfig.load(cfg_path).to_dict(), key: 1.0,
+           "out_dir": str(tmp_path)}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(tmp_path / "config.json")]) \
+        == EXIT_USAGE
+    assert f"{key}: unknown config key" in capsys.readouterr().err
 
 
-def test_every_config_key_has_a_round_tripping_flag(tmp_path, small_run):
-    cfg_path, _ = small_run
-    base = RunConfig.load(cfg_path).to_dict()
-    new = {"lambdas": [0.8, 1.4], "mode": "growing", "h_name": "log",
-           "a0": 3000.0, "x_max": 4000.0, "b": 1.0, "margin": 0.07,
-           "band_edge_margin": 0.01, "rho_margin": 6.0, "taper_width": 2.0,
-           "safety": 1.5, "xi0": 0.3, "scan_lo": 0.5, "scan_hi": 2.5,
-           "scan_resolution": 0.02, "out_dir": str(tmp_path)}
-    assert set(new) == set(base) - {"p", "q"}
-    assert all(new[key] != base[key] for key in new)
-    argv = ["synth", "--config", cfg_path]
-    for key, val in new.items():
-        if key == "lambdas":
-            argv += [arg for lam in val for arg in ("--lambda", str(lam))]
-        else:
-            flag = "--out" if key == "out_dir" else f"--{key.replace('_', '-')}"
-            argv += [flag, str(val)]
-    cfg = cli._load_config(cli._build_parser().parse_args(argv))
-    assert cfg.to_dict() == {**base, **new}
+# Each flag that overrode a key, with a value small_run's config would take.
+REMOVED_FLAGS = {
+    "--lambda": "0.7", "--mode": "finite", "--h-name": "log", "--a0": "2000",
+    "--x-max": "2600", "--b": "0", "--margin": "0.05",
+    "--band-edge-margin": "0", "--rho-margin": "5", "--taper-width": "1",
+    "--safety": "1", "--xi0": "1.5", "--scan-lo": "0", "--scan-hi": "3",
+    "--scan-resolution": "0.01", "--max-product-ratio": "4"}
 
 
-def test_float_override_must_validate(tmp_path, small_run):
-    cfg_path, _ = small_run
-    rc = main(["synth", "--config", cfg_path, "--out", str(tmp_path),
-               "--x-max", "100.0"])        # below a0: rejected by RunConfig
-    assert rc == EXIT_USAGE
+@pytest.mark.parametrize("flag", list(REMOVED_FLAGS))
+def test_removed_flag_is_usage_error(tmp_path, small_run, flag):
+    # No flag but --out overrides a config key, and the oscillatory bound is
+    # verify.PRODUCT_RATIO_MAX.
+    cfg_path, out = small_run
+    commands = [["bands"], ["floquet", "--lam", "0.7"], ["synth"],
+                ["verify", "--manifest", os.path.join(out, "manifest.json")]]
+    if flag == "--max-product-ratio":
+        commands = [["oscillatory", "--a", "1", "--beta1", "1", "--beta2",
+                     "1", "--x0", "10", "--x-max", "100"]]
+    for argv in commands:
+        assert main(argv + ["--config", cfg_path, "--out", str(tmp_path),
+                            flag, REMOVED_FLAGS[flag]]) == EXIT_USAGE, argv[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +364,10 @@ def test_unknown_flag_is_usage_error(small_run):
         == EXIT_USAGE
 
 
-def test_gap_energy_is_check_failure(tmp_path, mass_config):
-    rc = main(["synth", "--config", mass_config, "--out", str(tmp_path),
-               "--lambda", "0.5", "--a0", "2000", "--x-max", "2100"])
-    assert rc == EXIT_CHECK
+def test_gap_energy_is_check_failure(tmp_path):
+    cfg_path = _save_config(tmp_path, PeriodicCoefficient(a0=3.0),
+                            lambdas=[0.5], a0=2000.0, x_max=2100.0)
+    assert main(["synth", "--config", cfg_path]) == EXIT_CHECK
 
 
 def test_step_size_underflow_is_check_failure(tmp_path, small_run,

@@ -28,13 +28,13 @@ def test_defaults_are_valid():
     (dict(x_max=5.0e3), "x_max"),
     (dict(b=-0.5), "b"),
     (dict(b=1.0e4), "b"),
-    (dict(band_edge_margin=-0.1), "band_edge_margin"),
+    (dict(x_max=1.0e4), "x_max"),  # x_max = a0
     (dict(a0="2000"), "a0"),
     (dict(margin=0.0), "margin"),
     (dict(scan_resolution=-0.01), "scan_resolution"),
     (dict(scan_lo=2.0, scan_hi=1.0), "scan_hi"),
     (dict(lambdas=[0.7, np.nan]), "lambdas[1]"),
-    (dict(taper_width=0.0), "taper_width"),
+    (dict(scan_lo=1.0, scan_hi=1.0), "scan_hi"),
     (dict(h_name=["log"]), "h_name"),
     (dict(out_dir=3), "out_dir"),
     (dict(lambdas=["x"]), "lambdas[0]"),

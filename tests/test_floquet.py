@@ -358,12 +358,10 @@ def test_band_edge_raised_in_gap_and_near_edges(mass_pq):
     p, q = mass_pq
     with pytest.raises(BandEdge):
         floquet_solution(p, q, 0.5)
-    # lam just inside the band: fine without a margin, rejected with one
+    # lam just inside the band: a frame, however near the edge
     lam = 1.51
     sol = floquet_solution(p, q, lam)
     assert sol.k == pytest.approx(np.sqrt(lam**2 - MASS**2), abs=1e-8)
-    with pytest.raises(BandEdge):
-        floquet_solution(p, q, lam, band_edge_margin=0.2)
 
 
 def test_floquet_frame_has_one_spec():

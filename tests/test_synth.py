@@ -1,5 +1,6 @@
 """Phase-locked pieces, schedules, assembly, manifests."""
 
+import dataclasses
 import inspect
 import json
 
@@ -19,6 +20,7 @@ from diracembed.pruefer import integrate_R_xi
 from diracembed.synth import (
     ENVELOPE_TOL,
     EmbeddingTarget,
+    Tracker,
     check_nonresonance,
     choose_C,
     envelope_excess,
@@ -43,10 +45,6 @@ RNG = np.random.default_rng(20240714)
 
 def test_choose_C_free_frame(free_data):
     assert choose_C(free_data) == pytest.approx(210.0, abs=1e-6)
-    assert choose_C(free_data, rho_margin=10.0) == pytest.approx(220.0,
-                                                                 abs=1e-6)
-    with pytest.raises(ValueError):
-        choose_C(free_data, rho_margin=0.0)
 
 
 def test_target_envelope_and_floor(free_target_07):
@@ -286,6 +284,22 @@ def test_schedule_phase_chaining(small_sched):
             assert pc.xi0 == pytest.approx(tr.xi[idx] % (2 * np.pi),
                                            abs=1e-9)
             assert 0.0 <= pc.xi0 < 2 * np.pi
+
+
+def test_seam_gap_has_no_rounding_floor(free_target_07):
+    # An honest seed is the arriving phase reduced mod 2 pi.  Near
+    # |xi| = 1e7 one ulp of xi is 1.9e-9, above SEAM_TOL, so the gap must
+    # not be read off the unreduced difference xi - xi0.
+    t = free_target_07
+    piece = piece_potential(t, solve_xi(t, 700.0, 0.0, 0.3, 720.0))
+    for arriving in np.concatenate([s * (1e7 + np.linspace(0.0, 7.0, 71))
+                                    for s in (1.0, -1.0)]):
+        for shift, gap in ((0.0, 0.0), (1.5, 1.5)):
+            seed = float(np.mod(arriving + shift, 2 * np.pi))
+            tracker = Tracker(0, t, 1)
+            tracker.xi = float(arriving)
+            tracker.advance(dataclasses.replace(piece, xi0=seed))
+            assert tracker.max_seam_gap == pytest.approx(gap, abs=1e-12)
 
 
 def test_schedule_tracks_cover_both_sides(small_sched):
