@@ -1,5 +1,5 @@
-"""Small helpers: periodic fields and their fused frame table, decimation,
-cumulative Simpson (whole or in blocks), windows, the JSON artifact writer."""
+"""Small helpers: piecewise cubics, periodic fields and their frame table,
+decimation, cumulative Simpson (whole or in blocks), windows, JSON writer."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvariantDrift
 
@@ -22,12 +21,45 @@ def frac(x):
     return x - np.floor(x)
 
 
+class PiecewisePoly:
+    """c[0] s^(k-1) + ... + c[k-1], s = t - x[i], on the interval x[i] <= t
+    < x[i+1] (the end pieces extend past x[0] and x[-1]): scipy's PPoly
+    layout, interval choice and power-sum order, so values equal its bits."""
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = x, c
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, "right") - 1, 0,
+                    self.x.size - 2)
+        s = t - self.x[i]
+        out, z = self.c[-1, i], s
+        for row in self.c[-2::-1]:
+            out = out + row[i] * z
+            z = z * s
+        return out
+
+
+def cubic_hermite(x: np.ndarray, y: np.ndarray,
+                  dydx: np.ndarray) -> PiecewisePoly:
+    """The cubic through (x, y) with slopes dydx, by scipy's
+    CubicHermiteSpline formulas; x increasing."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return PiecewisePoly(x, np.array([t / dx, (slope - dydx[:-1]) / dx - t,
+                                      dydx[:-1], y[:-1]]))
+
+
 class PeriodicField:
     """f(x) = slope*x + s(frac(x)) with s periodic of period 1.
 
-    s is a periodic cubic spline through ``values`` on ``grid``, or the
-    constant ``const`` when no grid is given.  The derivative
-    slope + s'(frac(x)) is periodic.
+    s is the periodic cubic spline through ``values`` on the uniform
+    ``grid`` from 0 to 1, or the constant ``const`` when no grid is given.
+    Its slopes solve the circulant system s[i-1] + 4 s[i] + s[i+1] =
+    3 (y[i+1] - y[i-1])/h (de Boor, A Practical Guide to Splines, ch. IV)
+    by one FFT, and its pieces are the Hermite cubics with those slopes.
     """
 
     def __init__(self, slope: float = 0.0, const: float = 0.0,
@@ -42,18 +74,28 @@ class PeriodicField:
                 raise InvariantDrift(
                     f"periodic data mismatch at endpoints: {mism:.3e}")
             vals[-1] = vals[0]
-            self._sp = CubicSpline(grid, vals, bc_type="periodic")
-            self._dsp = self._sp.derivative()
+            n = grid.size - 1
+            if grid[0] or grid[-1] != 1.0 or np.ptp(np.diff(grid)) > 1e-9 / n:
+                raise ValueError("a periodic field needs a uniform grid "
+                                 "on [0, 1]")
+            y = vals[:-1]
+            rhs = 3.0 * n * (np.roll(y, -1) - np.roll(y, 1))
+            eig = 4.0 + 2.0 * np.cos(2.0 * np.pi / n * np.arange(n // 2 + 1))
+            s = np.fft.irfft(np.fft.rfft(rhs) / eig, n)
+            self._sp = cubic_hermite(grid, vals, np.append(s, s[0]))
+            # s' as scipy's PPoly.derivative has it: c0..c2 times 3, 2, 1
+            self._dsp = PiecewisePoly(grid,
+                                      self._sp.c[:-1] * [[3.0], [2.0], [1.0]])
 
     def __call__(self, x):
         if self._sp is not None:
-            return self.slope * x + self._sp(frac(x))
+            return self.slope * x + self._sp(frac(x) % 1.0)
         return self.slope * np.asarray(x, dtype=float) + self.const \
             if np.ndim(x) else self.slope * x + self.const
 
     def deriv(self, x):
         if self._sp is not None:
-            return self.slope + self._dsp(frac(x))
+            return self.slope + self._dsp(frac(x) % 1.0)
         return np.full(np.shape(x), self.slope) if np.ndim(x) else self.slope
 
 
@@ -63,8 +105,8 @@ class FrameTable:
     Their cubic coefficients on the shared period ``grid`` form one
     (4, m, 4) table (delta's quadratic derivative padded with a zero row, a
     constant field as the column [0, 0, 0, const]).  x is a float: the
-    lookup repeats scipy's periodic wrap, interval choice and power sum in
-    pure Python, so values equal the field calls bit for bit; a fully
+    lookup repeats the fields' periodic wrap, interval choice and power sum
+    in pure Python, so values equal the field calls bit for bit; a fully
     constant frame returns its constants.
     """
 
@@ -90,7 +132,7 @@ class FrameTable:
         if self.const is not None:
             return self.const
         x = float(x)
-        t = (x - math.floor(x)) % 1.0  # frac, then scipy's periodic wrap
+        t = (x - math.floor(x)) % 1.0  # frac; % 1.0 maps 1.0 to 0.0
         # The interval of a uniform grid, corrected to bp[i] <= t < bp[i+1]
         # (bisect_right's answer); bp runs from 0 to 1 and t < 1.
         bp = self._bp

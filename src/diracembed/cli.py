@@ -191,20 +191,21 @@ def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
 
 def cmd_oscillatory(args) -> int:
     x0_list = args.x0 or [1e2, 1e3, 1e4]
-    if args.config is not None and args.lam is not None:
-        cfg = RunConfig.load(args.config)
-        out = args.out or cfg.out_dir
-        os.makedirs(out, exist_ok=True)
+    # A config is loaded, and so validated, whenever it is given, and its
+    # out_dir is the default output directory.
+    cfg = RunConfig.load(args.config) if args.config is not None else None
+    if args.lam is not None and cfg is None:
+        raise ValueError("lam: --lam needs --config")
+    if args.lam is None and (args.beta1 is None or args.beta2 is None):
+        raise ValueError("beta1/beta2: required unless --lam is given")
+    out = args.out or (cfg.out_dir if cfg is not None else ".")
+    os.makedirs(out, exist_ok=True)
+    if args.lam is not None:
         target = EmbeddingTarget.at(cfg.p, cfg.q, args.lam)
         chk = oscillatory_check_42(
             target, target.data.Psi_f, args.a, x0_list, args.x_max,
             enforce_nonresonance=not args.allow_resonant)
     else:
-        if args.beta1 is None or args.beta2 is None:
-            raise ValueError(
-                "beta1/beta2: required unless --config/--lam are given")
-        out = args.out or "."
-        os.makedirs(out, exist_ok=True)
         chk = oscillatory_check_41(
             args.a, args.beta1, args.beta2, x0_list, args.x_max,
             c=args.c, use_cos=args.use_cos)

@@ -33,12 +33,7 @@ from .errors import (
     StepSizeUnderflow,
     UnwrapJump,
 )
-from .periodic_core import (
-    PeriodicCoefficient,
-    dirac_rhs,
-    eval_coefficient,
-    integrate,
-)
+from .periodic_core import PeriodicCoefficient, eval_coefficient
 
 __all__ = [
     "Monodromy",
@@ -56,10 +51,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-FRAME_INTERVALS = 4096  # uniform period-grid intervals of a Floquet frame
-# The unit-cell solve is cheap, and the frame's invariant gates (omega
-# constancy, Floquet condition at 1e-8) need this accuracy.
-FRAME_RTOL, FRAME_ATOL = 1e-10, 1e-12
+# Uniform period-grid intervals of a Floquet frame, one Magnus step each.
+FRAME_INTERVALS = 4096
 BANDS_TOL = 1e-8  # monodromy's rel_tol for every trace band_scan takes
 
 
@@ -114,26 +107,40 @@ def expm_traceless(a, b, c) -> np.ndarray:
     return out
 
 
-def _magnus_product(p: PeriodicCoefficient, q: PeriodicCoefficient,
-                    lams: np.ndarray, n: int) -> np.ndarray:
-    """exp(Omega_{n-1}) ... exp(Omega_0) over n equal steps, per energy.
+def prefix_products(steps: np.ndarray) -> np.ndarray:
+    """steps[i] @ ... @ steps[0] for every i, in place over the stacked 2x2
+    matrices, by a doubling scan."""
+    shift = 1
+    while shift < len(steps):
+        steps[shift:] = steps[shift:] @ steps[:-shift]
+        shift *= 2
+    return steps
 
-    Omega = h/2 (A1 + A2) + (sqrt(3) h^2/12) [A2, A1] is the fourth-order
+
+def _cell_exponents(p: PeriodicCoefficient, q: PeriodicCoefficient, x, h):
+    """Omega = h/2 (A1 + A2) + (sqrt(3) h^2/12) [A2, A1], the fourth-order
     Magnus exponent of A = [[-q, lam + p], [p - lam, q]] at the two Gauss
-    points of a step.  It is trace-free, [[a, b], [c, -a]], and affine in
-    lam, so p and q are evaluated once for every energy; ``expm_traceless``
-    takes each step.  Returns the (E, 2, 2) products.
-    """
-    h = 1.0 / n
-    x = h * (np.arange(n)[:, None] + GAUSS_NODES)
+    points x (n, 2) of each step.  It is trace-free, [[a, b], [c, -a]],
+    and affine in lam: returns the pairs (a0, a1), (b0, b1), (c0, c1) of
+    a = a0 + lam a1 and so on, so p and q are evaluated once per grid."""
     p1, p2 = eval_coefficient(p, x).T
     q1, q2 = eval_coefficient(q, x).T
     k = np.sqrt(3.0) * h * h / 6.0  # twice the commutator weight
     cross = k * (q1 * p2 - q2 * p1)
     psum = 0.5 * h * (p1 + p2)
-    a0, a1 = -0.5 * h * (q1 + q2), k * (p1 - p2)
-    b0, b1 = psum + cross, h + k * (q1 - q2)
-    c0, c1 = psum - cross, -h + k * (q1 - q2)
+    return ((-0.5 * h * (q1 + q2), k * (p1 - p2)),
+            (psum + cross, h + k * (q1 - q2)),
+            (psum - cross, -h + k * (q1 - q2)))
+
+
+def _magnus_product(p: PeriodicCoefficient, q: PeriodicCoefficient,
+                    lams: np.ndarray, n: int) -> np.ndarray:
+    """exp(Omega_{n-1}) ... exp(Omega_0) over n equal steps, per energy:
+    ``expm_traceless`` of ``_cell_exponents`` for each step, multiplied
+    out by halving.  Returns the (E, 2, 2) products."""
+    h = 1.0 / n
+    (a0, a1), (b0, b1), (c0, c1) = _cell_exponents(
+        p, q, h * (np.arange(n)[:, None] + GAUSS_NODES), h)
     out = np.empty((lams.size, 2, 2))
     chunk = max(1, _MAGNUS_BATCH // n)
     for lo in range(0, lams.size, chunk):
@@ -277,6 +284,30 @@ def _unwrap_guard(raw_angles: np.ndarray, what: str) -> np.ndarray:
 
 
 @dataclass
+class Trajectory:
+    """A propagator at the grid points xs: ys[i] = Phi(xs[i]), (n+1, 2, 2)."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    nfev: int
+
+
+def integrate(exponent, x0: float, x1: float, n: int) -> Trajectory:
+    """Phi' = A Phi, Phi(x0) = I, at x0 + i h, i = 0..n, h = (x1 - x0)/n.
+
+    exponent(x, h) gives the (a, b, c) of each step's fourth-order Magnus
+    exponent from its two Gauss points x (n, 2); the steps are taken by
+    ``expm_traceless`` and chained by ``prefix_products``.  nfev counts
+    the 2n Gauss points.
+    """
+    h = (x1 - x0) / n
+    x = x0 + h * (np.arange(n)[:, None] + GAUSS_NODES)
+    Phi = prefix_products(expm_traceless(*exponent(x, h)))
+    return Trajectory(x0 + h * np.arange(n + 1),
+                      np.concatenate([np.eye(2)[None], Phi]), 2 * n)
+
+
+@dataclass
 class FloquetSolution:
     """g on the period grid plus the data needed to evaluate it anywhere."""
 
@@ -293,19 +324,18 @@ class FloquetSolution:
 def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient,
                      lam: float) -> FloquetSolution:
     """Build g(x) = Phi(x) v on the FRAME_INTERVALS+1 points of a period
-    grid, solving the unit cell at FRAME_RTOL and FRAME_ATOL.
+    grid, Phi the cumulative product of one Magnus step per interval.
 
     v = g(0) is the monodromy eigenvector for exp(+i k), unit norm, first
     significant component rotated real-positive.  Raises BandEdge outside
     a band or on its edge and DegenerateEigenvector when the eigenpair
     cannot be resolved.
     """
-    grid = np.linspace(0.0, 1.0, FRAME_INTERVALS + 1)
-    rhs = dirac_rhs(p, q, lam)
-    traj = integrate(lambda x, Y: rhs(x, Y.reshape(2, 2)).ravel(), 0.0, 1.0,
-                     np.eye(2).ravel(), FRAME_RTOL, FRAME_ATOL, t_eval=grid)
-    mats = traj.ys  # (n+1, 4) rows [Y00, Y01, Y10, Y11]
-    mono = Monodromy(matrix=mats[-1].reshape(2, 2))
+    traj = integrate(lambda x, h: [e0 + lam * e1 for e0, e1 in
+                                   _cell_exponents(p, q, x, h)],
+                     0.0, 1.0, FRAME_INTERVALS)
+    grid, mats = traj.xs, traj.ys  # mats[i] = Phi(grid[i])
+    mono = Monodromy(matrix=mats[-1])
     half = mono.trace / 2.0
     if abs(half) >= 1.0:
         raise BandEdge(f"lambda={lam} lies in a gap or at an edge "
@@ -321,8 +351,8 @@ def floquet_solution(p: PeriodicCoefficient, q: PeriodicCoefficient,
     j = 0 if abs(v[0]) > 1e-8 else 1
     v *= np.conj(v[j]) / abs(v[j])
 
-    g1 = mats[:, 0] * v[0] + mats[:, 1] * v[1]
-    g2 = mats[:, 2] * v[0] + mats[:, 3] * v[1]
+    g1 = mats[:, 0, 0] * v[0] + mats[:, 0, 1] * v[1]
+    g2 = mats[:, 1, 0] * v[0] + mats[:, 1, 1] * v[1]
 
     omega_grid = 2.0 * np.imag(np.conj(g1) * g2)
     omega = float(np.mean(omega_grid))

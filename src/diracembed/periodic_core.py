@@ -6,7 +6,7 @@ The operator acts on pairs y = (y1, y2) as
     P(x) = [[p(x) + V(x), q(x)], [q(x), -p(x) - V(x)]],
 
 with p, q real and 1-periodic and V a decaying perturbation.  Writing
-L y = lam * y componentwise gives the system integrated here:
+L y = lam * y componentwise gives the system:
 
     y1' = -q(x) y1 + (lam + p(x) + V(x)) y2
     y2' = (p(x) + V(x) - lam) y1 + q(x) y2
@@ -23,17 +23,13 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._util import frac
-from .errors import NonFiniteState, StepSizeUnderflow
 
 __all__ = [
     "PeriodicCoefficient",
-    "Trajectory",
     "eval_coefficient",
     "dirac_rhs",
-    "integrate",
 ]
 
 
@@ -110,38 +106,3 @@ def dirac_rhs(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float, V=None
         )
 
     return rhs
-
-
-@dataclass
-class Trajectory:
-    """Adaptive solution at the recorded nodes."""
-
-    xs: np.ndarray
-    ys: np.ndarray  # shape (len(xs), dim)
-    nfev: int = 0
-
-
-def integrate(rhs, x0: float, x1: float, y0, rtol: float, atol: float,
-              t_eval=None) -> Trajectory:
-    """Integrate y' = rhs(x, y) from x0 to x1 with an 8th-order adaptive scheme
-    at relative and absolute tolerances rtol and atol.
-
-    Raises NonFiniteState if the state leaves the finite range and
-    StepSizeUnderflow if the step controller stalls.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y0)):
-        raise NonFiniteState("initial state is not finite")
-    if x1 == x0:
-        return Trajectory(xs=np.array([x0]), ys=y0[None, :].copy())
-
-    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=rtol,
-                    atol=atol, t_eval=t_eval)
-    if not sol.success:
-        last = np.asarray(sol.y[:, -1]) if sol.y.size else y0
-        if not np.all(np.isfinite(last)) or np.max(np.abs(last)) > 1e100:
-            raise NonFiniteState(f"state not finite near x={sol.t[-1] if sol.t.size else x0}")
-        raise StepSizeUnderflow(sol.message)
-    if not np.all(np.isfinite(sol.y)):
-        raise NonFiniteState("integration produced non-finite samples")
-    return Trajectory(xs=sol.t, ys=sol.y.T, nfev=sol.nfev)

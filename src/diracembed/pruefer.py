@@ -22,14 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _tableau
-from scipy.interpolate import CubicHermiteSpline
 
 from . import _util
-from ._util import decimate
+from ._util import cubic_hermite, decimate
 from .errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
 from .floquet import (GAUSS_NODES, DerivedPeriodicData, expm_traceless,
-                      gamma_derivative)
+                      gamma_derivative, prefix_products)
 
 __all__ = [
     "PrueferState",
@@ -47,12 +45,44 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 # Dormand and Prince's 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I,
-# II.5) in scipy's floats; the stepper reads the nonzero (index, coefficient)
-# pairs of stages 1..11 and B.  The error is of order 7: steps go as err^-1/8.
-N_STAGES = _tableau.N_STAGES
-A = [row[:s] for s, row in enumerate(_tableau.A[:N_STAGES].tolist())]
-B, C = _tableau.B.tolist(), _tableau.C[:N_STAGES].tolist()
-E3, E5 = _tableau.E3.tolist(), _tableau.E5.tolist()
+# II.5) as the repr of scipy's floats; the stepper reads the nonzero (index,
+# coefficient) pairs of stages 1..11 and B.  The error is of order 7: steps
+# go as err^-1/8.
+N_STAGES = 12
+A = [[],
+     [0.05260015195876773],
+     [0.0197250569845379, 0.0591751709536137],
+     [0.02958758547680685, 0.0, 0.08876275643042054],
+     [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+     [0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+      0.12546768756682242],
+     [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+      -0.017578125],
+     [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+      -0.015319437748624402, 0.008273789163814023],
+     [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+      27.59209969944671, 20.154067550477894, -43.48988418106996],
+     [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+      21.230051448181193, 15.279233632882423, -33.28821096898486,
+      -0.020331201708508627],
+     [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+      -8.149787010746927, -18.52006565999696, 22.739487099350505,
+      2.4936055526796523, -3.0467644718982196],
+     [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+      -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+      -8.87285693353063, 12.360567175794303, 0.6433927460157636]]
+B = [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259]
+C = [0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+     0.6512820512820513, 0.6, 0.8571428571428571, 1.0]
+E3 = [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+      1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+      -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0]
+E5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+      -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+      0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0]
 _FEEDS = [[(j, a) for j, a in enumerate(row) if a] for row in A[1:] + [B]]
 _ERRS = [(j, e5, e3) for j, (e5, e3) in enumerate(zip(E5, E3)) if e5 or e3]
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
@@ -244,7 +274,7 @@ def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
         raise NonFiniteState("phase integration produced non-finite values")
     if ts[0] > ts[-1]:
         ts, zs, dz = ts[::-1], zs[::-1], dz[::-1]
-    return rate, CubicHermiteSpline(ts, zs, dz), nfev
+    return rate, cubic_hermite(ts, zs, dz), nfev
 
 
 # A bystander flow settles when its Magnus steps h and 2h give propagators
@@ -285,7 +315,7 @@ def _propagate(data: DerivedPeriodicData, V, x0: float, x1: float, n: int,
     fourth-order Magnus exponent at its two Gauss points, taken by
     ``expm_traceless``; a stride of steps is multiplied out by halving
     (stride is a power of two), the strides of a block of about QUAD_BLOCK
-    steps are chained by a doubling scan, and Python loops over blocks.
+    steps are chained by ``prefix_products``, and Python loops over blocks.
     """
     H = (x1 - x0) / n
     w = np.sqrt(3.0) * H * H / 12.0  # the commutator's weight
@@ -309,11 +339,7 @@ def _propagate(data: DerivedPeriodicData, V, x0: float, x1: float, n: int,
             np.eye(2), (-m % stride, 2, 2))]).reshape(-1, stride, 2, 2)
         while steps.shape[1] > 1:
             steps = steps[:, 1::2] @ steps[:, 0::2]
-        prods, shift = steps[:, 0], 1
-        while shift < len(prods):
-            prods[shift:] = prods[shift:] @ prods[:-shift]
-            shift *= 2
-        out.append(prods @ carry)
+        out.append(prefix_products(steps[:, 0]) @ carry)
         carry = out[-1][-1]
     return np.concatenate(out)
 

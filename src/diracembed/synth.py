@@ -37,8 +37,8 @@ from .errors import (
     ResonantPair,
     StabilityViolated,
 )
-from .floquet import (FRAME_ATOL, FRAME_INTERVALS, FRAME_RTOL,
-                      DerivedPeriodicData, derived_data, floquet_solution)
+from .floquet import (FRAME_INTERVALS, DerivedPeriodicData, derived_data,
+                      floquet_solution)
 from .periodic_core import PeriodicCoefficient
 from .pruefer import (LOCK_ATOL, LOCK_RTOL, integrate_R_xi, phase_flow,
                       rate_floor)
@@ -75,8 +75,7 @@ CSV_ROWS = 2000  # most potential.csv rows per piece
 ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
 # The manifest's records of how every phase lock and Floquet frame is built.
 LOCK_RECIPE = {"rel_tol": LOCK_RTOL, "abs_tol": LOCK_ATOL}
-FRAME_RECIPE = {"rel_tol": FRAME_RTOL, "abs_tol": FRAME_ATOL,
-                "n_grid": FRAME_INTERVALS}
+FRAME_RECIPE = {"method": "magnus4", "n_grid": FRAME_INTERVALS}
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ class XiTrajectory:
     xi = zeta(x) + rate*x, zeta from ``phase_flow``."""
 
     rate: float
-    zeta: object  # Hermite PPoly of xi - rate*x through the accepted nodes
+    zeta: object  # Hermite PiecewisePoly of xi - rate*x through the nodes
     nfev: int
     side: int
     a: float
@@ -619,10 +618,10 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
     for block, recipe in (("integrator", LOCK_RECIPE),
                           ("floquet_integrator", FRAME_RECIPE)):
         doc = _field(manifest, block, kind=dict)
-        for key, val in recipe.items():
-            if doc.get(key) != val:
-                raise ValueError(f"{block}.{key}: {doc.get(key)!r}, but "
-                                 f"every run is built with {val!r}")
+        for key in sorted(set(doc) | set(recipe)):  # a key too many, too
+            if doc.get(key) != recipe.get(key):
+                raise ValueError(f"{block}.{key}: {doc.get(key)!r}, but every "
+                                 f"run is built with {recipe.get(key)!r}")
     frames = {}
     for i, entry in enumerate(_field(manifest, "targets", kind=list)):
         lam, C = (_field(entry, key, f"targets[{i}]") for key in ("lambda", "C"))

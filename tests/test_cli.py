@@ -281,13 +281,14 @@ def test_missing_manifest_is_usage_error(tmp_path, small_run):
 
 
 @pytest.mark.parametrize("key,val", [("n_grid", 2048), ("rel_tol", 1e-8),
-                                     ("abs_tol", 1e-14),
+                                     ("abs_tol", 1e-14), ("method", "dop853"),
                                      ("integrator.rel_tol", 1e-9),
                                      ("integrator.abs_tol", 1e-12)])
 def test_manifest_with_another_frame_recipe_is_usage_error(
         tmp_path, small_run, capsys, key, val):
     # Frames and phase locks are built by one recipe each; a manifest naming
     # another would otherwise rebuild a different potential without a word.
+    # A key the recipe lacks (an older frame's tolerance) counts too.
     block, _, name = key.rpartition(".")
     block = block or "floquet_integrator"  # a bare key is the frame's
     path = f"{block}.{name}"
@@ -403,6 +404,31 @@ def test_resonant_oscillatory_frequency(tmp_path, small_run):
 def test_oscillatory_requires_betas_without_config(tmp_path):
     rc = main(["oscillatory", "--a", "1.0", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
+
+
+def test_oscillatory_envelope_form_reads_the_config(tmp_path, small_run,
+                                                    monkeypatch):
+    # Run from an empty directory: with --config but no --lam or --out the
+    # envelope-only scan writes to the config's out_dir, and a config that
+    # does not validate is a usage error.
+    cfg_path, _ = small_run
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    doc = {**RunConfig.load(cfg_path).to_dict(),
+           "out_dir": str(tmp_path / "out")}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    argv = ["oscillatory", "--config", str(tmp_path / "config.json"),
+            "--a", "1", "--beta1", "1", "--beta2", "1", "--x0", "10",
+            "--x-max", "100"]
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "out" / "oscillatory.json").exists()
+    assert list(cwd.iterdir()) == []
+    (tmp_path / "config.json").write_text(json.dumps({**doc, "xi0": 1.0}))
+    assert main(argv) == EXIT_USAGE
+    assert main(["oscillatory", "--lam", "0.7", "--a", "1", "--beta1", "1",
+                 "--beta2", "1"]) == EXIT_USAGE
+    assert list(cwd.iterdir()) == []
 
 
 def test_oscillatory_checkpoint_at_x_max_is_usage_error(tmp_path):

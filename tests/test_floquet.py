@@ -240,17 +240,13 @@ def coarse_frame(grid):
     return FrameTable(grid, *fields), (fields[0].deriv, *fields[1:])
 
 
-@pytest.mark.parametrize("which", ["generic", "free", "mixed", "coarse",
-                                   "skewed"])
+@pytest.mark.parametrize("which", ["generic", "free", "mixed", "coarse"])
 def test_frame_table_equals_the_field_calls(which, generic_data, free_data):
     data = free_data if which == "free" else generic_data
-    grid = {"coarse": np.linspace(0.0, 1.0, 8),
-            # non-uniform: the index correction walks both ways
-            "skewed": (1.0 - np.cos(np.linspace(0.0, np.pi, 8))) / 2.0,
-            }.get(which, data.x)
+    grid = np.linspace(0.0, 1.0, 8) if which == "coarse" else data.x
     if which == "mixed":
         table, fields = mixed_frame(data)
-    elif which in ("coarse", "skewed"):
+    elif which == "coarse":
         table, fields = coarse_frame(grid)
     else:
         table, fields = data.frame, frame_fields(data)
@@ -267,6 +263,30 @@ def test_frame_table_equals_the_field_calls(which, generic_data, free_data):
         assert table(x) == ref and table(float(x)) == ref
     for got, f in zip(np.transpose([table(float(x)) for x in xs]), fields):
         assert np.all(got == f(xs))
+
+
+def test_periodic_spline_matches_scipys(generic_data):
+    # The FFT-solved periodic spline against scipy's
+    # CubicSpline(bc_type="periodic") on the frame's own fields.
+    from scipy.interpolate import CubicSpline
+
+    data = generic_data
+    t = np.concatenate([RNG.uniform(0.0, 1.0, 5000), data.x[:-1]])
+    for name, f in (("u", data.u_f), ("v", data.v_f), ("Psi", data.Psi_f),
+                    ("delta", data.delta_f), ("gamma1", data.gamma1_f)):
+        vals = getattr(data, name) - f.slope * data.x
+        vals[-1] = vals[0]
+        ref = CubicSpline(data.x, vals, bc_type="periodic")
+        mine = PeriodicField(grid=data.x, values=vals)
+        for got, want in ((mine(t), ref(t)),
+                          (mine.deriv(t), ref.derivative()(t))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_periodic_field_needs_a_uniform_grid():
+    grid = (1.0 - np.cos(np.linspace(0.0, np.pi, 8))) / 2.0
+    with pytest.raises(ValueError, match="uniform grid"):
+        PeriodicField(grid=grid, values=np.cos(2.0 * np.pi * grid))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -312,6 +332,26 @@ def test_floquet_condition_and_eigvec_normalization(generic_data):
     g1b, g2b = data.g_eval(xs)
     assert np.allclose(g1a, mult * g1b, atol=1e-7)
     assert np.allclose(g2a, mult * g2b, atol=1e-7)
+
+
+@pytest.mark.parametrize("which,lam", [("generic", 2.0), ("generic", 0.9),
+                                       ("mass", 2.2)])
+def test_magnus_frame_matches_the_ivp_oracle(which, lam, generic_pq, mass_pq):
+    # g = Phi v on the period grid, Phi from the cumulative Magnus product,
+    # against Phi from DOP853 at rtol 1e-13 and the frame's own v = g(0).
+    p, q = generic_pq if which == "generic" else mass_pq
+    sol = floquet_solution(p, q, lam)
+
+    def rhs(x, y):
+        pv, qv = eval_coefficient(p, x), eval_coefficient(q, x)
+        return (np.array([[-qv, lam + pv], [pv - lam, qv]])
+                @ y.reshape(2, 2)).ravel()
+
+    ref = solve_ivp(rhs, (0.0, 1.0), np.eye(2).ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-15, t_eval=sol.grid).y
+    v = (sol.g1[0], sol.g2[0])
+    assert np.max(np.abs(ref[0] * v[0] + ref[1] * v[1] - sol.g1)) <= 1e-11
+    assert np.max(np.abs(ref[2] * v[0] + ref[3] * v[1] - sol.g2)) <= 1e-11
 
 
 def test_wronskian_identities_on_the_grid(generic_data):
@@ -365,9 +405,12 @@ def test_band_edge_raised_in_gap_and_near_edges(mass_pq):
 
 
 def test_floquet_frame_has_one_spec():
-    # Every frame is solved at FRAME_RTOL/FRAME_ATOL; no caller picks a
-    # tolerance.
-    assert (floquet.FRAME_RTOL, floquet.FRAME_ATOL) == (1e-10, 1e-12)
+    # Every frame is one Magnus step per FRAME_INTERVALS grid interval; no
+    # caller picks a tolerance or a grid.
+    assert floquet.FRAME_INTERVALS == 4096
+    assert not hasattr(floquet, "FRAME_RTOL")
+    assert list(inspect.signature(floquet_solution).parameters) == \
+        ["p", "q", "lam"]
     assert "spec" not in inspect.signature(floquet_solution).parameters
     assert "spec" not in floquet.FloquetSolution.__dataclass_fields__
 

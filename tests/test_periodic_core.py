@@ -1,4 +1,4 @@
-"""Coefficients, the first-order system, integrator plumbing, helpers."""
+"""Coefficients, the first-order system, the Magnus propagator, helpers."""
 
 import math
 
@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracembed.floquet import monodromy
+from scipy.integrate import solve_ivp
+
+from diracembed.floquet import _cell_exponents, integrate, monodromy
 from diracembed.periodic_core import (
     PeriodicCoefficient,
     dirac_rhs,
     eval_coefficient,
-    integrate,
 )
 from diracembed import _util
 from diracembed._util import (
@@ -84,12 +85,17 @@ def test_coefficient_rejects_non_finite():
 
 
 def test_free_flow_is_clockwise_rotation():
+    # The Magnus propagator on [0, 0.6], and the system's own rotation.
     lam = 1.0
     p = q = PeriodicCoefficient()
     y0 = np.array([1.0, 0.5])
-    traj = integrate(dirac_rhs(p, q, lam), 0.0, 0.6, y0, 1e-10, 1e-12)
+    traj = integrate(lambda x, h: [e0 + lam * e1 for e0, e1 in
+                                   _cell_exponents(p, q, x, h)], 0.0, 0.6, 64)
+    assert traj.nfev == 128 and traj.xs[-1] == pytest.approx(0.6, abs=1e-15)
     z = (y0[0] + 1j * y0[1]) * np.exp(-1j * lam * 0.6)
-    assert traj.ys[-1] == pytest.approx([z.real, z.imag], abs=1e-10)
+    assert traj.ys[-1] @ y0 == pytest.approx([z.real, z.imag], abs=1e-12)
+    assert dirac_rhs(p, q, lam)(0.3, y0) == pytest.approx(
+        [lam * y0[1], -lam * y0[0]], abs=1e-15)
 
 
 def test_perturbed_rhs_shifts_p_by_V():
@@ -115,11 +121,10 @@ def test_wronskian_is_conserved():
     p = PeriodicCoefficient(a0=0.5, cos=(0.2,), sin=(0.1,))
     q = PeriodicCoefficient(a0=-0.3, cos=(0.25,))
     rhs = dirac_rhs(p, q, 1.3)
-    ya = integrate(rhs, 0.0, 5.0, np.array([1.0, 0.0]), 1e-10, 1e-12,
-                   t_eval=np.linspace(0.0, 5.0, 21))
-    yb = integrate(rhs, 0.0, 5.0, np.array([0.0, 1.0]), 1e-10, 1e-12,
-                   t_eval=np.linspace(0.0, 5.0, 21))
-    w = ya.ys[:, 0] * yb.ys[:, 1] - ya.ys[:, 1] * yb.ys[:, 0]
+    ya, yb = (solve_ivp(rhs, (0.0, 5.0), y0, method="DOP853", rtol=1e-10,
+                        atol=1e-12, t_eval=np.linspace(0.0, 5.0, 21)).y
+              for y0 in ([1.0, 0.0], [0.0, 1.0]))
+    w = ya[0] * yb[1] - ya[1] * yb[0]
     assert np.max(np.abs(w - 1.0)) < 1e-9
 
 

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from diracembed import _util, derived_data, floquet_solution, pruefer
 from diracembed.errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
-from diracembed.periodic_core import dirac_rhs, integrate
+from diracembed.periodic_core import dirac_rhs
 from diracembed.pruefer import (
     PrueferState,
     R_xi_rhs,
@@ -25,6 +25,14 @@ from diracembed.pruefer import (
 from diracembed.synth import EmbeddingTarget, choose_C, piece_potential, solve_xi
 
 RNG = np.random.default_rng(20240713)
+
+
+def ivp(rhs, x0, x1, y0, rtol, atol, t_eval):
+    """The oracle: solve_ivp's DOP853 samples, one row per point of t_eval."""
+    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=rtol,
+                    atol=atol, t_eval=t_eval)
+    assert sol.success
+    return sol.y.T
 
 
 def random_state(data, x, rng):
@@ -158,15 +166,14 @@ def test_prufer_flow_tracks_the_perturbed_system(generic_data):
     x0, x1 = 1.0, 100.0
     y0 = np.array([0.8, -0.4])
     grid = np.linspace(x0, x1, 400)
-    y_traj = integrate(dirac_rhs(sol.p, sol.q, sol.lam, V),
-                       x0, x1, y0, 1e-10, 1e-12, t_eval=grid)
+    ys = ivp(dirac_rhs(sol.p, sol.q, sol.lam, V), x0, x1, y0, 1e-10, 1e-12,
+             grid)
     st0 = to_prufer(y0, data, x0)
     z0 = np.array([np.log(st0.R), st0.theta1, st0.theta2])
-    z_traj = integrate(prufer_system(data, V), x0, x1, z0, 1e-10, 1e-12,
-                       t_eval=grid)
+    zs = ivp(prufer_system(data, V), x0, x1, z0, 1e-10, 1e-12, grid)
     eta_prev = st0.eta
     worst = 0.0
-    for xg, yg, zg in zip(grid, y_traj.ys, z_traj.ys):
+    for xg, yg, zg in zip(grid, ys, zs):
         st = to_prufer(yg, data, float(xg), eta_prev=eta_prev)
         eta_prev = st.eta
         worst = max(worst, abs(np.log(st.R) - zg[0]),
@@ -196,11 +203,11 @@ def test_integrate_R_xi_matches_coupled_solver(free_data):
 
     x0, x1, xi0 = 10.0, 200.0, 0.6
     run = integrate_R_xi(data, V, x0, x1, xi0)
-    ref = integrate(R_xi_system(data, lambda x: float(V(x))), x0, x1,
-                    np.array([0.0, xi0]), 1e-11, 1e-13, t_eval=run.xs)
-    assert abs(run.ln_R_end - ref.ys[-1, 0]) < 1e-6
-    assert np.max(np.abs(run.ln_R - ref.ys[:, 0])) < 1e-6
-    assert np.max(np.abs(run.xi - ref.ys[:, 1])) < 1e-4
+    ref = ivp(R_xi_system(data, lambda x: float(V(x))), x0, x1,
+              np.array([0.0, xi0]), 1e-11, 1e-13, run.xs)
+    assert abs(run.ln_R_end - ref[-1, 0]) < 1e-6
+    assert np.max(np.abs(run.ln_R - ref[:, 0])) < 1e-6
+    assert np.max(np.abs(run.xi - ref[:, 1])) < 1e-4
 
 
 def test_integrate_R_xi_downward_anchors_at_the_right(free_data):
@@ -379,6 +386,24 @@ def test_phase_flow_matches_the_field_calls(which, free_target_07,
     assert np.array_equal(a.zeta.c, b.zeta.c)
 
 
+@pytest.mark.parametrize("side", [1, -1])
+def test_hermite_phase_is_scipys(side):
+    # The in-house Hermite cubic equals scipy's CubicHermiteSpline bit for
+    # bit, coefficients and values, inside and past both end nodes, on the
+    # plus side and the mirrored minus side (where phase_flow reverses the
+    # nodes of a downward flow).
+    from scipy.interpolate import CubicHermiteSpline
+
+    rng = np.random.default_rng(7)
+    ts = np.sort(side * np.cumsum(rng.uniform(0.01, 0.6, 300)) + 700.0 * side)
+    zs, dz = rng.standard_normal(300), rng.standard_normal(300)
+    mine, ref = _util.cubic_hermite(ts, zs, dz), CubicHermiteSpline(ts, zs, dz)
+    assert np.array_equal(mine.c, ref.c) and np.array_equal(mine.x, ref.x)
+    xs = np.concatenate([rng.uniform(ts[0] - 1.0, ts[-1] + 1.0, 5000), ts])
+    assert np.array_equal(mine(xs), ref(xs))
+    assert all(float(mine(x)) == float(ref(x)) for x in xs[:200])
+
+
 def ivp_stepper(slope, rate, x0, x1, xi0):
     """The stepper's nodes, node slopes and nfev from scipy's
     solve_ivp(DOP853) at the phase lock's tolerances."""
@@ -431,7 +456,7 @@ def test_phase_law_sees_floats_only(which, free_target_07, generic_data,
     target = free_target_07 if which == "free" \
         else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
     seen, slopes, splines = [], [], []
-    real_slope, real_spline = pruefer.phase_slope, pruefer.CubicHermiteSpline
+    real_slope, real_spline = pruefer.phase_slope, pruefer.cubic_hermite
     real_frame = _util.FrameTable.__call__
 
     def frame(table, x):
@@ -454,7 +479,7 @@ def test_phase_law_sees_floats_only(which, free_target_07, generic_data,
 
     monkeypatch.setattr(_util.FrameTable, "__call__", frame)
     monkeypatch.setattr(pruefer, "phase_slope", phase_slope)
-    monkeypatch.setattr(pruefer, "CubicHermiteSpline", spline)
+    monkeypatch.setattr(pruefer, "cubic_hermite", spline)
     flow = solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
     assert seen and not any(isinstance(v, np.ndarray) for v in seen)
     (slope,), ((ts, zs, dz),) = slopes, splines

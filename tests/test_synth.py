@@ -179,7 +179,7 @@ def test_float_paths_equal_the_array_paths(which, free_target_07,
     t = free_target_07 if which == "free" \
         else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
     slopes, splines = [], []
-    real, real_spline = pruefer.phase_slope, pruefer.CubicHermiteSpline
+    real, real_spline = pruefer.phase_slope, pruefer.cubic_hermite
 
     def recording(data, gain):
         slopes.append(real(data, gain))
@@ -190,7 +190,7 @@ def test_float_paths_equal_the_array_paths(which, free_target_07,
         return real_spline(ts, zs, dz)
 
     monkeypatch.setattr(pruefer, "phase_slope", recording)
-    monkeypatch.setattr(pruefer, "CubicHermiteSpline", spline)
+    monkeypatch.setattr(pruefer, "cubic_hermite", spline)
     traj = solve_xi(t, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
     (slope,), ((ts, zs, dz),) = slopes, splines
     xis = zs + traj.rate * ts
@@ -363,7 +363,7 @@ def test_probe_constants_hold_their_pins(free_target_07, free_target_13):
     # prefactor of the probe piece.
     C_bound, K = probe_constants([free_target_07, free_target_13])
     assert K == pytest.approx(1200.0, rel=1e-9)
-    assert C_bound == pytest.approx(2.4276234227564455, rel=1e-12)
+    assert C_bound == pytest.approx(2.4276234227624442, rel=1e-12)
 
 
 def test_no_caller_picks_a_phase_lock_tolerance():
@@ -428,7 +428,8 @@ def test_manifest_carries_the_build_recipe(small_run):
     assert {"p", "q"} <= set(doc["coefficients"])
     assert doc["integrator"] == synth.LOCK_RECIPE == {"rel_tol": 1e-8,
                                                       "abs_tol": 1e-11}
-    assert doc["floquet_integrator"]["rel_tol"] <= 1e-10
+    assert doc["floquet_integrator"] == synth.FRAME_RECIPE == {
+        "method": "magnus4", "n_grid": 4096}
     entry = doc["pieces"][0]
     assert {"side", "lambda", "a", "b", "x_end", "xi0", "C",
             "taper_width"} <= set(entry)
