@@ -1,5 +1,5 @@
 """Small helpers: piecewise cubics, periodic fields and their frame table,
-decimation, cumulative Simpson (whole or in blocks), windows, JSON writer."""
+decimation, cumulative Simpson (whole or in blocks), windows, CSV/JSON output."""
 
 from __future__ import annotations
 
@@ -102,12 +102,13 @@ class PeriodicField:
 class FrameTable:
     """(delta', u, v, Psi) of four PeriodicFields in one table lookup.
 
-    Their cubic coefficients on the shared period ``grid`` form one
-    (4, m, 4) table (delta's quadratic derivative padded with a zero row, a
-    constant field as the column [0, 0, 0, const]).  x is a float: the
-    lookup repeats the fields' periodic wrap, interval choice and power sum
-    in pure Python, so values equal the field calls bit for bit; a fully
-    constant frame returns its constants.
+    Their cubic coefficients on the shared period ``grid`` form one flat
+    (m, 16) table, row i holding c0..c3 of each field (delta's quadratic
+    derivative padded with a zero c0, a constant field as [0, 0, 0, const]).
+    x is a float: the lookup repeats the fields' periodic wrap, interval
+    choice and power sum in pure Python (``pruefer.phase_law`` inlines it),
+    so values equal the field calls bit for bit; a constant frame returns
+    its constants.
     """
 
     def __init__(self, grid, delta: PeriodicField, u: PeriodicField,
@@ -124,9 +125,8 @@ class FrameTable:
                 C[4 - sp.c.shape[0]:, :, j] = sp.c
             elif j:  # a constant derivative column stays zero
                 C[3, :, j] = f.const
-        self._bp = grid.tolist()
-        self._rows = C.transpose(1, 2, 0).tolist()  # [interval][field] -> c0..c3
-        self._m = len(self._rows)
+        self.bp, self.m = grid.tolist(), len(grid) - 1
+        self.rows = C.transpose(1, 2, 0).reshape(self.m, 16).tolist()
 
     def __call__(self, x: float):
         if self.const is not None:
@@ -135,18 +135,19 @@ class FrameTable:
         t = (x - math.floor(x)) % 1.0  # frac; % 1.0 maps 1.0 to 0.0
         # The interval of a uniform grid, corrected to bp[i] <= t < bp[i+1]
         # (bisect_right's answer); bp runs from 0 to 1 and t < 1.
-        bp = self._bp
-        i = int(t * self._m)
+        bp, i = self.bp, int(t * self.m)
         while bp[i] > t:
             i -= 1
         while bp[i + 1] <= t:
             i += 1
         s = t - bp[i]
-        ss = s * s
-        r0, r1, r2, r3 = [((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
-                          for c0, c1, c2, c3 in self._rows[i]]
-        s0, s1, s2, s3 = self.slopes
-        return s0 + r0, s1 * x + r1, s2 * x + r2, s3 * x + r3
+        ss, sss = s * s, s * s * s
+        (d0, d1, d2, d3, u0, u1, u2, u3, v0, v1, v2, v3, P0, P1, P2, P3), \
+            (s0, s1, s2, s3) = self.rows[i], self.slopes
+        return (s0 + (((d3 + d2 * s) + d1 * ss) + d0 * sss),
+                s1 * x + (((u3 + u2 * s) + u1 * ss) + u0 * sss),
+                s2 * x + (((v3 + v2 * s) + v1 * ss) + v0 * sss),
+                s3 * x + (((P3 + P2 * s) + P1 * ss) + P0 * sss))
 
 
 def decimate(n: int, stride: int) -> np.ndarray:
@@ -238,6 +239,30 @@ def taper_window(x, lo: float, hi: float, width: float):
         return smoothstep(t1) * smoothstep(t2)
     x = np.asarray(x, dtype=float)
     return smoothstep((x - lo) / width) * smoothstep((hi - x) / width)
+
+
+def taper_plateau(lo: float, hi: float, width: float) -> tuple[float, float]:
+    """[p0, p1]: p0 <= x <= p1 exactly when taper_window's plateau test holds,
+    each half (monotone in x) bisected from a passing float to lo (hi)."""
+
+    def edge(passes, x_in, x_out):
+        while (mid := x_in + (x_out - x_in) / 2) not in (x_in, x_out):
+            x_in, x_out = (mid, x_out) if passes(mid) else (x_in, mid)
+        return x_in
+
+    return (edge(lambda x: (x - lo) / width >= 1.0,
+                 max(lo + 2.0 * width, math.nextafter(lo, math.inf)), lo),
+            edge(lambda x: (hi - x) / width >= 1.0,
+                 min(hi - 2.0 * width, math.nextafter(hi, -math.inf)), hi))
+
+
+def write_rows(fh, cols, block: int = 512) -> None:
+    """CSV rows of the columns' %.17g values, one format call per block."""
+    table = np.column_stack(cols)
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), block):
+        rows = table[start:start + block]
+        fh.write(fmt * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

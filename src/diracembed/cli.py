@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from ._util import write_json
+from ._util import write_json, write_rows
 from .config import ENVELOPES, RunConfig
 from .errors import (
     DiracEmbedError,
@@ -86,11 +86,9 @@ def cmd_bands(cfg: RunConfig) -> int:
             f"{exc}; rerun with a smaller scan_resolution") from exc
     with open(os.path.join(out, "bands.csv"), "w", encoding="utf-8") as fh:
         fh.write("lambda,trace,k\n")
-        for lam, tr in zip(bs.lambdas, bs.traces):
-            half = tr / 2.0
-            k = np.arccos(np.clip(half, -1.0, 1.0)) if abs(half) <= 1.0 \
-                else np.nan
-            fh.write(f"{lam:.17g},{tr:.17g},{k:.17g}\n")
+        # a scalar arccos per row, whatever bits numpy's vector loop gives
+        k = [np.arccos(tr / 2.0) if abs(tr) <= 2.0 else np.nan for tr in bs.traces]
+        write_rows(fh, (bs.lambdas, bs.traces, k))
     doc = {
         "scan_range": [cfg.scan_lo, cfg.scan_hi],
         "resolution": cfg.scan_resolution,

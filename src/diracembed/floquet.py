@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import FrameTable, PeriodicField
+from ._util import FrameTable, PeriodicField, write_rows
 from .errors import (
     BandEdge,
     DegenerateEigenvector,
@@ -523,6 +523,4 @@ def write_period_csv(data: DerivedPeriodicData, path) -> None:
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(name for name, _ in cols) + "\n")
-        arrays = [arr for _, arr in cols]
-        for row in zip(*arrays):
-            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        write_rows(fh, [arr for _, arr in cols])

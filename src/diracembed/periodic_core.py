@@ -29,7 +29,6 @@ from ._util import frac
 __all__ = [
     "PeriodicCoefficient",
     "eval_coefficient",
-    "dirac_rhs",
 ]
 
 
@@ -84,25 +83,3 @@ def eval_coefficient(coeff: PeriodicCoefficient, x):
         if s:
             out += s * np.sin(2.0 * np.pi * n * t)
     return out if out.ndim else float(out)
-
-
-def dirac_rhs(p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float, V=None):
-    """Right-hand side of the system at spectral parameter lam.
-
-    The optional decaying perturbation V(x) is added to p.  y[0] and y[1]
-    may be scalars or equal-length rows (the rows of a fundamental matrix).
-    """
-
-    def rhs(x, y):
-        pv = eval_coefficient(p, x)
-        if V is not None:
-            pv = pv + V(x)
-        qv = eval_coefficient(q, x)
-        return np.array(
-            [
-                -qv * y[0] + (lam + pv) * y[1],
-                (pv - lam) * y[0] + qv * y[1],
-            ]
-        )
-
-    return rhs

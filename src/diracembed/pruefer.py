@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from ._util import cubic_hermite, decimate
+from ._util import cubic_hermite, decimate, taper_plateau, taper_window
 from .errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
 from .floquet import (GAUSS_NODES, DerivedPeriodicData, expm_traceless,
                       gamma_derivative, prefix_products)
@@ -45,9 +45,9 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 # Dormand and Prince's 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I,
-# II.5) as the repr of scipy's floats; the stepper reads the nonzero (index,
-# coefficient) pairs of stages 1..11 and B.  The error is of order 7: steps
-# go as err^-1/8.
+# II.5) as the repr of scipy's floats; the stepper writes its stages out and
+# skips the zero coefficients.  The error is of order 7: steps go as
+# err^-1/8.
 N_STAGES = 12
 A = [[],
      [0.05260015195876773],
@@ -83,8 +83,6 @@ E3 = [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
 E5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
       0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0]
-_FEEDS = [[(j, a) for j, a in enumerate(row) if a] for row in A[1:] + [B]]
-_ERRS = [(j, e5, e3) for j, (e5, e3) in enumerate(zip(E5, E3)) if e5 or e3]
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 LOCK_RTOL, LOCK_ATOL = 1e-8, 1e-11  # the tolerances of every phase lock
 
@@ -170,48 +168,73 @@ def rate_floor(rate: float) -> float:
     return max(abs(rate), 1e-2)
 
 
-def phase_slope(data: DerivedPeriodicData, gain):
-    """zeta' = xi' - rate at the float pair (x, xi).
-
-    A constant frame is folded into two constants, summed in the order of
-    the general slope, so its bits are the same."""
+def phase_law(data: DerivedPeriodicData, two_c: float, b_s: float, window):
+    """zeta' = xi' - rate = k2 + d - rate + g (u - v - Psi cos xi) at floats,
+    g = two_c w(x) sin xi/(x - b_s), w the taper of window = (lo, hi, width)
+    (none at width 0) off its plateau.  A constant frame is folded into two
+    constants; a periodic row is summed inline as ``FrameTable`` sums it."""
     rate, k2 = xi_rate(data), 2.0 * data.k
-    if data.frame.const is not None:
-        d, u, v, P = data.frame.const
+    p_lo, p_hi = taper_plateau(*window) if window[2] > 0.0 else (-math.inf, math.inf)
+    sin, cos, floor, frame = math.sin, math.cos, math.floor, data.frame
+    if frame.const is not None:
+        d, u, v, P = frame.const
         c0, uv = k2 + d - rate, u - v
 
-        def const_slope(x, xi):
-            return c0 + gain(x, xi) * (uv - P * math.cos(xi))
+        def const_law(x, xi):
+            g = two_c if p_lo <= x <= p_hi else two_c * taper_window(x, *window)
+            return c0 + g * sin(xi) / (x - b_s) * (uv - P * cos(xi))
 
-        return const_slope
+        return const_law
+    (bp, rows, m), (s0, s1, s2, s3) = (frame.bp, frame.rows, frame.m), frame.slopes
 
-    def slope(x, xi):
-        d, u, v, P = data.frame(x)
-        return k2 + d - rate + gain(x, xi) * (u - v - P * math.cos(xi))
+    def law(x, xi):
+        t = (x - floor(x)) % 1.0
+        i = int(t * m)
+        while bp[i] > t:
+            i -= 1
+        while bp[i + 1] <= t:
+            i += 1
+        s = t - bp[i]
+        ss, sss = s * s, s * s * s
+        d0, d1, d2, d3, u0, u1, u2, u3, v0, v1, v2, v3, P0, P1, P2, P3 = rows[i]
+        g = two_c if p_lo <= x <= p_hi else two_c * taper_window(x, *window)
+        return (k2 + (s0 + (((d3 + d2 * s) + d1 * ss) + d0 * sss)) - rate
+                + g * sin(xi) / (x - b_s)
+                * (s1 * x + (((u3 + u2 * s) + u1 * ss) + u0 * sss)
+                   - (s2 * x + (((v3 + v2 * s) + v1 * ss) + v0 * sss))
+                   - (s3 * x + (((P3 + P2 * s) + P1 * ss) + P0 * sss)) * cos(xi)))
 
-    return slope
+    return law
 
 
-def _dop853(slope, rate: float, x0: float, x1: float, xi0: float):
-    """Accepted nodes (x, zeta), their slopes zeta' and nfev of zeta' =
-    slope(x, zeta + rate*x) by scipy's DOP853 control on floats, steps
-    capped at 0.5/rate.  The slopes are the first stage and each step's
-    last (first same as last), so they cost no evaluation.  A stage that
-    raises (math.cos(inf), a float division by zero) is a NaN error: a gain
-    that stops being finite ends in StepSizeUnderflow."""
+def _dop853(law, rate: float, x0: float, x1: float, xi0: float):
+    """Accepted nodes (x, zeta), slopes zeta' (each step's last stage, first
+    same as last) and nfev of zeta' = law(x, zeta + rate*x) by scipy's DOP853
+    control on floats, steps capped at 0.5/rate, stages k0..kB (hex) written
+    out over the nonzero coefficients.  A stage that raises (math.cos(inf), a
+    float division by zero) is a NaN error: it ends in StepSizeUnderflow."""
+    (a10,), (a20, a21), (a30, _, a32), (a40, _, a42, a43), (a50, _, _, a53, a54), \
+        (a60, _, _, a63, a64, a65), (a70, _, _, a73, a74, a75, a76), \
+        (a80, _, _, a83, a84, a85, a86, a87), (a90, _, _, a93, a94, a95, a96, a97, a98), \
+        (aA0, _, _, aA3, aA4, aA5, aA6, aA7, aA8, aA9), \
+        (aB0, _, _, aB3, aB4, aB5, aB6, aB7, aB8, aB9, aBA) = A[1:]
+    b0, _, _, _, _, b5, b6, b7, b8, b9, bA, bB = B
+    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, cA, cB = C
+    e50, _, _, _, _, e55, e56, e57, e58, e59, e5A, e5B, _ = E5
+    e30, _, _, _, _, e35, e36, e37, e38, e39, e3A, e3B, _ = E3
     rtol, atol, max_step = LOCK_RTOL, LOCK_ATOL, 0.5 / rate_floor(rate)
     sign, length = (1.0 if x1 > x0 else -1.0), abs(x1 - x0)
     x, z = x0, xi0 - rate * x0
-    f = slope(x, z + rate * x)
+    k0 = law(x, z + rate * x)
     scale = atol + abs(z) * rtol
-    d0, d1 = abs(z) / scale, abs(f) / scale
+    d0, d1 = abs(z) / scale, abs(k0) / scale
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
     x_try = x + h0 * sign  # x1 == x0 gives h0 = 0: ZeroDivisionError below
-    d2 = abs(slope(x_try, z + h0 * sign * f + rate * x_try) - f) / scale / h0
+    d2 = abs(law(x_try, z + h0 * sign * k0 + rate * x_try) - k0) / scale / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
         else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, length, max_step)
-    xs, zs, dzs, nfev, K = [x], [z], [f], 2, [f] + [0.0] * (N_STAGES - 1)
+    xs, zs, dzs, nfev = [x], [z], [k0], 2
     while sign * (x - x1) < 0.0:
         min_step = 10.0 * abs(math.nextafter(x, sign * math.inf) - x)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
@@ -224,22 +247,38 @@ def _dop853(slope, rate: float, x0: float, x1: float, xi0: float):
             h = x_new - x
             h_abs = abs(h)
             nfev += N_STAGES
-            try:
-                for s, feed in enumerate(_FEEDS, 1):
-                    dz = 0.0
-                    for j, a in feed:
-                        dz += K[j] * a
-                    if s < N_STAGES:
-                        xc = x + C[s] * h
-                        K[s] = slope(xc, z + dz * h + rate * xc)
-                z_new = z + h * dz
-                f_new = slope(x + h, z_new + rate * (x + h))  # E5, E3 skip it
-                e5 = e3 = 0.0
-                for j, a5, a3 in _ERRS:
-                    e5 += K[j] * a5
-                    e3 += K[j] * a3
+            try:  # stage s at xc = x + c_s h, zeta = z + (sum of a_sj k_j) h
+                k1 = law(xc := x + c1 * h, z + k0 * a10 * h + rate * xc)
+                k2 = law(xc := x + c2 * h, z + (k0 * a20 + k1 * a21) * h + rate * xc)
+                k3 = law(xc := x + c3 * h, z + (k0 * a30 + k2 * a32) * h + rate * xc)
+                k4 = law(xc := x + c4 * h,
+                         z + (k0 * a40 + k2 * a42 + k3 * a43) * h + rate * xc)
+                k5 = law(xc := x + c5 * h,
+                         z + (k0 * a50 + k3 * a53 + k4 * a54) * h + rate * xc)
+                k6 = law(xc := x + c6 * h, z + (k0 * a60 + k3 * a63 + k4 * a64
+                                                + k5 * a65) * h + rate * xc)
+                k7 = law(xc := x + c7 * h, z + (k0 * a70 + k3 * a73 + k4 * a74
+                                                + k5 * a75 + k6 * a76) * h + rate * xc)
+                k8 = law(xc := x + c8 * h, z + (k0 * a80 + k3 * a83 + k4 * a84 + k5 * a85
+                                                + k6 * a86 + k7 * a87) * h + rate * xc)
+                k9 = law(xc := x + c9 * h, z + (k0 * a90 + k3 * a93 + k4 * a94 + k5 * a95
+                                                + k6 * a96 + k7 * a97 + k8 * a98) * h
+                         + rate * xc)
+                kA = law(xc := x + cA * h, z + (k0 * aA0 + k3 * aA3 + k4 * aA4 + k5 * aA5
+                                                + k6 * aA6 + k7 * aA7 + k8 * aA8
+                                                + k9 * aA9) * h + rate * xc)
+                kB = law(xc := x + cB * h, z + (k0 * aB0 + k3 * aB3 + k4 * aB4 + k5 * aB5
+                                                + k6 * aB6 + k7 * aB7 + k8 * aB8
+                                                + k9 * aB9 + kA * aBA) * h + rate * xc)
+                z_new = z + h * (k0 * b0 + k5 * b5 + k6 * b6 + k7 * b7 + k8 * b8
+                                 + k9 * b9 + kA * bA + kB * bB)
+                f_new = law(x + h, z_new + rate * (x + h))  # E5, E3 skip it
                 scale = atol + max(abs(z), abs(z_new)) * rtol
-                e5, e3 = (e5 / scale) * (e5 / scale), (e3 / scale) * (e3 / scale)
+                e5 = (k0 * e50 + k5 * e55 + k6 * e56 + k7 * e57 + k8 * e58
+                      + k9 * e59 + kA * e5A + kB * e5B) / scale
+                e3 = (k0 * e30 + k5 * e35 + k6 * e36 + k7 * e37 + k8 * e38
+                      + k9 * e39 + kA * e3A + kB * e3B) / scale
+                e5, e3 = e5 * e5, e3 * e3
                 err = h_abs * e5 / math.sqrt(e5 + 0.01 * e3) if e5 or e3 else 0.0
             except (ArithmeticError, ValueError):
                 err = math.nan
@@ -250,25 +289,22 @@ def _dop853(slope, rate: float, x0: float, x1: float, xi0: float):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
-        x, z, K[0] = x_new, z_new, f_new
+        x, z, k0 = x_new, z_new, f_new
         xs.append(x)
         zs.append(z)
-        dzs.append(f_new)
+        dzs.append(k0)
     return xs, zs, dzs, nfev
 
 
-def phase_flow(data: DerivedPeriodicData, gain, x0: float, x1: float,
-               xi0: float):
-    """Solve xi' = 2k + delta' + gain(x, xi) (u - v - Psi cos xi) from x0 to x1.
-
-    The phase lock's gain is its slaved 2C w(x) sin xi/(x - b_s).  The
-    stepper carries zeta = xi - rate*x (bounded, well scaled for error
-    control).  Returns (rate, zeta, nfev), zeta the Hermite spline through
-    the nodes with the stepper's own slopes.  gain takes floats.
-    """
+def phase_flow(data: DerivedPeriodicData, two_c: float, b_s: float, window,
+               x0: float, x1: float, xi0: float):
+    """Solve xi' = 2k + delta' + g (u - v - Psi cos xi) from x0 to x1, g the
+    coupling of ``phase_law``, as zeta = xi - rate*x (bounded, well scaled
+    for error control).  Returns (rate, zeta, nfev), zeta the Hermite spline
+    through the nodes with the stepper's own slopes."""
     rate = xi_rate(data)
-    *nodes, nfev = _dop853(phase_slope(data, gain), rate, float(x0),
-                           float(x1), float(xi0))
+    *nodes, nfev = _dop853(phase_law(data, float(two_c), float(b_s), window),
+                           rate, float(x0), float(x1), float(xi0))
     ts, zs, dz = np.array(nodes)
     if not np.all(np.isfinite([zs, dz])):
         raise NonFiniteState("phase integration produced non-finite values")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (cumulative_simpson_uniform, decimate, taper_window,
-                    write_json)
+                    write_json, write_rows)
 from .errors import (
     EnvelopeTooLarge,
     EnvelopeViolation,
@@ -219,12 +219,9 @@ def solve_xi(target: EmbeddingTarget, a: float, b: float, xi0: float,
     b_s = side * b
     x_start, x_stop = side * a, side * x_end
     lo, hi = sorted((x_start, x_stop))
-
-    def gain(x, xi):  # = -2V/omega with V as in _slaved_V
-        w = taper_window(x, lo, hi, tw) if tw > 0.0 else 1.0
-        return 2.0 * C * w * math.sin(xi) / (x - b_s)
-
-    rate, zeta, nfev = phase_flow(target.data, gain, x_start, x_stop, xi0)
+    # The coupling 2C w sin xi/(x - b_s) is -2V/omega with V as in _slaved_V.
+    rate, zeta, nfev = phase_flow(target.data, 2.0 * C, b_s, (lo, hi, tw),
+                                  x_start, x_stop, xi0)
     return XiTrajectory(rate, zeta, nfev, side=side, a=a, b=b, x_end=x_end,
                         xi0=xi0, C=C, taper_width=tw)
 
@@ -651,5 +648,4 @@ def write_potential_csv(pot: SynthesizedPotential, path: str) -> None:
         for pc in pot.pieces:
             n = pc.x_grid.size
             idx = decimate(n, max(1, int(np.ceil(n / CSV_ROWS))))
-            for xv, vv in zip(pc.x_grid[idx], pc.V_grid[idx]):
-                fh.write(f"{xv:.17g},{vv:.17g}\n")
+            write_rows(fh, (pc.x_grid[idx], pc.V_grid[idx]), block=CSV_ROWS)

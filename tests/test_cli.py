@@ -373,16 +373,20 @@ def test_gap_energy_is_check_failure(tmp_path):
 
 def test_step_size_underflow_is_check_failure(tmp_path, small_run,
                                               monkeypatch, capsys):
-    """A phase lock whose gain turns NaN ends as StepSizeUnderflow: exit 1."""
-    from diracembed import synth
+    """A phase lock whose coupling turns NaN ends as StepSizeUnderflow:
+    exit 1.  A NaN taper stands in for the window past the lock's first
+    unit, and a width of the whole piece leaves it no plateau."""
+    from diracembed import pruefer, synth
 
     real = synth.phase_flow
 
-    def nan_past_start(data, gain, x0, x1, xi0):
-        def bad(x, xi):
-            g = gain(x, xi)
-            return g * np.where(np.abs(x) > abs(x0) + 1.0, np.nan, 1.0)
-        return real(data, bad, x0, x1, xi0)
+    def nan_past_start(data, two_c, b_s, window, x0, x1, xi0):
+        def taper(x, lo, hi, width):
+            return np.nan if abs(x) > abs(x0) + 1.0 else 1.0
+
+        monkeypatch.setattr(pruefer, "taper_window", taper)
+        lo, hi, _ = window
+        return real(data, two_c, b_s, (lo, hi, hi - lo), x0, x1, xi0)
 
     monkeypatch.setattr(synth, "phase_flow", nan_past_start)
     cfg_path, _ = small_run

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import dirac_rhs
 from scipy.integrate import solve_ivp
 
 from diracembed.floquet import _cell_exponents, integrate, monodromy
-from diracembed.periodic_core import (
-    PeriodicCoefficient,
-    dirac_rhs,
-    eval_coefficient,
-)
+from diracembed.periodic_core import PeriodicCoefficient, eval_coefficient
 from diracembed import _util
 from diracembed._util import (
     cumulative_blocks,

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from reference import dirac_rhs, lock_gain, loop_dop853, phase_slope
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from diracembed import _util, derived_data, floquet_solution, pruefer
 from diracembed.errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
-from diracembed.periodic_core import dirac_rhs
 from diracembed.pruefer import (
     PrueferState,
     R_xi_rhs,
@@ -319,41 +320,132 @@ def test_integrate_R_xi_is_seamless_across_blocks(seam_runs, block, ends):
 
 
 # ---------------------------------------------------------------------------
-# failure semantics: a gain that stops being finite ends in StepSizeUnderflow
+# the phase lock: the written-out kernel against the loop reference
 
-X_BAD = 30.0  # the gains below turn bad past this x
-
-
-def nan_gain(x, xi):
-    bad = np.asarray(x) > X_BAD
-    out = np.where(bad, np.nan, 0.05 * np.cos(xi))
-    return out if np.ndim(out) else float(out)
+def mass_data(mass_pq):
+    return derived_data(floquet_solution(*mass_pq, 2.0))
 
 
-def inf_gain(x, xi):
-    bad = np.asarray(x) > X_BAD
-    out = np.where(bad, np.inf, 0.05 * np.cos(xi))
-    return out if np.ndim(out) else float(out)
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
-def zero_division_gain(x, xi):
-    # A Python float divides by zero and raises; a numpy value gives inf.
-    return 0.05 / ((x < X_BAD) * 1.0)
+def lock_case(data, side, tw):
+    """A 60-long lock outward from |x| = 700 with b = 50, as solve_xi sets
+    it up: (law arguments, rate, x0, x1)."""
+    lo, hi = (700.0, 760.0) if side > 0 else (-760.0, -700.0)
+    x0, x1 = (lo, hi) if side > 0 else (hi, lo)
+    args = (2.0 * choose_C(data), side * 50.0, (lo, hi, tw))
+    return args, xi_rate(data), x0, x1
 
 
-@pytest.mark.parametrize("gain", [nan_gain, inf_gain, zero_division_gain],
+def assert_kernel_is_the_loop(data, side, tw, monkeypatch):
+    """The written-out stages and the one-call law give the loop stepper's
+    nodes, slopes and nfev, and the same Hermite phase, bit for bit.
+    Returns (nodes, nfev)."""
+    args, rate, x0, x1 = lock_case(data, side, tw)
+    kernel = pruefer._dop853(pruefer.phase_law(data, *args), rate, x0, x1, 0.3)
+    gain = lock_gain(*args)
+    ref = loop_dop853(phase_slope(data, gain), rate, x0, x1, 0.3)
+    assert kernel[3] == ref[3]
+    for mine, theirs in zip(kernel[:3], ref[:3]):
+        assert np.array_equal(bits(mine), bits(theirs))
+    # the last step is cut short to land on x1
+    xs = kernel[0]
+    assert abs(xs[-1] - xs[-2]) < abs(xs[-2] - xs[-3])
+    zeta = phase_flow(data, *args, x0, x1, 0.3)[1]
+    with monkeypatch.context() as mp:
+        mp.setattr(pruefer, "phase_law", lambda data, *args: phase_slope(data, gain))
+        mp.setattr(pruefer, "_dop853", loop_dop853)
+        ref_zeta = phase_flow(data, *args, x0, x1, 0.3)[1]
+    assert np.array_equal(bits(zeta.x), bits(ref_zeta.x))
+    assert np.array_equal(bits(zeta.c), bits(ref_zeta.c))
+    return xs, kernel[3]
+
+
+@pytest.mark.parametrize("tw", [0.0, 1.0], ids=["untapered", "tapered"])
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("which", ["free", "mass", "generic"])
+def test_kernel_equals_the_loop_reference(which, side, tw, free_data, mass_pq,
+                                          generic_data, monkeypatch):
+    data = {"free": free_data, "generic": generic_data,
+            "mass": mass_data(mass_pq)}[which]
+    assert_kernel_is_the_loop(data, side, tw, monkeypatch)
+
+
+def test_kernel_equals_the_loop_reference_across_rejected_steps(generic_pq,
+                                                                monkeypatch):
+    # At lambda = 0.9 this lock rejects steps: nfev exceeds two plus twelve
+    # per accepted step.
+    data = derived_data(floquet_solution(*generic_pq, 0.9))
+    xs, nfev = assert_kernel_is_the_loop(data, 1, 1.0, monkeypatch)
+    assert nfev > 2 + pruefer.N_STAGES * (len(xs) - 1)
+
+
+finite = st.floats(-1e5, 1e5, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=finite, length=st.floats(1e-3, 1e4), width=st.floats(1e-9, 1e3),
+       offsets=st.lists(st.integers(-4, 4), min_size=1, max_size=8),
+       x=finite)
+def test_taper_plateau_is_taper_windows_plateau_test(lo, length, width,
+                                                     offsets, x):
+    """p0 <= x <= p1 exactly where taper_window's float path takes its
+    plateau: at random x and at a few ulps around each bound."""
+    hi = lo + length
+    p0, p1 = _util.taper_plateau(lo, hi, width)
+    near = [x]
+    for bound in (p0, p1):
+        for k in offsets:
+            y = bound
+            for _ in range(abs(k)):
+                y = math.nextafter(y, math.copysign(math.inf, k))
+            near.append(y)
+    for y in near:
+        on = (y - lo) / width >= 1.0 and (hi - y) / width >= 1.0
+        assert (p0 <= y <= p1) == on
+        if on:  # so skipping the call keeps the window's bits
+            assert _util.taper_window(y, lo, hi, width) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# failure semantics: a coupling that stops being finite ends in
+# StepSizeUnderflow
+
+X_BAD = 30.0  # the windows below turn bad past this x
+
+
+def nan_window(x, lo, hi, width):
+    return math.nan if x > X_BAD else 1.0
+
+
+def inf_window(x, lo, hi, width):
+    return math.inf if x > X_BAD else 1.0
+
+
+def zero_division_window(x, lo, hi, width):
+    # A Python float divides by zero and raises.
+    return 1.0 / ((x < X_BAD) * 1.0)
+
+
+@pytest.mark.parametrize("window", [nan_window, inf_window,
+                                    zero_division_window],
                          ids=["nan", "inf", "zero-division"])
 @pytest.mark.parametrize("which", ["free", "generic"])
-def test_phase_flow_non_finite_gain_underflows(gain, which, free_data,
-                                               generic_data):
+def test_phase_flow_non_finite_gain_underflows(window, which, free_data,
+                                               generic_data, monkeypatch):
+    """The window stands in for the taper; a width of the whole span
+    leaves no plateau, so every evaluation calls it."""
     data = free_data if which == "free" else generic_data
-    with np.errstate(all="ignore"), pytest.raises(StepSizeUnderflow):
-        phase_flow(data, gain, 5.0, 80.0, 0.3)
+    monkeypatch.setattr(pruefer, "taper_window", window)
+    with pytest.raises(StepSizeUnderflow):
+        phase_flow(data, 0.1, 0.0, (5.0, 80.0, 75.0), 5.0, 80.0, 0.3)
 
 
 def field_slope(data, gain):
     """phase_slope with the slope read from the four PeriodicFields instead
-    of the fused frame table."""
+    of the frame table."""
     rate = xi_rate(data)
     k2 = 2.0 * data.k
 
@@ -369,8 +461,9 @@ def field_slope(data, gain):
 @pytest.mark.parametrize("which", ["free", "generic"])
 def test_phase_flow_matches_the_field_calls(which, free_target_07,
                                             generic_data, monkeypatch):
-    """The frame table gives the bits of the four field calls: the same
-    nodes, slopes and nfev for a phase lock."""
+    """The kernel's flat-row power sums give the bits of the four field
+    calls: the loop reference on the fields reaches the same nodes,
+    slopes and nfev for a phase lock."""
     target = free_target_07 if which == "free" \
         else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
 
@@ -378,8 +471,12 @@ def test_phase_flow_matches_the_field_calls(which, free_target_07,
         return solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
                         taper_width=1.0)
 
+    def field_law(data, two_c, b_s, window):
+        return field_slope(data, lock_gain(two_c, b_s, window))
+
     a = run()
-    monkeypatch.setattr(pruefer, "phase_slope", field_slope)
+    monkeypatch.setattr(pruefer, "phase_law", field_law)
+    monkeypatch.setattr(pruefer, "_dop853", loop_dop853)
     b = run()
     assert a.nfev == b.nfev
     assert np.array_equal(a.zeta.x, b.zeta.x)
@@ -450,71 +547,81 @@ def test_stepper_matches_solve_ivp(which, free_target_07, generic_data,
 @pytest.mark.parametrize("which", ["free", "generic"])
 def test_phase_law_sees_floats_only(which, free_target_07, generic_data,
                                     monkeypatch):
-    """One evaluation path: across a phase lock the phase law and the frame
-    lookup receive floats only, and the Hermite spline is built from the
-    stepper's own slopes, which are slope(t, xi) at each accepted node."""
+    """One evaluation path: across a phase lock the phase law and the taper
+    receive floats only, the frame lookup is not called, and the Hermite
+    spline is built from the stepper's own slopes, which are law(t, xi)
+    at each accepted node."""
     target = free_target_07 if which == "free" \
         else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
-    seen, slopes, splines = [], [], []
-    real_slope, real_spline = pruefer.phase_slope, pruefer.cubic_hermite
-    real_frame = _util.FrameTable.__call__
+    seen, laws, splines, lookups = [], [], [], []
+    real_law, real_spline = pruefer.phase_law, pruefer.cubic_hermite
+    real_taper, real_frame = pruefer.taper_window, _util.FrameTable.__call__
 
-    def frame(table, x):
+    def taper(x, lo, hi, width):
         seen.append(x)
-        return real_frame(table, x)
+        return real_taper(x, lo, hi, width)
 
-    def phase_slope(data, gain):
-        real = real_slope(data, gain)
-        slopes.append(real)
+    def phase_law(data, two_c, b_s, window):
+        real = real_law(data, two_c, b_s, window)
+        laws.append(real)
 
-        def slope(x, xi):
+        def law(x, xi):
             seen.extend((x, xi))
             return real(x, xi)
 
-        return slope
+        return law
 
     def spline(ts, zs, dz):
         splines.append((ts, zs, dz))
         return real_spline(ts, zs, dz)
 
-    monkeypatch.setattr(_util.FrameTable, "__call__", frame)
-    monkeypatch.setattr(pruefer, "phase_slope", phase_slope)
+    monkeypatch.setattr(_util.FrameTable, "__call__",
+                        lambda table, x: lookups.append(x) or real_frame(table, x))
+    monkeypatch.setattr(pruefer, "taper_window", taper)
+    monkeypatch.setattr(pruefer, "phase_law", phase_law)
     monkeypatch.setattr(pruefer, "cubic_hermite", spline)
     flow = solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
-    assert seen and not any(isinstance(v, np.ndarray) for v in seen)
-    (slope,), ((ts, zs, dz),) = slopes, splines
-    nodes = [slope(float(t), float(z + flow.rate * t)) for t, z in zip(ts, zs)]
+    assert seen and all(type(v) is float for v in seen)
+    assert not lookups
+    (law,), ((ts, zs, dz),) = laws, splines
+    nodes = [law(float(t), float(z + flow.rate * t)) for t, z in zip(ts, zs)]
     assert np.array_equal(dz, nodes)
 
 
 @pytest.mark.parametrize("which", ["free", "mass", "generic"])
 def test_phase_slope_is_the_phase_law_on_the_frame(which, free_data, mass_pq,
                                                     generic_data, monkeypatch):
-    """At many float pairs (x, xi) the slope is k2 + d - rate + g*(u - v -
-    P*cos xi) with (d, u, v, P) = data.frame(x), bit for bit.  A constant
-    frame is folded into the slope, which then never calls the lookup; any
-    other frame is read once per evaluation."""
+    """At many float pairs (x, xi) the law is k2 + d - rate + g*(u - v -
+    P*cos xi) with (d, u, v, P) = data.frame(x) and the lock's coupling g =
+    2C w sin xi/(x - b_s), bit for bit.  The law reads the frame without
+    calling the lookup, and calls the taper off its plateau only."""
     data = {"free": free_data, "generic": generic_data,
-            "mass": derived_data(floquet_solution(*mass_pq, 2.0))}[which]
+            "mass": mass_data(mass_pq)}[which]
     assert (data.frame.const is None) == (which == "generic")
     rate, k2 = xi_rate(data), 2.0 * data.k
+    two_c, b_s, (lo, hi, width) = 0.74, -3.0, (-30.0, 40.0, 5.0)
 
     def gain(x, xi):
-        return 0.37 * math.sin(xi) / (x + 3.0)
+        w = _util.taper_window(x, lo, hi, width)
+        return two_c * w * math.sin(xi) / (x - b_s)
 
-    xs = RNG.uniform(-50.0, 50.0, 400).tolist()
-    xis = RNG.uniform(-20.0, 20.0, 400).tolist()
+    xs = RNG.uniform(-50.0, 50.0, 400).tolist() + [lo + width, hi - width]
+    xis = RNG.uniform(-20.0, 20.0, 402).tolist()
     expect = []
     for x, xi in zip(xs, xis):
         d, u, v, P = data.frame(x)
         expect.append(k2 + d - rate + gain(x, xi) * (u - v - P * math.cos(xi)))
-    lookups = []
+    lookups, tapered = [], []
     real_frame = _util.FrameTable.__call__
     monkeypatch.setattr(_util.FrameTable, "__call__",
                         lambda table, x: lookups.append(x) or real_frame(table, x))
-    slope = pruefer.phase_slope(data, gain)
-    assert [slope(x, xi) for x, xi in zip(xs, xis)] == expect
-    assert lookups == ([] if data.frame.const is not None else xs)
+    monkeypatch.setattr(pruefer, "taper_window",
+                        lambda x, *w: tapered.append(x) or _util.taper_window(x, *w))
+    law = pruefer.phase_law(data, two_c, b_s, (lo, hi, width))
+    assert [law(x, xi) for x, xi in zip(xs, xis)] == expect
+    assert not lookups
+    assert tapered == [x for x in xs
+                       if not ((x - lo) / width >= 1.0 and (hi - x) / width >= 1.0)]
 
 
 def test_dop853_tableau_is_scipys():
@@ -534,12 +641,13 @@ def test_dop853_tableau_is_scipys():
         assert pruefer.A[s] == ref.A[s, :s].tolist()
         assert not np.any(ref.A[s, s:12])  # explicit: strictly lower
     assert all(type(c) is float for c in pruefer.C + pruefer.B + pruefer.E5)
-    # the stepper's zero-skipping feeds and error rows hold every nonzero
+    # the written-out stages skip exactly these zero coefficients of A's
+    # rows 1..11 and B, and the error sums those where E5 and E3 both vanish
     rows = pruefer.A[1:] + [pruefer.B]
-    for feed, row in zip(pruefer._FEEDS, rows):
-        assert feed == [(j, a) for j, a in enumerate(row) if a != 0.0]
-    assert pruefer._ERRS == [(j, a, b) for j, (a, b) in
-                             enumerate(zip(pruefer.E5, pruefer.E3)) if a or b]
+    assert [[j for j, a in enumerate(row) if a == 0.0] for row in rows] == \
+        [[]] * 2 + [[1]] * 2 + [[1, 2]] * 7 + [[1, 2, 3, 4]]
+    assert [j for j, a in enumerate(pruefer.E5) if a == 0.0] == \
+        [j for j, a in enumerate(pruefer.E3) if a == 0.0] == [1, 2, 3, 4, 12]
     assert rk.DOP853.error_estimator_order == 7
     assert pruefer.ERROR_EXPONENT == -1.0 / (7 + 1)
     assert (pruefer.SAFETY, pruefer.MIN_FACTOR, pruefer.MAX_FACTOR) == \

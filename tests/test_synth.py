@@ -174,27 +174,27 @@ def test_V_interp_vanishes_off_the_piece(free_target_07):
 def test_float_paths_equal_the_array_paths(which, free_target_07,
                                            generic_data, monkeypatch):
     """The stepper's float path gives the bits of the array path: the
-    phase slope, re-evaluated at the accepted nodes of a phase lock,
+    phase law, re-evaluated at the accepted nodes of a phase lock,
     against the slopes the stepper handed to the Hermite spline."""
     t = free_target_07 if which == "free" \
         else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
-    slopes, splines = [], []
-    real, real_spline = pruefer.phase_slope, pruefer.cubic_hermite
+    laws, splines = [], []
+    real, real_spline = pruefer.phase_law, pruefer.cubic_hermite
 
-    def recording(data, gain):
-        slopes.append(real(data, gain))
-        return slopes[-1]
+    def recording(data, two_c, b_s, window):
+        laws.append(real(data, two_c, b_s, window))
+        return laws[-1]
 
     def spline(ts, zs, dz):
         splines.append((ts, zs, dz))
         return real_spline(ts, zs, dz)
 
-    monkeypatch.setattr(pruefer, "phase_slope", recording)
+    monkeypatch.setattr(pruefer, "phase_law", recording)
     monkeypatch.setattr(pruefer, "cubic_hermite", spline)
     traj = solve_xi(t, 700.0, 0.0, 0.3, 760.0, side=-1, taper_width=1.0)
-    (slope,), ((ts, zs, dz),) = slopes, splines
+    (law,), ((ts, zs, dz),) = laws, splines
     xis = zs + traj.rate * ts
-    scalar = [slope(float(x), float(xi)) for x, xi in zip(ts, xis)]
+    scalar = [law(float(x), float(xi)) for x, xi in zip(ts, xis)]
     assert all(type(v) is float for v in scalar)
     assert np.array_equal(scalar, dz)
 
@@ -371,7 +371,7 @@ def test_no_caller_picks_a_phase_lock_tolerance():
     # at BANDS_TOL and every bystander flow settles at pruefer.FLOW_TOL.
     for fn in (solve_xi, probe_constants, schedule, synth.write_manifest,
                floquet.band_scan, integrate_R_xi, pruefer.phase_flow,
-               pruefer._dop853):
+               pruefer.phase_law, pruefer._dop853):
         assert "spec" not in inspect.signature(fn).parameters, fn.__name__
 
 
