@@ -10,9 +10,10 @@ import numpy as np
 
 from .errors import InvariantDrift
 
-# Intervals per block of a chunked quadrature or Magnus product: even, so
-# Simpson pairs match the one-block integral; small, so a block's
-# temporaries stay a few MB.
+# Intervals per block of a chunked quadrature, and Magnus steps per block
+# of floquet.magnus_chain (rounded down to whole strides): even, so Simpson
+# pairs match the one-block integral; small, so a block's temporaries stay
+# a few MB.
 QUAD_BLOCK = 2 ** 16
 
 

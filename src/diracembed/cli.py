@@ -205,8 +205,7 @@ def cmd_oscillatory(args) -> int:
             enforce_nonresonance=not args.allow_resonant)
     else:
         chk = oscillatory_check_41(
-            args.a, args.beta1, args.beta2, x0_list, args.x_max,
-            c=args.c, use_cos=args.use_cos)
+            args.a, args.beta1, args.beta2, x0_list, args.x_max)
     ratio = chk.max_product_ratio
     ok = bool(ratio <= PRODUCT_RATIO_MAX)
     write_json(os.path.join(out, "oscillatory.json"),
@@ -245,8 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="phase frequency")
     sp.add_argument("--beta1", type=float, default=None)
     sp.add_argument("--beta2", type=float, default=None)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--use-cos", action="store_true")
     sp.add_argument("--x0", action="append", type=float, default=None)
     sp.add_argument("--x-max", type=float, default=1e6)
     sp.add_argument("--allow-resonant", action="store_true")

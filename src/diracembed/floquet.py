@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _util
 from ._util import FrameTable, PeriodicField, write_rows
 from .errors import (
     BandEdge,
@@ -107,14 +108,42 @@ def expm_traceless(a, b, c) -> np.ndarray:
     return out
 
 
-def prefix_products(steps: np.ndarray) -> np.ndarray:
-    """steps[i] @ ... @ steps[0] for every i, in place over the stacked 2x2
-    matrices, by a doubling scan."""
-    shift = 1
-    while shift < len(steps):
-        steps[shift:] = steps[shift:] @ steps[:-shift]
-        shift *= 2
-    return steps
+def magnus_chain(exponent, x0: float, x1: float, n: int,
+                 stride: int = 1) -> np.ndarray:
+    """Phi' = A Phi, Phi(x0) = I, at x0 + t h for t = 0, stride, 2 stride
+    ... n, h = (x1 - x0)/n: the one product of fourth-order Magnus steps.
+
+    exponent(x, h) gives the (a, b, c) of each step's exponent from its two
+    Gauss points x (m, 2), with any leading batch axes (energies).  Blocks
+    of about QUAD_BLOCK steps are taken by ``expm_traceless``; identity
+    steps pad the last block to whole strides, so its last sample falls on
+    x1; a stride (a power of two) is multiplied out by halving, the strides
+    are chained by a doubling scan, and each block starts from the last
+    product of the one before.  Returns batch + (samples, 2, 2).
+    """
+    h = (x1 - x0) / n
+    block = max(stride, _util.QUAD_BLOCK // stride * stride)
+    out, carry = [], None
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        steps = expm_traceless(*exponent(
+            x0 + h * (np.arange(start, start + m)[:, None] + GAUSS_NODES), h))
+        batch = steps.shape[:-3]
+        if m % stride:
+            steps = np.concatenate([steps, np.broadcast_to(
+                np.eye(2), batch + (-m % stride, 2, 2))], axis=-3)
+        steps = steps.reshape(batch + (-1, stride, 2, 2))
+        while steps.shape[-3] > 1:
+            steps = steps[..., 1::2, :, :] @ steps[..., 0::2, :, :]
+        steps, shift = steps[..., 0, :, :], 1
+        while shift < steps.shape[-3]:
+            steps[..., shift:, :, :] = \
+                steps[..., shift:, :, :] @ steps[..., :-shift, :, :]
+            shift *= 2
+        out.append(steps if carry is None else steps @ carry)
+        carry = out[-1][..., -1:, :, :]
+    return np.concatenate(
+        [np.broadcast_to(np.eye(2), batch + (1, 2, 2))] + out, axis=-3)
 
 
 def _cell_exponents(p: PeriodicCoefficient, q: PeriodicCoefficient, x, h):
@@ -122,7 +151,7 @@ def _cell_exponents(p: PeriodicCoefficient, q: PeriodicCoefficient, x, h):
     Magnus exponent of A = [[-q, lam + p], [p - lam, q]] at the two Gauss
     points x (n, 2) of each step.  It is trace-free, [[a, b], [c, -a]],
     and affine in lam: returns the pairs (a0, a1), (b0, b1), (c0, c1) of
-    a = a0 + lam a1 and so on, so p and q are evaluated once per grid."""
+    a = a0 + lam a1 and so on: one p, q evaluation serves every energy."""
     p1, p2 = eval_coefficient(p, x).T
     q1, q2 = eval_coefficient(q, x).T
     k = np.sqrt(3.0) * h * h / 6.0  # twice the commutator weight
@@ -135,20 +164,16 @@ def _cell_exponents(p: PeriodicCoefficient, q: PeriodicCoefficient, x, h):
 
 def _magnus_product(p: PeriodicCoefficient, q: PeriodicCoefficient,
                     lams: np.ndarray, n: int) -> np.ndarray:
-    """exp(Omega_{n-1}) ... exp(Omega_0) over n equal steps, per energy:
-    ``expm_traceless`` of ``_cell_exponents`` for each step, multiplied
-    out by halving.  Returns the (E, 2, 2) products."""
-    h = 1.0 / n
-    (a0, a1), (b0, b1), (c0, c1) = _cell_exponents(
-        p, q, h * (np.arange(n)[:, None] + GAUSS_NODES), h)
+    """exp(Omega_{n-1}) ... exp(Omega_0) over n equal steps of a period, per
+    energy: ``magnus_chain`` of ``_cell_exponents`` in one stride, a chunk
+    of energies per call.  Returns the (E, 2, 2) products."""
     out = np.empty((lams.size, 2, 2))
     chunk = max(1, _MAGNUS_BATCH // n)
     for lo in range(0, lams.size, chunk):
         lam = lams[lo:lo + chunk, None]
-        steps = expm_traceless(a0 + lam * a1, b0 + lam * b1, c0 + lam * c1)
-        while steps.shape[1] > 1:  # n is a power of two
-            steps = steps[:, 1::2] @ steps[:, 0::2]
-        out[lo:lo + chunk] = steps[:, 0]
+        out[lo:lo + chunk] = magnus_chain(
+            lambda x, h: [e0 + lam * e1 for e0, e1 in
+                          _cell_exponents(p, q, x, h)], 0.0, 1.0, n, n)[:, -1]
     return out
 
 
@@ -293,18 +318,10 @@ class Trajectory:
 
 
 def integrate(exponent, x0: float, x1: float, n: int) -> Trajectory:
-    """Phi' = A Phi, Phi(x0) = I, at x0 + i h, i = 0..n, h = (x1 - x0)/n.
-
-    exponent(x, h) gives the (a, b, c) of each step's fourth-order Magnus
-    exponent from its two Gauss points x (n, 2); the steps are taken by
-    ``expm_traceless`` and chained by ``prefix_products``.  nfev counts
-    the 2n Gauss points.
-    """
-    h = (x1 - x0) / n
-    x = x0 + h * (np.arange(n)[:, None] + GAUSS_NODES)
-    Phi = prefix_products(expm_traceless(*exponent(x, h)))
-    return Trajectory(x0 + h * np.arange(n + 1),
-                      np.concatenate([np.eye(2)[None], Phi]), 2 * n)
+    """Phi' = A Phi, Phi(x0) = I, at x0 + i h, i = 0..n, h = (x1 - x0)/n, by
+    ``magnus_chain``; nfev counts the 2n Gauss points."""
+    return Trajectory(x0 + (x1 - x0) / n * np.arange(n + 1),
+                      magnus_chain(exponent, x0, x1, n), 2 * n)
 
 
 @dataclass

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _util
 from ._util import cubic_hermite, decimate, taper_plateau, taper_window
 from .errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
-from .floquet import (GAUSS_NODES, DerivedPeriodicData, expm_traceless,
-                      gamma_derivative, prefix_products)
+from .floquet import DerivedPeriodicData, gamma_derivative, magnus_chain
 
 __all__ = [
     "PrueferState",
@@ -343,41 +341,25 @@ def bystander_phase(data: DerivedPeriodicData, x):
 
 def _propagate(data: DerivedPeriodicData, V, x0: float, x1: float, n: int,
                stride: int) -> np.ndarray:
-    """Phi at x0 + t H, H = (x1 - x0)/n, for t = 0, stride, 2 stride ... n.
+    """Phi at x0 + t H, H = (x1 - x0)/n, for t = 0, stride, 2 stride ... n,
+    by ``magnus_chain``.
 
     Phi' = A Phi, A = (V/omega) [[Psi sin phi, (u - v) + Psi cos phi],
     [Psi cos phi - (u - v), -Psi sin phi]], the real form of rho' =
-    i(V/omega)(-(u - v) rho + Psi e^{-i phi} conj(rho)).  Each step is the
-    fourth-order Magnus exponent at its two Gauss points, taken by
-    ``expm_traceless``; a stride of steps is multiplied out by halving
-    (stride is a power of two), the strides of a block of about QUAD_BLOCK
-    steps are chained by ``prefix_products``, and Python loops over blocks.
+    i(V/omega)(-(u - v) rho + Psi e^{-i phi} conj(rho)).
     """
-    H = (x1 - x0) / n
-    w = np.sqrt(3.0) * H * H / 12.0  # the commutator's weight
-    block = max(stride, _util.QUAD_BLOCK // stride * stride)
-    out, carry = [np.eye(2)[None]], np.eye(2)
-    for start in range(0, n, block):
-        m = min(block, n - start)
-        x = x0 + H * (np.arange(start, start + m)[:, None] + GAUSS_NODES)
+    def exponent(x, H):  # Omega = H/2 (A1 + A2) + w [A2, A1]
+        w = np.sqrt(3.0) * H * H / 12.0  # the commutator's weight
         g = np.asarray(V(x), dtype=float) / data.omega
         Pg, phi = g * data.Psi_f(x), bystander_phase(data, x)
         d = g * (data.u_f(x) - data.v_f(x))
         alpha, Pc = Pg * np.sin(phi), Pg * np.cos(phi)
         (a1, a2), (b1, b2), (c1, c2) = alpha.T, (Pc + d).T, (Pc - d).T
-        # Omega = H/2 (A1 + A2) + w [A2, A1]
-        steps = expm_traceless(0.5 * H * (a1 + a2) + w * (b2 * c1 - b1 * c2),
-                               0.5 * H * (b1 + b2) + 2 * w * (a2 * b1 - b2 * a1),
-                               0.5 * H * (c1 + c2) + 2 * w * (c2 * a1 - a2 * c1))
-        # Identity steps pad the last block to whole strides: its last
-        # sample then falls on x1.
-        steps = np.concatenate([steps, np.broadcast_to(
-            np.eye(2), (-m % stride, 2, 2))]).reshape(-1, stride, 2, 2)
-        while steps.shape[1] > 1:
-            steps = steps[:, 1::2] @ steps[:, 0::2]
-        out.append(prefix_products(steps[:, 0]) @ carry)
-        carry = out[-1][-1]
-    return np.concatenate(out)
+        return (0.5 * H * (a1 + a2) + w * (b2 * c1 - b1 * c2),
+                0.5 * H * (b1 + b2) + 2 * w * (a2 * b1 - b2 * a1),
+                0.5 * H * (c1 + c2) + 2 * w * (c2 * a1 - a2 * c1))
+
+    return magnus_chain(exponent, x0, x1, n, stride)
 
 
 def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float,

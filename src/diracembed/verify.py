@@ -130,9 +130,8 @@ def _sup_scan(make_integrand, x_lo: float, h: float, n: int, x0_list):
 
 
 def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
-                         x_max: float, c: float = 1.0,
-                         use_cos: bool = False) -> OscCheck:
-    """Sup of |int sin(theta)/t^beta2| with theta' = a + c/(1+t^beta1).
+                         x_max: float) -> OscCheck:
+    """Sup of |int sin(theta)/t^beta2| with theta' = a + 1/(1+t^beta1).
 
     Reports sup * x0^beta, beta = min(beta2, beta1+beta2-1, 2*beta2-1);
     boundedness of the products across a decade of x0 is the claim.
@@ -150,31 +149,29 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
     if x_lo <= 0.0 or x_max <= x_lo:
         raise ValueError("need 0 < min(x0) < x_max")
     # A fixed step from x_lo (ending at or past x_max): checkpoints stay put.
-    h = 0.04 / max(abs(a) + abs(c), 0.5)
+    h = 0.04 / (abs(a) + 1.0)
     n = max(2, int(np.ceil((x_max - x_lo) / h)))
-    osc = np.cos if use_cos else np.sin
 
     if beta1 == 1.0:
         def theta(xs):
-            return a * xs + c * np.log1p(xs)
+            return a * xs + np.log1p(xs)
     else:
-        # theta(x) = a*x + c * int_0^x dt/(1+t^beta1), tabulated once up to
+        # theta(x) = a*x + int_0^x dt/(1+t^beta1), tabulated once up to
         # the scan's last sample, which may lie past x_max.
         grid = np.linspace(0.0, x_lo + n * h, 400_001)
         prim = cumulative_simpson_uniform(1.0 / (1.0 + grid ** beta1),
                                           grid[1] - grid[0])
 
         def theta(xs):
-            return a * xs + c * np.interp(xs, grid, prim)
+            return a * xs + np.interp(xs, grid, prim)
 
     def integrand(xs):
-        return osc(theta(xs)) / xs ** beta2
+        return np.sin(theta(xs)) / xs ** beta2
 
     x0s, sups = _sup_scan(integrand, x_lo, h, n, x0_list)
     prods = [s * v ** beta for s, v in zip(sups, x0s)]
-    kind = "cos" if use_cos else "sin"
     return OscCheck(
-        description=f"osc-powerlaw[{kind}] a={a} beta1={beta1} beta2={beta2}",
+        description=f"osc-powerlaw[sin] a={a} beta1={beta1} beta2={beta2}",
         a=float(a), beta=float(beta), x0_list=x0s, sup_integral=sups,
         products=prods)
 

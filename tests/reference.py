@@ -11,11 +11,15 @@ coefficient) feeds, and ``phase_slope`` wraps a coupling ``gain(x, xi)``
 around the frame lookup ``data.frame(x)``: one call per stage to the
 slope, one to the gain and one to the frame.  Same control, same sums in
 the same order, so the same nodes, slopes and nfev.
+
+``loop_magnus`` is the plain product of Magnus steps that the blocked,
+halved and scanned ``floquet.magnus_chain`` must equal to rounding.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from diracembed._util import taper_window
 from diracembed.errors import StepSizeUnderflow
@@ -140,3 +144,24 @@ def loop_dop853(slope, rate, x0, x1, xi0):
         zs.append(z)
         dzs.append(f_new)
     return xs, zs, dzs, nfev
+
+
+GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
+
+
+def loop_magnus(exponent, x0, x1, n):
+    """Phi' = A Phi, Phi(x0) = I, at x0 + i h, i = 0..n, h = (x1 - x0)/n:
+    step i's exponent (a, b, c) = exponent(x, h) at its own two Gauss
+    points, exponentiated by scipy's expm and multiplied on from the left,
+    one step at a time.  Leading batch axes of the exponent are kept:
+    returns batch + (n + 1, 2, 2)."""
+    h = (x1 - x0) / n
+    Phi = np.eye(2)
+    out = [Phi]
+    for i in range(n):
+        a, b, c = (np.asarray(e)[..., 0]
+                   for e in exponent(x0 + h * (i + GAUSS)[None, :], h))
+        Phi = expm(np.stack([np.stack([a, b], -1),
+                             np.stack([c, -a], -1)], -2)) @ Phi
+        out.append(Phi)
+    return np.stack(np.broadcast_arrays(*out), axis=-3)

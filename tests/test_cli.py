@@ -117,6 +117,26 @@ def test_verify_catches_tampered_manifest(tmp_path, small_run):
     assert any(d["name"] == "decay" and d.get("side") == 1 for d in bad)
 
 
+def test_verify_rejects_a_duplicated_piece(tmp_path, small_run, capsys):
+    # Two copies of one piece overlap on all of it: rebuilding the potential
+    # fails (OverlapDetected), which is a failed check, and the message
+    # names both intervals.
+    cfg_path, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    piece = max((e for e in doc["pieces"] if e["side"] == "minus"),
+                key=lambda e: e["a"])
+    doc["pieces"].append(dict(piece))
+    tampered = tmp_path / "manifest.json"
+    tampered.write_text(json.dumps(doc))
+    rc = main(["verify", "--config", cfg_path,
+               "--manifest", str(tampered), "--out", str(tmp_path)])
+    assert rc == EXIT_CHECK
+    err = capsys.readouterr().err
+    span = f"[{-piece['x_end']:.6g}, {-piece['a']:.6g}]"
+    assert "pieces overlap" in err and err.count(span) == 2, err
+
+
 def test_verify_catches_a_broken_chain_of_own_pieces(tmp_path, small_run):
     # Four later plus-side seeds of lam = 0.7 leave the phase the track
     # brings to them.  Each shifted piece still decays, but the pieces no
@@ -250,22 +270,24 @@ REMOVED_FLAGS = {
     "--x-max": "2600", "--b": "0", "--margin": "0.05",
     "--band-edge-margin": "0", "--rho-margin": "5", "--taper-width": "1",
     "--safety": "1", "--xi0": "1.5", "--scan-lo": "0", "--scan-hi": "3",
-    "--scan-resolution": "0.01", "--max-product-ratio": "4"}
+    "--scan-resolution": "0.01", "--max-product-ratio": "4",
+    "--use-cos": None}
 
 
 @pytest.mark.parametrize("flag", list(REMOVED_FLAGS))
 def test_removed_flag_is_usage_error(tmp_path, small_run, flag):
-    # No flag but --out overrides a config key, and the oscillatory bound is
-    # verify.PRODUCT_RATIO_MAX.
+    # No flag but --out overrides a config key, the oscillatory bound is
+    # verify.PRODUCT_RATIO_MAX, and the power-law scan has no cos form.
     cfg_path, out = small_run
     commands = [["bands"], ["floquet", "--lam", "0.7"], ["synth"],
                 ["verify", "--manifest", os.path.join(out, "manifest.json")]]
-    if flag == "--max-product-ratio":
+    if flag in ("--max-product-ratio", "--use-cos"):
         commands = [["oscillatory", "--a", "1", "--beta1", "1", "--beta2",
                      "1", "--x0", "10", "--x-max", "100"]]
+    value = [] if REMOVED_FLAGS[flag] is None else [REMOVED_FLAGS[flag]]
     for argv in commands:
         assert main(argv + ["--config", cfg_path, "--out", str(tmp_path),
-                            flag, REMOVED_FLAGS[flag]]) == EXIT_USAGE, argv[0]
+                            flag] + value) == EXIT_USAGE, argv[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference import loop_magnus
 from scipy.integrate import solve_ivp
 
-from diracembed import floquet
+from diracembed import _util, floquet
 from diracembed._util import FrameTable, PeriodicField
 from diracembed.errors import (BandEdge, NonFiniteState, ScanTooCoarse,
                                StepSizeUnderflow)
@@ -154,6 +155,32 @@ def test_overflowing_monodromy_is_non_finite():
     with pytest.raises(NonFiniteState):
         monodromy(PeriodicCoefficient(a0=2000.0), PeriodicCoefficient(),
                   np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("n, stride, lams, block", [
+    (64, 1, 0.9, None),               # every grid point
+    (100, 8, 0.9, None),              # 100 = 12 * 8 + 4: identity padding
+    (64, 4, [0.3, 0.9, 2.5], None),   # a batch of energies
+    (100, 8, 0.9, 24),                # four block seams, then the padding
+    (100, 1, [0.3, 0.9, 2.5], 24)])   # seams under a batch
+def test_magnus_chain_is_the_step_by_step_product(generic_pq, monkeypatch,
+                                                  n, stride, lams, block):
+    # Halving and the doubling scan reorder the products: equal to rounding.
+    p, q = generic_pq
+    lam = np.asarray(lams, dtype=float)[..., None]
+
+    def exponent(x, h):
+        return [e0 + lam * e1
+                for e0, e1 in floquet._cell_exponents(p, q, x, h)]
+
+    if block is not None:
+        monkeypatch.setattr(_util, "QUAD_BLOCK", block)
+    chain = floquet.magnus_chain(exponent, 0.25, 3.0, n, stride)
+    ref = loop_magnus(exponent, 0.25, 3.0, n)
+    ref = ref[..., list(range(0, n, stride)) + [n], :, :]
+    samples = -(-n // stride) + 1  # the last stride ends on x1
+    assert chain.shape == ref.shape == lam.shape[:-1] + (samples, 2, 2)
+    assert np.max(np.abs(chain - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
