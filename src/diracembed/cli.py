@@ -216,28 +216,32 @@ def cmd_oscillatory(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix of a flag that stays must not
+    # stand in for it, or a removed flag (--c) comes back as --config.
     parser = argparse.ArgumentParser(
-        prog="diracembed",
+        prog="diracembed", allow_abbrev=False,
         description="Spectral toolkit for periodic Dirac operators: band "
                     "structure, Floquet frames, embedded-eigenvalue "
                     "potential synthesis, and bound verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("bands", help="scan the band structure")
+    def command(name, help_text):
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
+
+    sp = command("bands", "scan the band structure")
     _add_config_flags(sp)
 
-    sp = sub.add_parser("floquet", help="export one Floquet frame")
+    sp = command("floquet", "export one Floquet frame")
     _add_config_flags(sp, need_lam=True)
 
-    sp = sub.add_parser("synth", help="synthesize the embedding potential")
+    sp = command("synth", "synthesize the embedding potential")
     _add_config_flags(sp)
 
-    sp = sub.add_parser("verify", help="re-run all checks from a manifest")
+    sp = command("verify", "re-run all checks from a manifest")
     _add_config_flags(sp)
     sp.add_argument("--manifest", required=True, metavar="PATH")
 
-    sp = sub.add_parser("oscillatory",
-                        help="sup-scan the oscillatory integral bounds")
+    sp = command("oscillatory", "sup-scan the oscillatory integral bounds")
     sp.add_argument("--config", default=None, metavar="PATH")
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--a", type=float, required=True,

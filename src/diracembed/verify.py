@@ -3,11 +3,12 @@
 Every check integrates the claimed inequality directly and reports the
 measured margin; nothing is assumed from the construction.  Oscillatory
 sup-scans share one cumulative quadrature pass over [min x0, x_max] with
-running extrema per checkpoint, so the cost is one dense sweep regardless
-of how many checkpoints are requested.  The periodic-frame scan steps by
-1/m, so the samples take m phases: Gamma and gamma are tabulated once on
-them and tiled, and every checkpoint a whole number of periods past
-min x0 is a grid point.
+running extrema per checkpoint, so the cost is one sweep regardless of how
+many checkpoints are requested.  The running integral is read off the cubic
+through its samples, so a sample may advance the phase by SCAN_PHASE_STEP
+and a checkpoint may fall between samples.  The periodic-frame scan steps
+by 1/m, so the samples take m phases: Gamma and gamma are tabulated once on
+them and tiled.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._util import (cumulative_blocks, cumulative_simpson_uniform, decimate,
-                    fit_line, frac, write_json)
+from . import _util
+from ._util import (SIMPSON_BIAS, cumulative_blocks,
+                    cumulative_simpson_uniform, decimate, fit_line, frac,
+                    write_json)
 from .errors import (
     BoundViolated,
     DecayTooSlow,
@@ -61,6 +64,7 @@ DECAY_SLOPE_MAX = -95.0  # largest fitted slope of ln R across a piece
 PRODUCT_RATIO_MAX = 4.0  # most sup * x0^beta may vary over the checkpoints
 TAIL_RATIO = 0.5  # most energy a cycle may carry, relative to the last one
 SEAM_TOL = 1e-9  # most an own piece's seed may stray from the arriving xi
+SCAN_PHASE_STEP = 0.14  # most phase, in rad, a sup-scan advances per sample
 # Report fields under another name in reports.json.
 JSON_NAMES = {"lam": "lambda", "lam_piece": "lambda_piece",
               "lam_bystander": "lambda_bystander", "target_index": "target",
@@ -103,30 +107,81 @@ class OscCheck(Report):
         return float(max(self.products) / lo) if lo > 0 else np.inf
 
 
+def _cubic(F, fs, h, k):
+    """(b, c) of the cubic F[k] + h*t*(fs[k] + t*(b + t*c)), 0 <= t <= 1,
+    through the values F and slopes fs at both ends of interval k."""
+    D = (F[k + 1] - F[k]) / h
+    return 3.0 * D - 2.0 * fs[k] - fs[k + 1], fs[k] + fs[k + 1] - 2.0 * D
+
+
+def _read(F, fs, h, k, t):
+    """F at x_k + t*h (k, t arrays or scalars): the cubic on interval k, less
+    its own error h^4 f''' t^2 (1 - t)^2 / 24 and the SIMPSON_BIAS of its end
+    values, so O(h^5); f''' is the third difference of the block's four
+    samples nearest the interval (a shorter block keeps the plain cubic)."""
+    b, c = _cubic(F, fs, h, k)
+    val = F[k] + h * t * (fs[k] + t * (b + t * c))
+    last = fs.size - 1
+    if last < 3:
+        return val
+    j = np.clip(k - 1, 0, last - 3)
+    d3 = fs[j + 3] - fs[j] - 3.0 * (fs[j + 2] - fs[j + 1])  # h^3 f'''
+    even, odd, trail = SIMPSON_BIAS
+    bias = [np.where(i % 2 == 0, even, np.where(i == last, trail, odd))
+            for i in (k, k + 1)]
+    w = t * t * (3.0 - 2.0 * t)  # the cubic's weight on F[k + 1]
+    return val + h * d3 * (t * t * (1.0 - t) ** 2 / 24.0
+                           - (1.0 - w) * bias[0] - w * bias[1])
+
+
 def _sup_scan(make_integrand, x_lo: float, h: float, n: int, x0_list):
     """sup_{x >= x0} |F(x) - F(x0)| for each x0, F the running integral.
 
-    make_integrand(xs) -> samples on the grid x_lo + i*h, i = 0..n.  One
-    forward pass in blocks (cumulative_blocks); each checkpoint, snapped
-    to its nearest grid point, keeps a running max and min of F from there.
-    A checkpoint needs an interval after it (ValueError otherwise).
+    make_integrand(xs) -> samples f on the grid x_lo + i*h, i = 0..n.  One
+    forward pass in blocks (cumulative_blocks) reads F off the C1 cubic
+    through the Simpson values F_i with slopes f_i (``_read``).  The cubic
+    is monotone between its turning points, one in each interval where f
+    changes sign, so the sup is taken over them and the scan's last sample:
+    a running max and min per checkpoint, once per block for the checkpoints
+    it has passed.  A checkpoint between samples reads F(x0) off its
+    interval and takes the turning points after it (one within 1e-6 steps of
+    a sample sits on it); every checkpoint needs an interval after it
+    (ValueError otherwise).
     """
     x0s = sorted(float(v) for v in x0_list)
-    idx0 = [int(round((v - x_lo) / h)) for v in x0s]
-    if idx0[-1] >= n:
+    at = []  # (interval, offset in steps) per checkpoint
+    for p in ((v - x_lo) / h for v in x0s):
+        i = round(p) if abs(p - round(p)) < 1e-6 else int(np.floor(p))
+        at.append((i, max(p - i, 0.0)))
+    if at[-1][0] >= n:
         raise ValueError("need every x0 below x_max")
     F0 = [0.0] * len(x0s)
     hi = [-np.inf] * len(x0s)
     lo = [np.inf] * len(x0s)
-    for start, xs, F in cumulative_blocks(make_integrand, x_lo, h, n):
-        for j, i0 in enumerate(idx0):
-            if i0 < start + xs.size:
-                tail = F[max(i0 - start, 0):]
-                if i0 >= start:
-                    F0[j] = float(tail[0])
-                hi[j] = max(hi[j], float(tail.max()))
-                lo[j] = min(lo[j], float(tail.min()))
-    return x0s, [max(u - f, f - d) for f, u, d in zip(F0, hi, lo)]
+    for start, fs, F in cumulative_blocks(make_integrand, x_lo, h, n):
+        last = fs.size - 1
+        k = np.flatnonzero(fs[:-1] * fs[1:] < 0.0)
+        # the turning point is the root in (0, 1) of the slope
+        # fs[k] + 2b t + 3c t^2, one of the stable pair fs[k]/q, q/(3c)
+        b, c = _cubic(F, fs, h, k)
+        q = -(b + np.copysign(np.sqrt(np.maximum(b * b - 3.0 * c * fs[k],
+                                                 0.0)), b))
+        with np.errstate(divide="ignore"):
+            t, t2 = fs[k] / q, q / (3.0 * c)
+        t = np.clip(np.where((t >= 0.0) & (t <= 1.0), t, t2), 0.0, 1.0)
+        if start + last == n:
+            k, t = np.append(k, last - 1), np.append(t, 1.0)
+        Fk, pos = _read(F, fs, h, k, t), k + t
+        top, bot = Fk.max(initial=-np.inf), Fk.min(initial=np.inf)
+        for j, (i, s) in enumerate(at):
+            if i < start:
+                hi[j], lo[j] = max(hi[j], top), min(lo[j], bot)
+            elif i < start + last:  # x0 lies in this block
+                F0[j] = float(_read(F, fs, h, i - start, s))
+                after = Fk[np.searchsorted(pos, i - start + s, "right"):]
+                hi[j] = max(F0[j], after.max(initial=-np.inf))
+                lo[j] = min(F0[j], after.min(initial=np.inf))
+    return x0s, [float(max(u - f, f - d)) for f, u, d in zip(F0, hi, lo)]
 
 
 def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
@@ -146,10 +201,10 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
         raise HypothesisViolated("need beta2 > 1/2")
     beta = min(beta2, beta1 + beta2 - 1.0, 2.0 * beta2 - 1.0)
     x_lo = min(float(v) for v in x0_list)
-    if x_lo <= 0.0 or x_max <= x_lo:
-        raise ValueError("need 0 < min(x0) < x_max")
+    if x_lo <= 0.0 or max(float(v) for v in x0_list) >= x_max:
+        raise ValueError("need 0 < x0 < x_max for every x0")
     # A fixed step from x_lo (ending at or past x_max): checkpoints stay put.
-    h = 0.04 / (abs(a) + 1.0)
+    h = SCAN_PHASE_STEP / (abs(a) + 1.0)
     n = max(2, int(np.ceil((x_max - x_lo) / h)))
 
     if beta1 == 1.0:
@@ -194,13 +249,14 @@ def oscillatory_check_42(target: EmbeddingTarget, Gamma, a: float, x0_list,
     data = target.data
     g1f = data.gamma1_f
     x_lo = min(float(v) for v in x0_list)
-    if x_lo <= 0.0 or x_max <= x_lo:
-        raise ValueError("need 0 < min(x0) < x_max")
+    if x_lo <= 0.0 or max(float(v) for v in x0_list) >= x_max:
+        raise ValueError("need 0 < x0 < x_max for every x0")
     slope_per = np.max(np.abs(np.diff(data.gamma1))) * data.x.size / TWO_PI
     rate = abs(a) + abs(g1f.slope) + float(slope_per) + 1.0 / x_lo
-    # Step 1/m, never coarser than 0.04/rate: sample i = x_lo + i/m sits at
-    # the phase t[i mod m], so Gamma and gamma are tabulated once and tiled.
-    m = int(np.ceil(max(rate, 0.5) / 0.04))
+    # Step 1/m, never coarser than SCAN_PHASE_STEP/rate: sample i = x_lo +
+    # i/m sits at the phase t[i mod m], so Gamma and gamma are tabulated once
+    # and tiled, long enough for a block to start at any phase.
+    m = int(np.ceil(max(rate, 0.5) / SCAN_PHASE_STEP))
     t = frac(x_lo + np.arange(m) / m)
     G, G1 = (np.asarray(Gamma(s), dtype=float) for s in (t, t + 1.0))
     drift = float(np.max(np.abs(G1 - G)))
@@ -208,15 +264,15 @@ def oscillatory_check_42(target: EmbeddingTarget, Gamma, a: float, x0_list,
         raise HypothesisViolated(
             f"Gamma is not 1-periodic: it moves by {drift:.2e} over a period")
     gamma = g1f(t) - g1f.slope * t  # the periodic part of gamma1
+    n = max(2, int(np.ceil((x_max - x_lo) * m)))
+    G, gamma = (np.resize(tab, min(n, _util.QUAD_BLOCK) + 1 + m)
+                for tab in (G, gamma))
 
     def integrand(xs):
-        i = int(round((xs[0] - x_lo) * m))  # this block's first sample
-        reps = -(-xs.size // m)  # whole periods covering the block
-        Gs, gs = (np.tile(np.roll(tab, -i), reps)[:xs.size]
-                  for tab in (G, gamma))
+        i = int(round((xs[0] - x_lo) * m)) % m  # this block's first phase
+        Gs, gs = G[i:i + xs.size], gamma[i:i + xs.size]
         return Gs * np.sin(a * xs + gs + np.log(xs)) / xs
 
-    n = max(2, int(np.ceil((x_max - x_lo) * m)))
     x0s, sups = _sup_scan(integrand, x_lo, 1.0 / m, n, x0_list)
     prods = [s * v for s, v in zip(sups, x0s)]
     return OscCheck(

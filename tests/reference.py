@@ -14,6 +14,10 @@ the same order, so the same nodes, slopes and nfev.
 
 ``loop_magnus`` is the plain product of Magnus steps that the blocked,
 halved and scanned ``floquet.magnus_chain`` must equal to rounding.
+
+``simpson_expressions`` is the cumulative Simpson rule as whole-array
+expressions, which the in-place ``_util.cumulative_simpson_uniform`` must
+equal bit for bit.
 """
 
 import math
@@ -165,3 +169,27 @@ def loop_magnus(exponent, x0, x1, n):
                              np.stack([c, -a], -1)], -2)) @ Phi
         out.append(Phi)
     return np.stack(np.broadcast_arrays(*out), axis=-3)
+
+
+def simpson_expressions(f, h, f0=0.0):
+    """Composite Simpson at even indices, the three-point rule forward at
+    odd ones and backward at a trailing one, each as one array expression."""
+    n = f.size
+    out = np.empty(n)
+    out[0] = f0
+    if n == 1:
+        return out
+    if n == 2:
+        out[1] = f0 + 0.5 * h * (f[0] + f[1])
+        return out
+    npairs = (n - 1) // 2
+    a = f[0 : 2 * npairs - 1 : 2]
+    b = f[1 : 2 * npairs : 2]
+    c = f[2 : 2 * npairs + 1 : 2]
+    even = f0 + np.cumsum(h / 3.0 * (a + 4.0 * b + c))
+    out[2 : 2 * npairs + 1 : 2] = even
+    left = np.concatenate(([f0], even[:-1]))
+    out[1 : 2 * npairs : 2] = left + h / 12.0 * (5.0 * a + 8.0 * b - c)
+    if n % 2 == 0:
+        out[-1] = out[-2] + h / 12.0 * (-f[-3] + 8.0 * f[-2] + 5.0 * f[-1])
+    return out

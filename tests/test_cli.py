@@ -271,23 +271,46 @@ REMOVED_FLAGS = {
     "--band-edge-margin": "0", "--rho-margin": "5", "--taper-width": "1",
     "--safety": "1", "--xi0": "1.5", "--scan-lo": "0", "--scan-hi": "3",
     "--scan-resolution": "0.01", "--max-product-ratio": "4",
-    "--use-cos": None}
+    "--use-cos": None, "--c": "2"}
 
 
 @pytest.mark.parametrize("flag", list(REMOVED_FLAGS))
-def test_removed_flag_is_usage_error(tmp_path, small_run, flag):
+def test_removed_flag_is_usage_error(tmp_path, small_run, capsys, flag):
     # No flag but --out overrides a config key, the oscillatory bound is
-    # verify.PRODUCT_RATIO_MAX, and the power-law scan has no cos form.
+    # verify.PRODUCT_RATIO_MAX, and the power-law scan has no cos form and
+    # no constant c.  argparse must name the flag itself: with prefixes
+    # allowed, --c 2 read as --config 2 and failed on the missing file.
     cfg_path, out = small_run
     commands = [["bands"], ["floquet", "--lam", "0.7"], ["synth"],
                 ["verify", "--manifest", os.path.join(out, "manifest.json")]]
-    if flag in ("--max-product-ratio", "--use-cos"):
+    if flag in ("--max-product-ratio", "--use-cos", "--c"):
         commands = [["oscillatory", "--a", "1", "--beta1", "1", "--beta2",
                      "1", "--x0", "10", "--x-max", "100"]]
     value = [] if REMOVED_FLAGS[flag] is None else [REMOVED_FLAGS[flag]]
     for argv in commands:
         assert main(argv + ["--config", cfg_path, "--out", str(tmp_path),
                             flag] + value) == EXIT_USAGE, argv[0]
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# A prefix of a flag that stays, on a command line that ran while argparse
+# took prefixes: --c and --conf loaded the config (exit 0), and --allow
+# waived the resonance guard (exit 1 where the guard gives 3).
+FLAG_PREFIXES = {
+    "--c": ["oscillatory", "--a", "1", "--beta1", "1", "--beta2", "1",
+            "--x0", "10", "--x-max", "100", "--c", "CONFIG"],
+    "--conf": ["synth", "--config", "CONFIG", "--conf", "CONFIG"],
+    "--allow": ["oscillatory", "--config", "CONFIG", "--lam", "0.7", "--a",
+                "0", "--x0", "10", "--x-max", "100", "--allow"]}
+
+
+@pytest.mark.parametrize("flag", list(FLAG_PREFIXES))
+def test_flag_prefix_is_usage_error(tmp_path, small_run, capsys, flag):
+    cfg_path, _ = small_run
+    argv = [cfg_path if a == "CONFIG" else a for a in FLAG_PREFIXES[flag]]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import dirac_rhs
+from reference import dirac_rhs, simpson_expressions
 from scipy.integrate import solve_ivp
 
 from diracembed.floquet import _cell_exponents, integrate, monodromy
 from diracembed.periodic_core import PeriodicCoefficient, eval_coefficient
 from diracembed import _util
 from diracembed._util import (
+    SIMPSON_BIAS,
     cumulative_blocks,
     cumulative_simpson_uniform,
     fit_line,
@@ -216,6 +217,32 @@ def test_cumulative_simpson_offset_and_small_sizes():
     assert np.allclose(shifted, plain + 3.0, atol=1e-14)
 
 
+def test_cumulative_simpson_equals_its_expressions_bit_for_bit():
+    # The rule runs in place; synth's slaved quadrature keeps its bits.
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 12), 1000, 1001]:
+        f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        for h, f0 in ((0.07, 0.0), (1.0 / 15.0, -2.7e3)):
+            assert cumulative_simpson_uniform(f, h, f0).tobytes() \
+                == simpson_expressions(f, h, f0).tobytes(), (n, h, f0)
+
+
+@pytest.mark.parametrize("n", [400, 401])
+def test_simpson_bias_is_the_h4_term_of_each_rule(n):
+    # f = cos, so F = sin and f''' = sin: F_i - sin(x_i) is h^4 sin(x_i)
+    # times the bias of sample i's rule, to within O(h^6).  400 samples end
+    # on a trailing point, 401 on a Simpson pair.
+    h = 0.05
+    x = h * np.arange(n)
+    even, odd, trail = SIMPSON_BIAS
+    bias = np.where(np.arange(n) % 2 == 0, even, odd)
+    if n % 2 == 0:
+        bias[-1] = trail
+    err = cumulative_simpson_uniform(np.cos(x), h) - np.sin(x)
+    assert np.max(np.abs(err)) > 0.03 * h**4
+    assert np.max(np.abs(err - h**4 * bias * np.sin(x))) < 2e-3 * h**4
+
+
 @pytest.mark.parametrize("block", [2, 3, 7])
 def test_cumulative_blocks_exact_on_quadratics_across_seams(monkeypatch,
                                                             block):
@@ -227,15 +254,18 @@ def test_cumulative_blocks_exact_on_quadratics_across_seams(monkeypatch,
     def prim(x):
         return x**3 - x**2 + 0.5 * x
 
+    def f(x):
+        return 3.0 * x**2 - 2.0 * x + 0.5
+
     starts = []
-    for start, xs, F in cumulative_blocks(lambda x: 3.0 * x**2 - 2.0 * x + 0.5,
-                                          lo, h, n):
-        assert 3 <= xs.size <= block + 1
-        assert np.array_equal(xs, lo + np.arange(start, start + xs.size) * h)
+    for start, fs, F in cumulative_blocks(f, lo, h, n):
+        assert 3 <= fs.size <= block + 1
+        xs = lo + np.arange(start, start + fs.size) * h
+        assert np.array_equal(fs, f(xs))  # the samples the integral used
         assert np.max(np.abs(F - (prim(xs) - prim(lo)))) < 1e-12
         starts.append(start)
     assert starts == list(range(0, n, block))
-    assert start + xs.size - 1 == n
+    assert start + fs.size - 1 == n
 
 
 def test_smoothstep_limits_and_monotonicity():

@@ -186,7 +186,8 @@ def test_oscillatory_powerlaw_products_bounded():
 
 def test_oscillatory_powerlaw_checkpoints_stay_on_the_grid():
     # The step is fixed from min x0, so a longer horizon only appends
-    # samples; re-spacing it to end on x_max moved the 1e3 checkpoint.
+    # samples and each checkpoint keeps its place on the grid (1e3 falls
+    # between two samples); re-spacing it to end on x_max moved them.
     x0s = [10.0, 100.0, 1000.0]
     base = oscillatory_check_41(a=1.0, beta1=1.0, beta2=1.0, x0_list=x0s,
                                 x_max=1e4)
@@ -263,6 +264,44 @@ def test_sup_scan_block_size_leaves_the_sups(monkeypatch):
     assert np.allclose(split[1], one[1], rtol=1e-12, atol=0.0)
 
 
+def test_sup_scan_finds_the_sup_between_samples():
+    # F = sin x from x0 = -pi/2: the sup of |F - F(x0)| is 2, at pi/2,
+    # which the step pi/9.5 puts halfway between two samples.
+    h, x0 = np.pi / 9.5, -np.pi / 2
+    n = 20
+    samples = np.sin(x0 + h * np.arange(n + 1)) + 1.0
+    assert 2.0 - samples.max() > 1e-2  # the largest sample misses it
+    _, (sup,) = _sup_scan(np.cos, x0, h, n, [x0])
+    assert sup == pytest.approx(2.0, rel=1e-5, abs=0.0)
+
+
+def _fine_sup(f, x0, h, end):
+    """sup from x0 at an 8x finer step, to the coarse scan's last sample."""
+    n = round((end - x0) / (h / 8.0))
+    return _sup_scan(f, x0, h / 8.0, n, [x0])[1][0]
+
+
+def test_sup_scan_reads_checkpoints_off_the_grid():
+    # 57.3 lies 0.71 of a step past a sample; snapping it to the nearest
+    # one moved its sup by 1.6e-4.
+    h, n = 0.07, 3000
+    assert 0.2 < (57.3 - 10.0) / h % 1.0 < 0.8
+    _, sups = _sup_scan(seam_integrand, 10.0, h, n, [10.0, 57.3])
+    fine = _fine_sup(seam_integrand, 57.3, h, 10.0 + n * h)
+    assert sups[1] == pytest.approx(fine, rel=1e-6, abs=0.0)
+
+
+def test_oscillatory_powerlaw_checkpoint_off_the_grid():
+    # Snapping 1e3 to the nearest sample moved its sup by 1e-2.
+    rep = oscillatory_check_41(a=1.0, beta1=1.0, beta2=1.0,
+                               x0_list=[1e2, 1e3], x_max=1e4)
+    h = verify.SCAN_PHASE_STEP / 2.0
+    assert 0.1 < (1e3 - 1e2) / h % 1.0 < 0.9  # 1e3 is not a sample
+    end = 1e2 + np.ceil((1e4 - 1e2) / h) * h
+    fine = _fine_sup(lambda xs: np.sin(xs + np.log1p(xs)) / xs, 1e3, h, end)
+    assert rep.sup_integral[1] == pytest.approx(fine, rel=1e-5, abs=0.0)
+
+
 def test_sup_scan_rejects_checkpoints_past_x_max():
     with pytest.raises(ValueError):
         _sup_scan(np.sin, 10.0, 0.1, 900, [10.0, 150.0])
@@ -307,6 +346,18 @@ def test_oscillatory_periodic_checkpoints_stay_on_the_grid(generic_target_09):
     assert np.allclose(longer.sup_integral, base.sup_integral,
                        rtol=1e-9, atol=0.0)
     assert base.max_product_ratio < 4.0
+
+
+def test_oscillatory_periodic_sups_match_a_finer_scan(monkeypatch,
+                                                     generic_target_09):
+    t = generic_target_09
+    x0s = [1e2, 1e3]
+    rep = oscillatory_check_42(t, t.data.Psi_f, 1.0, x0s, x_max=2e3)
+    monkeypatch.setattr(verify, "SCAN_PHASE_STEP",
+                        verify.SCAN_PHASE_STEP / 8.0)
+    fine = oscillatory_check_42(t, t.data.Psi_f, 1.0, x0s, x_max=2e3)
+    assert np.allclose(rep.sup_integral, fine.sup_integral, rtol=2e-6,
+                       atol=0.0)
 
 
 def test_oscillatory_periodic_requires_periodic_gamma(free_target_07,
