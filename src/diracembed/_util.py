@@ -103,31 +103,30 @@ class PeriodicField:
 class FrameTable:
     """(delta', u, v, Psi) of four PeriodicFields in one table lookup.
 
-    Their cubic coefficients on the shared period ``grid`` form one flat
-    (m, 16) table, row i holding c0..c3 of each field (delta's quadratic
-    derivative padded with a zero c0, a constant field as [0, 0, 0, const]).
-    x is a float: the lookup repeats the fields' periodic wrap, interval
-    choice and power sum in pure Python (``pruefer.phase_law`` inlines it),
-    so values equal the field calls bit for bit; a constant frame returns
-    its constants.
+    Only delta winds (``slope``).  Row i of the table on the shared period
+    ``grid`` holds the 15 coefficients the lookup reads: delta's quadratic
+    derivative, then c0..c3 of u, v and Psi (a constant field as (0, 0, 0,
+    const)).  x is a float: the lookup repeats the fields' periodic wrap,
+    interval choice and power sum in pure Python (``pruefer.phase_law``
+    inlines it), so values equal the field calls bit for bit; a constant
+    frame returns its constants.
     """
 
     def __init__(self, grid, delta: PeriodicField, u: PeriodicField,
                  v: PeriodicField, Psi: PeriodicField):
-        fields, splines = (delta, u, v, Psi), (delta._dsp, u._sp, v._sp, Psi._sp)
-        self.slopes = tuple(f.slope for f in fields)
-        self.const = None
-        if all(sp is None for sp in splines) and not any(self.slopes[1:]):
+        if u.slope or v.slope or Psi.slope:
+            raise ValueError("only delta may wind in a frame table")
+        self.slope, self.const = delta.slope, None
+        if all(sp is None for sp in (delta._dsp, u._sp, v._sp, Psi._sp)):
             self.const = (delta.slope, u.const, v.const, Psi.const)
             return
-        C = np.zeros((4, len(grid) - 1, 4))
-        for j, (f, sp) in enumerate(zip(fields, splines)):
-            if sp is not None:
-                C[4 - sp.c.shape[0]:, :, j] = sp.c
-            elif j:  # a constant derivative column stays zero
-                C[3, :, j] = f.const
         self.bp, self.m = grid.tolist(), len(grid) - 1
-        self.rows = C.transpose(1, 2, 0).reshape(self.m, 16).tolist()
+        C = np.zeros((15, self.m))
+        if delta._dsp is not None:  # a constant delta' stays zero
+            C[:3] = delta._dsp.c
+        for j, f in zip((3, 7, 11), (u, v, Psi)):
+            C[j:j + 4] = [[0.0]] * 3 + [[f.const]] if f._sp is None else f._sp.c
+        self.rows = list(map(tuple, C.T.tolist()))
 
     def __call__(self, x: float):
         if self.const is not None:
@@ -143,12 +142,11 @@ class FrameTable:
             i += 1
         s = t - bp[i]
         ss, sss = s * s, s * s * s
-        (d0, d1, d2, d3, u0, u1, u2, u3, v0, v1, v2, v3, P0, P1, P2, P3), \
-            (s0, s1, s2, s3) = self.rows[i], self.slopes
-        return (s0 + (((d3 + d2 * s) + d1 * ss) + d0 * sss),
-                s1 * x + (((u3 + u2 * s) + u1 * ss) + u0 * sss),
-                s2 * x + (((v3 + v2 * s) + v1 * ss) + v0 * sss),
-                s3 * x + (((P3 + P2 * s) + P1 * ss) + P0 * sss))
+        d1, d2, d3, u0, u1, u2, u3, v0, v1, v2, v3, P0, P1, P2, P3 = self.rows[i]
+        return (self.slope + ((d3 + d2 * s) + d1 * ss),
+                ((u3 + u2 * s) + u1 * ss) + u0 * sss,
+                ((v3 + v2 * s) + v1 * ss) + v0 * sss,
+                ((P3 + P2 * s) + P1 * ss) + P0 * sss)
 
 
 def decimate(n: int, stride: int) -> np.ndarray:

@@ -169,21 +169,21 @@ def rate_floor(rate: float) -> float:
 def phase_law(data: DerivedPeriodicData, two_c: float, b_s: float, window):
     """zeta' = xi' - rate = k2 + d - rate + g (u - v - Psi cos xi) at floats,
     g = two_c w(x) sin xi/(x - b_s), w the taper of window = (lo, hi, width)
-    (none at width 0) off its plateau.  A constant frame is folded into two
-    constants; a periodic row is summed inline as ``FrameTable`` sums it."""
-    rate, k2 = xi_rate(data), 2.0 * data.k
+    (none at width 0) off its plateau.  A constant frame has k2 + d - rate
+    = 0.0 and one u - v; a periodic row is summed as ``FrameTable`` sums it."""
     p_lo, p_hi = taper_plateau(*window) if window[2] > 0.0 else (-math.inf, math.inf)
     sin, cos, floor, frame = math.sin, math.cos, math.floor, data.frame
     if frame.const is not None:
-        d, u, v, P = frame.const
-        c0, uv = k2 + d - rate, u - v
+        _, u, v, P = frame.const
+        uv = u - v
 
-        def const_law(x, xi):
+        def const_law(x, xi):  # + 0.0 turns a vanished taper's -0.0 into +0.0
             g = two_c if p_lo <= x <= p_hi else two_c * taper_window(x, *window)
-            return c0 + g * sin(xi) / (x - b_s) * (uv - P * cos(xi))
+            return g * sin(xi) / (x - b_s) * (uv - P * cos(xi)) + 0.0
 
         return const_law
-    (bp, rows, m), (s0, s1, s2, s3) = (frame.bp, frame.rows, frame.m), frame.slopes
+    rate, k2, d = xi_rate(data), 2.0 * data.k, frame.slope
+    bp, rows, m = frame.bp, frame.rows, frame.m
 
     def law(x, xi):
         t = (x - floor(x)) % 1.0
@@ -194,13 +194,13 @@ def phase_law(data: DerivedPeriodicData, two_c: float, b_s: float, window):
             i += 1
         s = t - bp[i]
         ss, sss = s * s, s * s * s
-        d0, d1, d2, d3, u0, u1, u2, u3, v0, v1, v2, v3, P0, P1, P2, P3 = rows[i]
+        d1, d2, d3, u0, u1, u2, u3, v0, v1, v2, v3, P0, P1, P2, P3 = rows[i]
         g = two_c if p_lo <= x <= p_hi else two_c * taper_window(x, *window)
-        return (k2 + (s0 + (((d3 + d2 * s) + d1 * ss) + d0 * sss)) - rate
+        return (k2 + (d + ((d3 + d2 * s) + d1 * ss)) - rate
                 + g * sin(xi) / (x - b_s)
-                * (s1 * x + (((u3 + u2 * s) + u1 * ss) + u0 * sss)
-                   - (s2 * x + (((v3 + v2 * s) + v1 * ss) + v0 * sss))
-                   - (s3 * x + (((P3 + P2 * s) + P1 * ss) + P0 * sss)) * cos(xi)))
+                * ((((u3 + u2 * s) + u1 * ss) + u0 * sss)
+                   - (((v3 + v2 * s) + v1 * ss) + v0 * sss)
+                   - (((P3 + P2 * s) + P1 * ss) + P0 * sss) * cos(xi)))
 
     return law
 

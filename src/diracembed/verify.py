@@ -211,14 +211,27 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
         def theta(xs):
             return a * xs + np.log1p(xs)
     else:
-        # theta(x) = a*x + int_0^x dt/(1+t^beta1), tabulated once up to
-        # the scan's last sample, which may lie past x_max.
-        grid = np.linspace(0.0, x_lo + n * h, 400_001)
-        prim = cumulative_simpson_uniform(1.0 / (1.0 + grid ** beta1),
-                                          grid[1] - grid[0])
+        # theta(x) = a*x + Theta(x), Theta = int_0^x dt/(1+t^beta1), whose
+        # slope is infinite at 0 for beta1 < 1.  Theta(x_lo) once: the series
+        # sum (-t^beta1)^j on [0, eps], eps^beta1 = 1/2, then Simpson in ln t.
+        # Each scan interval then adds its three-point Gauss-Legendre rule to
+        # Theta at its block's first sample: x_lo, or the last block's end.
+        def f(t):
+            return 1.0 / (1.0 + t ** beta1)
+
+        eps = 0.5 ** (1.0 / beta1)
+        head = sum((-0.5) ** j * eps / (j * beta1 + 1.0) for j in range(64))
+        u = np.linspace(np.log(eps), np.log(x_lo), 20_001)
+        t = np.exp(u)
+        known = {x_lo: head + cumulative_simpson_uniform(f(t) * t, u[1] - u[0])[-1]}
+        off = 0.5 * h * np.sqrt(0.6)  # the outer Gauss points, about the midpoint
 
         def theta(xs):
-            return a * xs + np.interp(xs, grid, prim)
+            mid = xs[:-1] + 0.5 * h
+            T = known[xs[0]] + np.append(0.0, np.cumsum(
+                h / 18.0 * (5.0 * f(mid - off) + 8.0 * f(mid) + 5.0 * f(mid + off))))
+            known[xs[-1]] = T[-1]
+            return a * xs + T
 
     def integrand(xs):
         return np.sin(theta(xs)) / xs ** beta2

@@ -624,6 +624,28 @@ def test_phase_slope_is_the_phase_law_on_the_frame(which, free_data, mass_pq,
                        if not ((x - lo) / width >= 1.0 and (hi - x) / width >= 1.0)]
 
 
+@pytest.mark.parametrize("which", ["free", "mass", "generic"])
+def test_phase_law_drops_only_zero_terms(which, free_data, mass_pq,
+                                         generic_data):
+    """The terms the law and the frame table leave out are zero: u, v and
+    Psi never wind, and in a constant frame k2 + d - rate is +0.0 bit for
+    bit, the zero the constant law adds.  A table row holds the 15
+    coefficients the lookup reads, and a winding modulus is refused."""
+    data = {"free": free_data, "generic": generic_data,
+            "mass": mass_data(mass_pq)}[which]
+    assert data.u_f.slope == data.v_f.slope == data.Psi_f.slope == 0.0
+    frame = data.frame
+    assert frame.slope == data.delta_f.slope
+    if frame.const is not None:
+        c0 = 2.0 * data.k + frame.const[0] - xi_rate(data)
+        assert c0 == 0.0 and math.copysign(1.0, c0) == 1.0
+    else:
+        assert {len(row) for row in frame.rows} == {15}
+    wound = _util.PeriodicField(0.5, grid=data.x, values=data.u)
+    with pytest.raises(ValueError, match="only delta may wind"):
+        _util.FrameTable(data.x, data.delta_f, wound, data.v_f, data.Psi_f)
+
+
 def test_dop853_tableau_is_scipys():
     """The stepper reads scipy's private DOP853 module (present in every
     scipy >= 1.13); pin what it reads and the control constants."""

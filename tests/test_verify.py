@@ -139,18 +139,30 @@ def free_pair(small_pot, free_target_13):
 
 def _direct_ratios(bystander, piece, n_phases, xs):
     """max R over the samples xs from one solve_ivp run of the (ln R, xi)
-    system per phase eta0 = 2 pi j/n.  The system is 2 pi-periodic in xi,
-    so eta0 + pi repeats eta0 and only the first half of the phases runs."""
+    system per phase eta0 = 2 pi j/n, restarted at every node of the
+    piece's grid so that V_interp is smooth inside every call, each call's
+    dense output read at the samples in its interval.  The system is 2
+    pi-periodic in xi, so eta0 + pi repeats eta0 and only the first half
+    of the phases runs."""
     start, stop = xs[0], xs[-1]
+    sign = 1.0 if stop > start else -1.0
+    nodes = piece.x_grid[::int(sign)].copy()
+    nodes[0], nodes[-1] = start, stop
+    cuts = np.searchsorted(sign * xs, sign * nodes, "right")
     data = bystander.data
     g1s, G2s = float(data.gamma1_f(start)), float(data.Gamma2_f(start))
     rhs = R_xi_system(data, piece.V_interp)
     out = []
     for eta0 in 2.0 * np.pi * np.arange(n_phases // 2) / n_phases:
-        sol = solve_ivp(rhs, (start, stop), [0.0, 2.0 * (eta0 + g1s) + G2s],
-                        method="DOP853", rtol=1e-10, atol=1e-12, t_eval=xs)
-        assert sol.success
-        out.append(float(np.exp(np.max(sol.y[0]))))
+        y, top = [0.0, 2.0 * (eta0 + g1s) + G2s], 0.0  # ln R at xs[0]
+        for lo, hi, i, j in zip(nodes[:-1], nodes[1:], cuts[:-1], cuts[1:]):
+            sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-10,
+                            atol=1e-12, dense_output=True)
+            assert sol.success
+            if j > i:
+                top = max(top, float(np.max(sol.sol(xs[i:j])[0])))
+            y = sol.y[:, -1]
+        out.append(float(np.exp(top)))
     return out + out
 
 
@@ -233,6 +245,24 @@ def test_oscillatory_powerlaw_phase_reaches_the_last_sample(monkeypatch):
     assert xs[-1] > 10.51
     exact = np.sin(xs + np.arctan(xs)) / xs
     assert np.max(np.abs(integrand(xs) - exact)) < 1e-12
+
+
+def test_oscillatory_powerlaw_phase_is_exact_across_the_scan():
+    # beta1 = 1/2: Theta = int_0^x dt/(1 + sqrt t) = 2 sqrt x - 2 ln(1 + sqrt x)
+    # in closed form, and its slope is infinite at 0.  Over [1e2, 1e6] the
+    # check's sups equal the same scan's on the closed-form phase.
+    a, x0s, x_max = 1.0, [1e2, 1e3, 1e4], 1e6
+    rep = oscillatory_check_41(a=a, beta1=0.5, beta2=1.0, x0_list=x0s,
+                               x_max=x_max)
+    h = verify.SCAN_PHASE_STEP / (abs(a) + 1.0)
+
+    def closed(xs):
+        r = np.sqrt(xs)
+        return np.sin(a * xs + 2.0 * r - 2.0 * np.log1p(r)) / xs
+
+    _, ref = _sup_scan(closed, x0s[0], h, int(np.ceil((x_max - x0s[0]) / h)),
+                       x0s)
+    assert rep.sup_integral == pytest.approx(ref, rel=1e-5)
 
 
 def seam_integrand(xs):
