@@ -1,10 +1,13 @@
 """Small helpers: piecewise cubics, periodic fields and their frame table,
-decimation, cumulative Simpson (whole or in blocks), windows, CSV/JSON output."""
+decimation, cumulative Simpson (whole or in blocks), windows, CSV/JSON output,
+and the two half-lines run side by side."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -15,6 +18,10 @@ from .errors import InvariantDrift
 # pairs match the one-block integral; small, so a block's temporaries stay
 # a few MB.
 QUAD_BLOCK = 2 ** 16
+# both_sides forks only on Linux, where fork is the default start method and
+# numpy's OpenBLAS stops its threads across a fork; elsewhere the two sides
+# run in this process, one after the other.
+FORK_SIDES = sys.platform.startswith("linux")
 
 
 def frac(x):
@@ -292,3 +299,60 @@ def write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def both_sides(fn):
+    """(fn(1), fn(-1)): the plus side in a forked child, the minus side here.
+
+    The half-lines share no state, so the child computes fn(1) while this
+    process computes fn(-1).  The child pickles its value, or the exception
+    it raised, into a pipe and ends by os._exit, so it runs no exit handler
+    and flushes no stdio buffer it inherited.  The outcome is the one-process
+    run's, fn(1) first: an exception from fn(1) is raised ahead of one from
+    fn(-1).  The child is always reaped, and killed first when this process
+    is interrupted.  Without FORK_SIDES both sides run here.
+    """
+    if not FORK_SIDES:
+        return fn(1), fn(-1)
+    import pickle  # not at import: only the two-sided commands need it
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                out = fn(1), None
+            except Exception as exc:
+                out = None, exc
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)  # all or nothing
+            with open(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            try:
+                minus, minus_exc = fn(-1), None
+            except Exception as exc:
+                minus, minus_exc = None, exc
+            try:
+                plus, plus_exc = pickle.load(pipe)
+            except EOFError:  # the child died, or could not pickle its outcome
+                plus, plus_exc = None, RuntimeError(
+                    "the plus side's process ended without an outcome")
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if plus_exc is not None:
+        raise plus_exc
+    if minus_exc is not None:
+        raise minus_exc
+    return plus, minus

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from ._util import write_json, write_rows
+from ._util import both_sides, write_json, write_rows
 from .config import ENVELOPES, RunConfig
 from .errors import (
     DiracEmbedError,
@@ -35,6 +35,7 @@ from .synth import (
     assemble,
     check_nonresonance,
     envelope_excess,
+    read_manifest,
     rebuild_potential,
     schedule,
     write_manifest,
@@ -130,51 +131,61 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
     out = _out_dir(cfg)
-    pot = rebuild_potential(manifest_path)
-    targets = pot.targets
-
-    reports: list[dict] = []
+    manifest = read_manifest(manifest_path)
+    targets = manifest.targets
+    h = None
+    if manifest.metadata.get("mode") == "growing":
+        h_name = manifest.metadata.get("h_name")
+        if not isinstance(h_name, str) or h_name not in ENVELOPES:
+            raise ValueError(f"h_name: {h_name!r} in a growing-mode manifest "
+                             f"is not one of {sorted(ENVELOPES)}")
+        h = ENVELOPES[h_name]
 
     def record(check_name, fn, **context):
         try:
             rep = fn()
         except DiracEmbedError as exc:
-            d = {"name": check_name, "passed": False, "error": str(exc),
-                 **context}
-        else:
-            d = rep.to_dict()
-            d["passed"] = bool(d.get("verdict", True))
-        reports.append(d)
+            return {"name": check_name, "passed": False, "error": str(exc),
+                    **context}
+        d = rep.to_dict()
+        d["passed"] = bool(d.get("verdict", True))
+        return d
 
-    for i, target in enumerate(targets):
-        for side in (1, -1):
-            first = min((pc for pc in pot.pieces
-                         if pc.side == side and pc.lam == target.lam),
+    def one_side(side):
+        # Each report comes with its place in the order one process would
+        # check in: per target the checks on its first own piece, then per
+        # target the tail; the plus side first (-side).
+        pot = rebuild_potential(manifest, side)
+        reports = []
+        for i, target in enumerate(targets):
+            first = min((pc for pc in pot.pieces if pc.lam == target.lam),
                         key=lambda pc: pc.a, default=None)
             if first is None:
                 continue
-            record("decay", lambda t=target, pc=first: decay_check(t, pc),
-                   **{"lambda": target.lam, "side": side})
+            reports.append(((0, i, -side), record(
+                "decay", lambda t=target, pc=first: decay_check(t, pc),
+                **{"lambda": target.lam, "side": side})))
             for j, bystander in enumerate(targets):
                 if j == i:
                     continue
-                record("stability",
-                       lambda t=bystander, pc=first: stability_check(t, pc),
-                       **{"lambda_piece": target.lam,
-                          "lambda_bystander": bystander.lam, "side": side})
+                reports.append(((0, i, -side), record(
+                    "stability",
+                    lambda t=bystander, pc=first: stability_check(t, pc),
+                    **{"lambda_piece": target.lam,
+                       "lambda_bystander": bystander.lam, "side": side})))
+        for (i, _), track in track_targets(pot, targets).items():
+            reports.append(((1, i, -side), record(
+                "l2-tail", lambda tr=track: l2_tail_estimate(tr),
+                target=track.target_index, side=track.side)))
+        excess = None
+        if h is not None and pot.x_grid.size:
+            excess, _ = envelope_excess(pot.x_grid, pot.V_grid, h)
+        return reports, excess
 
-    tracks = track_targets(pot, targets)
-    for track in tracks.values():
-        record("l2-tail", lambda tr=track: l2_tail_estimate(tr),
-               target=track.target_index, side=track.side)
-
-    if pot.metadata.get("mode") == "growing":
-        h_name = pot.metadata.get("h_name")
-        if not isinstance(h_name, str) or h_name not in ENVELOPES:
-            raise ValueError(f"h_name: {h_name!r} in a growing-mode manifest "
-                             f"is not one of {sorted(ENVELOPES)}")
-        h = ENVELOPES[h_name]
-        excess, _ = envelope_excess(pot.x_grid, pot.V_grid, h)
+    (plus, plus_excess), (minus, minus_excess) = both_sides(one_side)
+    reports = [d for _, d in sorted(plus + minus, key=lambda kd: kd[0])]
+    if h is not None:
+        excess = max(e for e in (plus_excess, minus_excess) if e is not None)
         ok = excess <= ENVELOPE_TOL
         reports.append({"name": "envelope", "max_excess": excess,
                         "verdict": ok, "passed": ok})

@@ -66,6 +66,9 @@ class ResonantPair(DiracEmbedError):
             f"targets {i} and {j} violate the {condition} margin (value {value:.6g})"
         )
 
+    def __reduce__(self):  # the default passes the message as the only argument
+        return type(self), (self.i, self.j, self.condition, self.value), vars(self)
+
 
 class EnvelopeTooLarge(DiracEmbedError):
     """Coupling envelope 2C/(a-b) is not small next to the rotation rate 2k."""
@@ -104,6 +107,9 @@ class DecayTooSlow(DiracEmbedError):
     def __init__(self, slope: float, threshold: float):
         self.slope, self.threshold = slope, threshold
         super().__init__(f"fitted slope {slope:.3f} above threshold {threshold:.3f}")
+
+    def __reduce__(self):  # as ResonantPair's
+        return type(self), (self.slope, self.threshold), vars(self)
 
 
 class StabilityViolated(DiracEmbedError):

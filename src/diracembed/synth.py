@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (cumulative_simpson_uniform, decimate, taper_window,
-                    write_json, write_rows)
+from ._util import (both_sides, cumulative_simpson_uniform, decimate,
+                    taper_window, write_json, write_rows)
 from .errors import (
     EnvelopeTooLarge,
     EnvelopeViolation,
@@ -61,6 +61,8 @@ __all__ = [
     "SynthesizedPotential",
     "assemble",
     "write_manifest",
+    "Manifest",
+    "read_manifest",
     "rebuild_potential",
     "write_potential_csv",
 ]
@@ -447,7 +449,9 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     value so successive own pieces chain into one decaying solution;
     every active target's (ln R, xi) is then advanced across the new
     pieces.  Breakpoints satisfy C_bound * ratio^(-100) * 2^(N-1) <= 1/2
-    so each full cycle at worst halves every tracked amplitude.
+    so each full cycle at worst halves every tracked amplitude.  No side
+    reads the other's phases, so after the probe the plus and the minus
+    side run side by side (``_util.both_sides``).
 
     In growing-N mode targets activate one per cycle once
     h(T_r) >= SAFETY * (N+1) * max envelope of the first N+1 targets,
@@ -483,12 +487,11 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     else:
         N = n_targets
 
-    trackers = {(i, side): Tracker(i, t, side)
-                for i, t in enumerate(targets) for side in (1, -1)}
-
+    # Breakpoints, active prefixes and activations read no phase: the plan
+    # of owners per cycle comes first, and then each side follows it.
     T = [float(a0)]
     Ns: list[int] = []
-    pieces: list[PotentialPiece] = []
+    owners: list[int] = []
     activations: list[tuple[int, float]] = [(i, float(a0)) for i in range(N)]
     c = 0  # rotation pointer within the active prefix
     while True:
@@ -502,31 +505,47 @@ def schedule(targets, mode: str = "finite", a0: float = None,
         T_next = b + (T_r - b) * ratio
         if T_next > x_max:
             break
-        target = targets[c]
-        for side in (1, -1):
-            tracked = trackers[(c, side)].xi
+        owners.append(c)
+        T.append(T_next)
+        Ns.append(N)
+        c = (c + 1) % N
+
+    unpieced = [i for i in range(n_targets) if i not in owners]
+    if unpieced:
+        raise HorizonTooShort(
+            f"x_max = {x_max:.6g} reached before targets {unpieced} "
+            "received a piece; extend the horizon")
+
+    def one_side(side):
+        trackers = [Tracker(i, t, side) for i, t in enumerate(targets)]
+        pieces = []
+        for c, T_r, T_next in zip(owners, T, T[1:]):
+            tracked = trackers[c].xi
             seed = XI0 if tracked is None else tracked
-            traj = solve_xi(target, T_r, b, seed, T_next, side=side,
+            traj = solve_xi(targets[c], T_r, b, seed, T_next, side=side,
                             taper_width=min(TAPER_WIDTH, (T_next - T_r) / 4.0))
-            piece = piece_potential(target, traj)
+            piece = piece_potential(targets[c], traj)
             if mode == "growing":
                 excess, x_at = envelope_excess(piece.x_grid, piece.V_grid, h)
                 if excess > ENVELOPE_TOL:
                     raise EnvelopeViolation(
                         f"|V|(1+|x|) exceeds |h| by {excess:.4g} at "
                         f"x = {x_at:.6g}")
+            for tracker in trackers:
+                tracker.advance(piece)
+            piece.target = None  # the caller puts it back: no frame to pickle
             pieces.append(piece)
-            for i in range(n_targets):
-                trackers[(i, side)].advance(piece)
-        T.append(T_next)
-        Ns.append(N)
-        c = (c + 1) % N
+        return pieces, [tracker.record() for tracker in trackers]
 
-    unpieced = [i for i in range(n_targets) if not trackers[(i, 1)].own_starts]
-    if unpieced:
-        raise HorizonTooShort(
-            f"x_max = {x_max:.6g} reached before targets {unpieced} "
-            "received a piece; extend the horizon")
+    (plus, plus_tracks), (minus, minus_tracks) = both_sides(one_side)
+    pieces: list[PotentialPiece] = []
+    for c, pair in zip(owners, zip(plus, minus)):
+        for piece in pair:
+            piece.target = targets[c]
+            pieces.append(piece)
+    tracks = {(i, side): record for i, pair in
+              enumerate(zip(plus_tracks, minus_tracks))
+              for side, record in zip((1, -1), pair)}
     metadata = {
         "mode": mode, "a0": float(a0), "x_max": float(x_max), "b": float(b),
         "C_bound": float(C_bound), "K": float(K), "safety": SAFETY,
@@ -537,8 +556,7 @@ def schedule(targets, mode: str = "finite", a0: float = None,
     }
     return SynthesisSchedule(
         pieces=pieces, T=T, N=Ns, C_bound=float(C_bound), K=float(K),
-        tracks={key: tr.record() for key, tr in trackers.items()},
-        activations=activations, metadata=metadata)
+        tracks=tracks, activations=activations, metadata=metadata)
 
 
 @dataclass
@@ -553,9 +571,13 @@ class SynthesizedPotential:
     @property
     def targets(self) -> list[EmbeddingTarget]:
         """The pieces' targets, in metadata["targets"] order."""
-        by_lam = {pc.lam: pc.target for pc in self.pieces}
-        lams = (float(entry["lambda"]) for entry in self.metadata["targets"])
-        return [by_lam[lam] for lam in lams if lam in by_lam]
+        return _in_metadata_order({pc.lam: pc.target for pc in self.pieces},
+                                  self.metadata)
+
+
+def _in_metadata_order(by_lam: dict, metadata: dict) -> list[EmbeddingTarget]:
+    lams = (float(entry["lambda"]) for entry in metadata["targets"])
+    return [by_lam[lam] for lam in lams if lam in by_lam]
 
 
 def _assemble_pieces(pieces: list[PotentialPiece],
@@ -568,8 +590,9 @@ def _assemble_pieces(pieces: list[PotentialPiece],
             raise OverlapDetected(
                 f"pieces overlap: [{left.x_lo:.6g}, {left.x_hi:.6g}] vs "
                 f"[{right.x_lo:.6g}, {right.x_hi:.6g}]")
-    x_grid = np.concatenate([pc.x_grid for pc in pieces])
-    V_grid = np.concatenate([pc.V_grid for pc in pieces])
+    # The empty head keeps the grids defined on a side without pieces.
+    x_grid = np.concatenate([np.empty(0)] + [pc.x_grid for pc in pieces])
+    V_grid = np.concatenate([np.empty(0)] + [pc.V_grid for pc in pieces])
     return SynthesizedPotential(pieces=pieces, x_grid=x_grid, V_grid=V_grid,
                                 metadata=metadata)
 
@@ -604,8 +627,24 @@ def _field(doc, key: str, where: str = "", kind=numbers.Real):
     return float(val) if kind is numbers.Real else val
 
 
-def rebuild_potential(manifest) -> SynthesizedPotential:
-    """Re-synthesize a potential from its manifest (path or dict)."""
+@dataclass
+class Manifest:
+    """A read manifest: each piece's rebuild arguments in manifest order,
+    and the schedule metadata."""
+
+    pieces: list  # (target, side, a, b, xi0, x_end, C, taper_width)
+    metadata: dict
+
+    @property
+    def targets(self) -> list[EmbeddingTarget]:
+        """The pieces' targets, in metadata["targets"] order."""
+        return _in_metadata_order({entry[0].lam: entry[0]
+                                   for entry in self.pieces}, self.metadata)
+
+
+def read_manifest(manifest) -> Manifest:
+    """Check a manifest (path or dict) and build its targets; no phase lock
+    runs.  A value of the wrong JSON type is a ValueError naming its key."""
     if isinstance(manifest, (str, os.PathLike)):
         with open(manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -623,6 +662,7 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
     for i, entry in enumerate(_field(manifest, "targets", kind=list)):
         lam, C = (_field(entry, key, f"targets[{i}]") for key in ("lambda", "C"))
         frames[lam] = EmbeddingTarget.at(p, q, lam, C=C)
+        frames[lam].data.frame  # the locks' table, built once for both sides
     pieces = []
     for i, entry in enumerate(_field(manifest, "pieces", kind=list)):
         lam, a, b, xi0, x_end, C, tw = (
@@ -631,14 +671,26 @@ def rebuild_potential(manifest) -> SynthesizedPotential:
         side = _field(entry, "side", f"pieces[{i}]", str)
         if side not in ("plus", "minus"):
             raise ValueError(f"pieces[{i}].side: {side!r} is not plus/minus")
-        traj = solve_xi(frames[lam], a, b, xi0, x_end,
-                        side=1 if side == "plus" else -1, C=C,
-                        taper_width=tw)
-        pieces.append(piece_potential(frames[lam], traj))
+        pieces.append((frames[lam], 1 if side == "plus" else -1,
+                       a, b, xi0, x_end, C, tw))
+    if not pieces:
+        raise ValueError("pieces: the manifest lists none")
     # Every key but the four that rebuild the pieces is schedule metadata.
     meta = {key: val for key, val in manifest.items() if key not in
             ("coefficients", "integrator", "floquet_integrator", "pieces")}
-    return _assemble_pieces(pieces, meta)
+    return Manifest(pieces, meta)
+
+
+def rebuild_potential(manifest, side: int | None = None) -> SynthesizedPotential:
+    """Re-synthesize a potential from its manifest (path, dict or Manifest):
+    every piece, or only those on one side (+1 or -1)."""
+    if not isinstance(manifest, Manifest):
+        manifest = read_manifest(manifest)
+    pieces = [piece_potential(t, solve_xi(t, a, b, xi0, x_end, side=s, C=C,
+                                          taper_width=tw))
+              for t, s, a, b, xi0, x_end, C, tw in manifest.pieces
+              if side in (None, s)]
+    return _assemble_pieces(pieces, manifest.metadata)
 
 
 def write_potential_csv(pot: SynthesizedPotential, path: str) -> None:

@@ -15,7 +15,7 @@ from diracembed.cli import (
     EXIT_USAGE,
     main,
 )
-from diracembed.synth import SynthesizedPotential, rebuild_potential
+from diracembed.synth import Manifest, SynthesizedPotential, rebuild_potential
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,10 @@ def _verify_growing_manifest(tmp_path, monkeypatch, metadata, V0,
     manifest.write_text(json.dumps(metadata))
     pot = SynthesizedPotential(pieces=[], x_grid=np.array([0.0]),
                                V_grid=np.array([V0]), metadata=metadata)
-    monkeypatch.setattr(cli, "rebuild_potential", lambda manifest: pot)
+    # Both sides rebuild to this one sample, so the merged excess is V0.
+    monkeypatch.setattr(cli, "read_manifest",
+                        lambda path: Manifest([], metadata))
+    monkeypatch.setattr(cli, "rebuild_potential", lambda manifest, side: pot)
     monkeypatch.setitem(ENVELOPES, "log", np.zeros_like)
     return main(["verify", "--config", str(tmp_path / "config.json"),
                  "--manifest", str(manifest)])
