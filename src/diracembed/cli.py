@@ -1,7 +1,8 @@
 """Command line front end: bands, floquet, synth, verify, oscillatory.
 
 Every subcommand reads one JSON config (only --out overrides a key, the
-output directory), writes its artifacts there, and returns a
+output directory) and writes its artifacts there; verify works from a
+manifest, and checks a config, if given, against it.  Each returns a
 process exit code: 0 all checks pass, 1 a check failed, 2 usage/config
 error, 3 resonance obstruction.
 """
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from ._util import both_sides, write_json, write_rows
-from .config import ENVELOPES, RunConfig
+from .config import RunConfig
 from .errors import (
     DiracEmbedError,
     ResonantFrequency,
@@ -62,23 +63,8 @@ EXIT_USAGE = 2
 EXIT_RESONANCE = 3
 
 
-def _add_config_flags(sp: argparse.ArgumentParser, need_lam: bool = False):
-    sp.add_argument("--config", required=True, metavar="PATH",
-                    help="JSON run configuration")
-    if need_lam:
-        sp.add_argument("--lam", type=float, required=True,
-                        help="energy inside a band")
-    sp.add_argument("--out", default=None, metavar="DIR",
-                    help="output directory, in place of the config's out_dir")
-
-
-def _out_dir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
-
-
-def cmd_bands(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_bands(args, cfg: RunConfig, out: str) -> int:
+    os.makedirs(out, exist_ok=True)
     try:
         bs = band_scan(cfg.p, cfg.q, (cfg.scan_lo, cfg.scan_hi),
                        cfg.scan_resolution)
@@ -103,19 +89,19 @@ def cmd_bands(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_floquet(cfg: RunConfig, lam: float) -> int:
-    out = _out_dir(cfg)
-    sol = floquet_solution(cfg.p, cfg.q, lam)
+def cmd_floquet(args, cfg: RunConfig, out: str) -> int:
+    os.makedirs(out, exist_ok=True)
+    sol = floquet_solution(cfg.p, cfg.q, args.lam)
     data = derived_data(sol)
     path = os.path.join(out, "floquet.csv")
     write_period_csv(data, path)
-    print(f"floquet: lam={lam:g} k={sol.k:.12g} omega={sol.omega:.12g} "
+    print(f"floquet: lam={args.lam:g} k={sol.k:.12g} omega={sol.omega:.12g} "
           f"-> {path}")
     return EXIT_OK
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_synth(args, cfg: RunConfig, out: str) -> int:
+    os.makedirs(out, exist_ok=True)
     targets = check_nonresonance(cfg.lambdas, cfg.p, cfg.q, cfg.margin)
     sched = schedule(targets, mode=cfg.mode, a0=cfg.a0, x_max=cfg.x_max,
                      b=cfg.b, h=cfg.envelope())
@@ -129,17 +115,16 @@ def cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
-    out = _out_dir(cfg)
-    manifest = read_manifest(manifest_path)
-    targets = manifest.targets
-    h = None
-    if manifest.metadata.get("mode") == "growing":
-        h_name = manifest.metadata.get("h_name")
-        if not isinstance(h_name, str) or h_name not in ENVELOPES:
-            raise ValueError(f"h_name: {h_name!r} in a growing-mode manifest "
-                             f"is not one of {sorted(ENVELOPES)}")
-        h = ENVELOPES[h_name]
+def cmd_verify(args, cfg: RunConfig | None, out: str) -> int:
+    manifest = read_manifest(args.manifest)
+    targets, h = manifest.targets, manifest.h
+    if cfg is not None:  # a config must be the manifest's run
+        for key, val in (("p", manifest.p), ("q", manifest.q),
+                         ("lambdas", [t.lam for t in targets])):
+            if getattr(cfg, key) != val:
+                raise ValueError(f"{key}: the config's {getattr(cfg, key)!r} "
+                                 f"is not the manifest's {val!r}")
+    os.makedirs(out, exist_ok=True)
 
     def record(check_name, fn, **context):
         try:
@@ -159,15 +144,11 @@ def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
         reports = []
         for i, target in enumerate(targets):
             first = min((pc for pc in pot.pieces if pc.lam == target.lam),
-                        key=lambda pc: pc.a, default=None)
-            if first is None:
-                continue
+                        key=lambda pc: pc.a)
             reports.append(((0, i, -side), record(
                 "decay", lambda t=target, pc=first: decay_check(t, pc),
                 **{"lambda": target.lam, "side": side})))
-            for j, bystander in enumerate(targets):
-                if j == i:
-                    continue
+            for bystander in targets[:i] + targets[i + 1:]:
                 reports.append(((0, i, -side), record(
                     "stability",
                     lambda t=bystander, pc=first: stability_check(t, pc),
@@ -177,15 +158,13 @@ def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
             reports.append(((1, i, -side), record(
                 "l2-tail", lambda tr=track: l2_tail_estimate(tr),
                 target=track.target_index, side=track.side)))
-        excess = None
-        if h is not None and pot.x_grid.size:
-            excess, _ = envelope_excess(pot.x_grid, pot.V_grid, h)
-        return reports, excess
+        return reports, (None if h is None else
+                         envelope_excess(pot.x_grid, pot.V_grid, h)[0])
 
     (plus, plus_excess), (minus, minus_excess) = both_sides(one_side)
     reports = [d for _, d in sorted(plus + minus, key=lambda kd: kd[0])]
     if h is not None:
-        excess = max(e for e in (plus_excess, minus_excess) if e is not None)
+        excess = max(plus_excess, minus_excess)
         ok = excess <= ENVELOPE_TOL
         reports.append({"name": "envelope", "max_excess": excess,
                         "verdict": ok, "passed": ok})
@@ -198,16 +177,12 @@ def cmd_verify(cfg: RunConfig, manifest_path: str) -> int:
     return EXIT_CHECK if failures else EXIT_OK
 
 
-def cmd_oscillatory(args) -> int:
+def cmd_oscillatory(args, cfg: RunConfig | None, out: str) -> int:
     x0_list = args.x0 or [1e2, 1e3, 1e4]
-    # A config is loaded, and so validated, whenever it is given, and its
-    # out_dir is the default output directory.
-    cfg = RunConfig.load(args.config) if args.config is not None else None
     if args.lam is not None and cfg is None:
         raise ValueError("lam: --lam needs --config")
     if args.lam is None and (args.beta1 is None or args.beta2 is None):
         raise ValueError("beta1/beta2: required unless --lam is given")
-    out = args.out or (cfg.out_dir if cfg is not None else ".")
     os.makedirs(out, exist_ok=True)
     if args.lam is not None:
         target = EmbeddingTarget.at(cfg.p, cfg.q, args.lam)
@@ -236,24 +211,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "potential synthesis, and bound verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text):
-        return sub.add_parser(name, help=help_text, allow_abbrev=False)
+    def command(name, run, help_text, config_required=True):
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        sp.set_defaults(run=run)
+        sp.add_argument("--config", required=config_required, metavar="PATH",
+                        help="JSON run configuration")
+        sp.add_argument("--out", default=None, metavar="DIR",
+                        help="output directory, in place of the config's "
+                             "out_dir")
+        return sp
 
-    sp = command("bands", "scan the band structure")
-    _add_config_flags(sp)
-
-    sp = command("floquet", "export one Floquet frame")
-    _add_config_flags(sp, need_lam=True)
-
-    sp = command("synth", "synthesize the embedding potential")
-    _add_config_flags(sp)
-
-    sp = command("verify", "re-run all checks from a manifest")
-    _add_config_flags(sp)
+    command("bands", cmd_bands, "scan the band structure")
+    sp = command("floquet", cmd_floquet, "export one Floquet frame")
+    sp.add_argument("--lam", type=float, required=True,
+                    help="energy inside a band")
+    command("synth", cmd_synth, "synthesize the embedding potential")
+    sp = command("verify", cmd_verify, "re-run all checks from a manifest",
+                 config_required=False)
     sp.add_argument("--manifest", required=True, metavar="PATH")
-
-    sp = command("oscillatory", "sup-scan the oscillatory integral bounds")
-    sp.add_argument("--config", default=None, metavar="PATH")
+    sp = command("oscillatory", cmd_oscillatory,
+                 "sup-scan the oscillatory integral bounds",
+                 config_required=False)
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--a", type=float, required=True,
                     help="phase frequency")
@@ -262,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", action="append", type=float, default=None)
     sp.add_argument("--x-max", type=float, default=1e6)
     sp.add_argument("--allow-resonant", action="store_true")
-    sp.add_argument("--out", default=None)
     return parser
 
 
@@ -273,19 +250,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "oscillatory":
-            return cmd_oscillatory(args)
-        cfg = RunConfig.load(args.config)
-        cfg.out_dir = args.out or cfg.out_dir
-        if args.command == "bands":
-            return cmd_bands(cfg)
-        if args.command == "floquet":
-            return cmd_floquet(cfg, args.lam)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.manifest)
-        raise ValueError(f"command: unknown {args.command!r}")
+        # A config is loaded, and so validated, whenever it is given, and its
+        # out_dir is the default output directory; without one it is the
+        # manifest's directory for verify, the working one for oscillatory.
+        cfg = RunConfig.load(args.config) if args.config is not None else None
+        default = os.path.dirname(getattr(args, "manifest", "")) or "."
+        out = args.out or (cfg.out_dir if cfg is not None else default)
+        return args.run(args, cfg, out)
     except (ResonantPair, ResonantFrequency) as exc:
         print(f"resonance: {exc}", file=sys.stderr)
         return EXIT_RESONANCE

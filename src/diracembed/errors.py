@@ -86,8 +86,8 @@ class EnvelopeViolation(DiracEmbedError):
     """Growing-N envelope |V|(1+|x|) <= |h| failed at a sample."""
 
 
-class OverlapDetected(DiracEmbedError):
-    """Two potential pieces overlap on the same side."""
+class PlanMismatch(DiracEmbedError):
+    """A manifest's breakpoints or pieces are not the plan its inputs give."""
 
 
 # ---------------------------------------------------------------- verification

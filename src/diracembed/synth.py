@@ -23,17 +23,19 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from ._util import (both_sides, cumulative_simpson_uniform, decimate,
                     taper_window, write_json, write_rows)
+from .config import ENVELOPES
 from .errors import (
     EnvelopeTooLarge,
     EnvelopeViolation,
     HorizonTooShort,
-    OverlapDetected,
     PieceTooShort,
+    PlanMismatch,
     ResonantPair,
     StabilityViolated,
 )
@@ -57,6 +59,7 @@ __all__ = [
     "Tracker",
     "probe_constants",
     "envelope_excess",
+    "plan",
     "schedule",
     "SynthesizedPotential",
     "assemble",
@@ -399,7 +402,7 @@ def probe_constants(targets, *, b: float = 0.0) -> tuple[float, float]:
 
     def probe_piece(t, a, x_end):
         traj = solve_xi(t, a, b, XI0, x_end, side=1,
-                        taper_width=min(TAPER_WIDTH, (x_end - a) / 4.0))
+                        taper_width=_taper(a, x_end))
         return piece_potential(t, traj)
 
     env_floor = max(2.0 * t.C / t.k for t in targets)
@@ -439,56 +442,37 @@ def envelope_excess(x, V, h) -> tuple[float, float]:
     return float(gap[i]), float(x[i])
 
 
-def schedule(targets, mode: str = "finite", a0: float = None,
-             x_max: float = None, *, b: float = 0.0,
-             h=None) -> SynthesisSchedule:
-    """Round-robin piece assignment with tracked arrival phases.
+def _taper(a: float, x_end: float) -> float:
+    """A piece's taper width: TAPER_WIDTH, at most a quarter of its length."""
+    return min(TAPER_WIDTH, (x_end - a) / 4.0)
 
-    Each step builds mirrored pieces on (T_r, T_{r+1}) and (-T_{r+1},
-    -T_r) for one target, seeding the phase with that target's tracked
-    value so successive own pieces chain into one decaying solution;
-    every active target's (ln R, xi) is then advanced across the new
-    pieces.  Breakpoints satisfy C_bound * ratio^(-100) * 2^(N-1) <= 1/2
-    so each full cycle at worst halves every tracked amplitude.  No side
-    reads the other's phases, so after the probe the plus and the minus
-    side run side by side (``_util.both_sides``).
 
-    In growing-N mode targets activate one per cycle once
-    h(T_r) >= SAFETY * (N+1) * max envelope of the first N+1 targets,
-    and every sample must satisfy |V|*(1+|x|) <= |h| (envelope_excess).
+def plan(C_bound: float, envelopes, mode: str, a0: float, x_max: float,
+         b: float = 0.0, h=None) -> tuple[list, list, list, list]:
+    """A schedule's layout, which reads no phase: (T, N, owners, activations).
+
+    Cycle r lays target owners[r]'s piece on |x| in [T_r, T_{r+1}] on both
+    sides, rotating among the N[r] active targets; T_{r+1} - b = (T_r - b)
+    (2^N C_bound)^(1/100) <= x_max.  A growing run starts one target and
+    activates the next, (index, T_r), at a rotation's start once |h(T_r)| >=
+    SAFETY * (N+1) * the largest of the first N+1 envelopes.
     """
-    if not targets:
-        raise ValueError("no targets")
-    if mode not in ("finite", "growing"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "growing" and h is None:
-        raise ValueError("growing-N mode needs the envelope function h")
-    if a0 is None or x_max is None:
-        raise ValueError("a0 and x_max are required")
-    if not 0.0 <= b < a0:
-        raise ValueError(f"need 0 <= b < a0, got b={b}, a0={a0}")
-    if x_max <= a0:
-        raise ValueError("x_max must exceed a0")
-
-    C_bound, K = probe_constants(targets, b=b)
-    if a0 - b < K:
-        raise PieceTooShort(
-            f"a0 - b = {a0 - b:.6g} is below the probed offset floor "
-            f"K = {K:.6g}")
-
-    n_targets = len(targets)
-    envelopes = [t.envelope for t in targets]
+    if mode not in ("finite", "growing") or mode == "growing" and h is None:
+        raise ValueError(f"mode: {mode!r} is not finite, or growing with h")
+    # decay_check's C_bound is 2 exp(C_add), C_add >= 0: T_r grows by 1.4%
+    # or more a cycle.
+    if not (envelopes and C_bound >= 2.0 and 0.0 <= b < a0 < x_max < math.inf):
+        raise ValueError(f"need targets, C_bound >= 2 and 0 <= b < a0 < x_max "
+                         f"< inf; got {len(envelopes)} targets, C_bound = "
+                         f"{C_bound}, b = {b}, a0 = {a0}, x_max = {x_max}")
+    n_targets = len(envelopes)
+    N = n_targets
     if mode == "growing":
         N = 1
-        if abs(h(a0)) < SAFETY * 1.0 * envelopes[0]:
+        if abs(h(a0)) < SAFETY * envelopes[0]:
             raise EnvelopeViolation(
                 f"|h(a0)| = {abs(h(a0)):.4g} cannot cover the first "
                 f"target's envelope {envelopes[0]:.4g}")
-    else:
-        N = n_targets
-
-    # Breakpoints, active prefixes and activations read no phase: the plan
-    # of owners per cycle comes first, and then each side follows it.
     T = [float(a0)]
     Ns: list[int] = []
     owners: list[int] = []
@@ -509,12 +493,42 @@ def schedule(targets, mode: str = "finite", a0: float = None,
         T.append(T_next)
         Ns.append(N)
         c = (c + 1) % N
-
     unpieced = [i for i in range(n_targets) if i not in owners]
     if unpieced:
         raise HorizonTooShort(
             f"x_max = {x_max:.6g} reached before targets {unpieced} "
             "received a piece; extend the horizon")
+    return T, Ns, owners, activations
+
+
+def schedule(targets, mode: str = "finite", *, a0: float, x_max: float,
+             b: float = 0.0, h=None) -> SynthesisSchedule:
+    """Round-robin piece assignment with tracked arrival phases.
+
+    Each step builds mirrored pieces on (T_r, T_{r+1}) and (-T_{r+1},
+    -T_r) for one target, seeding the phase with that target's tracked
+    value so successive own pieces chain into one decaying solution;
+    every active target's (ln R, xi) is then advanced across the new
+    pieces.  Breakpoints satisfy C_bound * ratio^(-100) * 2^(N-1) <= 1/2
+    so each full cycle at worst halves every tracked amplitude.  No side
+    reads the other's phases, so after the probe the plus and the minus
+    side run side by side (``_util.both_sides``).
+
+    In growing-N mode targets activate one per cycle once
+    h(T_r) >= SAFETY * (N+1) * max envelope of the first N+1 targets,
+    and every sample must satisfy |V|*(1+|x|) <= |h| (envelope_excess).
+    """
+    if not targets:
+        raise ValueError("no targets")
+
+    C_bound, K = probe_constants(targets, b=b)
+    if a0 - b < K:
+        raise PieceTooShort(
+            f"a0 - b = {a0 - b:.6g} is below the probed offset floor "
+            f"K = {K:.6g}")
+
+    T, Ns, owners, activations = plan(C_bound, [t.envelope for t in targets],
+                                      mode, a0, x_max, b, h)
 
     def one_side(side):
         trackers = [Tracker(i, t, side) for i, t in enumerate(targets)]
@@ -523,7 +537,7 @@ def schedule(targets, mode: str = "finite", a0: float = None,
             tracked = trackers[c].xi
             seed = XI0 if tracked is None else tracked
             traj = solve_xi(targets[c], T_r, b, seed, T_next, side=side,
-                            taper_width=min(TAPER_WIDTH, (T_next - T_r) / 4.0))
+                            taper_width=_taper(T_r, T_next))
             piece = piece_potential(targets[c], traj)
             if mode == "growing":
                 excess, x_at = envelope_excess(piece.x_grid, piece.V_grid, h)
@@ -568,33 +582,14 @@ class SynthesizedPotential:
     V_grid: np.ndarray
     metadata: dict
 
-    @property
-    def targets(self) -> list[EmbeddingTarget]:
-        """The pieces' targets, in metadata["targets"] order."""
-        return _in_metadata_order({pc.lam: pc.target for pc in self.pieces},
-                                  self.metadata)
-
-
-def _in_metadata_order(by_lam: dict, metadata: dict) -> list[EmbeddingTarget]:
-    lams = (float(entry["lambda"]) for entry in metadata["targets"])
-    return [by_lam[lam] for lam in lams if lam in by_lam]
-
 
 def _assemble_pieces(pieces: list[PotentialPiece],
                      metadata: dict) -> SynthesizedPotential:
-    order = sorted(range(len(pieces)), key=lambda i: pieces[i].x_lo)
-    pieces = [pieces[i] for i in order]
-    for left, right in zip(pieces, pieces[1:]):
-        tol = 1e-9 * max(1.0, abs(left.x_hi))
-        if right.x_lo < left.x_hi - tol:
-            raise OverlapDetected(
-                f"pieces overlap: [{left.x_lo:.6g}, {left.x_hi:.6g}] vs "
-                f"[{right.x_lo:.6g}, {right.x_hi:.6g}]")
-    # The empty head keeps the grids defined on a side without pieces.
-    x_grid = np.concatenate([np.empty(0)] + [pc.x_grid for pc in pieces])
-    V_grid = np.concatenate([np.empty(0)] + [pc.V_grid for pc in pieces])
-    return SynthesizedPotential(pieces=pieces, x_grid=x_grid, V_grid=V_grid,
-                                metadata=metadata)
+    pieces = sorted(pieces, key=lambda pc: pc.x_lo)
+    return SynthesizedPotential(
+        pieces=pieces, x_grid=np.concatenate([pc.x_grid for pc in pieces]),
+        V_grid=np.concatenate([pc.V_grid for pc in pieces]),
+        metadata=metadata)
 
 
 def assemble(sched: SynthesisSchedule) -> SynthesizedPotential:
@@ -629,22 +624,33 @@ def _field(doc, key: str, where: str = "", kind=numbers.Real):
 
 @dataclass
 class Manifest:
-    """A read manifest: each piece's rebuild arguments in manifest order,
-    and the schedule metadata."""
+    """A read manifest on its plan: each piece's rebuild arguments in
+    manifest order, the schedule metadata, the targets in metadata order,
+    the growing-mode envelope h (None in finite mode) and the background."""
 
     pieces: list  # (target, side, a, b, xi0, x_end, C, taper_width)
     metadata: dict
+    targets: list[EmbeddingTarget]
+    h: object
+    p: PeriodicCoefficient
+    q: PeriodicCoefficient
 
-    @property
-    def targets(self) -> list[EmbeddingTarget]:
-        """The pieces' targets, in metadata["targets"] order."""
-        return _in_metadata_order({entry[0].lam: entry[0]
-                                   for entry in self.pieces}, self.metadata)
+
+def _on_plan(where: str, fields: str, listed: list, planned: list) -> None:
+    """PlanMismatch at the first cycle whose row is not the plan's."""
+    for r, (got, want) in enumerate(zip_longest(listed, planned)):
+        if got != want:
+            raise PlanMismatch(
+                f"cycle {r}, {where}: ({fields}) is "
+                f"{'missing' if got is None else got} in the manifest but "
+                f"{'missing' if want is None else want} in the plan")
 
 
 def read_manifest(manifest) -> Manifest:
     """Check a manifest (path or dict) and build its targets; no phase lock
-    runs.  A value of the wrong JSON type is a ValueError naming its key."""
+    runs.  A value of the wrong JSON type is a ValueError naming its key.
+    T, N and one piece per cycle and side must be the plan of the manifest's
+    own inputs (PlanMismatch otherwise); xi0 and C are the pieces' own."""
     if isinstance(manifest, (str, os.PathLike)):
         with open(manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -658,12 +664,12 @@ def read_manifest(manifest) -> Manifest:
             if doc.get(key) != recipe.get(key):
                 raise ValueError(f"{block}.{key}: {doc.get(key)!r}, but every "
                                  f"run is built with {recipe.get(key)!r}")
-    frames = {}
+    targets = []
     for i, entry in enumerate(_field(manifest, "targets", kind=list)):
         lam, C = (_field(entry, key, f"targets[{i}]") for key in ("lambda", "C"))
-        frames[lam] = EmbeddingTarget.at(p, q, lam, C=C)
-        frames[lam].data.frame  # the locks' table, built once for both sides
-    pieces = []
+        targets.append(EmbeddingTarget.at(p, q, lam, C=C))
+        targets[-1].data.frame  # the locks' table, built once for both sides
+    entries = []
     for i, entry in enumerate(_field(manifest, "pieces", kind=list)):
         lam, a, b, xi0, x_end, C, tw = (
             _field(entry, key, f"pieces[{i}]") for key in
@@ -671,14 +677,35 @@ def read_manifest(manifest) -> Manifest:
         side = _field(entry, "side", f"pieces[{i}]", str)
         if side not in ("plus", "minus"):
             raise ValueError(f"pieces[{i}].side: {side!r} is not plus/minus")
-        pieces.append((frames[lam], 1 if side == "plus" else -1,
-                       a, b, xi0, x_end, C, tw))
-    if not pieces:
-        raise ValueError("pieces: the manifest lists none")
+        entries.append((1 if side == "plus" else -1, (a, x_end, lam, b, tw),
+                        xi0, C))
+    mode, h = _field(manifest, "mode", kind=str), None
+    if mode == "growing":
+        h_name = manifest.get("h_name")
+        if not isinstance(h_name, str) or h_name not in ENVELOPES:
+            raise ValueError(f"h_name: {h_name!r} in a growing-mode manifest "
+                             f"is not one of {sorted(ENVELOPES)}")
+        h = ENVELOPES[h_name]
+    a0, x_max, b, C_bound = (_field(manifest, key)
+                             for key in ("a0", "x_max", "b", "C_bound"))
+    T, N, owners, _ = plan(C_bound, [t.envelope for t in targets], mode, a0,
+                           x_max, b, h)
+    _on_plan("both sides", "T_r, N_r",
+             list(zip_longest(*(_field(manifest, key, kind=list)
+                                for key in ("T", "N")))),
+             list(zip_longest(T, N)))
+    cycles = [(T_r, T_next, targets[c].lam, b, _taper(T_r, T_next))
+              for c, T_r, T_next in zip(owners, T, T[1:])]
+    for side, name in ((1, "plus"), (-1, "minus")):
+        _on_plan(f"side {name}", "a, x_end, lambda, b, taper_width",
+                 sorted(row for s, row, _, _ in entries if s == side), cycles)
+    by_lam = {t.lam: t for t in targets}
+    pieces = [(by_lam[lam], side, a, b, xi0, x_end, C, tw)
+              for side, (a, x_end, lam, b, tw), xi0, C in entries]
     # Every key but the four that rebuild the pieces is schedule metadata.
     meta = {key: val for key, val in manifest.items() if key not in
             ("coefficients", "integrator", "floquet_integrator", "pieces")}
-    return Manifest(pieces, meta)
+    return Manifest(pieces, meta, targets, h, p, q)
 
 
 def rebuild_potential(manifest, side: int | None = None) -> SynthesizedPotential:

@@ -536,23 +536,23 @@ def l2_tail_estimate(track: TrackRecord) -> TailReport:
                       max_seam_gap=track.max_seam_gap)
 
 
-def track_targets(pot: SynthesizedPotential, targets=None) -> dict:
+def track_targets(pot: SynthesizedPotential, targets) -> dict:
     """Replay each target's (ln R, xi) across an assembled potential.
 
     Each side's pieces pass in ascending |x| through the same Tracker
     the schedule uses, so a record equals the schedule's own track and
-    feeds l2_tail_estimate directly.  Keys are (target_index, side);
-    targets defaults to ``pot.targets``.
+    feeds l2_tail_estimate directly.  Keys are (target_index, side) for
+    each side the potential has pieces on; every target owns one there.
     """
     tracks = {}
-    for i, target in enumerate(pot.targets if targets is None else targets):
-        for side in (1, -1):
+    for side in sorted({pc.side for pc in pot.pieces}, reverse=True):
+        pieces = sorted((pc for pc in pot.pieces if pc.side == side),
+                        key=lambda pc: pc.a)
+        for i, target in enumerate(targets):
             tracker = Tracker(i, target, side)
-            for pc in sorted((pc for pc in pot.pieces if pc.side == side),
-                             key=lambda pc: pc.a):
+            for pc in pieces:
                 tracker.advance(pc)
-            if tracker.own_starts:
-                tracks[(i, side)] = tracker.record()
+            tracks[(i, side)] = tracker.record()
     return tracks
 
 

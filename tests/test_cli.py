@@ -3,11 +3,12 @@
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from diracembed import ENVELOPES, PeriodicCoefficient, RunConfig, cli
+from diracembed import PeriodicCoefficient, RunConfig, cli
 from diracembed.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -117,24 +118,86 @@ def test_verify_catches_tampered_manifest(tmp_path, small_run):
     assert any(d["name"] == "decay" and d.get("side") == 1 for d in bad)
 
 
-def test_verify_rejects_a_duplicated_piece(tmp_path, small_run, capsys):
-    # Two copies of one piece overlap on all of it: rebuilding the potential
-    # fails (OverlapDetected), which is a failed check, and the message
-    # names both intervals.
+def _by_a(doc, side):
+    return sorted((e for e in doc["pieces"] if e["side"] == side),
+                  key=lambda e: e["a"])
+
+
+def _drop(doc, entries):
+    doc["pieces"] = [e for e in doc["pieces"] if e not in entries]
+
+
+def _halve_last_plus(doc):
+    last = _by_a(doc, "plus")[-1]
+    last["x_end"] = last["a"] + (last["x_end"] - last["a"]) / 2.0
+
+
+# Each tamper of small_run's manifest (11 cycles of two targets), and the
+# first cycle and side that leave the plan: a cycle's two plus pieces, one
+# plus piece, every minus piece, T and N cut by three cycles, a piece cut
+# to half its length, and a piece the manifest lists twice.
+TAMPERS = {
+    "first_plus_cycle": (lambda doc: _drop(doc, _by_a(doc, "plus")[:2]),
+                         "cycle 0, side plus"),
+    "last_plus_cycle": (lambda doc: _drop(doc, _by_a(doc, "plus")[-2:]),
+                        "cycle 9, side plus"),
+    "first_plus_piece": (lambda doc: _drop(doc, _by_a(doc, "plus")[:1]),
+                         "cycle 0, side plus"),
+    "every_minus_piece": (lambda doc: _drop(doc, _by_a(doc, "minus")),
+                          "cycle 0, side minus"),
+    "T_and_N_cut": (lambda doc: doc.update(T=doc["T"][:-3], N=doc["N"][:-3]),
+                    "cycle 8, both sides"),
+    "half_last_plus_piece": (_halve_last_plus, "cycle 10, side plus"),
+    "duplicated_minus_piece": (
+        lambda doc: doc["pieces"].append(dict(_by_a(doc, "minus")[-1])),
+        "cycle 11, side minus"),
+}
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERS))
+def test_verify_rejects_a_manifest_off_its_plan(tmp_path, small_run, capsys,
+                                                monkeypatch, tamper):
+    # verify recomputes the plan from the manifest's own inputs, and a piece
+    # or breakpoint off it is a failed check before any phase lock runs.
+    from diracembed import synth
+
+    def no_lock(*args, **kwargs):
+        raise AssertionError("a phase lock ran")
+
     cfg_path, out = small_run
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    piece = max((e for e in doc["pieces"] if e["side"] == "minus"),
-                key=lambda e: e["a"])
-    doc["pieces"].append(dict(piece))
+    assert len(doc["T"]) == 12
+    change, where = TAMPERS[tamper]
+    change(doc)
     tampered = tmp_path / "manifest.json"
     tampered.write_text(json.dumps(doc))
+    monkeypatch.setattr(synth, "solve_xi", no_lock)
     rc = main(["verify", "--config", cfg_path,
                "--manifest", str(tampered), "--out", str(tmp_path)])
     assert rc == EXIT_CHECK
     err = capsys.readouterr().err
-    span = f"[{-piece['x_end']:.6g}, {-piece['a']:.6g}]"
-    assert "pieces overlap" in err and err.count(span) == 2, err
+    assert err.startswith(f"check failed: {where}: "), err
+    assert "in the plan" in err
+    assert not (tmp_path / "reports.json").exists()
+
+
+@pytest.mark.parametrize("key,val", [("C_bound", 1e-3), ("x_max", np.inf),
+                                     ("b", 2.0e3)])
+def test_manifest_the_plan_cannot_lay_out_is_usage_error(tmp_path, small_run,
+                                                         capsys, key, val):
+    # Breakpoints that would shrink or never pass x_max: the plan refuses
+    # them rather than loop.
+    cfg_path, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = {**json.load(fh), key: val}
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert main(["verify", "--config", cfg_path, "--manifest",
+                 str(tmp_path / "manifest.json"),
+                 "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "C_bound >= 2 and 0 <= b < a0 < x_max < inf" in err
+    assert f"{key} = {val:g}" in err
 
 
 def test_verify_catches_a_broken_chain_of_own_pieces(tmp_path, small_run):
@@ -165,8 +228,8 @@ def test_verify_catches_a_broken_chain_of_own_pieces(tmp_path, small_run):
 def _verify_growing_manifest(tmp_path, monkeypatch, metadata, V0,
                              **cfg_kw):
     # verify on a one-sample growing-mode potential at x = 0, with h = 0.
-    cfg = RunConfig(p=PeriodicCoefficient(), q=PeriodicCoefficient(),
-                    lambdas=[0.7], out_dir=str(tmp_path), **cfg_kw)
+    p = q = PeriodicCoefficient()
+    cfg = RunConfig(p=p, q=q, lambdas=[], out_dir=str(tmp_path), **cfg_kw)
     cfg.save(str(tmp_path / "config.json"))
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(metadata))
@@ -174,9 +237,9 @@ def _verify_growing_manifest(tmp_path, monkeypatch, metadata, V0,
                                V_grid=np.array([V0]), metadata=metadata)
     # Both sides rebuild to this one sample, so the merged excess is V0.
     monkeypatch.setattr(cli, "read_manifest",
-                        lambda path: Manifest([], metadata))
+                        lambda path: Manifest([], metadata, [], np.zeros_like,
+                                              p, q))
     monkeypatch.setattr(cli, "rebuild_potential", lambda manifest, side: pot)
-    monkeypatch.setitem(ENVELOPES, "log", np.zeros_like)
     return main(["verify", "--config", str(tmp_path / "config.json"),
                  "--manifest", str(manifest)])
 
@@ -200,13 +263,51 @@ def test_verify_envelope_verdict_is_the_schedule_rule(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("extra", [{}, {"h_name": ["log"]}],
                          ids=["missing", "not_a_name"])
-def test_growing_manifest_without_h_name_is_usage_error(tmp_path, monkeypatch,
+def test_growing_manifest_without_h_name_is_usage_error(tmp_path, small_run,
                                                         capsys, extra):
-    meta = {"mode": "growing", "targets": [], **extra}
-    assert _verify_growing_manifest(tmp_path, monkeypatch, meta, 0.0,
-                                    mode="growing",
-                                    h_name="log") == EXIT_USAGE
+    cfg_path, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = {**json.load(fh), "mode": "growing", **extra}
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert main(["verify", "--config", cfg_path, "--manifest",
+                 str(tmp_path / "manifest.json"),
+                 "--out", str(tmp_path)]) == EXIT_USAGE
     assert "h_name" in capsys.readouterr().err
+
+
+def test_verify_without_config_writes_beside_the_manifest(tmp_path,
+                                                          small_run):
+    # The manifest alone is the run: the same reports as with its config.
+    cfg_path, out = small_run
+    manifest = tmp_path / "alone" / "manifest.json"
+    manifest.parent.mkdir()
+    shutil.copy(os.path.join(out, "manifest.json"), manifest)
+    assert main(["verify", "--manifest", str(manifest)]) == EXIT_OK
+    assert main(["verify", "--config", cfg_path, "--manifest", str(manifest),
+                 "--out", str(tmp_path / "with_config")]) == EXIT_OK
+    for name in ("reports.json", "summary.csv"):
+        assert (manifest.parent / name).read_bytes() \
+            == (tmp_path / "with_config" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("key", ["p", "q", "lambdas"])
+def test_verify_with_another_run_config_is_usage_error(tmp_path, small_run,
+                                                       generic_pq, capsys,
+                                                       key):
+    # A config whose background or energies are not the manifest's names the
+    # key and writes nothing: periodic1's p, q and lambda = 0.9 against a
+    # free manifest at 0.7 and 1.3.
+    cfg_path, out = small_run
+    other = {"p": generic_pq[0], "q": generic_pq[1], "lambdas": [0.9]}
+    cfg = RunConfig.load(cfg_path)
+    setattr(cfg, key, other[key])
+    cfg.out_dir = str(tmp_path)
+    cfg.save(str(tmp_path / "config.json"))
+    assert main(["verify", "--config", str(tmp_path / "config.json"),
+                 "--manifest", os.path.join(out, "manifest.json")]) \
+        == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 def test_periodic_background_synth_then_verify(tmp_path, generic_pq):

@@ -2,6 +2,7 @@
 split over two processes with every output bit and every error of one."""
 
 import inspect
+import json
 import os
 import pickle
 import subprocess
@@ -140,18 +141,22 @@ def _schedule_bytes(sched):
             sched.C_bound, sched.K, sched.metadata)
 
 
+def _schedule_kw(mode, targets):
+    if mode == "finite":
+        return {"a0": 2.0e3, "x_max": 2.6e3}
+    # Grows past twice the larger envelope within the horizon, so the
+    # second target joins after the first cycle.
+    top = max(t.envelope for t in targets)
+    return {"a0": 2.0e3, "x_max": 2.8e3,
+            "h": lambda x: 1.5 * top * (np.abs(x) / 2.0e3) ** 20}
+
+
 @forks
 @pytest.mark.parametrize("mode", ["finite", "growing"])
 def test_schedule_is_the_one_process_schedule(monkeypatch, free_target_07,
                                               free_target_13, mode):
     targets = [free_target_07, free_target_13]
-    kw = {"a0": 2.0e3, "x_max": 2.6e3}
-    if mode == "growing":
-        # Grows past twice the larger envelope within the horizon, so the
-        # second target joins after the first cycle.
-        top = max(t.envelope for t in targets)
-        kw = {"a0": 2.0e3, "x_max": 2.8e3,
-              "h": lambda x: 1.5 * top * (np.abs(x) / 2.0e3) ** 20}
+    kw = _schedule_kw(mode, targets)
     split = schedule(targets, mode=mode, **kw)
     _no_child_left()
     _one_process(monkeypatch)
@@ -162,6 +167,29 @@ def test_schedule_is_the_one_process_schedule(monkeypatch, free_target_07,
                                                [p.target for p in whole.pieces]))
     if mode == "growing":
         assert [i for i, _ in split.activations] == [0, 1]
+
+
+@pytest.mark.parametrize("mode", ["finite", "growing"])
+def test_the_plan_round_trips_through_the_manifest(tmp_path, free_pq,
+                                                   free_target_07,
+                                                   free_target_13, mode):
+    # The layout both sides follow, recomputed from a written manifest's own
+    # inputs as verify does, is the schedule's.
+    targets = [free_target_07, free_target_13]
+    kw = _schedule_kw(mode, targets)
+    sched = schedule(targets, mode=mode, **kw)
+    path = str(tmp_path / "manifest.json")
+    synth.write_manifest(synth.assemble(sched), path, *free_pq)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    T, N, owners, activations = synth.plan(
+        doc["C_bound"], [abs(t["omega"]) * t["C"] for t in doc["targets"]],
+        doc["mode"], doc["a0"], doc["x_max"], doc["b"], kw.get("h"))
+    assert (T, N, activations) == (sched.T, sched.N, sched.activations)
+    assert (T, N) == (doc["T"], doc["N"])
+    assert [targets[c].lam for c in owners] \
+        == [pc.lam for pc in sched.pieces[::2]]
+    assert len(activations) == 2
 
 
 @forks

@@ -495,8 +495,10 @@ def test_l2_tail_needs_enough_cycles():
         l2_tail_estimate(_synthetic_track([10.0, 14.0, 18.0], 0.5))
 
 
-def test_track_targets_reproduces_schedule_tracks(small_pot, small_sched):
-    tracks = track_targets(small_pot)
+def test_track_targets_reproduces_schedule_tracks(small_pot, small_sched,
+                                                  free_target_07,
+                                                  free_target_13):
+    tracks = track_targets(small_pot, [free_target_07, free_target_13])
     assert set(tracks) == set(small_sched.tracks)
     for key, tr in tracks.items():
         ref = small_sched.tracks[key]
@@ -505,8 +507,9 @@ def test_track_targets_reproduces_schedule_tracks(small_pot, small_sched):
             assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
 
 
-def test_tails_across_assembled_potential(small_pot):
-    tracks = track_targets(small_pot)
+def test_tails_across_assembled_potential(small_pot, free_target_07,
+                                          free_target_13):
+    tracks = track_targets(small_pot, [free_target_07, free_target_13])
     for key, tr in tracks.items():
         rep = l2_tail_estimate(tr)
         assert rep.verdict, f"track {key} tail ratios {rep.ratios}"
