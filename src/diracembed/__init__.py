@@ -40,8 +40,6 @@ from .verify import (
     oscillatory_check_42,
     stability_check,
     track_targets,
-    write_reports_json,
-    write_summary_csv,
 )
 
 __version__ = "0.1.0"

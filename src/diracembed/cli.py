@@ -50,8 +50,6 @@ from .verify import (
     oscillatory_check_42,
     stability_check,
     track_targets,
-    write_reports_json,
-    write_summary_csv,
 )
 
 __all__ = ["main", "cmd_bands", "cmd_floquet", "cmd_synth", "cmd_verify",
@@ -110,8 +108,9 @@ def cmd_synth(args, cfg: RunConfig, out: str) -> int:
         pot.metadata["h_name"] = cfg.h_name  # verify's envelope
     write_potential_csv(pot, os.path.join(out, "potential.csv"))
     write_manifest(pot, os.path.join(out, "manifest.json"), cfg.p, cfg.q)
-    print(f"synth: {len(pot.pieces)} pieces, {len(sched.T) - 1} cycle "
-          f"breakpoints to T={sched.T[-1]:.6g}, N_final={sched.N[-1]}")
+    T, N = pot.metadata["T"], pot.metadata["N"]
+    print(f"synth: {len(pot.pieces)} pieces, {len(T) - 1} cycle "
+          f"breakpoints to T={T[-1]:.6g}, N_final={N[-1]}")
     return EXIT_OK
 
 
@@ -119,8 +118,13 @@ def cmd_verify(args, cfg: RunConfig | None, out: str) -> int:
     manifest = read_manifest(args.manifest)
     targets, h = manifest.targets, manifest.h
     if cfg is not None:  # a config must be the manifest's run
-        for key, val in (("p", manifest.p), ("q", manifest.q),
-                         ("lambdas", [t.lam for t in targets])):
+        run = {"p": manifest.p, "q": manifest.q,
+               "lambdas": [t.lam for t in targets],
+               **{key: manifest.metadata[key]
+                  for key in ("mode", "a0", "x_max", "b")}}
+        if h is not None:
+            run["h_name"] = manifest.metadata["h_name"]
+        for key, val in run.items():
             if getattr(cfg, key) != val:
                 raise ValueError(f"{key}: the config's {getattr(cfg, key)!r} "
                                  f"is not the manifest's {val!r}")
@@ -169,8 +173,7 @@ def cmd_verify(args, cfg: RunConfig | None, out: str) -> int:
         reports.append({"name": "envelope", "max_excess": excess,
                         "verdict": ok, "passed": ok})
 
-    write_reports_json(reports, os.path.join(out, "reports.json"))
-    write_summary_csv(reports, os.path.join(out, "summary.csv"))
+    write_json(os.path.join(out, "reports.json"), reports)
     n = len(reports)
     failures = sum(not d["passed"] for d in reports)
     print(f"verify: {n - failures}/{n} checks passed")

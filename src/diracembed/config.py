@@ -50,6 +50,8 @@ class RunConfig:
             val = getattr(self, f.name)
             if not isinstance(val, _TYPES.get(f.type, object)):
                 raise ValueError(f"{f.name}: expected {f.type}, got {val!r}")
+            if f.type == "float" and not np.isfinite(val):
+                raise ValueError(f"{f.name}: {val!r} is not finite")
         if self.mode not in ("finite", "growing"):
             raise ValueError(f"mode: {self.mode!r} is not finite/growing")
         if self.h_name is not None and self.h_name not in ENVELOPES:

@@ -330,7 +330,6 @@ class RXiRun:
     ln_R: np.ndarray
     xi: np.ndarray
     Phi: np.ndarray
-    ln_R_end: float
     nfev: int
 
 
@@ -401,4 +400,4 @@ def integrate_R_xi(data: DerivedPeriodicData, V, x0: float, x1: float,
     phi = bystander_phase(data, xs)
     ln_R = lnR0 + np.log(np.hypot(x, y) / math.hypot(c, s))
     return RXiRun(xs=xs, ln_R=ln_R, xi=xi0 + 2.0 * turn + (phi - phi[0]),
-                  Phi=Phi, ln_R_end=float(ln_R[-1]), nfev=nfev)
+                  Phi=Phi, nfev=nfev)

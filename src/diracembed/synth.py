@@ -141,7 +141,7 @@ def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
     Requires |k_i - k_j| >= margin for i != j and |k_i + k_j - pi| >=
     margin for all pairs including i == j (which rules out k = pi/2).
     """
-    if margin <= 0.0:
+    if not margin > 0.0:  # NaN too: every |k_i - k_j| < NaN is False
         raise ValueError("margin must be positive")
     lams = [float(l) for l in lambdas]
     if not lams:
@@ -363,7 +363,7 @@ class Tracker:
                                  side * piece.a, side * piece.x_end, self.xi,
                                  lnR0=self.ln_R)
             self.xi = float(run.xi[-1])
-            self.ln_R = float(run.ln_R_end)
+            self.ln_R = float(run.ln_R[-1])
             self._samples.append((run.xs, run.ln_R, run.xi))
 
     def record(self) -> TrackRecord:
@@ -377,26 +377,24 @@ class Tracker:
 
 @dataclass
 class SynthesisSchedule:
-    """Pieces in build order, breakpoints, tracks, and manifest metadata."""
+    """Pieces in build order, growing-mode activations, and the manifest
+    metadata, which holds T, N, C_bound and K."""
 
     pieces: list[PotentialPiece]
-    T: list[float]
-    N: list[int]
-    C_bound: float
-    K: float
-    tracks: dict
     activations: list
     metadata: dict
 
 
-def probe_constants(targets, *, b: float = 0.0) -> tuple[float, float]:
+def probe_constants(targets, *, a0: float,
+                    b: float = 0.0) -> tuple[float, float]:
     """Measure the decay prefactor C_bound and the piece-offset floor K.
 
     C_bound = 2 * sup R(x)*((|x|-b)/(a-b))^100 / R(a) over a probe piece,
     maximized over targets.  K doubles from the phase-rate floor 2C/k
     until every ordered bystander pair stays within factor 1.5 over a
     probe piece, then is doubled once more as safety.  stability_check
-    propagates the bystanders across the probe pieces.
+    propagates the bystanders across the probe pieces.  A schedule needs
+    a0 - b >= K, so the doubling stops there: PieceTooShort.
     """
     from .verify import decay_check, stability_check
 
@@ -425,13 +423,14 @@ def probe_constants(targets, *, b: float = 0.0) -> tuple[float, float]:
         return True
 
     K_try = env_floor
-    while len(targets) > 1 and not bystanders_hold(b + K_try):
+    while True:
+        if a0 - b < 2.0 * K_try:
+            raise PieceTooShort(
+                f"a0 - b = {a0 - b:.6g} is below K = {2.0 * K_try:.6g}, "
+                "the least offset floor the probe can still return")
+        if len(targets) == 1 or bystanders_hold(b + K_try):
+            return C_bound, 2.0 * K_try
         K_try *= 2.0
-        if K_try > 1e12:
-            raise HorizonTooShort(
-                "bystander stability does not reach factor 1.5 at any "
-                "practical piece offset")
-    return C_bound, 2.0 * K_try
 
 
 def envelope_excess(x, V, h) -> tuple[float, float]:
@@ -521,12 +520,7 @@ def schedule(targets, mode: str = "finite", *, a0: float, x_max: float,
     if not targets:
         raise ValueError("no targets")
 
-    C_bound, K = probe_constants(targets, b=b)
-    if a0 - b < K:
-        raise PieceTooShort(
-            f"a0 - b = {a0 - b:.6g} is below the probed offset floor "
-            f"K = {K:.6g}")
-
+    C_bound, K = probe_constants(targets, a0=a0, b=b)
     T, Ns, owners, activations = plan(C_bound, [t.envelope for t in targets],
                                       mode, a0, x_max, b, h)
 
@@ -545,21 +539,17 @@ def schedule(targets, mode: str = "finite", *, a0: float, x_max: float,
                     raise EnvelopeViolation(
                         f"|V|(1+|x|) exceeds |h| by {excess:.4g} at "
                         f"x = {x_at:.6g}")
-            for tracker in trackers:
+            for tracker in trackers:  # the next own piece's seed
                 tracker.advance(piece)
             piece.target = None  # the caller puts it back: no frame to pickle
             pieces.append(piece)
-        return pieces, [tracker.record() for tracker in trackers]
+        return pieces
 
-    (plus, plus_tracks), (minus, minus_tracks) = both_sides(one_side)
     pieces: list[PotentialPiece] = []
-    for c, pair in zip(owners, zip(plus, minus)):
+    for c, pair in zip(owners, zip(*both_sides(one_side))):
         for piece in pair:
             piece.target = targets[c]
             pieces.append(piece)
-    tracks = {(i, side): record for i, pair in
-              enumerate(zip(plus_tracks, minus_tracks))
-              for side, record in zip((1, -1), pair)}
     metadata = {
         "mode": mode, "a0": float(a0), "x_max": float(x_max), "b": float(b),
         "C_bound": float(C_bound), "K": float(K), "safety": SAFETY,
@@ -568,9 +558,7 @@ def schedule(targets, mode: str = "finite", *, a0: float, x_max: float,
         "targets": [{"lambda": t.lam, "k": t.k, "omega": t.omega, "C": t.C}
                     for t in targets],
     }
-    return SynthesisSchedule(
-        pieces=pieces, T=T, N=Ns, C_bound=float(C_bound), K=float(K),
-        tracks=tracks, activations=activations, metadata=metadata)
+    return SynthesisSchedule(pieces, activations, metadata)
 
 
 @dataclass
@@ -688,11 +676,14 @@ def read_manifest(manifest) -> Manifest:
         h = ENVELOPES[h_name]
     a0, x_max, b, C_bound = (_field(manifest, key)
                              for key in ("a0", "x_max", "b", "C_bound"))
+    listed = [_field(manifest, key, kind=list) for key in ("T", "N")]
+    for key, col in zip(("T", "N"), listed):
+        for r, val in enumerate(col):
+            if not isinstance(val, numbers.Real):
+                raise ValueError(f"{key}[{r}]: expected a number, got {val!r}")
     T, N, owners, _ = plan(C_bound, [t.envelope for t in targets], mode, a0,
                            x_max, b, h)
-    _on_plan("both sides", "T_r, N_r",
-             list(zip_longest(*(_field(manifest, key, kind=list)
-                                for key in ("T", "N")))),
+    _on_plan("both sides", "T_r, N_r", list(zip_longest(*listed)),
              list(zip_longest(T, N)))
     cycles = [(T_r, T_next, targets[c].lam, b, _taper(T_r, T_next))
               for c, T_r, T_next in zip(owners, T, T[1:])]

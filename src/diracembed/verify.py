@@ -19,8 +19,7 @@ import numpy as np
 
 from . import _util
 from ._util import (SIMPSON_BIAS, cumulative_blocks,
-                    cumulative_simpson_uniform, decimate, fit_line, frac,
-                    write_json)
+                    cumulative_simpson_uniform, decimate, fit_line, frac)
 from .errors import (
     BoundViolated,
     DecayTooSlow,
@@ -55,8 +54,6 @@ __all__ = [
     "TailReport",
     "l2_tail_estimate",
     "track_targets",
-    "write_reports_json",
-    "write_summary_csv",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -540,9 +537,10 @@ def track_targets(pot: SynthesizedPotential, targets) -> dict:
     """Replay each target's (ln R, xi) across an assembled potential.
 
     Each side's pieces pass in ascending |x| through the same Tracker
-    the schedule uses, so a record equals the schedule's own track and
-    feeds l2_tail_estimate directly.  Keys are (target_index, side) for
-    each side the potential has pieces on; every target owns one there.
+    the schedule seeds its own pieces from, so a record is the track the
+    schedule followed and feeds l2_tail_estimate directly.  Keys are
+    (target_index, side) for each side the potential has pieces on; every
+    target owns one there.
     """
     tracks = {}
     for side in sorted({pc.side for pc in pot.pieces}, reverse=True):
@@ -554,38 +552,3 @@ def track_targets(pot: SynthesizedPotential, targets) -> dict:
                 tracker.advance(pc)
             tracks[(i, side)] = tracker.record()
     return tracks
-
-
-# ---------------------------------------------------------------------------
-# report output
-
-
-def write_reports_json(reports, path: str) -> None:
-    """All reports as one JSON array (to_dict of each report object)."""
-    write_json(path, [r.to_dict() if hasattr(r, "to_dict") else dict(r)
-                      for r in reports])
-
-
-def write_summary_csv(reports, path: str) -> None:
-    """One line per report: name, subject, side, headline metric and value.
-
-    The subject is the energy, the target index, or for stability the
-    piece's and the bystander's energies as ``piece/bystander``."""
-
-    def headline(d):
-        for key in ("slope", "max_ratio", "verdict"):  # verify's checks
-            if key in d:
-                return key, d[key]
-        return "", ""
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("name,subject,side,metric,value\n")
-        for r in reports:
-            d = r.to_dict() if hasattr(r, "to_dict") else dict(r)
-            if "lambda_piece" in d:
-                subject = f"{d['lambda_piece']}/{d['lambda_bystander']}"
-            else:
-                subject = d.get("lambda", d.get("target", d.get("a", "")))
-            key, val = headline(d)
-            fh.write(f"{d.get('name', '?')},{subject},{d.get('side', '')},"
-                     f"{key},{val}\n")

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from diracembed import PeriodicCoefficient, RunConfig, cli
+from diracembed import ENVELOPES, PeriodicCoefficient, RunConfig, cli
 from diracembed.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -90,14 +90,15 @@ def test_verify_passes_on_clean_manifest(tmp_path, small_run):
     assert docs and all(d["passed"] for d in docs)
     names = {d["name"] for d in docs}
     assert {"decay", "stability", "l2-tail"} <= names
-    lines = (tmp_path / "summary.csv").read_text().splitlines()
-    assert len(lines) == len(docs) + 1
-    # Each row names its check, subject and side, and no two rows share them.
-    assert lines[0] == "name,subject,side,metric,value"
-    rows = [tuple(line.split(",")[:3]) for line in lines[1:]]
-    assert len(set(rows)) == len(rows)
-    assert all(subject for _, subject, _ in rows)
-    assert ("stability", "0.7/1.3", "-1") in rows
+
+
+def test_verify_writes_reports_json_alone(tmp_path, small_run):
+    # reports.json is verify's one report: no summary.csv beside it.
+    cfg_path, out = small_run
+    assert main(["verify", "--config", cfg_path,
+                 "--manifest", os.path.join(out, "manifest.json"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert sorted(os.listdir(tmp_path)) == ["reports.json"]
 
 
 def test_verify_catches_tampered_manifest(tmp_path, small_run):
@@ -244,21 +245,33 @@ def _verify_growing_manifest(tmp_path, monkeypatch, metadata, V0,
                  "--manifest", str(manifest)])
 
 
-@pytest.mark.parametrize("V0,rc,cfg_kw", [
-    (1e-10, EXIT_CHECK, {"mode": "growing", "h_name": "log"}),
-    (1e-12, EXIT_OK, {"mode": "growing", "h_name": "log"}),
-    (1e-10, EXIT_CHECK, {}),
-], ids=["1e-10-1", "1e-12-0", "finite-config"])
+# The run keys of a growing-mode manifest whose config is RunConfig's
+# defaults in growing mode with the log envelope.
+GROWING_META = {"mode": "growing", "h_name": "log", "a0": 1.0e4,
+                "x_max": 2.0e4, "b": 0.0, "targets": []}
+
+
+@pytest.mark.parametrize("V0,rc", [(1e-10, EXIT_CHECK), (1e-12, EXIT_OK)],
+                         ids=["1e-10-1", "1e-12-0"])
 def test_verify_envelope_verdict_is_the_schedule_rule(tmp_path, monkeypatch,
-                                                      V0, rc, cfg_kw):
+                                                      V0, rc):
     # The sample exceeds the envelope by exactly V0; verify passes it up to
-    # the tolerance schedule uses, 1e-12.  h comes from the manifest, so a
-    # finite config verifies a growing-mode manifest all the same.
-    meta = {"mode": "growing", "h_name": "log", "targets": []}
-    assert _verify_growing_manifest(tmp_path, monkeypatch, meta, V0,
-                                    **cfg_kw) == rc
+    # the tolerance schedule uses, 1e-12.
+    assert _verify_growing_manifest(tmp_path, monkeypatch, GROWING_META, V0,
+                                    mode="growing", h_name="log") == rc
     docs = json.loads((tmp_path / "reports.json").read_text())
     assert [(d["name"], d["max_excess"]) for d in docs] == [("envelope", V0)]
+
+
+def test_verify_with_another_envelope_is_usage_error(tmp_path, monkeypatch,
+                                                     capsys):
+    # A growing-mode config must name the manifest's envelope.
+    monkeypatch.setitem(ENVELOPES, "flat", np.ones_like)
+    assert _verify_growing_manifest(tmp_path, monkeypatch, GROWING_META, 0.0,
+                                    mode="growing", h_name="flat") \
+        == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error: h_name: ")
+    assert not (tmp_path / "reports.json").exists()
 
 
 @pytest.mark.parametrize("extra", [{}, {"h_name": ["log"]}],
@@ -285,22 +298,26 @@ def test_verify_without_config_writes_beside_the_manifest(tmp_path,
     assert main(["verify", "--manifest", str(manifest)]) == EXIT_OK
     assert main(["verify", "--config", cfg_path, "--manifest", str(manifest),
                  "--out", str(tmp_path / "with_config")]) == EXIT_OK
-    for name in ("reports.json", "summary.csv"):
-        assert (manifest.parent / name).read_bytes() \
-            == (tmp_path / "with_config" / name).read_bytes(), name
+    assert (manifest.parent / "reports.json").read_bytes() \
+        == (tmp_path / "with_config" / "reports.json").read_bytes()
 
 
-@pytest.mark.parametrize("key", ["p", "q", "lambdas"])
+@pytest.mark.parametrize("key", ["p", "q", "lambdas", "mode", "a0", "x_max",
+                                 "b"])
 def test_verify_with_another_run_config_is_usage_error(tmp_path, small_run,
                                                        generic_pq, capsys,
                                                        key):
-    # A config whose background or energies are not the manifest's names the
-    # key and writes nothing: periodic1's p, q and lambda = 0.9 against a
-    # free manifest at 0.7 and 1.3.
+    # A config that is not the manifest's run names the key and writes
+    # nothing: periodic1's p, q and lambda = 0.9 against a free manifest at
+    # 0.7 and 1.3, or another plan (finite, a0 = 2e3, x_max = 2.6e3, b = 0).
     cfg_path, out = small_run
-    other = {"p": generic_pq[0], "q": generic_pq[1], "lambdas": [0.9]}
+    other = {"p": {"p": generic_pq[0]}, "q": {"q": generic_pq[1]},
+             "lambdas": {"lambdas": [0.9]},
+             "mode": {"mode": "growing", "h_name": "log"},
+             "a0": {"a0": 2.1e3}, "x_max": {"x_max": 2.7e3}, "b": {"b": 1.0}}
     cfg = RunConfig.load(cfg_path)
-    setattr(cfg, key, other[key])
+    for name, val in other[key].items():
+        setattr(cfg, name, val)
     cfg.out_dir = str(tmp_path)
     cfg.save(str(tmp_path / "config.json"))
     assert main(["verify", "--config", str(tmp_path / "config.json"),
@@ -461,7 +478,10 @@ def test_manifest_with_another_frame_recipe_is_usage_error(
     ("floquet_integrator", lambda doc: doc.update(
         floquet_integrator=list(doc["floquet_integrator"].values()))),
     ("pieces[0].side", lambda doc: doc["pieces"][0].update(side="PLUS")),
-], ids=["lambda_list", "floquet_integrator_list", "side_unknown"])
+    ("T[0]", lambda doc: doc["T"].__setitem__(0, str(doc["T"][0]))),
+    ("N[1]", lambda doc: doc["N"].__setitem__(1, None)),
+], ids=["lambda_list", "floquet_integrator_list", "side_unknown", "T_str",
+        "N_null"])
 def test_mistyped_manifest_is_usage_error(tmp_path, small_run, capsys, key,
                                           tamper):
     # A manifest value of the wrong JSON type, or a side other than

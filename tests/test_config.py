@@ -39,6 +39,9 @@ def test_defaults_are_valid():
     (dict(out_dir=3), "out_dir"),
     (dict(lambdas=["x"]), "lambdas[0]"),
     (dict(lambdas=0.7), "lambdas"),
+    (dict(margin=np.nan), "margin"),  # every resonance test would pass
+    (dict(x_max=np.inf), "x_max"),
+    (dict(scan_lo=-np.inf), "scan_lo"),
 ])
 def test_validation_names_the_offending_key(kw, key):
     import re

@@ -190,7 +190,7 @@ def test_integrate_R_xi_zero_potential_is_exact(free_data):
     data = free_data
     run = integrate_R_xi(data, lambda x: 0.0 * np.asarray(x), 5.0, 50.0, 1.0)
     assert np.all(run.ln_R == 0.0)
-    assert run.ln_R_end == 0.0
+    assert run.ln_R[-1] == 0.0
     rate = xi_rate(data)
     assert np.allclose(run.xi, 1.0 + rate * (run.xs - 5.0), atol=1e-8)
     assert run.xs[0] == 5.0 and run.xs[-1] == 50.0
@@ -206,7 +206,7 @@ def test_integrate_R_xi_matches_coupled_solver(free_data):
     run = integrate_R_xi(data, V, x0, x1, xi0)
     ref = ivp(R_xi_system(data, lambda x: float(V(x))), x0, x1,
               np.array([0.0, xi0]), 1e-11, 1e-13, run.xs)
-    assert abs(run.ln_R_end - ref[-1, 0]) < 1e-6
+    assert abs(run.ln_R[-1] - ref[-1, 0]) < 1e-6
     assert np.max(np.abs(run.ln_R - ref[:, 0])) < 1e-6
     assert np.max(np.abs(run.xi - ref[:, 1])) < 1e-4
 
@@ -219,15 +219,15 @@ def test_integrate_R_xi_downward_anchors_at_the_right(free_data):
 
     up = integrate_R_xi(data, V, 5.0, 80.0, 0.3, lnR0=0.25)
     down = integrate_R_xi(data, V, 80.0, 5.0, float(up.xi[-1]),
-                          lnR0=float(up.ln_R_end))
+                          lnR0=float(up.ln_R[-1]))
     assert down.xs[0] == 80.0 and down.xs[-1] == 5.0
-    assert down.ln_R_end == pytest.approx(0.25, abs=1e-7)
+    assert down.ln_R[-1] == pytest.approx(0.25, abs=1e-7)
     assert down.xi[-1] == pytest.approx(0.3, abs=1e-6)
     # halfway, from either end
     mid_up = integrate_R_xi(data, V, 5.0, 40.0, 0.3, lnR0=0.25)
     mid_down = integrate_R_xi(data, V, 80.0, 40.0, float(up.xi[-1]),
-                              lnR0=float(up.ln_R_end))
-    assert mid_down.ln_R_end == pytest.approx(mid_up.ln_R_end, abs=1e-6)
+                              lnR0=float(up.ln_R[-1]))
+    assert mid_down.ln_R[-1] == pytest.approx(mid_up.ln_R[-1], abs=1e-6)
     assert mid_down.xi[-1] == pytest.approx(mid_up.xi[-1], abs=1e-6)
 
 
@@ -249,7 +249,7 @@ def test_integrate_R_xi_generic_frame_matches_a_tight_reference(generic_pq):
             y = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-12,
                           atol=1e-13).y[:, -1]
         assert abs(run.xi[-1] - y[1]) < 1e-5
-        assert abs(run.ln_R_end - y[0]) < 3e-5
+        assert abs(run.ln_R[-1] - y[0]) < 3e-5
 
 
 def test_integrate_R_xi_halves_the_step_until_settled(free_data, monkeypatch):
@@ -315,7 +315,7 @@ def test_integrate_R_xi_is_seamless_across_blocks(seam_runs, block, ends):
     # the same samples, strictly monotone: no seam sample is kept twice
     assert np.array_equal(run.xs, one.xs)
     assert np.all(np.sign(x1 - x0) * np.diff(run.xs) > 0.0)
-    assert abs(run.ln_R_end - one.ln_R_end) < 1e-12
+    assert abs(run.ln_R[-1] - one.ln_R[-1]) < 1e-12
     assert np.max(np.abs(run.xi - one.xi)) < 1e-12
 
 

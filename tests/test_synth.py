@@ -15,8 +15,9 @@ from diracembed.errors import (
     PieceTooShort,
     ResonantPair,
 )
-from diracembed import floquet, pruefer, synth
+from diracembed import floquet, pruefer, synth, verify
 from diracembed.pruefer import integrate_R_xi
+from diracembed.verify import track_targets
 from diracembed.synth import (
     ENVELOPE_TOL,
     EmbeddingTarget,
@@ -229,6 +230,13 @@ def test_slaved_amplitude_decays_at_the_certified_slope(free_target_07):
     assert drop == pytest.approx(-105.0 * 0.5, abs=2.0)
 
 
+def test_check_nonresonance_rejects_a_nan_margin(free_pq):
+    # Every |k_i - k_j| < NaN is False: a NaN margin would pass a pair at
+    # one energy.
+    with pytest.raises(ValueError, match="margin"):
+        check_nonresonance([0.7, 0.7], *free_pq, margin=np.nan)
+
+
 def test_slaved_amplitude_minus_side_anchors_at_inner_edge(free_target_13):
     t = free_target_13
     traj = solve_xi(t, 700.0, 0.0, 0.4, 900.0, side=-1, taper_width=1.0)
@@ -245,14 +253,15 @@ def test_slaved_amplitude_minus_side_anchors_at_inner_edge(free_target_13):
 
 def test_schedule_round_robin_structure(small_sched):
     sched = small_sched
-    assert sched.T[0] == 2.0e3
-    assert sched.T[-1] <= 2.6e3
-    assert len(sched.pieces) == 2 * (len(sched.T) - 1)
+    T = sched.metadata["T"]
+    assert T[0] == 2.0e3
+    assert T[-1] <= 2.6e3
+    assert len(sched.pieces) == 2 * (len(T) - 1)
     lam_cycle = [pc.lam for pc in sched.pieces[::2]]
     assert lam_cycle == ([0.7, 1.3] * len(lam_cycle))[: len(lam_cycle)]
     # breakpoints follow the halving ratio (2^N C_bound)^(1/100)
-    ratio = (4.0 * sched.C_bound) ** (1.0 / 100.0)
-    for lo, hi in zip(sched.T, sched.T[1:]):
+    ratio = (4.0 * sched.metadata["C_bound"]) ** (1.0 / 100.0)
+    for lo, hi in zip(T, T[1:]):
         assert hi == pytest.approx(lo * ratio, rel=1e-12)
 
 
@@ -268,15 +277,15 @@ def test_schedule_pieces_mirror_and_tile(small_sched):
         assert right.a == pytest.approx(left.x_end, rel=1e-12)
 
 
-def test_schedule_phase_chaining(small_sched):
+def test_schedule_phase_chaining(small_pot, free_target_07, free_target_13):
     # Each own piece starts at the phase the track carried to its left
     # edge (the phase keeps evolving as a bystander between own pieces).
-    sched = small_sched
+    tracks = track_targets(small_pot, [free_target_07, free_target_13])
     for i, lam in enumerate((0.7, 1.3)):
-        own = sorted((pc for pc in sched.pieces
+        own = sorted((pc for pc in small_pot.pieces
                       if pc.side > 0 and pc.lam == lam),
                      key=lambda pc: pc.a)
-        tr = sched.tracks[(i, 1)]
+        tr = tracks[(i, 1)]
         assert tr.own_starts == [pc.a for pc in own]
         for pc in own:
             idx = int(np.argmin(np.abs(tr.xs - pc.a)))
@@ -302,10 +311,11 @@ def test_seam_gap_has_no_rounding_floor(free_target_07):
             assert tracker.max_seam_gap == pytest.approx(gap, abs=1e-12)
 
 
-def test_schedule_tracks_cover_both_sides(small_sched):
-    sched = small_sched
-    assert set(sched.tracks) == {(i, s) for i in (0, 1) for s in (1, -1)}
-    for (i, s), tr in sched.tracks.items():
+def test_schedule_tracks_cover_both_sides(small_pot, free_target_07,
+                                          free_target_13):
+    tracks = track_targets(small_pot, [free_target_07, free_target_13])
+    assert set(tracks) == {(i, s) for i in (0, 1) for s in (1, -1)}
+    for (i, s), tr in tracks.items():
         assert tr.side == s
         assert tr.target_index == i
         assert len(tr.own_starts) >= 4
@@ -316,8 +326,7 @@ def test_schedule_tracks_cover_both_sides(small_sched):
         # ~2.4 lnR drop per own piece dominates the bystander wiggle
         assert tr.ln_R[-1] < -10.0
     for i in (0, 1):  # mirrored pieces: each side starts at the same |x|
-        assert sched.tracks[(i, 1)].own_starts[0] == \
-            sched.tracks[(i, -1)].own_starts[0]
+        assert tracks[(i, 1)].own_starts[0] == tracks[(i, -1)].own_starts[0]
 
 
 def test_schedule_validation(free_target_07, free_target_13):
@@ -353,17 +362,35 @@ def test_envelope_excess_rule(V0, ok):
 
 def test_probed_constants_recorded_on_schedule(small_sched):
     # doubled 2C/k floor for lam = 0.7 (C carries solver-level jitter)
-    assert small_sched.K == pytest.approx(1200.0, rel=1e-9)
-    assert 1.5 < small_sched.C_bound < 4.0
+    assert small_sched.metadata["K"] == pytest.approx(1200.0, rel=1e-9)
+    assert 1.5 < small_sched.metadata["C_bound"] < 4.0
 
 
 def test_probe_constants_hold_their_pins(free_target_07, free_target_13):
     # The probe's pieces lock at LOCK_RTOL and its stability checks gate
     # at 1.5 on one try: K is the doubled 2C/k floor, C_bound the decay
     # prefactor of the probe piece.
-    C_bound, K = probe_constants([free_target_07, free_target_13])
+    C_bound, K = probe_constants([free_target_07, free_target_13], a0=2e3)
     assert K == pytest.approx(1200.0, rel=1e-9)
     assert C_bound == pytest.approx(2.4276234227624442, rel=1e-12)
+
+
+def test_probe_stops_doubling_at_the_horizon(monkeypatch, free_pq):
+    # Near-resonant bystanders need an ever larger offset.  Once K = 2 K_try
+    # passes a0 - b no schedule can start, so the probe stops there: here
+    # after one stability round (K_try = 600 fails, 2 * 1200 > 2000).
+    offsets = set()
+    check = verify.stability_check
+
+    def counted(bystander, piece, **kw):
+        offsets.add(piece.a)
+        return check(bystander, piece, **kw)
+
+    monkeypatch.setattr(verify, "stability_check", counted)
+    targets = [make_target(*free_pq, lam) for lam in (0.7, 0.7002)]
+    with pytest.raises(PieceTooShort, match="K = 2400"):
+        schedule(targets, a0=2e3, x_max=2.6e3)
+    assert len(offsets) <= 2
 
 
 def test_no_caller_picks_a_phase_lock_tolerance():

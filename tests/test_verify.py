@@ -1,6 +1,5 @@
 """Quantitative certification checks: decay, stability, bounds, tails."""
 
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,8 +27,6 @@ from diracembed.verify import (
     oscillatory_check_42,
     stability_check,
     track_targets,
-    write_reports_json,
-    write_summary_csv,
 )
 
 
@@ -495,18 +492,6 @@ def test_l2_tail_needs_enough_cycles():
         l2_tail_estimate(_synthetic_track([10.0, 14.0, 18.0], 0.5))
 
 
-def test_track_targets_reproduces_schedule_tracks(small_pot, small_sched,
-                                                  free_target_07,
-                                                  free_target_13):
-    tracks = track_targets(small_pot, [free_target_07, free_target_13])
-    assert set(tracks) == set(small_sched.tracks)
-    for key, tr in tracks.items():
-        ref = small_sched.tracks[key]
-        assert tr.own_starts == ref.own_starts
-        for name in ("xs", "ln_R", "xi"):
-            assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
-
-
 def test_tails_across_assembled_potential(small_pot, free_target_07,
                                           free_target_13):
     tracks = track_targets(small_pot, [free_target_07, free_target_13])
@@ -535,15 +520,3 @@ def test_report_records_keep_their_keys(free_pair, free_target_07):
         "min_margin", "tol", "l2_measured", "l2_lower_bound",
         "square_summable"}
     assert doc["name"] == "nonembedding" and doc["lambda"] == 0.7
-
-
-def test_report_files(tmp_path, free_target_07, long_piece):
-    rep = decay_check(free_target_07, long_piece)
-    jpath, cpath = tmp_path / "reports.json", tmp_path / "summary.csv"
-    write_reports_json([rep], str(jpath))
-    docs = json.loads(jpath.read_text())
-    assert docs[0]["name"] == "decay"
-    write_summary_csv([rep], str(cpath))
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "name,subject,side,metric,value"
-    assert lines[1].startswith("decay,0.7,1,slope,")
