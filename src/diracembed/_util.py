@@ -1,11 +1,12 @@
 """Small helpers: piecewise cubics, periodic fields and their frame table,
 decimation, cumulative Simpson (whole or in blocks), windows, CSV/JSON output,
-and the two half-lines run side by side."""
+the JSON number test, and the two half-lines run side by side."""
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -22,6 +23,11 @@ QUAD_BLOCK = 2 ** 16
 # numpy's OpenBLAS stops its threads across a fork; elsewhere the two sides
 # run in this process, one after the other.
 FORK_SIDES = sys.platform.startswith("linux")
+
+
+def is_number(val) -> bool:
+    """A JSON number: a real, and not a bool (JSON's true and false)."""
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
 def frac(x):
@@ -251,32 +257,9 @@ def smoothstep(t):
 
 
 def taper_window(x, lo: float, hi: float, width: float):
-    """C-infinity window: 0 outside (lo, hi), 1 on [lo+width, hi-width].
-
-    A float x stays on floats, with the array path's bits: the plateau
-    returns at once, the rest goes through smoothstep's float branch."""
-    if isinstance(x, float):
-        t1, t2 = (x - lo) / width, (hi - x) / width
-        if t1 >= 1.0 and t2 >= 1.0:
-            return 1.0
-        return smoothstep(t1) * smoothstep(t2)
-    x = np.asarray(x, dtype=float)
+    """C-infinity window: 0 outside (lo, hi), 1 on [lo+width, hi-width]; a
+    float x stays on smoothstep's float branch, with the array path's bits."""
     return smoothstep((x - lo) / width) * smoothstep((hi - x) / width)
-
-
-def taper_plateau(lo: float, hi: float, width: float) -> tuple[float, float]:
-    """[p0, p1]: p0 <= x <= p1 exactly when taper_window's plateau test holds,
-    each half (monotone in x) bisected from a passing float to lo (hi)."""
-
-    def edge(passes, x_in, x_out):
-        while (mid := x_in + (x_out - x_in) / 2) not in (x_in, x_out):
-            x_in, x_out = (mid, x_out) if passes(mid) else (x_in, mid)
-        return x_in
-
-    return (edge(lambda x: (x - lo) / width >= 1.0,
-                 max(lo + 2.0 * width, math.nextafter(lo, math.inf)), lo),
-            edge(lambda x: (hi - x) / width >= 1.0,
-                 min(hi - 2.0 * width, math.nextafter(hi, -math.inf)), hi))
 
 
 def write_rows(fh, cols, block: int = 512) -> None:
@@ -286,12 +269,6 @@ def write_rows(fh, cols, block: int = 512) -> None:
     for start in range(0, len(table), block):
         rows = table[start:start + block]
         fh.write(fmt * len(rows) % tuple(rows.ravel().tolist()))
-
-
-def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and intercept of y against x."""
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept)
 
 
 def write_json(path: str, doc) -> None:

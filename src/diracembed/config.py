@@ -7,12 +7,11 @@ to_dict/from_dict is guaranteed to produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ._util import write_json
+from ._util import is_number, write_json
 from .periodic_core import PeriodicCoefficient
 
 __all__ = ["RunConfig", "ENVELOPES"]
@@ -22,8 +21,9 @@ ENVELOPES = {
     "log": lambda x: np.log(np.e + np.abs(x)),
 }
 
-# The JSON types a field annotation admits; p and q are checked by from_dict.
-_TYPES = {"float": numbers.Real, "str": str, "str | None": (str, type(None)),
+# The JSON types a field annotation admits, beside a float's JSON number
+# (is_number: true and false are not numbers); p and q are checked by from_dict.
+_TYPES = {"str": str, "str | None": (str, type(None)),
           "list[float]": (list, tuple)}
 
 
@@ -48,7 +48,8 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             val = getattr(self, f.name)
-            if not isinstance(val, _TYPES.get(f.type, object)):
+            if not (is_number(val) if f.type == "float"
+                    else isinstance(val, _TYPES.get(f.type, object))):
                 raise ValueError(f"{f.name}: expected {f.type}, got {val!r}")
             if f.type == "float" and not np.isfinite(val):
                 raise ValueError(f"{f.name}: {val!r} is not finite")
@@ -69,8 +70,8 @@ class RunConfig:
         if self.scan_hi <= self.scan_lo:
             raise ValueError("scan_hi: must exceed scan_lo")
         for i, lam in enumerate(self.lambdas):
-            if not isinstance(lam, numbers.Real) or not np.isfinite(lam):
-                raise ValueError(f"lambdas[{i}]: {lam!r} is not finite")
+            if not is_number(lam) or not np.isfinite(lam):
+                raise ValueError(f"lambdas[{i}]: {lam!r} is not a finite number")
 
     def envelope(self):
         return ENVELOPES[self.h_name] if self.h_name else None

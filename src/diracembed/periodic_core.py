@@ -19,12 +19,11 @@ trace-free, so Wronskians of solution pairs are constants of motion.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frac
+from ._util import frac, is_number
 
 __all__ = [
     "PeriodicCoefficient",
@@ -57,13 +56,17 @@ class PeriodicCoefficient:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PeriodicCoefficient":
-        """The series of a JSON block; a ValueError names a mistyped key."""
+        """The series of a JSON block; a ValueError names a mistyped or an
+        unknown key."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {d!r}")
+        unknown = sorted(set(d) - {"a0", "cos", "sin"})
+        if unknown:
+            raise ValueError(f"{unknown[0]}: unknown coefficient key")
         a0, cos, sin = d.get("a0", 0.0), d.get("cos", []), d.get("sin", [])
         for key, vals in (("a0", [a0]), ("cos", cos), ("sin", sin)):
             if not isinstance(vals, (list, tuple)) \
-                    or not all(isinstance(v, numbers.Real) for v in vals):
+                    or not all(is_number(v) for v in vals):
                 raise ValueError(f"{key}: expected numbers, got {d[key]!r}")
         return cls(a0, tuple(cos), tuple(sin))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cubic_hermite, decimate, taper_plateau, taper_window
+from ._util import cubic_hermite, decimate, taper_window
 from .errors import NonFiniteState, StepSizeUnderflow, ZeroSolution
 from .floquet import DerivedPeriodicData, gamma_derivative, magnus_chain
 
@@ -169,9 +169,17 @@ def rate_floor(rate: float) -> float:
 def phase_law(data: DerivedPeriodicData, two_c: float, b_s: float, window):
     """zeta' = xi' - rate = k2 + d - rate + g (u - v - Psi cos xi) at floats,
     g = two_c w(x) sin xi/(x - b_s), w the taper of window = (lo, hi, width)
-    (none at width 0) off its plateau.  A constant frame has k2 + d - rate
-    = 0.0 and one u - v; a periodic row is summed as ``FrameTable`` sums it."""
-    p_lo, p_hi = taper_plateau(*window) if window[2] > 0.0 else (-math.inf, math.inf)
+    (none at width 0), called off [p_lo, p_hi] only.  A constant frame has
+    k2 + d - rate = 0.0 and one u - v; a periodic row is summed as
+    ``FrameTable`` sums it."""
+    lo, hi, width = window
+    p_lo, p_hi = -math.inf, math.inf
+    if width > 0.0:  # on [p_lo, p_hi] fl(x - lo), fl(hi - x) >= width: w = 1.0
+        p_lo, p_hi = lo + width, hi - width
+        while p_lo - lo < width:
+            p_lo = math.nextafter(p_lo, math.inf)
+        while hi - p_hi < width:
+            p_hi = math.nextafter(p_hi, -math.inf)
     sin, cos, floor, frame = math.sin, math.cos, math.floor, data.frame
     if frame.const is not None:
         _, u, v, P = frame.const

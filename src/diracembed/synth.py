@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -28,7 +27,7 @@ from itertools import zip_longest
 import numpy as np
 
 from ._util import (both_sides, cumulative_simpson_uniform, decimate,
-                    taper_window, write_json, write_rows)
+                    is_number, taper_window, write_json, write_rows)
 from .config import ENVELOPES
 from .errors import (
     EnvelopeTooLarge,
@@ -596,18 +595,19 @@ def write_manifest(pot: SynthesizedPotential, path: str,
     write_json(path, doc)
 
 
-def _field(doc, key: str, where: str = "", kind=numbers.Real):
-    """doc[key] of the manifest object ``where``, a float when kind is a
-    number.  A value of the wrong JSON type is a ValueError naming its key,
-    as a config's is; a missing key stays a KeyError."""
+def _field(doc, key: str, where: str = "", kind=float):
+    """doc[key] of the manifest object ``where``, a float when kind is float
+    (a JSON number: not true or false).  A value of the wrong JSON type is a
+    ValueError naming its key, as a config's is; a missing key stays a
+    KeyError."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where or 'manifest'}: expected a JSON object, "
                          f"got {doc!r}")
     name, val = f"{where}.{key}" if where else key, doc[key]
-    if not isinstance(val, kind):
-        expected = "a number" if kind is numbers.Real else kind.__name__
+    if not (is_number(val) if kind is float else isinstance(val, kind)):
+        expected = "a number" if kind is float else kind.__name__
         raise ValueError(f"{name}: expected {expected}, got {val!r}")
-    return float(val) if kind is numbers.Real else val
+    return float(val) if kind is float else val
 
 
 @dataclass
@@ -679,7 +679,7 @@ def read_manifest(manifest) -> Manifest:
     listed = [_field(manifest, key, kind=list) for key in ("T", "N")]
     for key, col in zip(("T", "N"), listed):
         for r, val in enumerate(col):
-            if not isinstance(val, numbers.Real):
+            if not is_number(val):
                 raise ValueError(f"{key}[{r}]: expected a number, got {val!r}")
     T, N, owners, _ = plan(C_bound, [t.envelope for t in targets], mode, a0,
                            x_max, b, h)

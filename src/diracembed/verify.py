@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _util
 from ._util import (SIMPSON_BIAS, cumulative_blocks,
-                    cumulative_simpson_uniform, decimate, fit_line, frac)
+                    cumulative_simpson_uniform, decimate, frac)
 from .errors import (
     BoundViolated,
     DecayTooSlow,
@@ -333,7 +333,7 @@ def decay_check(target: EmbeddingTarget, piece: PotentialPiece) -> DecayReport:
     if piece.side < 0:
         xs, ln_R = xs[::-1], ln_R[::-1]  # integration order, start first
     lnratio = np.log((np.abs(xs) - piece.b) / (piece.a - piece.b))
-    slope, intercept = fit_line(lnratio, ln_R)
+    slope, intercept = np.polyfit(lnratio, ln_R, 1)
     rise = ln_R - ln_R[0]
     C_add = float(np.max(rise + 100.0 * lnratio))
     max_rise = float(np.max(rise))

@@ -342,6 +342,29 @@ def test_periodic_background_synth_then_verify(tmp_path, generic_pq):
     assert len(docs) == 12 and all(d["passed"] for d in docs)
 
 
+def test_growing_mode_synth_then_verify_from_the_manifest(tmp_path):
+    # Criterion 10's mass frame at two energies through both commands: synth
+    # records the envelope's name, and verify rebuilds the growing run from
+    # the manifest alone, envelope check included, as it does with the config.
+    lams = [float(np.sqrt(25.0 + nu ** 2)) for nu in (0.055, 0.075)]
+    run = tmp_path / "run"
+    run.mkdir()
+    cfg_path = _save_config(run, PeriodicCoefficient(a0=10.0), lambdas=lams,
+                            margin=0.01, mode="growing", h_name="log",
+                            a0=6.2e4, x_max=1.6e5)
+    manifest = run / "manifest.json"
+    assert main(["synth", "--config", cfg_path]) == EXIT_OK
+    assert json.loads(manifest.read_text())["h_name"] == "log"
+    assert main(["verify", "--manifest", str(manifest)]) == EXIT_OK
+    docs = json.loads((run / "reports.json").read_text())
+    assert len(docs) == 13 and all(d["passed"] for d in docs)
+    assert [d["name"] for d in docs].count("envelope") == 1
+    assert main(["verify", "--config", cfg_path, "--manifest", str(manifest),
+                 "--out", str(tmp_path / "with_config")]) == EXIT_OK
+    assert (tmp_path / "with_config" / "reports.json").read_bytes() \
+        == (run / "reports.json").read_bytes()
+
+
 def test_oscillatory_powerlaw_path(tmp_path):
     rc = main(["oscillatory", "--a", "1.0", "--beta1", "1.0",
                "--beta2", "1.0", "--x0", "10", "--x0", "100",
@@ -480,8 +503,9 @@ def test_manifest_with_another_frame_recipe_is_usage_error(
     ("pieces[0].side", lambda doc: doc["pieces"][0].update(side="PLUS")),
     ("T[0]", lambda doc: doc["T"].__setitem__(0, str(doc["T"][0]))),
     ("N[1]", lambda doc: doc["N"].__setitem__(1, None)),
+    ("coss", lambda doc: doc["coefficients"]["p"].update(coss=[0.3])),
 ], ids=["lambda_list", "floquet_integrator_list", "side_unknown", "T_str",
-        "N_null"])
+        "N_null", "coefficient_key_unknown"])
 def test_mistyped_manifest_is_usage_error(tmp_path, small_run, capsys, key,
                                           tamper):
     # A manifest value of the wrong JSON type, or a side other than
@@ -499,6 +523,27 @@ def test_mistyped_manifest_is_usage_error(tmp_path, small_run, capsys, key,
                "--manifest", str(tampered), "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,tamper", [
+    ("C_bound", lambda doc: doc.update(C_bound=True)),
+    ("b", lambda doc: doc.update(b=False)),
+    ("N[0]", lambda doc: doc["N"].__setitem__(0, True)),
+    ("a0", lambda doc: doc["coefficients"]["q"].update(a0=False)),
+], ids=["C_bound_true", "b_false", "N_true", "q_a0_false"])
+def test_json_boolean_in_manifest_is_usage_error(tmp_path, small_run, capsys,
+                                                 key, tamper):
+    # A JSON true or false where the manifest holds a number is mistyped, not
+    # read as 1.0 or 0.0.
+    _, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    tamper(doc)
+    tampered = tmp_path / "manifest.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["verify", "--manifest", str(tampered)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"config error: {key}: expected ")
+    assert list(tmp_path.iterdir()) == [tampered]
 
 
 def test_malformed_config_is_usage_error(tmp_path):
@@ -526,6 +571,28 @@ def test_mistyped_config_is_usage_error(tmp_path, change):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([1, 2] if change is None else {**doc, **change}))
     assert main(["bands", "--config", str(bad)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("change,key", [
+    ({"lambdas": [True]}, "lambdas[0]"),
+    ({"margin": True}, "margin"),
+    ({"b": False}, "b"),
+    ({"p": {"a0": True}}, "p: a0"),
+    ({"p": {"a0": 0.4, "coss": [0.3]}}, "p: coss"),
+], ids=["lambdas_true", "margin_true", "b_false", "p_a0_true",
+        "p_coefficient_key_unknown"])
+def test_json_boolean_or_unknown_coefficient_key_is_usage_error(tmp_path,
+                                                               capsys,
+                                                               change, key):
+    # true/false are not numbers, and a misspelt series key is not ignored:
+    # each names its key before any command runs.
+    doc = RunConfig(p=PeriodicCoefficient(), q=PeriodicCoefficient(),
+                    lambdas=[0.7], out_dir=str(tmp_path)).to_dict()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, **change}))
+    assert main(["bands", "--config", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 def test_unknown_flag_is_usage_error(small_run):

@@ -42,6 +42,10 @@ def test_defaults_are_valid():
     (dict(margin=np.nan), "margin"),  # every resonance test would pass
     (dict(x_max=np.inf), "x_max"),
     (dict(scan_lo=-np.inf), "scan_lo"),
+    # JSON true and false are bools, and a bool is a numbers.Real
+    (dict(lambdas=[True]), "lambdas[0]"),
+    (dict(margin=True), "margin"),
+    (dict(b=False), "b"),
 ])
 def test_validation_names_the_offending_key(kw, key):
     import re
@@ -84,6 +88,10 @@ def test_from_dict_requires_coefficients():
     ("q", 5, "^q"),
     ("p", {"cos": "0.3"}, "^p: cos"),
     ("q", {"sin": [0.1, None]}, "^q: sin"),
+    ("p", {"a0": True}, "^p: a0"),
+    ("q", {"cos": [0.3, False]}, "^q: cos"),
+    # a misspelt key would silently leave its series empty
+    ("p", {"a0": 0.4, "coss": [0.3]}, "^p: coss: unknown coefficient key"),
 ])
 def test_from_dict_names_a_mistyped_coefficient(key, block, name):
     doc = _cfg().to_dict()

@@ -16,7 +16,6 @@ from diracembed._util import (
     SIMPSON_BIAS,
     cumulative_blocks,
     cumulative_simpson_uniform,
-    fit_line,
     frac,
     smoothstep,
     taper_window,
@@ -332,10 +331,3 @@ def test_taper_window_plateau_and_edges():
         d = (taper_window(x + eps, lo, hi, w)
              - taper_window(x - eps, lo, hi, w)) / (2 * eps)
         assert abs(d) < 10.0 / w
-
-
-def test_fit_line_recovers_slope():
-    xs = np.linspace(0.0, 5.0, 40)
-    slope, intercept = fit_line(xs, -3.0 * xs + 0.7)
-    assert slope == pytest.approx(-3.0, abs=1e-12)
-    assert intercept == pytest.approx(0.7, abs=1e-12)

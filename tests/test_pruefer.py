@@ -385,28 +385,46 @@ def test_kernel_equals_the_loop_reference_across_rejected_steps(generic_pq,
 finite = st.floats(-1e5, 1e5, allow_nan=False)
 
 
+def ulps(y: float, k: int) -> float:
+    """y stepped k floats up (k < 0: down)."""
+    for _ in range(abs(k)):
+        y = math.nextafter(y, math.copysign(math.inf, k))
+    return y
+
+
 @settings(max_examples=300, deadline=None)
 @given(lo=finite, length=st.floats(1e-3, 1e4), width=st.floats(1e-9, 1e3),
        offsets=st.lists(st.integers(-4, 4), min_size=1, max_size=8),
        x=finite)
-def test_taper_plateau_is_taper_windows_plateau_test(lo, length, width,
-                                                     offsets, x):
-    """p0 <= x <= p1 exactly where taper_window's float path takes its
-    plateau: at random x and at a few ulps around each bound."""
+def test_phase_law_skips_the_taper_only_where_it_is_one(free_data, lo, length,
+                                                        width, offsets, x):
+    """Every x at which the law does not call the taper lies on the plateau,
+    (x - lo)/width >= 1 and (hi - x)/width >= 1, where the window is exactly
+    1.0; and the law calls it on the plateau only within one ulp u of the
+    window's largest magnitude from the plateau's ends.  (In ulps of the end
+    itself the band is unbounded: at lo = -1, width = 1 the plateau starts at
+    -2**-54, the law's fast path at 0.0.)  At random x, and around each
+    nominal end at a few ulps and at a few u."""
     hi = lo + length
-    p0, p1 = _util.taper_plateau(lo, hi, width)
-    near = [x]
-    for bound in (p0, p1):
-        for k in offsets:
-            y = bound
-            for _ in range(abs(k)):
-                y = math.nextafter(y, math.copysign(math.inf, k))
-            near.append(y)
+    u = math.ulp(max(abs(lo), abs(hi), width))
+    near = [x] + [y for bound in (lo + width, hi - width) for k in offsets
+                  for y in (ulps(bound, k), bound + k * u)]
+    tapered = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pruefer, "taper_window",
+                   lambda y, *w: tapered.append(y) or 0.5)
+        law = pruefer.phase_law(free_data, 1.0, math.inf, (lo, hi, width))
+        for y in near:  # b_s = inf: the coupling is not read, only the calls
+            law(y, 1.0)
+
+    def on(y):
+        return (y - lo) / width >= 1.0 and (hi - y) / width >= 1.0
+
     for y in near:
-        on = (y - lo) / width >= 1.0 and (hi - y) / width >= 1.0
-        assert (p0 <= y <= p1) == on
-        if on:  # so skipping the call keeps the window's bits
-            assert _util.taper_window(y, lo, hi, width) == 1.0
+        if y not in tapered:
+            assert on(y) and _util.taper_window(y, lo, hi, width) == 1.0
+        elif on(y):
+            assert not (on(y - u) and on(y + u))
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +612,8 @@ def test_phase_slope_is_the_phase_law_on_the_frame(which, free_data, mass_pq,
     """At many float pairs (x, xi) the law is k2 + d - rate + g*(u - v -
     P*cos xi) with (d, u, v, P) = data.frame(x) and the lock's coupling g =
     2C w sin xi/(x - b_s), bit for bit.  The law reads the frame without
-    calling the lookup, and calls the taper off its plateau only."""
+    calling the lookup, and calls the taper off [p_lo, p_hi] only, here
+    [lo + width, hi - width]: both ends are exact, so no ulp is stepped."""
     data = {"free": free_data, "generic": generic_data,
             "mass": mass_data(mass_pq)}[which]
     assert (data.frame.const is None) == (which == "generic")
@@ -620,8 +639,7 @@ def test_phase_slope_is_the_phase_law_on_the_frame(which, free_data, mass_pq,
     law = pruefer.phase_law(data, two_c, b_s, (lo, hi, width))
     assert [law(x, xi) for x, xi in zip(xs, xis)] == expect
     assert not lookups
-    assert tapered == [x for x in xs
-                       if not ((x - lo) / width >= 1.0 and (hi - x) / width >= 1.0)]
+    assert tapered == [x for x in xs if not lo + width <= x <= hi - width]
 
 
 @pytest.mark.parametrize("which", ["free", "mass", "generic"])
