@@ -18,7 +18,6 @@ trace-free, so Wronskians of solution pairs are constants of motion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +42,9 @@ class PeriodicCoefficient:
         object.__setattr__(self, "cos", tuple(float(c) for c in self.cos))
         object.__setattr__(self, "sin", tuple(float(s) for s in self.sin))
         object.__setattr__(self, "a0", float(self.a0))
-        vals = (self.a0,) + self.cos + self.sin
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("coefficient series must be finite")
+        for key in ("a0", "cos", "sin"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key}: coefficient series must be finite")
 
     @property
     def is_constant(self) -> bool:

@@ -54,7 +54,6 @@ __all__ = [
     "piece_potential",
     "slaved_amplitude",
     "SynthesisSchedule",
-    "TrackRecord",
     "Tracker",
     "probe_constants",
     "envelope_excess",
@@ -304,20 +303,6 @@ def slaved_amplitude(piece: PotentialPiece, lnR_start: float = 0.0):
     return xs, lnR_start + (F - F[-1])
 
 
-@dataclass
-class TrackRecord:
-    """Amplitude/phase history of one target on one side of a schedule."""
-
-    target_index: int
-    side: int
-    xs: np.ndarray
-    ln_R: np.ndarray
-    xi: np.ndarray
-    own_starts: list[float]  # |x| of this target's own piece activations
-    max_seam_gap: float = 0.0  # largest |xi arriving - xi0| mod 2 pi
-    seam_a: float = math.nan  # the a of that piece
-
-
 class Tracker:
     """Advances one target's (ln R, xi) on one side, piece by piece.
 
@@ -327,14 +312,15 @@ class Tracker:
     re-derived by forward integration); across other targets' pieces a
     started track integrates the well-conditioned bystander flow.  An own
     piece's seed xi0 should continue the arriving xi mod 2 pi: the largest
-    such seam gap is recorded.  Pieces must arrive in ascending |x|.
+    such seam gap is recorded.  Pieces must arrive in ascending |x|; the
+    Tracker is then the track record ``verify.l2_tail_estimate`` reads.
     """
 
     def __init__(self, target_index: int, target: EmbeddingTarget, side: int):
         self.target_index, self.target, self.side = target_index, target, side
         self.xi: float | None = None  # None until the first own piece
         self.ln_R = 0.0
-        self.own_starts: list[float] = []
+        self.own_starts: list[float] = []  # |x| where own pieces start
         self.max_seam_gap, self.seam_a = 0.0, math.nan
         self._samples: list[tuple] = []  # (xs, ln_R, xi) per piece
 
@@ -365,13 +351,9 @@ class Tracker:
             self.ln_R = float(run.ln_R[-1])
             self._samples.append((run.xs, run.ln_R, run.xi))
 
-    def record(self) -> TrackRecord:
-        xs, ln_R, xi = (np.concatenate(col) for col in zip(*self._samples))
-        return TrackRecord(target_index=self.target_index, side=self.side,
-                           xs=xs, ln_R=ln_R, xi=xi,
-                           own_starts=list(self.own_starts),
-                           max_seam_gap=self.max_seam_gap,
-                           seam_a=self.seam_a)
+    def samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, ln_R, xi) over every piece since the start, in ascending |x|."""
+        return tuple(np.concatenate(col) for col in zip(*self._samples))
 
 
 @dataclass
@@ -610,6 +592,14 @@ def _field(doc, key: str, where: str = "", kind=float):
     return float(val) if kind is float else val
 
 
+def _only(doc: dict, keys, where: str = "") -> None:
+    """ValueError naming the first key of doc beyond keys: no run writes it."""
+    extra = sorted(set(doc) - set(keys))
+    if extra:
+        name = f"{where}.{extra[0]}" if where else extra[0]
+        raise ValueError(f"{name}: unknown manifest key")
+
+
 @dataclass
 class Manifest:
     """A read manifest on its plan: each piece's rebuild arguments in
@@ -636,15 +626,27 @@ def _on_plan(where: str, fields: str, listed: list, planned: list) -> None:
 
 def read_manifest(manifest) -> Manifest:
     """Check a manifest (path or dict) and build its targets; no phase lock
-    runs.  A value of the wrong JSON type is a ValueError naming its key.
+    runs.  A value of the wrong JSON type, a key no run writes and a recorded
+    method constant that is not the run's are each a ValueError naming the key.
     T, N and one piece per cycle and side must be the plan of the manifest's
     own inputs (PlanMismatch otherwise); xi0 and C are the pieces' own."""
     if isinstance(manifest, (str, os.PathLike)):
         with open(manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     coefficients = _field(manifest, "coefficients", kind=dict)
-    p, q = (PeriodicCoefficient.from_dict(
-        _field(coefficients, key, "coefficients", dict)) for key in ("p", "q"))
+    _only(manifest, ("coefficients", "integrator", "floquet_integrator",
+                     "pieces", "targets", "mode", "h_name", "a0", "x_max", "b",
+                     "C_bound", "K", "safety", "taper_width", "xi0_default",
+                     "T", "N"))
+    _only(coefficients, ("p", "q"), "coefficients")
+    blocks = {}
+    for key in ("p", "q"):
+        block = _field(coefficients, key, "coefficients", dict)
+        try:  # from_dict's message names the key within the block
+            blocks[key] = PeriodicCoefficient.from_dict(block)
+        except ValueError as exc:
+            raise ValueError(f"coefficients.{key}.{exc}") from None
+    p, q = blocks["p"], blocks["q"]
     for block, recipe in (("integrator", LOCK_RECIPE),
                           ("floquet_integrator", FRAME_RECIPE)):
         doc = _field(manifest, block, kind=dict)
@@ -652,17 +654,24 @@ def read_manifest(manifest) -> Manifest:
             if doc.get(key) != recipe.get(key):
                 raise ValueError(f"{block}.{key}: {doc.get(key)!r}, but every "
                                  f"run is built with {recipe.get(key)!r}")
+    for key, val in (("safety", SAFETY), ("taper_width", TAPER_WIDTH),
+                     ("xi0_default", XI0)):
+        if _field(manifest, key) != val:
+            raise ValueError(f"{key}: {manifest[key]!r}, but every run is "
+                             f"built with {val!r}")
     targets = []
     for i, entry in enumerate(_field(manifest, "targets", kind=list)):
         lam, C = (_field(entry, key, f"targets[{i}]") for key in ("lambda", "C"))
+        _only(entry, ("lambda", "k", "omega", "C"), f"targets[{i}]")
         targets.append(EmbeddingTarget.at(p, q, lam, C=C))
         targets[-1].data.frame  # the locks' table, built once for both sides
     entries = []
     for i, entry in enumerate(_field(manifest, "pieces", kind=list)):
-        lam, a, b, xi0, x_end, C, tw = (
-            _field(entry, key, f"pieces[{i}]") for key in
-            ("lambda", "a", "b", "xi0", "x_end", "C", "taper_width"))
+        keys = ("lambda", "a", "b", "xi0", "x_end", "C", "taper_width")
+        lam, a, b, xi0, x_end, C, tw = (_field(entry, key, f"pieces[{i}]")
+                                        for key in keys)
         side = _field(entry, "side", f"pieces[{i}]", str)
+        _only(entry, keys + ("side",), f"pieces[{i}]")
         if side not in ("plus", "minus"):
             raise ValueError(f"pieces[{i}].side: {side!r} is not plus/minus")
         entries.append((1 if side == "plus" else -1, (a, x_end, lam, b, tw),
@@ -674,6 +683,9 @@ def read_manifest(manifest) -> Manifest:
             raise ValueError(f"h_name: {h_name!r} in a growing-mode manifest "
                              f"is not one of {sorted(ENVELOPES)}")
         h = ENVELOPES[h_name]
+    elif "h_name" in manifest:
+        raise ValueError(f"h_name: {manifest['h_name']!r}, but every {mode} "
+                         "run is built without an envelope")
     a0, x_max, b, C_bound = (_field(manifest, key)
                              for key in ("a0", "x_max", "b", "C_bound"))
     listed = [_field(manifest, key, kind=list) for key in ("T", "N")]

@@ -33,7 +33,6 @@ from .synth import (
     EmbeddingTarget,
     PotentialPiece,
     SynthesizedPotential,
-    TrackRecord,
     Tracker,
     piece_potential,
     slaved_amplitude,
@@ -497,27 +496,26 @@ class TailReport(Report):
     max_seam_gap: float
 
 
-def l2_tail_estimate(track: TrackRecord) -> TailReport:
+def l2_tail_estimate(track: Tracker) -> TailReport:
     """Cycle-over-cycle integral of R^2 along one tracked amplitude.
 
     A cycle runs between consecutive activations of the target's own
     pieces; the verdict is positive when every complete cycle carries at
-    most TAIL_RATIO of the previous one's energy.  A seam gap above
-    SEAM_TOL breaks the chain of own pieces: BoundViolated.
+    most TAIL_RATIO of the previous one's energy (the track's own_starts
+    and samples() are in ascending |x|).  A seam gap above SEAM_TOL breaks
+    the chain of own pieces: BoundViolated.
     """
     if track.max_seam_gap > SEAM_TOL:
         raise BoundViolated(
             f"target {track.target_index}, side {track.side}: the own piece "
             f"at |x| = {track.seam_a:.6g} starts {track.max_seam_gap:.3g} "
             f"rad off the arriving phase (SEAM_TOL {SEAM_TOL:g})")
-    bounds = sorted(track.own_starts)
+    bounds = track.own_starts
     if len(bounds) < 4:
         raise InconclusiveTail(
             f"only {max(len(bounds) - 1, 0)} complete cycles; need >= 3")
-    ax = np.abs(track.xs)
-    order = np.argsort(ax, kind="stable")
-    ax = ax[order]
-    R2 = np.exp(2.0 * track.ln_R[order])
+    xs, ln_R, _ = track.samples()
+    ax, R2 = np.abs(xs), np.exp(2.0 * ln_R)
     sums = []
     for lo, hi in zip(bounds, bounds[1:]):
         m = (ax >= lo) & (ax < hi)
@@ -537,8 +535,8 @@ def track_targets(pot: SynthesizedPotential, targets) -> dict:
     """Replay each target's (ln R, xi) across an assembled potential.
 
     Each side's pieces pass in ascending |x| through the same Tracker
-    the schedule seeds its own pieces from, so a record is the track the
-    schedule followed and feeds l2_tail_estimate directly.  Keys are
+    the schedule seeds its own pieces from, so a returned Tracker is the
+    track the schedule followed and feeds l2_tail_estimate.  Keys are
     (target_index, side) for each side the potential has pieces on; every
     target owns one there.
     """
@@ -550,5 +548,5 @@ def track_targets(pot: SynthesizedPotential, targets) -> dict:
             tracker = Tracker(i, target, side)
             for pc in pieces:
                 tracker.advance(pc)
-            tracks[(i, side)] = tracker.record()
+            tracks[(i, side)] = tracker
     return tracks

@@ -503,9 +503,12 @@ def test_manifest_with_another_frame_recipe_is_usage_error(
     ("pieces[0].side", lambda doc: doc["pieces"][0].update(side="PLUS")),
     ("T[0]", lambda doc: doc["T"].__setitem__(0, str(doc["T"][0]))),
     ("N[1]", lambda doc: doc["N"].__setitem__(1, None)),
-    ("coss", lambda doc: doc["coefficients"]["p"].update(coss=[0.3])),
+    ("coefficients.p.coss",
+     lambda doc: doc["coefficients"]["p"].update(coss=[0.3])),
+    ("coefficients.q.sin",
+     lambda doc: doc["coefficients"]["q"].update(sin=[float("nan")])),
 ], ids=["lambda_list", "floquet_integrator_list", "side_unknown", "T_str",
-        "N_null", "coefficient_key_unknown"])
+        "N_null", "coefficient_key_unknown", "q_sin_nan"])
 def test_mistyped_manifest_is_usage_error(tmp_path, small_run, capsys, key,
                                           tamper):
     # A manifest value of the wrong JSON type, or a side other than
@@ -529,7 +532,8 @@ def test_mistyped_manifest_is_usage_error(tmp_path, small_run, capsys, key,
     ("C_bound", lambda doc: doc.update(C_bound=True)),
     ("b", lambda doc: doc.update(b=False)),
     ("N[0]", lambda doc: doc["N"].__setitem__(0, True)),
-    ("a0", lambda doc: doc["coefficients"]["q"].update(a0=False)),
+    ("coefficients.q.a0",
+     lambda doc: doc["coefficients"]["q"].update(a0=False)),
 ], ids=["C_bound_true", "b_false", "N_true", "q_a0_false"])
 def test_json_boolean_in_manifest_is_usage_error(tmp_path, small_run, capsys,
                                                  key, tamper):
@@ -543,6 +547,40 @@ def test_json_boolean_in_manifest_is_usage_error(tmp_path, small_run, capsys,
     tampered.write_text(json.dumps(doc))
     assert main(["verify", "--manifest", str(tampered)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"config error: {key}: expected ")
+    assert list(tmp_path.iterdir()) == [tampered]
+
+
+@pytest.mark.parametrize("message,tamper", [
+    ("safety: 7.0, but every run is built with 1.0",
+     lambda doc: doc.update(safety=7.0)),
+    ("taper_width: 9.0, but every run is built with 1.0",
+     lambda doc: doc.update(taper_width=9.0)),
+    ("xi0_default: 0.1, but every run is built with 1.57",
+     lambda doc: doc.update(xi0_default=0.1)),
+    ("h_name: 'log', but every finite run is built without an envelope",
+     lambda doc: doc.update(h_name="log")),
+    ("extra: unknown manifest key", lambda doc: doc.update(extra=1)),
+    ("coefficients.r: unknown manifest key",
+     lambda doc: doc["coefficients"].update(r={})),
+    ("pieces[0].extra: unknown manifest key",
+     lambda doc: doc["pieces"][0].update(extra=1)),
+    ("targets[1].extra: unknown manifest key",
+     lambda doc: doc["targets"][1].update(extra=1)),
+], ids=["safety", "taper_width", "xi0_default", "finite_h_name",
+        "top_level_key", "coefficients_key", "pieces_key", "targets_key"])
+def test_unknown_manifest_key_or_method_constant_is_usage_error(
+        tmp_path, small_run, capsys, message, tamper):
+    # A manifest holds the keys a run writes, and the method constants it
+    # records are the ones every run is built with: anything else would
+    # verify a run no synth made.
+    _, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    tamper(doc)
+    tampered = tmp_path / "manifest.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["verify", "--manifest", str(tampered)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert list(tmp_path.iterdir()) == [tampered]
 
 
@@ -639,6 +677,22 @@ def test_resonant_oscillatory_frequency(tmp_path, small_run):
                "--a", str(2 * np.pi), "--x0", "10",
                "--x-max", "1000", "--out", str(tmp_path)])
     assert rc == EXIT_RESONANCE
+
+
+def test_oscillatory_resonance_waiver_runs_the_divergent_control(tmp_path,
+                                                                 capsys):
+    # a = 0 is resonant: the guard refuses it (exit 3) before the scan, and
+    # --allow-resonant runs the scan, whose products grow with x0 (exit 1).
+    argv = ["oscillatory", "--config", _save_config(tmp_path), "--lam", "0.7",
+            "--a", "0", "--x0", "10", "--x0", "100", "--x0", "1000",
+            "--x-max", "1e4", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_RESONANCE
+    assert capsys.readouterr().err.startswith("resonance: ")
+    assert not (tmp_path / "out" / "oscillatory.json").exists()
+    assert main(argv + ["--allow-resonant"]) == EXIT_CHECK
+    [doc] = json.loads((tmp_path / "out" / "oscillatory.json").read_text())
+    assert doc["passed"] is False
+    assert doc["max_product_ratio"] > 4.0
 
 
 def test_oscillatory_requires_betas_without_config(tmp_path):

@@ -287,11 +287,11 @@ def test_schedule_phase_chaining(small_pot, free_target_07, free_target_13):
                      key=lambda pc: pc.a)
         tr = tracks[(i, 1)]
         assert tr.own_starts == [pc.a for pc in own]
+        xs, _, xi = tr.samples()
         for pc in own:
-            idx = int(np.argmin(np.abs(tr.xs - pc.a)))
-            assert tr.xs[idx] == pc.a
-            assert pc.xi0 == pytest.approx(tr.xi[idx] % (2 * np.pi),
-                                           abs=1e-9)
+            idx = int(np.argmin(np.abs(xs - pc.a)))
+            assert xs[idx] == pc.a
+            assert pc.xi0 == pytest.approx(xi[idx] % (2 * np.pi), abs=1e-9)
             assert 0.0 <= pc.xi0 < 2 * np.pi
 
 
@@ -319,12 +319,15 @@ def test_schedule_tracks_cover_both_sides(small_pot, free_target_07,
         assert tr.side == s
         assert tr.target_index == i
         assert len(tr.own_starts) >= 4
+        # l2_tail_estimate reads own_starts and the samples in this order
+        assert tr.own_starts == sorted(tr.own_starts)
         # runs outward from the activation point, anchored at lnR = 0
         # (segment junctions may repeat a sample)
-        assert tr.ln_R[0] == 0.0
-        assert np.all(s * np.diff(tr.xs) >= 0.0)
+        xs, ln_R, _ = tr.samples()
+        assert ln_R[0] == 0.0
+        assert np.all(s * np.diff(xs) >= 0.0)
         # ~2.4 lnR drop per own piece dominates the bystander wiggle
-        assert tr.ln_R[-1] < -10.0
+        assert ln_R[-1] < -10.0
     for i in (0, 1):  # mirrored pieces: each side starts at the same |x|
         assert tracks[(i, 1)].own_starts[0] == tracks[(i, -1)].own_starts[0]
 

@@ -15,8 +15,7 @@ from diracembed.errors import (
     StabilityViolated,
 )
 from diracembed.pruefer import R_xi_system, integrate_R_xi
-from diracembed.synth import (TrackRecord, assemble, piece_potential,
-                              schedule, solve_xi)
+from diracembed.synth import assemble, piece_potential, schedule, solve_xi
 from diracembed.verify import (
     _sup_scan,
     adversarial_potential,
@@ -461,10 +460,12 @@ def test_nonembedding_rejects_large_envelope(free_target_07):
 
 
 def _synthetic_track(own_starts, alpha):
+    # What l2_tail_estimate reads of a Tracker, on the plus side
     xs = np.linspace(own_starts[0], own_starts[-1], 4001)
-    return TrackRecord(target_index=0, side=1, xs=xs,
-                       ln_R=-alpha * (xs - xs[0]),
-                       xi=np.zeros_like(xs), own_starts=list(own_starts))
+    samples = (xs, -alpha * (xs - xs[0]), np.zeros_like(xs))
+    return SimpleNamespace(target_index=0, side=1, own_starts=list(own_starts),
+                           max_seam_gap=0.0, seam_a=np.nan,
+                           samples=lambda: samples)
 
 
 def test_l2_tail_on_synthetic_geometric_track():
