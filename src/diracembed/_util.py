@@ -80,7 +80,7 @@ class PeriodicField:
                  grid: np.ndarray | None = None, values: np.ndarray | None = None):
         self.slope = float(slope)
         self.const = float(const)
-        self._sp = self._dsp = None
+        self._sp = None
         if grid is not None:
             vals = np.asarray(values, dtype=float).copy()
             mism = abs(vals[-1] - vals[0])
@@ -97,20 +97,12 @@ class PeriodicField:
             eig = 4.0 + 2.0 * np.cos(2.0 * np.pi / n * np.arange(n // 2 + 1))
             s = np.fft.irfft(np.fft.rfft(rhs) / eig, n)
             self._sp = cubic_hermite(grid, vals, np.append(s, s[0]))
-            # s' as scipy's PPoly.derivative has it: c0..c2 times 3, 2, 1
-            self._dsp = PiecewisePoly(grid,
-                                      self._sp.c[:-1] * [[3.0], [2.0], [1.0]])
 
     def __call__(self, x):
         if self._sp is not None:
             return self.slope * x + self._sp(frac(x) % 1.0)
         return self.slope * np.asarray(x, dtype=float) + self.const \
             if np.ndim(x) else self.slope * x + self.const
-
-    def deriv(self, x):
-        if self._sp is not None:
-            return self.slope + self._dsp(frac(x) % 1.0)
-        return np.full(np.shape(x), self.slope) if np.ndim(x) else self.slope
 
 
 class FrameTable:
@@ -121,8 +113,8 @@ class FrameTable:
     derivative, then c0..c3 of u, v and Psi (a constant field as (0, 0, 0,
     const)).  x is a float: the lookup repeats the fields' periodic wrap,
     interval choice and power sum in pure Python (``pruefer.phase_law``
-    inlines it), so values equal the field calls bit for bit; a constant
-    frame returns its constants.
+    inlines it), so values equal the field calls, and delta' scipy's
+    PPoly.derivative, bit for bit; a constant frame returns its constants.
     """
 
     def __init__(self, grid, delta: PeriodicField, u: PeriodicField,
@@ -130,13 +122,13 @@ class FrameTable:
         if u.slope or v.slope or Psi.slope:
             raise ValueError("only delta may wind in a frame table")
         self.slope, self.const = delta.slope, None
-        if all(sp is None for sp in (delta._dsp, u._sp, v._sp, Psi._sp)):
+        if all(f._sp is None for f in (delta, u, v, Psi)):
             self.const = (delta.slope, u.const, v.const, Psi.const)
             return
         self.bp, self.m = grid.tolist(), len(grid) - 1
         C = np.zeros((15, self.m))
-        if delta._dsp is not None:  # a constant delta' stays zero
-            C[:3] = delta._dsp.c
+        if delta._sp is not None:  # c0..c2 times 3, 2, 1; a constant stays 0
+            C[:3] = delta._sp.c[:-1] * [[3.0], [2.0], [1.0]]
         for j, f in zip((3, 7, 11), (u, v, Psi)):
             C[j:j + 4] = [[0.0]] * 3 + [[f.const]] if f._sp is None else f._sp.c
         self.rows = list(map(tuple, C.T.tolist()))

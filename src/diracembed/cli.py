@@ -3,8 +3,9 @@
 Every subcommand reads one JSON config (only --out overrides a key, the
 output directory) and writes its artifacts there; verify works from a
 manifest, and checks a config, if given, against it.  Each returns a
-process exit code: 0 all checks pass, 1 a check failed, 2 usage/config
-error, 3 resonance obstruction.
+process exit code: 0 all checks pass, 1 a check failed (stderr names the
+error's class), 2 usage/config error, 3 resonance obstruction; a command
+creates its output directory only once it has something to write there.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ EXIT_RESONANCE = 3
 
 
 def cmd_bands(args, cfg: RunConfig, out: str) -> int:
-    os.makedirs(out, exist_ok=True)
     try:
         bs = band_scan(cfg.p, cfg.q, (cfg.scan_lo, cfg.scan_hi),
                        cfg.scan_resolution)
     except ScanTooCoarse as exc:
         raise ScanTooCoarse(
             f"{exc}; rerun with a smaller scan_resolution") from exc
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "bands.csv"), "w", encoding="utf-8") as fh:
         fh.write("lambda,trace,k\n")
         # a scalar arccos per row, whatever bits numpy's vector loop gives
@@ -88,10 +89,10 @@ def cmd_bands(args, cfg: RunConfig, out: str) -> int:
 
 
 def cmd_floquet(args, cfg: RunConfig, out: str) -> int:
-    os.makedirs(out, exist_ok=True)
     sol = floquet_solution(cfg.p, cfg.q, args.lam)
     data = derived_data(sol)
     path = os.path.join(out, "floquet.csv")
+    os.makedirs(out, exist_ok=True)
     write_period_csv(data, path)
     print(f"floquet: lam={args.lam:g} k={sol.k:.12g} omega={sol.omega:.12g} "
           f"-> {path}")
@@ -99,13 +100,13 @@ def cmd_floquet(args, cfg: RunConfig, out: str) -> int:
 
 
 def cmd_synth(args, cfg: RunConfig, out: str) -> int:
-    os.makedirs(out, exist_ok=True)
     targets = check_nonresonance(cfg.lambdas, cfg.p, cfg.q, cfg.margin)
     sched = schedule(targets, mode=cfg.mode, a0=cfg.a0, x_max=cfg.x_max,
                      b=cfg.b, h=cfg.envelope())
     pot = assemble(sched)
     if cfg.mode == "growing":
         pot.metadata["h_name"] = cfg.h_name  # verify's envelope
+    os.makedirs(out, exist_ok=True)
     write_potential_csv(pot, os.path.join(out, "potential.csv"))
     write_manifest(pot, os.path.join(out, "manifest.json"), cfg.p, cfg.q)
     T, N = pot.metadata["T"], pot.metadata["N"]
@@ -128,7 +129,6 @@ def cmd_verify(args, cfg: RunConfig | None, out: str) -> int:
             if getattr(cfg, key) != val:
                 raise ValueError(f"{key}: the config's {getattr(cfg, key)!r} "
                                  f"is not the manifest's {val!r}")
-    os.makedirs(out, exist_ok=True)
 
     def record(check_name, fn, **context):
         try:
@@ -173,6 +173,7 @@ def cmd_verify(args, cfg: RunConfig | None, out: str) -> int:
         reports.append({"name": "envelope", "max_excess": excess,
                         "verdict": ok, "passed": ok})
 
+    os.makedirs(out, exist_ok=True)
     write_json(os.path.join(out, "reports.json"), reports)
     n = len(reports)
     failures = sum(not d["passed"] for d in reports)
@@ -186,7 +187,6 @@ def cmd_oscillatory(args, cfg: RunConfig | None, out: str) -> int:
         raise ValueError("lam: --lam needs --config")
     if args.lam is None and (args.beta1 is None or args.beta2 is None):
         raise ValueError("beta1/beta2: required unless --lam is given")
-    os.makedirs(out, exist_ok=True)
     if args.lam is not None:
         target = EmbeddingTarget.at(cfg.p, cfg.q, args.lam)
         chk = oscillatory_check_42(
@@ -197,6 +197,7 @@ def cmd_oscillatory(args, cfg: RunConfig | None, out: str) -> int:
             args.a, args.beta1, args.beta2, x0_list, args.x_max)
     ratio = chk.max_product_ratio
     ok = bool(ratio <= PRODUCT_RATIO_MAX)
+    os.makedirs(out, exist_ok=True)
     write_json(os.path.join(out, "oscillatory.json"),
                [dict(chk.to_dict(), max_product_ratio=ratio, passed=ok)])
     print(f"oscillatory: max product ratio {ratio:.4g} "
@@ -267,7 +268,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DiracEmbedError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
+        print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK
 
 

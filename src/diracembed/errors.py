@@ -79,7 +79,8 @@ class PieceTooShort(DiracEmbedError):
 
 
 class HorizonTooShort(DiracEmbedError):
-    """x_max reached before every target received at least one piece."""
+    """x_max reached before every target owned the pieces of the complete
+    cycles the l2-tail check needs (synth.TAIL_CYCLES)."""
 
 
 class EnvelopeViolation(DiracEmbedError):

@@ -219,7 +219,6 @@ class Band:
 @dataclass
 class BandStructure:
     scan_range: tuple[float, float]
-    resolution: float
     lambdas: np.ndarray
     traces: np.ndarray
     bands: list[Band]
@@ -247,7 +246,7 @@ def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
     """
     lo, hi = map(float, lambda_range)
     if hi <= lo:
-        return BandStructure((lo, hi), resolution, np.array([]), np.array([]), [])
+        return BandStructure((lo, hi), np.array([]), np.array([]), [])
 
     def trace(lam):
         return monodromy(p, q, lam, BANDS_TOL).trace
@@ -296,7 +295,7 @@ def band_scan(p: PeriodicCoefficient, q: PeriodicCoefficient,
         k_hi = np.arccos(np.clip(trace(mid + h) / 2.0, -1.0, 1.0))
         bands.append(Band(b_lo, b_hi, 1 if k_hi >= k_lo else -1))
         i = j + 1
-    return BandStructure((lo, hi), resolution, lams, traces, bands)
+    return BandStructure((lo, hi), lams, traces, bands)
 
 
 def _unwrap_guard(raw_angles: np.ndarray, what: str) -> np.ndarray:
@@ -404,7 +403,6 @@ class DerivedPeriodicData:
     v: np.ndarray            # |g2|^2
     gamma1: np.ndarray
     gamma2: np.ndarray
-    phi1: np.ndarray
     Gamma1: np.ndarray
     Psi: np.ndarray
     Gamma2: np.ndarray
@@ -465,8 +463,7 @@ def derived_data(sol: FloquetSolution) -> DerivedPeriodicData:
         raise DegenerateEigenvector("Psi vanishes on the grid")
     Gamma2 = _unwrap_guard(np.arctan2(-v * np.sin(Gamma1), u - v * np.cos(Gamma1)),
                            "Gamma2")
-    phi1 = gamma1 - k * x
-    delta = 2.0 * phi1 + Gamma2
+    delta = 2.0 * (gamma1 - k * x) + Gamma2
 
     def winding(arr, step):
         w = (arr[-1] - arr[0] - step) / TWO_PI
@@ -483,7 +480,7 @@ def derived_data(sol: FloquetSolution) -> DerivedPeriodicData:
     const = sol.p.is_constant and sol.q.is_constant
     data = DerivedPeriodicData(
         sol=sol, x=x, u=u, v=v, gamma1=gamma1, gamma2=gamma2,
-        phi1=phi1, Gamma1=Gamma1, Psi=Psi, Gamma2=Gamma2, delta=delta,
+        Gamma1=Gamma1, Psi=Psi, Gamma2=Gamma2, delta=delta,
         u_f=_make_field(x, u, force_const=const),
         v_f=_make_field(x, v, force_const=const),
         Psi_f=_make_field(x, Psi, force_const=const),

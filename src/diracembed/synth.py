@@ -76,6 +76,7 @@ TAPER_WIDTH = 1.0  # edge window of a piece, at most a quarter of its length
 SAFETY = 1.0  # growing mode: h must cover SAFETY times the active envelopes
 CSV_ROWS = 2000  # most potential.csv rows per piece
 ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
+TAIL_CYCLES = 3  # complete cycles per target and side the l2-tail check reads
 # The manifest's records of how every phase lock and Floquet frame is built.
 LOCK_RECIPE = {"rel_tol": LOCK_RTOL, "abs_tol": LOCK_ATOL}
 FRAME_RECIPE = {"method": "magnus4", "n_grid": FRAME_INTERVALS}
@@ -435,7 +436,9 @@ def plan(C_bound: float, envelopes, mode: str, a0: float, x_max: float,
     sides, rotating among the N[r] active targets; T_{r+1} - b = (T_r - b)
     (2^N C_bound)^(1/100) <= x_max.  A growing run starts one target and
     activates the next, (index, T_r), at a rotation's start once |h(T_r)| >=
-    SAFETY * (N+1) * the largest of the first N+1 envelopes.
+    SAFETY * (N+1) * the largest of the first N+1 envelopes.  Every target
+    must own TAIL_CYCLES + 1 pieces, TAIL_CYCLES complete cycles, before
+    x_max: HorizonTooShort otherwise.
     """
     if mode not in ("finite", "growing") or mode == "growing" and h is None:
         raise ValueError(f"mode: {mode!r} is not finite, or growing with h")
@@ -473,11 +476,12 @@ def plan(C_bound: float, envelopes, mode: str, a0: float, x_max: float,
         T.append(T_next)
         Ns.append(N)
         c = (c + 1) % N
-    unpieced = [i for i in range(n_targets) if i not in owners]
-    if unpieced:
+    short = [i for i in range(n_targets) if owners.count(i) <= TAIL_CYCLES]
+    if short:
         raise HorizonTooShort(
-            f"x_max = {x_max:.6g} reached before targets {unpieced} "
-            "received a piece; extend the horizon")
+            f"x_max = {x_max:.6g} reached before targets {short} received "
+            f"{TAIL_CYCLES + 1} pieces ({TAIL_CYCLES} complete cycles); "
+            "extend the horizon")
     return T, Ns, owners, activations
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _util
 from ._util import (SIMPSON_BIAS, cumulative_blocks,
-                    cumulative_simpson_uniform, decimate, frac)
+                    cumulative_simpson_uniform, frac)
 from .errors import (
     BoundViolated,
     DecayTooSlow,
@@ -33,6 +33,7 @@ from .synth import (
     EmbeddingTarget,
     PotentialPiece,
     SynthesizedPotential,
+    TAIL_CYCLES,
     Tracker,
     piece_potential,
     slaved_amplitude,
@@ -69,16 +70,14 @@ JSON_NAMES = {"lam": "lambda", "lam_piece": "lambda_piece",
 
 class Report:
     """A check's report; ``to_dict`` is its reports.json record: the check's
-    NAME, then every field but the arrays, renamed by JSON_NAMES."""
+    NAME, then every field, renamed by JSON_NAMES."""
 
     NAME = None
 
     def to_dict(self) -> dict:
         doc = {} if self.NAME is None else {"name": self.NAME}
         for f in fields(self):
-            val = getattr(self, f.name)
-            if not isinstance(val, np.ndarray):
-                doc[JSON_NAMES.get(f.name, f.name)] = val
+            doc[JSON_NAMES.get(f.name, f.name)] = getattr(self, f.name)
         return doc
 
 
@@ -304,8 +303,6 @@ class DecayReport(Report):
     a: float
     b: float
     x_end: float
-    xs: np.ndarray
-    ln_R: np.ndarray
     slope: float
     intercept: float
     C_add: float
@@ -342,11 +339,10 @@ def decay_check(target: EmbeddingTarget, piece: PotentialPiece) -> DecayReport:
         raise BoundViolated(
             f"ln R rises {max_rise:.3g} above its start, beyond the "
             f"additive constant {C_add:.3g}")
-    idx = decimate(xs.size, max(1, int(np.ceil(xs.size / 4096))))
     return DecayReport(lam=target.lam, side=piece.side, a=piece.a, b=piece.b,
-                       x_end=piece.x_end, xs=xs[idx], ln_R=ln_R[idx],
-                       slope=float(slope), intercept=float(intercept),
-                       C_add=C_add, C_bound=float(2.0 * np.exp(C_add)),
+                       x_end=piece.x_end, slope=float(slope),
+                       intercept=float(intercept), C_add=C_add,
+                       C_bound=float(2.0 * np.exp(C_add)),
                        max_rise=max_rise, n_samples=int(xs.size))
 
 
@@ -420,8 +416,6 @@ class NonembeddingReport(Report):
     C_eps: float
     x0: float
     x_max: float
-    xs: np.ndarray
-    ln_R: np.ndarray
     min_margin: float
     tol: float
     l2_measured: float
@@ -438,21 +432,19 @@ def adversarial_potential(target: EmbeddingTarget, x0: float, x_max: float,
 
 
 def nonembedding_check(target: EmbeddingTarget, V, x0: float, x_max: float,
-                       eps: float | None = None,
                        tol: float = 1e-3) -> NonembeddingReport:
     """Certify R(x) >= R(x0) * (x/x0)^(-C_eps) * (1 - tol) on [x0, x_max].
 
-    C_eps = eps * sup(|g1|^2+|g2|^2)/|omega|; the hypothesis C_eps < 1/2
-    is enforced, and the measured integral of R^2 is compared against the
-    divergent power-law lower bound.
+    eps = max |V(x)| x on a geometric probe grid, C_eps = eps * sup(|g1|^2 +
+    |g2|^2)/|omega| < 1/2 is enforced, and the measured integral of R^2 is
+    compared against the divergent power-law lower bound.
     """
     if hasattr(V, "V_interp"):  # potential piece: sampled grid is cheapest
         V = V.V_interp
     data = target.data
     C_omega = float(np.max(data.u + data.v) / abs(data.omega))
-    if eps is None:
-        probe = np.geomspace(x0, x_max, 4096)
-        eps = float(np.max(np.abs(np.asarray(V(probe))) * probe))
+    probe = np.geomspace(x0, x_max, 4096)
+    eps = float(np.max(np.abs(np.asarray(V(probe))) * probe))
     C_eps = C_omega * eps
     if C_eps >= 0.5:
         raise HypothesisViolated(
@@ -469,9 +461,8 @@ def nonembedding_check(target: EmbeddingTarget, V, x0: float, x_max: float,
     l2 = float(np.trapezoid(np.exp(2.0 * run.ln_R), run.xs))
     expo = 1.0 - 2.0 * C_eps
     bound = float(x0 * ((x_max / x0) ** expo - 1.0) / expo) * (1.0 - tol) ** 2
-    return NonembeddingReport(lam=target.lam, eps=float(eps),
-                              C_omega=C_omega, C_eps=C_eps, x0=float(x0),
-                              x_max=float(x_max), xs=run.xs, ln_R=run.ln_R,
+    return NonembeddingReport(lam=target.lam, eps=eps, C_omega=C_omega,
+                              C_eps=C_eps, x0=float(x0), x_max=float(x_max),
                               min_margin=min_margin, tol=tol, l2_measured=l2,
                               l2_lower_bound=bound,
                               square_summable=l2 < bound)
@@ -500,10 +491,10 @@ def l2_tail_estimate(track: Tracker) -> TailReport:
     """Cycle-over-cycle integral of R^2 along one tracked amplitude.
 
     A cycle runs between consecutive activations of the target's own
-    pieces; the verdict is positive when every complete cycle carries at
-    most TAIL_RATIO of the previous one's energy (the track's own_starts
-    and samples() are in ascending |x|).  A seam gap above SEAM_TOL breaks
-    the chain of own pieces: BoundViolated.
+    pieces, TAIL_CYCLES or more; the verdict is positive when every cycle
+    carries at most TAIL_RATIO of the previous one's energy (the track's
+    own_starts and samples() are in ascending |x|).  A seam gap above
+    SEAM_TOL breaks the chain of own pieces: BoundViolated.
     """
     if track.max_seam_gap > SEAM_TOL:
         raise BoundViolated(
@@ -511,9 +502,10 @@ def l2_tail_estimate(track: Tracker) -> TailReport:
             f"at |x| = {track.seam_a:.6g} starts {track.max_seam_gap:.3g} "
             f"rad off the arriving phase (SEAM_TOL {SEAM_TOL:g})")
     bounds = track.own_starts
-    if len(bounds) < 4:
+    if len(bounds) < TAIL_CYCLES + 1:
         raise InconclusiveTail(
-            f"only {max(len(bounds) - 1, 0)} complete cycles; need >= 3")
+            f"only {max(len(bounds) - 1, 0)} complete cycles; "
+            f"need >= {TAIL_CYCLES}")
     xs, ln_R, _ = track.samples()
     ax, R2 = np.abs(xs), np.exp(2.0 * ln_R)
     sums = []

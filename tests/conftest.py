@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.interpolate import PPoly
 
 from diracembed import (
     EmbeddingTarget,
@@ -16,6 +17,7 @@ from diracembed import (
     derived_data,
     floquet_solution,
 )
+from diracembed._util import frac
 from diracembed.cli import main as cli_main
 
 FREE_LAM = np.pi / 3.0
@@ -23,6 +25,17 @@ FREE_LAM = np.pi / 3.0
 
 def make_target(p, q, lam):
     return EmbeddingTarget.at(p, q, lam)
+
+
+def field_derivative(f):
+    """x -> f'(x) of a PeriodicField: its slope plus scipy's
+    PPoly.derivative of its cubic at frac(x) % 1.0, as the field's value
+    wraps x (a constant field's f' is its slope)."""
+    if f._sp is None:
+        return lambda x: np.full(np.shape(x), f.slope) if np.ndim(x) \
+            else f.slope
+    ds = PPoly(f._sp.c, f._sp.x).derivative()
+    return lambda x: f.slope + ds(frac(x) % 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -178,7 +178,7 @@ def test_verify_rejects_a_manifest_off_its_plan(tmp_path, small_run, capsys,
                "--manifest", str(tampered), "--out", str(tmp_path)])
     assert rc == EXIT_CHECK
     err = capsys.readouterr().err
-    assert err.startswith(f"check failed: {where}: "), err
+    assert err.startswith(f"check failed: PlanMismatch: {where}: "), err
     assert "in the plan" in err
     assert not (tmp_path / "reports.json").exists()
 
@@ -391,7 +391,9 @@ def test_oscillatory_periodic_path(tmp_path, small_run):
 def test_resonant_energies_exit_3(tmp_path):
     # k = 1 and k = pi - 1 on the free background: k_1 + k_2 = pi.
     cfg_path = _save_config(tmp_path, lambdas=[1.0, np.pi - 1.0])
-    assert main(["synth", "--config", cfg_path]) == EXIT_RESONANCE
+    assert main(["synth", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == EXIT_RESONANCE
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
 @pytest.mark.parametrize("key", ["band_edge_margin", "rho_margin",
@@ -667,7 +669,8 @@ def test_step_size_underflow_is_check_failure(tmp_path, small_run,
     with np.errstate(all="ignore"):
         rc = main(["synth", "--config", cfg_path, "--out", str(tmp_path)])
     assert rc == EXIT_CHECK
-    assert "check failed: Required step size" in capsys.readouterr().err
+    assert "check failed: StepSizeUnderflow: Required step size" \
+        in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -688,7 +691,7 @@ def test_oscillatory_resonance_waiver_runs_the_divergent_control(tmp_path,
             "--x-max", "1e4", "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_RESONANCE
     assert capsys.readouterr().err.startswith("resonance: ")
-    assert not (tmp_path / "out" / "oscillatory.json").exists()
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
     assert main(argv + ["--allow-resonant"]) == EXIT_CHECK
     [doc] = json.loads((tmp_path / "out" / "oscillatory.json").read_text())
     assert doc["passed"] is False

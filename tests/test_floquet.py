@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import field_derivative
 from hypothesis import example, given, settings, strategies as st
 from reference import loop_magnus
 from scipy.integrate import solve_ivp
@@ -242,7 +243,7 @@ def test_band_scan_rejects_features_narrower_than_two_strides(monkeypatch):
 
 
 def frame_fields(data):
-    return data.delta_f.deriv, data.u_f, data.v_f, data.Psi_f
+    return field_derivative(data.delta_f), data.u_f, data.v_f, data.Psi_f
 
 
 def mixed_frame(data):
@@ -251,7 +252,7 @@ def mixed_frame(data):
     delta = PeriodicField(data.delta_f.slope + 2.0 * np.pi, const=0.3)
     u = PeriodicField(const=float(np.mean(data.u)))
     return (FrameTable(data.x, delta, u, data.v_f, data.Psi_f),
-            (delta.deriv, u, data.v_f, data.Psi_f))
+            (field_derivative(delta), u, data.v_f, data.Psi_f))
 
 
 def coarse_frame(grid):
@@ -264,7 +265,8 @@ def coarse_frame(grid):
         vals = 1.0 + rng.standard_normal(grid.size)
         vals[-1] = vals[0]
         fields.append(PeriodicField(slope, grid=grid, values=vals))
-    return FrameTable(grid, *fields), (fields[0].deriv, *fields[1:])
+    return FrameTable(grid, *fields), (field_derivative(fields[0]),
+                                       *fields[1:])
 
 
 @pytest.mark.parametrize("which", ["generic", "free", "mixed", "coarse"])
@@ -306,7 +308,7 @@ def test_periodic_spline_matches_scipys(generic_data):
         ref = CubicSpline(data.x, vals, bc_type="periodic")
         mine = PeriodicField(grid=data.x, values=vals)
         for got, want in ((mine(t), ref(t)),
-                          (mine.deriv(t), ref.derivative()(t))):
+                          (field_derivative(mine)(t), ref.derivative()(t))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -416,9 +418,12 @@ def test_gamma_derivative_matches_finite_differences(generic_data):
 
 
 def test_delta_is_assembled_from_phi1_and_gamma2(generic_data):
+    # phi1 = gamma1 - k x, periodic mod 2 pi
     data = generic_data
-    assert np.allclose(data.delta, 2.0 * data.phi1 + data.Gamma2, atol=1e-12)
-    assert np.allclose(data.phi1, data.gamma1 - data.k * data.x, atol=1e-12)
+    phi1 = data.gamma1 - data.k * data.x
+    assert np.allclose(data.delta, 2.0 * phi1 + data.Gamma2, atol=1e-12)
+    turns = (phi1[-1] - phi1[0]) / (2.0 * np.pi)
+    assert abs(turns - round(turns)) < 1e-6
 
 
 def test_band_edge_raised_in_gap_and_near_edges(mass_pq):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import field_derivative
 from reference import dirac_rhs, lock_gain, loop_dop853, phase_slope
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
@@ -136,7 +137,8 @@ def test_zero_potential_rates(generic_data):
     x = 1.234
     rlog, xip = R_xi_rhs(data, x, 0.77, 0.0)
     assert rlog == 0.0
-    assert xip == pytest.approx(2.0 * data.k + data.delta_f.deriv(x), abs=1e-12)
+    assert xip == pytest.approx(
+        2.0 * data.k + field_derivative(data.delta_f)(x), abs=1e-12)
     rlog3, t1p, t2p = prufer_rhs(data, x, 0.3, 0.9, 0.0)
     assert rlog3 == 0.0
 
@@ -466,10 +468,11 @@ def field_slope(data, gain):
     of the frame table."""
     rate = xi_rate(data)
     k2 = 2.0 * data.k
+    delta_slope = field_derivative(data.delta_f)
 
     def slope(x, xi):
         cos = math.cos if isinstance(xi, float) else np.cos
-        return (k2 + data.delta_f.deriv(x) - rate
+        return (k2 + delta_slope(x) - rate
                 + gain(x, xi) * (data.u_f(x) - data.v_f(x)
                                  - data.Psi_f(x) * cos(xi)))
 

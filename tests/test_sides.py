@@ -236,6 +236,7 @@ def test_a_failing_side_fails_as_one_process(tmp_path, monkeypatch, capsys,
         seen.append((rc, capsys.readouterr().err))
     assert seen[0] == seen[1]
     assert seen[0][0] == 1
-    assert seen[0][1].startswith(f"check failed: side {sides[0]} lock at ")
+    assert seen[0][1].startswith(
+        f"check failed: NonFiniteState: side {sides[0]} lock at ")
     assert not (tmp_path / ("manifest.json" if command == "synth"
                             else "reports.json")).exists()

@@ -347,6 +347,21 @@ def test_schedule_validation(free_target_07, free_target_13):
         schedule(targets, a0=2e3, x_max=2.02e3)
 
 
+def test_plan_gives_every_target_its_tail_cycles():
+    # verify's l2-tail check needs TAIL_CYCLES complete cycles, so TAIL_CYCLES
+    # + 1 own pieces, per target: a horizon one ulp short of them is refused
+    # before any lock runs (a plan reads no phase).
+    C_bound, envelopes = 10.0, [0.1, 0.1]
+    T = synth.plan(C_bound, envelopes, "finite", 2e3, 1e4)[0]
+    x_max = T[2 * (synth.TAIL_CYCLES + 1)]  # the second target's last piece
+    _, _, owners, _ = synth.plan(C_bound, envelopes, "finite", 2e3, x_max)
+    assert [owners.count(i) for i in (0, 1)] == [synth.TAIL_CYCLES + 1] * 2
+    with pytest.raises(HorizonTooShort, match=r"targets \[1\] received 4 "
+                                              r"pieces \(3 complete cycles\)"):
+        synth.plan(C_bound, envelopes, "finite", 2e3,
+                   float(np.nextafter(x_max, 0.0)))
+
+
 def test_growing_mode_rejects_small_envelope(free_target_07):
     with pytest.raises(EnvelopeViolation):
         schedule([free_target_07], mode="growing", a0=2e3, x_max=3e3,

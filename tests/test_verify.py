@@ -15,7 +15,8 @@ from diracembed.errors import (
     StabilityViolated,
 )
 from diracembed.pruefer import R_xi_system, integrate_R_xi
-from diracembed.synth import assemble, piece_potential, schedule, solve_xi
+from diracembed.synth import (assemble, piece_potential, schedule,
+                             slaved_amplitude, solve_xi)
 from diracembed.verify import (
     _sup_scan,
     adversarial_potential,
@@ -48,8 +49,9 @@ def test_decay_slope_matches_design_exponent(free_target_07, long_piece):
     assert -115.0 < rep.slope < -95.0
     assert rep.max_rise <= max(rep.C_add, 0.0) + 1e-9
     assert rep.C_bound >= 2.0
-    assert rep.ln_R[0] == 0.0
-    assert rep.ln_R[-1] < -95.0
+    _, ln_R = slaved_amplitude(long_piece, 0.0)
+    assert ln_R[0] == 0.0
+    assert ln_R[-1] < -95.0
     d = rep.to_dict()
     assert d["name"] == "decay" and d["slope"] == rep.slope
 
@@ -450,9 +452,9 @@ def test_nonembedding_bound_certified(free_target_07):
 
 def test_nonembedding_rejects_large_envelope(free_target_07):
     t = free_target_07
-    piece = adversarial_potential(t, x0=20.0, x_max=100.0, eps=0.4)
+    piece = adversarial_potential(t, x0=20.0, x_max=100.0, eps=0.6)
     with pytest.raises(HypothesisViolated):
-        nonembedding_check(t, piece, x0=20.0, x_max=100.0, eps=0.6)
+        nonembedding_check(t, piece, x0=20.0, x_max=100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +509,7 @@ def test_tails_across_assembled_potential(small_pot, free_target_07,
 
 
 def test_report_records_keep_their_keys(free_pair, free_target_07):
-    # reports.json's records: every field but the arrays, lam as lambda
+    # reports.json's records: every field, lam as lambda
     bystander, piece = free_pair
     assert set(stability_check(bystander, piece).to_dict()) == {
         "name", "lambda_piece", "lambda_bystander", "side", "threshold",
