@@ -201,6 +201,28 @@ def test_manifest_the_plan_cannot_lay_out_is_usage_error(tmp_path, small_run,
     assert f"{key} = {val:g}" in err
 
 
+def test_verify_refuses_a_horizon_too_short_for_the_tail(tmp_path, small_run,
+                                                         capsys, monkeypatch):
+    # A manifest whose x_max leaves a target fewer than TAIL_CYCLES + 1 own
+    # pieces (one a synth without the rule would have written) is refused by
+    # the plan, before any phase lock runs and with no report written.
+    from diracembed import synth
+
+    def no_lock(*args, **kwargs):
+        raise AssertionError("a phase lock ran")
+
+    _, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = {**json.load(fh), "x_max": 2.2e3}
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(synth, "solve_xi", no_lock)
+    assert main(["verify", "--manifest",
+                 str(tmp_path / "manifest.json")]) == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: HorizonTooShort: x_max = 2200 "), err
+    assert not (tmp_path / "reports.json").exists()
+
+
 def test_verify_catches_a_broken_chain_of_own_pieces(tmp_path, small_run):
     # Four later plus-side seeds of lam = 0.7 leave the phase the track
     # brings to them.  Each shifted piece still decays, but the pieces no
