@@ -83,6 +83,12 @@ E5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
       0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0]
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 LOCK_RTOL, LOCK_ATOL = 1e-8, 1e-11  # the tolerances of every phase lock
+# A lock's steps stop at STEP_CAP_PER_RATE/rate.  On a constant frame the
+# error control would take longer steps, so every step stops at the cap;
+# on a periodic frame it already holds steps near 0.5/rate, where a larger
+# cap buys only rejected steps.  Above 1/rate the Hermite phase between
+# nodes, not the tolerance, sets the lock's accuracy.
+STEP_CAP_PER_RATE = {"constant": 1.0, "periodic": 0.5}
 
 
 @dataclass(frozen=True)
@@ -213,10 +219,11 @@ def phase_law(data: DerivedPeriodicData, two_c: float, b_s: float, window):
     return law
 
 
-def _dop853(law, rate: float, x0: float, x1: float, xi0: float):
+def _dop853(law, rate: float, x0: float, x1: float, xi0: float,
+            max_step: float):
     """Accepted nodes (x, zeta), slopes zeta' (each step's last stage, first
     same as last) and nfev of zeta' = law(x, zeta + rate*x) by scipy's DOP853
-    control on floats, steps capped at 0.5/rate, stages k0..kB (hex) written
+    control on floats, steps capped at max_step, stages k0..kB (hex) written
     out over the nonzero coefficients.  A stage that raises (math.cos(inf), a
     float division by zero) is a NaN error: it ends in StepSizeUnderflow."""
     (a10,), (a20, a21), (a30, _, a32), (a40, _, a42, a43), (a50, _, _, a53, a54), \
@@ -228,7 +235,7 @@ def _dop853(law, rate: float, x0: float, x1: float, xi0: float):
     _, c1, c2, c3, c4, c5, c6, c7, c8, c9, cA, cB = C
     e50, _, _, _, _, e55, e56, e57, e58, e59, e5A, e5B, _ = E5
     e30, _, _, _, _, e35, e36, e37, e38, e39, e3A, e3B, _ = E3
-    rtol, atol, max_step = LOCK_RTOL, LOCK_ATOL, 0.5 / rate_floor(rate)
+    rtol, atol = LOCK_RTOL, LOCK_ATOL
     sign, length = (1.0 if x1 > x0 else -1.0), abs(x1 - x0)
     x, z = x0, xi0 - rate * x0
     k0 = law(x, z + rate * x)
@@ -306,11 +313,14 @@ def phase_flow(data: DerivedPeriodicData, two_c: float, b_s: float, window,
                x0: float, x1: float, xi0: float):
     """Solve xi' = 2k + delta' + g (u - v - Psi cos xi) from x0 to x1, g the
     coupling of ``phase_law``, as zeta = xi - rate*x (bounded, well scaled
-    for error control).  Returns (rate, zeta, nfev), zeta the Hermite spline
-    through the nodes with the stepper's own slopes."""
+    for error control), steps capped by STEP_CAP_PER_RATE for the frame.
+    Returns (rate, zeta, nfev), zeta the Hermite spline through the nodes
+    with the stepper's own slopes."""
     rate = xi_rate(data)
+    kind = "periodic" if data.frame.const is None else "constant"
     *nodes, nfev = _dop853(phase_law(data, float(two_c), float(b_s), window),
-                           rate, float(x0), float(x1), float(xi0))
+                           rate, float(x0), float(x1), float(xi0),
+                           STEP_CAP_PER_RATE[kind] / rate_floor(rate))
     ts, zs, dz = np.array(nodes)
     if not np.all(np.isfinite([zs, dz])):
         raise NonFiniteState("phase integration produced non-finite values")

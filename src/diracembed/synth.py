@@ -41,8 +41,8 @@ from .errors import (
 from .floquet import (FRAME_INTERVALS, DerivedPeriodicData, derived_data,
                       floquet_solution)
 from .periodic_core import PeriodicCoefficient
-from .pruefer import (LOCK_ATOL, LOCK_RTOL, integrate_R_xi, phase_flow,
-                      rate_floor)
+from .pruefer import (LOCK_ATOL, LOCK_RTOL, STEP_CAP_PER_RATE, integrate_R_xi,
+                      phase_flow, rate_floor)
 
 __all__ = [
     "EmbeddingTarget",
@@ -78,7 +78,8 @@ CSV_ROWS = 2000  # most potential.csv rows per piece
 ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
 TAIL_CYCLES = 3  # complete cycles per target and side the l2-tail check reads
 # The manifest's records of how every phase lock and Floquet frame is built.
-LOCK_RECIPE = {"rel_tol": LOCK_RTOL, "abs_tol": LOCK_ATOL}
+LOCK_RECIPE = {"rel_tol": LOCK_RTOL, "abs_tol": LOCK_ATOL,
+               "step_cap_per_rate": STEP_CAP_PER_RATE}
 FRAME_RECIPE = {"method": "magnus4", "n_grid": FRAME_INTERVALS}
 
 
@@ -135,7 +136,8 @@ def choose_C(data: DerivedPeriodicData) -> float:
 
 def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
                        margin: float = 0.05) -> list[EmbeddingTarget]:
-    """Build targets for the given energies, enforcing phase separation.
+    """Build targets for the given energies, enforcing phase separation,
+    each with the frame table its phase locks read.
 
     Requires |k_i - k_j| >= margin for i != j and |k_i + k_j - pi| >=
     margin for all pairs including i == j (which rules out k = pi/2).
@@ -154,6 +156,8 @@ def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
             s = abs(ks[i] + ks[j] - np.pi)
             if s < margin:
                 raise ResonantPair(i, j, "k_i + k_j - pi", s)
+    for t in targets:  # the locks' table, built once for both sides
+        t.data.frame
     return targets
 
 
@@ -655,9 +659,14 @@ def read_manifest(manifest) -> Manifest:
                           ("floquet_integrator", FRAME_RECIPE)):
         doc = _field(manifest, block, kind=dict)
         for key in sorted(set(doc) | set(recipe)):  # a key too many, too
-            if doc.get(key) != recipe.get(key):
-                raise ValueError(f"{block}.{key}: {doc.get(key)!r}, but every "
-                                 f"run is built with {recipe.get(key)!r}")
+            # As JSON text, so that true is not 1.0 inside the cap's pair.
+            if json.dumps(doc.get(key), sort_keys=True) \
+                    != json.dumps(recipe.get(key), sort_keys=True):
+                got = repr(doc[key]) if key in doc else "missing"
+                want = f"built with {recipe[key]!r}" if key in recipe \
+                    else "built without it"
+                raise ValueError(f"{block}.{key}: {got}, but every run is "
+                                 f"{want}")
     for key, val in (("safety", SAFETY), ("taper_width", TAPER_WIDTH),
                      ("xi0_default", XI0)):
         if _field(manifest, key) != val:

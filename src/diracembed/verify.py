@@ -370,8 +370,10 @@ def stability_check(bystander: EmbeddingTarget, piece: PotentialPiece,
 
     rho(start) -> rho(x) is real-linear, so one bystander flow gives its
     propagator Phi at every sample x, and R(x; eta0) = |Phi(x) (cos eta0,
-    sin eta0)| for every start phase eta0.  Raises StabilityViolated if
-    max_x R on the n_phases grid (``ratios``) exceeds the threshold;
+    sin eta0)| for every start phase eta0, and R(x; eta0 + pi) = R(x; eta0),
+    so the grid eta0 = pi j/n_phases spans every distinct phase once.
+    Raises StabilityViolated if max_x R on that grid (``ratios``) exceeds
+    the threshold;
     ``sup_ratio`` = max_x ||Phi(x)||_2, the sup over every eta0, is
     reported but not gated.  V = 0 makes every step, so every ratio, 1.
     """
@@ -380,7 +382,7 @@ def stability_check(bystander: EmbeddingTarget, piece: PotentialPiece,
     # The start phase is immaterial here: Phi carries every phase.
     run = integrate_R_xi(bystander.data, piece.V_interp, start, stop, 0.0)
     (a, b), (c, d) = np.moveaxis(run.Phi[..., None], 0, 2)  # (S, 1) each
-    eta = TWO_PI * np.arange(n_phases) / n_phases
+    eta = np.pi * np.arange(n_phases) / n_phases
     cos, sin = np.cos(eta), np.sin(eta)
     R = np.hypot(a * cos + b * sin, c * cos + d * sin) / np.hypot(cos, sin)
     imax = np.argmax(R, axis=0)

@@ -7,7 +7,8 @@ The phase lock as a loop is the reference the written-out kernel must
 equal bit for bit.
 
 ``loop_dop853`` walks the DOP853 stages through zero-skipping (index,
-coefficient) feeds, and ``phase_slope`` wraps a coupling ``gain(x, xi)``
+coefficient) feeds, ``lock_max_step`` is its step cap by the frame's kind,
+and ``phase_slope`` wraps a coupling ``gain(x, xi)``
 around the frame lookup ``data.frame(x)``: one call per stage to the
 slope, one to the gain and one to the frame.  Same control, same sums in
 the same order, so the same nodes, slopes and nfev.
@@ -89,10 +90,18 @@ def lock_gain(two_c, b_s, window):
     return gain
 
 
-def loop_dop853(slope, rate, x0, x1, xi0):
+def lock_max_step(data):
+    """A phase lock's step cap: 1/rate on a constant frame, 0.5/rate on a
+    periodic one."""
+    per_rate = 1.0 if data.frame.const is not None else 0.5
+    return per_rate / rate_floor(xi_rate(data))
+
+
+def loop_dop853(slope, rate, x0, x1, xi0, max_step):
     """Accepted nodes (x, zeta), their slopes and nfev of zeta' =
-    slope(x, zeta + rate*x), as ``pruefer._dop853`` returns them."""
-    rtol, atol, max_step = LOCK_RTOL, LOCK_ATOL, 0.5 / rate_floor(rate)
+    slope(x, zeta + rate*x), steps capped at max_step, as
+    ``pruefer._dop853`` returns them."""
+    rtol, atol = LOCK_RTOL, LOCK_ATOL
     sign, length = (1.0 if x1 > x0 else -1.0), abs(x1 - x0)
     x, z = x0, xi0 - rate * x0
     f = slope(x, z + rate * x)

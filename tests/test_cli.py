@@ -493,22 +493,37 @@ def test_missing_manifest_is_usage_error(tmp_path, small_run):
     assert rc == EXIT_USAGE
 
 
-@pytest.mark.parametrize("key,val", [("n_grid", 2048), ("rel_tol", 1e-8),
-                                     ("abs_tol", 1e-14), ("method", "dop853"),
-                                     ("integrator.rel_tol", 1e-9),
-                                     ("integrator.abs_tol", 1e-12)])
+MISSING = object()
+
+
+@pytest.mark.parametrize("key,val", [
+    ("n_grid", 2048), ("rel_tol", 1e-8), ("abs_tol", 1e-14),
+    ("method", "dop853"), ("integrator.rel_tol", 1e-9),
+    ("integrator.abs_tol", 1e-12),
+    pytest.param("integrator.step_cap_per_rate",
+                 {"constant": 0.5, "periodic": 0.5},
+                 id="integrator.step_cap_per_rate-other"),
+    pytest.param("integrator.step_cap_per_rate", MISSING,
+                 id="integrator.step_cap_per_rate-missing"),
+    pytest.param("integrator.step_cap_per_rate",
+                 {"constant": True, "periodic": 0.5},
+                 id="integrator.step_cap_per_rate-bool")])
 def test_manifest_with_another_frame_recipe_is_usage_error(
         tmp_path, small_run, capsys, key, val):
     # Frames and phase locks are built by one recipe each; a manifest naming
     # another would otherwise rebuild a different potential without a word.
-    # A key the recipe lacks (an older frame's tolerance) counts too.
+    # A key the recipe lacks (an older frame's tolerance) counts too, and so
+    # does one it has but the manifest lacks (an older lock's step cap).
     block, _, name = key.rpartition(".")
     block = block or "floquet_integrator"  # a bare key is the frame's
     path = f"{block}.{name}"
     cfg_path, out = small_run
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc[block][name] = val
+    if val is MISSING:
+        del doc[block][name]
+    else:
+        doc[block][name] = val
     with pytest.raises(ValueError, match=re.escape(path)):
         rebuild_potential(doc)
     tampered = tmp_path / "manifest.json"

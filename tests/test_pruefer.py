@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import field_derivative
-from reference import dirac_rhs, lock_gain, loop_dop853, phase_slope
+from reference import (dirac_rhs, lock_gain, lock_max_step, loop_dop853,
+                       phase_slope)
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
@@ -346,9 +347,11 @@ def assert_kernel_is_the_loop(data, side, tw, monkeypatch):
     nodes, slopes and nfev, and the same Hermite phase, bit for bit.
     Returns (nodes, nfev)."""
     args, rate, x0, x1 = lock_case(data, side, tw)
-    kernel = pruefer._dop853(pruefer.phase_law(data, *args), rate, x0, x1, 0.3)
+    cap = lock_max_step(data)
+    kernel = pruefer._dop853(pruefer.phase_law(data, *args), rate, x0, x1, 0.3,
+                             cap)
     gain = lock_gain(*args)
-    ref = loop_dop853(phase_slope(data, gain), rate, x0, x1, 0.3)
+    ref = loop_dop853(phase_slope(data, gain), rate, x0, x1, 0.3, cap)
     assert kernel[3] == ref[3]
     for mine, theirs in zip(kernel[:3], ref[:3]):
         assert np.array_equal(bits(mine), bits(theirs))
@@ -522,13 +525,13 @@ def test_hermite_phase_is_scipys(side):
     assert all(float(mine(x)) == float(ref(x)) for x in xs[:200])
 
 
-def ivp_stepper(slope, rate, x0, x1, xi0):
+def ivp_stepper(slope, rate, x0, x1, xi0, max_step):
     """The stepper's nodes, node slopes and nfev from scipy's
-    solve_ivp(DOP853) at the phase lock's tolerances."""
+    solve_ivp(DOP853) at the phase lock's tolerances and step cap."""
     sol = solve_ivp(lambda x, z: [slope(x, z[0] + rate * x)], (x0, x1),
                     [xi0 - rate * x0], method="DOP853",
                     rtol=pruefer.LOCK_RTOL, atol=pruefer.LOCK_ATOL,
-                    max_step=0.5 / rate_floor(rate))
+                    max_step=max_step)
     assert sol.success
     dz = [slope(float(x), float(z + rate * x))
           for x, z in zip(sol.t, sol.y[0])]
@@ -563,6 +566,60 @@ def test_stepper_matches_solve_ivp(which, free_target_07, generic_data,
     xs = np.linspace(lo, hi, 20001)
     assert np.max(np.abs(a.xi_at(xs) - b.xi_at(xs))) < 1e-4
     assert abs(a.nfev - b.nfev) <= 0.03 * b.nfev
+
+
+def lock_target(which, free_target_07, mass_pq, generic_data):
+    data = {"free": free_target_07.data, "mass": mass_data(mass_pq),
+            "generic": generic_data}[which]
+    return EmbeddingTarget(data=data, C=choose_C(data))
+
+
+@pytest.mark.parametrize("which,cap", [("free", 1.0), ("mass", 1.0),
+                                       ("generic", 0.5)],
+                         ids=["free", "mass", "generic"])
+def test_lock_steps_stop_at_the_frames_cap(which, cap, free_target_07,
+                                           mass_pq, generic_data):
+    """A constant frame's lock steps at its cap of 1/rate; on a periodic
+    frame the cap is 0.5/rate, which the error control reaches too."""
+    target = lock_target(which, free_target_07, mass_pq, generic_data)
+    for side in (1, -1):
+        traj = solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=side,
+                        taper_width=1.0)
+        widest = np.max(np.diff(traj.zeta.x)) * rate_floor(traj.rate)
+        assert widest == pytest.approx(cap, rel=1e-9)
+
+
+def lock_defect(target, traj):
+    """E2's gauge of the stored phase: max |zeta_H' - law(x, zeta_H +
+    rate*x)| at the quarter, half and three-quarter points of every
+    accepted step, zeta_H the Hermite cubic through the nodes."""
+    side = traj.side
+    lo, hi = sorted((side * traj.a, side * traj.x_end))
+    law = pruefer.phase_law(target.data, 2.0 * traj.C, side * traj.b,
+                            (lo, hi, traj.taper_width))
+    (c0, c1, c2, _), x = traj.zeta.c, traj.zeta.x
+    worst = 0.0
+    for f in (0.25, 0.5, 0.75):
+        s = f * np.diff(x)
+        xs = x[:-1] + s
+        dz = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        for t, z, d in zip(xs.tolist(), traj.zeta(xs).tolist(), dz.tolist()):
+            worst = max(worst, abs(d - law(t, z + traj.rate * t)))
+    return worst
+
+
+@pytest.mark.parametrize("which,defect", [("free", 0.02794254946046737),
+                                          ("generic", 0.005518807122924491)],
+                         ids=["free", "generic"])
+def test_stored_phase_defect_holds_its_pin(which, defect, free_target_07,
+                                           mass_pq, generic_data):
+    """The stored phase misses the lock law between nodes by the Hermite
+    cubic's error, not the tolerance's (ROADMAP E2): the free lock's pin
+    is at its 1/rate cap, the periodic lock's at 0.5/rate.  Dense output
+    (ROADMAP item 6b) should bring both down tenfold."""
+    target = lock_target(which, free_target_07, mass_pq, generic_data)
+    traj = solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=1, taper_width=1.0)
+    assert lock_defect(target, traj) == pytest.approx(defect, rel=1e-6)
 
 
 @pytest.mark.parametrize("which", ["free", "generic"])

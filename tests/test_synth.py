@@ -62,6 +62,14 @@ def test_check_nonresonance_accepts_separated_pair(free_pq):
     assert targets[0].k == pytest.approx(0.7, abs=1e-9)
 
 
+def test_check_nonresonance_builds_the_locks_frame_table(generic_pq):
+    # The table is built before synth's first lock, and so before the fork;
+    # a target built for a command that never locks leaves it unbuilt.
+    target, = check_nonresonance([0.9], *generic_pq)
+    assert "frame" in vars(target.data)
+    assert "frame" not in vars(make_target(*generic_pq, 0.9).data)
+
+
 def test_check_nonresonance_rejections(free_pq):
     p, q = free_pq
     with pytest.raises(ResonantPair):
@@ -390,7 +398,7 @@ def test_probe_constants_hold_their_pins(free_target_07, free_target_13):
     # prefactor of the probe piece.
     C_bound, K = probe_constants([free_target_07, free_target_13], a0=2e3)
     assert K == pytest.approx(1200.0, rel=1e-9)
-    assert C_bound == pytest.approx(2.4276234227624442, rel=1e-12)
+    assert C_bound == pytest.approx(2.4276111311621977, rel=1e-12)
 
 
 def test_probe_stops_doubling_at_the_horizon(monkeypatch, free_pq):
@@ -471,8 +479,9 @@ def test_manifest_carries_the_build_recipe(small_run):
             "floquet_integrator", "mode", "b", "C_bound", "K",
             "T"} <= set(doc)
     assert {"p", "q"} <= set(doc["coefficients"])
-    assert doc["integrator"] == synth.LOCK_RECIPE == {"rel_tol": 1e-8,
-                                                      "abs_tol": 1e-11}
+    assert doc["integrator"] == synth.LOCK_RECIPE == {
+        "rel_tol": 1e-8, "abs_tol": 1e-11,
+        "step_cap_per_rate": {"constant": 1.0, "periodic": 0.5}}
     assert doc["floquet_integrator"] == synth.FRAME_RECIPE == {
         "method": "magnus4", "n_grid": 4096}
     entry = doc["pieces"][0]
