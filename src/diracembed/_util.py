@@ -254,13 +254,15 @@ def taper_window(x, lo: float, hi: float, width: float):
     return smoothstep((x - lo) / width) * smoothstep((hi - x) / width)
 
 
-def write_rows(fh, cols, block: int = 512) -> None:
-    """CSV rows of the columns' %.17g values, one format call per block."""
+def csv_blocks(cols, block: int = 512):
+    """CSV rows of the columns' %.17g values, as text, one format call per
+    block of rows: the bytes of formatting each value alone.  Each block's
+    text is yielded as it is made, so a writer holds one block at a time."""
     table = np.column_stack(cols)
     fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
     for start in range(0, len(table), block):
         rows = table[start:start + block]
-        fh.write(fmt * len(rows) % tuple(rows.ravel().tolist()))
+        yield fmt * len(rows) % tuple(rows.ravel().tolist())
 
 
 def write_json(path: str, doc) -> None:

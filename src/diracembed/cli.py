@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from ._util import both_sides, write_json, write_rows
+from ._util import both_sides, csv_blocks, write_json
 from .config import RunConfig
 from .errors import (
     DiracEmbedError,
@@ -74,7 +74,7 @@ def cmd_bands(args, cfg: RunConfig, out: str) -> int:
         fh.write("lambda,trace,k\n")
         # a scalar arccos per row, whatever bits numpy's vector loop gives
         k = [np.arccos(tr / 2.0) if abs(tr) <= 2.0 else np.nan for tr in bs.traces]
-        write_rows(fh, (bs.lambdas, bs.traces, k))
+        fh.writelines(csv_blocks((bs.lambdas, bs.traces, k)))
     doc = {
         "scan_range": [cfg.scan_lo, cfg.scan_hi],
         "resolution": cfg.scan_resolution,
@@ -205,6 +205,15 @@ def cmd_oscillatory(args, cfg: RunConfig | None, out: str) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
+def finite_float(text: str) -> float:
+    """Every float flag's type: a NaN or infinite value is a usage error
+    naming the flag (exit 2), as it is for a config's numbers."""
+    val = float(text)
+    if not np.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return val
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: a prefix of a flag that stays must not
     # stand in for it, or a removed flag (--c) comes back as --config.
@@ -227,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("bands", cmd_bands, "scan the band structure")
     sp = command("floquet", cmd_floquet, "export one Floquet frame")
-    sp.add_argument("--lam", type=float, required=True,
+    sp.add_argument("--lam", type=finite_float, required=True,
                     help="energy inside a band")
     command("synth", cmd_synth, "synthesize the embedding potential")
     sp = command("verify", cmd_verify, "re-run all checks from a manifest",
@@ -236,13 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("oscillatory", cmd_oscillatory,
                  "sup-scan the oscillatory integral bounds",
                  config_required=False)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--a", type=float, required=True,
+    sp.add_argument("--lam", type=finite_float, default=None)
+    sp.add_argument("--a", type=finite_float, required=True,
                     help="phase frequency")
-    sp.add_argument("--beta1", type=float, default=None)
-    sp.add_argument("--beta2", type=float, default=None)
-    sp.add_argument("--x0", action="append", type=float, default=None)
-    sp.add_argument("--x-max", type=float, default=1e6)
+    sp.add_argument("--beta1", type=finite_float, default=None)
+    sp.add_argument("--beta2", type=finite_float, default=None)
+    sp.add_argument("--x0", action="append", type=finite_float, default=None)
+    sp.add_argument("--x-max", type=finite_float, default=1e6)
     sp.add_argument("--allow-resonant", action="store_true")
     return parser
 

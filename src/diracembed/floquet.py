@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _util
-from ._util import FrameTable, PeriodicField, write_rows
+from ._util import FrameTable, PeriodicField, csv_blocks
 from .errors import (
     BandEdge,
     DegenerateEigenvector,
@@ -537,4 +537,4 @@ def write_period_csv(data: DerivedPeriodicData, path) -> None:
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(name for name, _ in cols) + "\n")
-        write_rows(fh, [arr for _, arr in cols])
+        fh.writelines(csv_blocks([arr for _, arr in cols]))

@@ -22,12 +22,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
 
-from ._util import (both_sides, cumulative_simpson_uniform, decimate,
-                    is_number, taper_window, write_json, write_rows)
+from ._util import (both_sides, csv_blocks, cumulative_simpson_uniform,
+                    decimate, is_number, taper_window, write_json)
 from .config import ENVELOPES
 from .errors import (
     EnvelopeTooLarge,
@@ -74,7 +75,7 @@ RHO_MARGIN = 5.0  # C gives slope -(DECAY_EXPONENT + RHO_MARGIN)
 XI0 = np.pi / 2  # the first own piece's phase
 TAPER_WIDTH = 1.0  # edge window of a piece, at most a quarter of its length
 SAFETY = 1.0  # growing mode: h must cover SAFETY times the active envelopes
-CSV_ROWS = 2000  # most potential.csv rows per piece
+CSV_ROWS = 2000  # potential.csv: at most CSV_ROWS + 1 rows per piece
 ENVELOPE_TOL = 1e-12  # growing mode: |V|(1+|x|) may pass |h| by this much
 TAIL_CYCLES = 3  # complete cycles per target and side the l2-tail check reads
 # The manifest's records of how every phase lock and Floquet frame is built.
@@ -265,6 +266,15 @@ class PotentialPiece(XiTrajectory):
     def V_interp(self, x):
         """V at x by np.interp on the samples, 0 off the piece."""
         return np.interp(x, self.x_grid, self.V_grid)
+
+    @cached_property
+    def csv_rows(self) -> str:
+        """The piece's potential.csv rows, formatted on first use: x,V at
+        every ceil(n/CSV_ROWS)-th of its n samples and at its last."""
+        n = self.x_grid.size
+        idx = decimate(n, max(1, int(np.ceil(n / CSV_ROWS))))
+        return "".join(csv_blocks((self.x_grid[idx], self.V_grid[idx]),
+                                  block=CSV_ROWS))
 
     def manifest_entry(self) -> dict:
         return {"side": "plus" if self.side > 0 else "minus",
@@ -530,6 +540,7 @@ def schedule(targets, mode: str = "finite", *, a0: float, x_max: float,
                         f"x = {x_at:.6g}")
             for tracker in trackers:  # the next own piece's seed
                 tracker.advance(piece)
+            piece.csv_rows  # formatted on this side's core; crosses as text
             piece.target = None  # the caller puts it back: no frame to pickle
             pieces.append(piece)
         return pieces
@@ -552,26 +563,27 @@ def schedule(targets, mode: str = "finite", *, a0: float, x_max: float,
 
 @dataclass
 class SynthesizedPotential:
-    """Assembled even-sided potential: zero outside its pieces."""
+    """Assembled even-sided potential: zero outside its pieces, which it
+    keeps in ascending x.  x_grid and V_grid join their samples on access."""
 
     pieces: list[PotentialPiece]
-    x_grid: np.ndarray
-    V_grid: np.ndarray
     metadata: dict
 
+    def __post_init__(self):
+        self.pieces = sorted(self.pieces, key=lambda pc: pc.x_lo)
 
-def _assemble_pieces(pieces: list[PotentialPiece],
-                     metadata: dict) -> SynthesizedPotential:
-    pieces = sorted(pieces, key=lambda pc: pc.x_lo)
-    return SynthesizedPotential(
-        pieces=pieces, x_grid=np.concatenate([pc.x_grid for pc in pieces]),
-        V_grid=np.concatenate([pc.V_grid for pc in pieces]),
-        metadata=metadata)
+    @property
+    def x_grid(self) -> np.ndarray:
+        return np.concatenate([pc.x_grid for pc in self.pieces])
+
+    @property
+    def V_grid(self) -> np.ndarray:
+        return np.concatenate([pc.V_grid for pc in self.pieces])
 
 
 def assemble(sched: SynthesisSchedule) -> SynthesizedPotential:
     """Fold a schedule's pieces into one evaluator with metadata."""
-    return _assemble_pieces(sched.pieces, sched.metadata)
+    return SynthesizedPotential(sched.pieces, sched.metadata)
 
 
 def write_manifest(pot: SynthesizedPotential, path: str,
@@ -733,14 +745,13 @@ def rebuild_potential(manifest, side: int | None = None) -> SynthesizedPotential
                                           taper_width=tw))
               for t, s, a, b, xi0, x_end, C, tw in manifest.pieces
               if side in (None, s)]
-    return _assemble_pieces(pieces, manifest.metadata)
+    return SynthesizedPotential(pieces, manifest.metadata)
 
 
 def write_potential_csv(pot: SynthesizedPotential, path: str) -> None:
-    """Decimated x,V samples, at most CSV_ROWS per piece, in ascending x."""
+    """The header, then each piece's csv_rows (at most CSV_ROWS + 1 decimated
+    x,V samples) in ascending x; schedule formats its pieces' rows already."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,V\n")
         for pc in pot.pieces:
-            n = pc.x_grid.size
-            idx = decimate(n, max(1, int(np.ceil(n / CSV_ROWS))))
-            write_rows(fh, (pc.x_grid[idx], pc.V_grid[idx]), block=CSV_ROWS)
+            fh.write(pc.csv_rows)

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from diracembed.cli import (
     EXIT_USAGE,
     main,
 )
-from diracembed.synth import Manifest, SynthesizedPotential, rebuild_potential
+from diracembed.synth import Manifest, rebuild_potential
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +257,10 @@ def _verify_growing_manifest(tmp_path, monkeypatch, metadata, V0,
     cfg.save(str(tmp_path / "config.json"))
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(metadata))
-    pot = SynthesizedPotential(pieces=[], x_grid=np.array([0.0]),
-                               V_grid=np.array([V0]), metadata=metadata)
+    # A stand-in with a SynthesizedPotential's attributes: one whose x_grid
+    # and V_grid hold the one sample, since a real one joins its pieces'.
+    pot = SimpleNamespace(pieces=[], x_grid=np.array([0.0]),
+                          V_grid=np.array([V0]), metadata=metadata)
     # Both sides rebuild to this one sample, so the merged excess is V0.
     monkeypatch.setattr(cli, "read_manifest",
                         lambda path: Manifest([], metadata, [], np.zeros_like,
@@ -479,6 +482,39 @@ def test_flag_prefix_is_usage_error(tmp_path, small_run, capsys, flag):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# Command lines that every float flag can end, each valid as it stands (on
+# the generic_pq background, where lam = 0.9 lies in a band); a flag given
+# again last is the value argparse keeps.
+FLOAT_FLAG_LINES = {
+    "floquet": ["floquet", "--config", "CONFIG", "--lam=0.9"],
+    "periodic": ["oscillatory", "--config", "CONFIG", "--lam=0.9", "--a=1.0",
+                 "--x0=10", "--x-max=100"],
+    "power-law": ["oscillatory", "--a=1.0", "--beta1=1.0", "--beta2=0.8",
+                  "--x0=10", "--x-max=100"]}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("line,flag", [
+    ("floquet", "--lam"), ("periodic", "--lam"), ("periodic", "--a"),
+    ("periodic", "--x0"), ("periodic", "--x-max"), ("power-law", "--a"),
+    ("power-law", "--beta1"), ("power-law", "--beta2"), ("power-law", "--x0"),
+    ("power-law", "--x-max")])
+def test_non_finite_float_flag_is_usage_error(tmp_path, capsys, generic_pq,
+                                              line, flag, value):
+    # Before the flags had a finite type these died with an OverflowError
+    # traceback, a NonFiniteState (exit 1), an "inf" ratio that failed as a
+    # check, or an exit 2 that named no flag.
+    cfg_path = str(tmp_path / "config.json")
+    RunConfig(p=generic_pq[0], q=generic_pq[1], lambdas=[0.9],
+              out_dir=str(tmp_path / "out")).save(cfg_path)
+    argv = [cfg_path if a == "CONFIG" else a for a in FLOAT_FLAG_LINES[line]]
+    assert main(argv + [f"{flag}={value}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: {value!r} is not finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

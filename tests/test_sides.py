@@ -11,8 +11,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from diracembed import RunConfig, _util, errors, schedule, synth
+from diracembed import (ENVELOPES, PeriodicCoefficient, RunConfig, _util,
+                        errors, schedule, synth)
 from diracembed.cli import main
 from diracembed.errors import DiracEmbedError, NonFiniteState
 
@@ -200,6 +203,81 @@ def test_verify_reports_are_the_one_process_reports(tmp_path, monkeypatch,
         _no_child_left()
     assert (tmp_path / "split" / "reports.json").read_bytes() \
         == (tmp_path / "whole" / "reports.json").read_bytes()
+
+
+@forks
+@pytest.mark.parametrize("mode", ["finite", "growing"])
+def test_cli_synth_is_the_one_process_synth(tmp_path, monkeypatch,
+                                            free_target_07, free_target_13,
+                                            mode):
+    kw = _schedule_kw(mode, [free_target_07, free_target_13])
+    if mode == "growing":
+        monkeypatch.setitem(ENVELOPES, "steep", kw.pop("h"))
+        kw.update(mode="growing", h_name="steep")
+    cfg_path = str(tmp_path / "config.json")
+    RunConfig(p=PeriodicCoefficient(), q=PeriodicCoefficient(),
+              lambdas=[0.7, 1.3], out_dir=str(tmp_path / "split"),
+              **kw).save(cfg_path)
+    assert main(["synth", "--config", cfg_path]) == 0
+    _no_child_left()
+    _one_process(monkeypatch)
+    assert main(["synth", "--config", cfg_path,
+                 "--out", str(tmp_path / "whole")]) == 0
+    for name in ("potential.csv", "manifest.json"):
+        assert (tmp_path / "split" / name).read_bytes() \
+            == (tmp_path / "whole" / name).read_bytes()
+
+
+@forks
+def test_each_side_formats_its_own_rows(tmp_path, monkeypatch, small_run):
+    # Every call of the row formatter logs its process and its piece's side:
+    # the plus pieces' rows are made in the child, and the parent makes only
+    # the minus pieces' rows, so none after the join.
+    cfg_path, _ = small_run
+    log = tmp_path / "formatted.txt"
+    real = synth.csv_blocks
+
+    def csv_blocks(cols, block=512):
+        side = "plus" if cols[0][0] > 0 else "minus"
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {side}\n")
+        return real(cols, block)
+
+    monkeypatch.setattr(synth, "csv_blocks", csv_blocks)
+    assert main(["synth", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 0
+    _no_child_left()
+    calls = [line.split() for line in log.read_text().splitlines()]
+    with open(tmp_path / "out" / "manifest.json", encoding="utf-8") as fh:
+        n_pieces = len(json.load(fh)["pieces"])
+    plus = {int(pid) for pid, side in calls if side == "plus"}
+    assert len(calls) == n_pieces
+    assert [side for _, side in calls].count("plus") == n_pieces // 2
+    assert len(plus) == 1 and os.getpid() not in plus
+    assert {int(pid) for pid, side in calls if side == "minus"} \
+        == {os.getpid()}
+
+
+# Any float64, with the edge values drawn often: nan, both infinities, -0.0,
+# the smallest subnormals and the largest finite values.
+_VALUES = st.one_of(st.floats(), st.sampled_from(
+    [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 2.225e-308,
+     1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+@given(data=st.data(), n_cols=st.integers(1, 4), block=st.integers(1, 40),
+       full=st.integers(0, 4))
+def test_csv_blocks_are_the_per_value_text(data, n_cols, block, full):
+    # A row count that is not a multiple of the block (but for block 1), so
+    # a short last block is always formatted too.
+    n = full * block + data.draw(st.integers(1, max(1, block - 1)))
+    cols = [data.draw(arrays(np.float64, n, elements=_VALUES))
+            for _ in range(n_cols)]
+    blocks = list(_util.csv_blocks(cols, block))
+    assert len(blocks) == -(-n // block)
+    assert "".join(blocks) == "".join(
+        ",".join("%.17g" % float(col[i]) for col in cols) + "\n"
+        for i in range(n))
 
 
 # ---------------------------------------------------------------------------

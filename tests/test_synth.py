@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from diracembed.synth import (
     solve_xi,
     write_potential_csv,
 )
-from diracembed._util import taper_window
+from diracembed._util import decimate, taper_window
 
 from conftest import make_target
 
@@ -469,6 +470,23 @@ def test_manifest_round_trip_reproduces_csv(tmp_path, small_run):
     write_potential_csv(pot, str(path))
     with open(f"{out}/potential.csv", "rb") as fh:
         assert path.read_bytes() == fh.read()
+
+
+def test_a_piece_writes_at_most_CSV_ROWS_plus_one_rows():
+    # Every ceil(n/CSV_ROWS)-th of n samples and the last one: 44 sizes below
+    # 20,000 keep CSV_ROWS + 1 (n = 4000 keeps 0, 2, ..., 3998 and 3999).
+    rows = {n: decimate(n, max(1, int(np.ceil(n / synth.CSV_ROWS)))).size
+            for n in range(2, 20001)}
+    assert max(rows.values()) == synth.CSV_ROWS + 1
+    over = [n for n, count in rows.items() if count == synth.CSV_ROWS + 1]
+    assert over[:4] == [4000, 5999, 6000, 7998]
+    assert len([n for n in over if n < 20000]) == 44
+    for n in (2, 1999, 2000, 2001, 3999, 4000, 20000):  # as a piece writes
+        xs = np.linspace(-1.0, 1.0, n)
+        text = synth.PotentialPiece.csv_rows.func(
+            SimpleNamespace(x_grid=xs, V_grid=np.sin(xs)))
+        assert text.count("\n") == rows[n]
+        assert text.endswith("%.17g,%.17g\n" % (xs[-1], np.sin(xs[-1])))
 
 
 def test_manifest_carries_the_build_recipe(small_run):
