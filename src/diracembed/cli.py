@@ -21,6 +21,7 @@ from ._util import both_sides, csv_blocks, write_json
 from .config import RunConfig
 from .errors import (
     DiracEmbedError,
+    HypothesisViolated,
     ResonantFrequency,
     ResonantPair,
     ScanTooCoarse,
@@ -193,8 +194,11 @@ def cmd_oscillatory(args, cfg: RunConfig | None, out: str) -> int:
             target, target.data.Psi_f, args.a, x0_list, args.x_max,
             enforce_nonresonance=not args.allow_resonant)
     else:
-        chk = oscillatory_check_41(
-            args.a, args.beta1, args.beta2, x0_list, args.x_max)
+        try:
+            chk = oscillatory_check_41(
+                args.a, args.beta1, args.beta2, x0_list, args.x_max)
+        except HypothesisViolated as exc:  # it names the flag out of range
+            raise ValueError(str(exc)) from None
     ratio = chk.max_product_ratio
     ok = bool(ratio <= PRODUCT_RATIO_MAX)
     os.makedirs(out, exist_ok=True)

@@ -327,8 +327,10 @@ class Tracker:
     re-derived by forward integration); across other targets' pieces a
     started track integrates the well-conditioned bystander flow.  An own
     piece's seed xi0 should continue the arriving xi mod 2 pi: the largest
-    such seam gap is recorded.  Pieces must arrive in ascending |x|; the
-    Tracker is then the track record ``verify.l2_tail_estimate`` reads.
+    such seam gap is recorded.  Each own piece opens a cycle, and each
+    piece adds its trapezoid int R^2 d|x| to the open one (``cycle_sums``).
+    Pieces must arrive in ascending |x|; the Tracker is then the track
+    record ``verify.l2_tail_estimate`` reads.
     """
 
     def __init__(self, target_index: int, target: EmbeddingTarget, side: int):
@@ -336,8 +338,8 @@ class Tracker:
         self.xi: float | None = None  # None until the first own piece
         self.ln_R = 0.0
         self.own_starts: list[float] = []  # |x| where own pieces start
+        self.cycle_sums: list[float] = []  # per cycle; the last one is open
         self.max_seam_gap, self.seam_a = 0.0, math.nan
-        self._samples: list[tuple] = []  # (xs, ln_R, xi) per piece
 
     def advance(self, piece: PotentialPiece) -> None:
         side = self.side
@@ -349,26 +351,19 @@ class Tracker:
                 if gap > self.max_seam_gap:
                     self.max_seam_gap, self.seam_a = float(gap), piece.a
             self.own_starts.append(piece.a)
+            self.cycle_sums.append(0.0)
             xs, ln_R = slaved_amplitude(piece, self.ln_R)
             self.xi = float(piece.xi_at(side * piece.x_end))
             self.ln_R = float(ln_R[-1] if side > 0 else ln_R[0])
-            stride = max(1, int(round(
-                (np.pi / (2.0 * rate_floor(piece.rate))) / (xs[1] - xs[0]))))
-            idx = decimate(xs.size, stride)
-            if side < 0:
-                idx = idx[::-1]
-            self._samples.append((xs[idx], ln_R[idx], piece.xi_grid[idx]))
         elif self.xi is not None:
             run = integrate_R_xi(self.target.data, piece.V_interp,
                                  side * piece.a, side * piece.x_end, self.xi,
                                  lnR0=self.ln_R)
-            self.xi = float(run.xi[-1])
-            self.ln_R = float(run.ln_R[-1])
-            self._samples.append((run.xs, run.ln_R, run.xi))
-
-    def samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(xs, ln_R, xi) over every piece since the start, in ascending |x|."""
-        return tuple(np.concatenate(col) for col in zip(*self._samples))
+            xs, ln_R = run.xs, run.ln_R
+            self.xi, self.ln_R = float(run.xi[-1]), float(ln_R[-1])
+        else:
+            return  # no cycle is open before the first own piece
+        self.cycle_sums[-1] += abs(float(np.trapezoid(np.exp(2.0 * ln_R), xs)))
 
 
 @dataclass
@@ -648,8 +643,9 @@ def read_manifest(manifest) -> Manifest:
     """Check a manifest (path or dict) and build its targets; no phase lock
     runs.  A value of the wrong JSON type, a key no run writes and a recorded
     method constant that is not the run's are each a ValueError naming the key.
-    T, N and one piece per cycle and side must be the plan of the manifest's
-    own inputs (PlanMismatch otherwise); xi0 and C are the pieces' own."""
+    Each target's k and omega must be its frame's, and T, N and one piece per
+    cycle and side the plan of the manifest's own inputs (PlanMismatch
+    otherwise); xi0 and C are the pieces' own, and K is only typed."""
     if isinstance(manifest, (str, os.PathLike)):
         with open(manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -686,9 +682,15 @@ def read_manifest(manifest) -> Manifest:
                              f"built with {val!r}")
     targets = []
     for i, entry in enumerate(_field(manifest, "targets", kind=list)):
-        lam, C = (_field(entry, key, f"targets[{i}]") for key in ("lambda", "C"))
+        lam, k, omega, C = (_field(entry, key, f"targets[{i}]")
+                            for key in ("lambda", "k", "omega", "C"))
         _only(entry, ("lambda", "k", "omega", "C"), f"targets[{i}]")
         targets.append(EmbeddingTarget.at(p, q, lam, C=C))
+        for key, got, want in (("k", k, targets[-1].k),
+                               ("omega", omega, targets[-1].omega)):
+            if got != want:  # synth writes the frame's own floats
+                raise PlanMismatch(f"targets[{i}].{key}: {got!r} in the "
+                                   f"manifest, but the frame gives {want!r}")
         targets[-1].data.frame  # the locks' table, built once for both sides
     entries = []
     for i, entry in enumerate(_field(manifest, "pieces", kind=list)):
@@ -711,8 +713,8 @@ def read_manifest(manifest) -> Manifest:
     elif "h_name" in manifest:
         raise ValueError(f"h_name: {manifest['h_name']!r}, but every {mode} "
                          "run is built without an envelope")
-    a0, x_max, b, C_bound = (_field(manifest, key)
-                             for key in ("a0", "x_max", "b", "C_bound"))
+    a0, x_max, b, C_bound, _ = (_field(manifest, key) for key
+                                in ("a0", "x_max", "b", "C_bound", "K"))
     listed = [_field(manifest, key, kind=list) for key in ("T", "N")]
     for key, col in zip(("T", "N"), listed):
         for r, val in enumerate(col):

@@ -62,6 +62,10 @@ PRODUCT_RATIO_MAX = 4.0  # most sup * x0^beta may vary over the checkpoints
 TAIL_RATIO = 0.5  # most energy a cycle may carry, relative to the last one
 SEAM_TOL = 1e-9  # most an own piece's seed may stray from the arriving xi
 SCAN_PHASE_STEP = 0.14  # most phase, in rad, a sup-scan advances per sample
+# Most samples a sup-scan takes, _42's m-phase table included: 7x criterion
+# 5's scan to x_max = 1e6 (1.4e7 samples, the largest any test runs), and
+# about 3 s of scan on a 2-core host; a large |a| would otherwise never end.
+SCAN_SAMPLES_MAX = 10 ** 8
 # Report fields under another name in reports.json.
 JSON_NAMES = {"lam": "lambda", "lam_piece": "lambda_piece",
               "lam_bystander": "lambda_bystander", "target_index": "target",
@@ -179,6 +183,17 @@ def _sup_scan(make_integrand, x_lo: float, h: float, n: int, x0_list):
     return x0s, [float(max(u - f, f - d)) for f, u, d in zip(F0, hi, lo)]
 
 
+def _scan_size(n: float, table: float = 0.0) -> int:
+    """The sup-scan's n intervals, at least 2; a ValueError before anything
+    is allocated when n + table samples pass SCAN_SAMPLES_MAX."""
+    if n + table > SCAN_SAMPLES_MAX:
+        raise ValueError(
+            f"a, x0, x_max: the sup-scan would take {n + table:.3g} samples, "
+            f"above SCAN_SAMPLES_MAX = {SCAN_SAMPLES_MAX:.0e}; take a smaller "
+            "|a| or x_max - min x0")
+    return max(2, int(np.ceil(n)))
+
+
 def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
                          x_max: float) -> OscCheck:
     """Sup of |int sin(theta)/t^beta2| with theta' = a + 1/(1+t^beta1).
@@ -187,20 +202,21 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
     boundedness of the products across a decade of x0 is the claim.
     """
     if a == 0.0:
-        raise HypothesisViolated("drift frequency a must be nonzero")
-    if beta1 <= 0.0 or beta2 <= 0.0:
-        raise HypothesisViolated("beta exponents must be positive")
-    if beta1 + beta2 <= 1.0:
-        raise HypothesisViolated("need beta1 + beta2 > 1")
+        raise HypothesisViolated("a: the drift frequency must be nonzero")
+    if beta1 <= 0.0:
+        raise HypothesisViolated(f"beta1: need beta1 > 0, got {beta1:g}")
     if beta2 <= 0.5:
-        raise HypothesisViolated("need beta2 > 1/2")
+        raise HypothesisViolated(f"beta2: need beta2 > 1/2, got {beta2:g}")
+    if beta1 + beta2 <= 1.0:
+        raise HypothesisViolated(f"beta1/beta2: need beta1 + beta2 > 1, got "
+                                 f"{beta1:g} + {beta2:g}")
     beta = min(beta2, beta1 + beta2 - 1.0, 2.0 * beta2 - 1.0)
     x_lo = min(float(v) for v in x0_list)
     if x_lo <= 0.0 or max(float(v) for v in x0_list) >= x_max:
         raise ValueError("need 0 < x0 < x_max for every x0")
     # A fixed step from x_lo (ending at or past x_max): checkpoints stay put.
     h = SCAN_PHASE_STEP / (abs(a) + 1.0)
-    n = max(2, int(np.ceil((x_max - x_lo) / h)))
+    n = _scan_size((x_max - x_lo) / h)
 
     if beta1 == 1.0:
         def theta(xs):
@@ -212,7 +228,8 @@ def oscillatory_check_41(a: float, beta1: float, beta2: float, x0_list,
         # Each scan interval then adds its three-point Gauss-Legendre rule to
         # Theta at its block's first sample: x_lo, or the last block's end.
         def f(t):
-            return 1.0 / (1.0 + t ** beta1)
+            with np.errstate(over="ignore"):  # t^beta1 = inf: f = 0 exactly
+                return 1.0 / (1.0 + t ** beta1)
 
         eps = 0.5 ** (1.0 / beta1)
         head = sum((-0.5) ** j * eps / (j * beta1 + 1.0) for j in range(64))
@@ -264,7 +281,9 @@ def oscillatory_check_42(target: EmbeddingTarget, Gamma, a: float, x0_list,
     # Step 1/m, never coarser than SCAN_PHASE_STEP/rate: sample i = x_lo +
     # i/m sits at the phase t[i mod m], so Gamma and gamma are tabulated once
     # and tiled, long enough for a block to start at any phase.
-    m = int(np.ceil(max(rate, 0.5) / SCAN_PHASE_STEP))
+    m = float(np.ceil(max(rate, 0.5) / SCAN_PHASE_STEP))
+    n = _scan_size((x_max - x_lo) * m, m)
+    m = int(m)
     t = frac(x_lo + np.arange(m) / m)
     G, G1 = (np.asarray(Gamma(s), dtype=float) for s in (t, t + 1.0))
     drift = float(np.max(np.abs(G1 - G)))
@@ -272,7 +291,6 @@ def oscillatory_check_42(target: EmbeddingTarget, Gamma, a: float, x0_list,
         raise HypothesisViolated(
             f"Gamma is not 1-periodic: it moves by {drift:.2e} over a period")
     gamma = g1f(t) - g1f.slope * t  # the periodic part of gamma1
-    n = max(2, int(np.ceil((x_max - x_lo) * m)))
     G, gamma = (np.resize(tab, min(n, _util.QUAD_BLOCK) + 1 + m)
                 for tab in (G, gamma))
 
@@ -493,33 +511,24 @@ def l2_tail_estimate(track: Tracker) -> TailReport:
     """Cycle-over-cycle integral of R^2 along one tracked amplitude.
 
     A cycle runs between consecutive activations of the target's own
-    pieces, TAIL_CYCLES or more; the verdict is positive when every cycle
-    carries at most TAIL_RATIO of the previous one's energy (the track's
-    own_starts and samples() are in ascending |x|).  A seam gap above
-    SEAM_TOL breaks the chain of own pieces: BoundViolated.
+    pieces; the track's ``cycle_sums`` carry each one's energy, the last
+    cycle still open at x_max.  TAIL_CYCLES or more complete cycles are
+    needed (InconclusiveTail otherwise); the verdict is positive when every
+    cycle carries at most TAIL_RATIO of the previous one's energy.  A seam
+    gap above SEAM_TOL breaks the chain of own pieces: BoundViolated.
     """
     if track.max_seam_gap > SEAM_TOL:
         raise BoundViolated(
             f"target {track.target_index}, side {track.side}: the own piece "
             f"at |x| = {track.seam_a:.6g} starts {track.max_seam_gap:.3g} "
             f"rad off the arriving phase (SEAM_TOL {SEAM_TOL:g})")
-    bounds = track.own_starts
-    if len(bounds) < TAIL_CYCLES + 1:
+    sums = track.cycle_sums[:-1]
+    if len(sums) < TAIL_CYCLES:
         raise InconclusiveTail(
-            f"only {max(len(bounds) - 1, 0)} complete cycles; "
-            f"need >= {TAIL_CYCLES}")
-    xs, ln_R, _ = track.samples()
-    ax, R2 = np.abs(xs), np.exp(2.0 * ln_R)
-    sums = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        m = (ax >= lo) & (ax < hi)
-        if np.count_nonzero(m) < 2:
-            raise InconclusiveTail(
-                f"cycle [{lo:.6g}, {hi:.6g}) has too few samples")
-        sums.append(float(np.trapezoid(R2[m], ax[m])))
+            f"only {len(sums)} complete cycles; need >= {TAIL_CYCLES}")
     ratios = [b / a for a, b in zip(sums, sums[1:])]
     return TailReport(target_index=track.target_index, side=track.side,
-                      cycle_bounds=[float(v) for v in bounds],
+                      cycle_bounds=[float(v) for v in track.own_starts],
                       cycle_sums=sums, ratios=ratios,
                       verdict=all(r <= TAIL_RATIO for r in ratios),
                       max_seam_gap=track.max_seam_gap)

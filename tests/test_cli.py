@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -582,8 +583,9 @@ def test_manifest_with_another_frame_recipe_is_usage_error(
      lambda doc: doc["coefficients"]["p"].update(coss=[0.3])),
     ("coefficients.q.sin",
      lambda doc: doc["coefficients"]["q"].update(sin=[float("nan")])),
+    ("K: expected a number, got 'junk'", lambda doc: doc.update(K="junk")),
 ], ids=["lambda_list", "floquet_integrator_list", "side_unknown", "T_str",
-        "N_null", "coefficient_key_unknown", "q_sin_nan"])
+        "N_null", "coefficient_key_unknown", "q_sin_nan", "K_str"])
 def test_mistyped_manifest_is_usage_error(tmp_path, small_run, capsys, key,
                                           tamper):
     # A manifest value of the wrong JSON type, or a side other than
@@ -656,6 +658,35 @@ def test_unknown_manifest_key_or_method_constant_is_usage_error(
     tampered.write_text(json.dumps(doc))
     assert main(["verify", "--manifest", str(tampered)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert list(tmp_path.iterdir()) == [tampered]
+
+
+@pytest.mark.parametrize("tamper,prefix", [
+    (lambda doc: doc["targets"][0].update(k=99.0),
+     "targets[0].k: 99.0 in the manifest, but the frame gives "),
+    (lambda doc: doc["targets"][1].update(omega=-5.0),
+     "targets[1].omega: -5.0 in the manifest, but the frame gives "),
+], ids=["k", "omega"])
+def test_verify_rejects_a_target_off_its_frame(tmp_path, small_run, capsys,
+                                               monkeypatch, tamper, prefix):
+    # A target's k and omega are its frame's, derived from lambda and the
+    # background as T and N are from the plan: any other value is a failed
+    # check before any phase lock.
+    from diracembed import synth
+
+    def no_lock(*args, **kwargs):
+        raise AssertionError("a phase lock ran")
+
+    _, out = small_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    tamper(doc)
+    tampered = tmp_path / "manifest.json"
+    tampered.write_text(json.dumps(doc))
+    monkeypatch.setattr(synth, "solve_xi", no_lock)
+    assert main(["verify", "--manifest", str(tampered)]) == EXIT_CHECK
+    assert capsys.readouterr().err.startswith(
+        f"check failed: PlanMismatch: {prefix}")
     assert list(tmp_path.iterdir()) == [tampered]
 
 
@@ -807,6 +838,61 @@ def test_oscillatory_checkpoint_at_x_max_is_usage_error(tmp_path):
                "--x-max", "1e4", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
     assert not (tmp_path / "oscillatory.json").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--a=0", "--beta1=1", "--beta2=1"],
+     "a: the drift frequency must be nonzero"),
+    (["--a=1", "--beta1=0", "--beta2=1"], "beta1: need beta1 > 0, got 0"),
+    (["--a=1", "--beta1=0.2", "--beta2=0.6"],
+     "beta1/beta2: need beta1 + beta2 > 1, got 0.2 + 0.6"),
+    (["--a=1", "--beta1=1", "--beta2=0.4"], "beta2: need beta2 > 1/2, got 0.4"),
+], ids=["a_zero", "beta1_zero", "beta_sum", "beta2_small"])
+def test_oscillatory_flag_outside_its_hypothesis_is_usage_error(
+        tmp_path, capsys, flags, message):
+    # The power-law form's hypotheses are on its flags: a value outside
+    # them is a usage error naming the flag, not a failed check.
+    rc = main(["oscillatory", *flags, "--x0=10", "--x-max=100",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oscillatory_huge_beta1_passes_without_a_warning(tmp_path, capsys):
+    # 1/(1 + t^beta1) is 0 where t^beta1 overflows: no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["oscillatory", "--a=1", "--beta1=1e300", "--beta2=1",
+                   "--x0=10", "--x-max=100", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--a=1e300", "--beta1=1", "--beta2=1", "--x0=10", "--x-max=100"],
+    ["--a=1e6", "--beta1=1", "--beta2=1", "--x0=10", "--x-max=100"],
+    ["--config", "CONFIG", "--lam=0.7", "--a=1e3", "--x0=10",
+     "--x-max=1e6"],
+], ids=["powerlaw_a_1e300", "powerlaw_a_1e6", "periodic_a_1e3"])
+def test_oscillatory_scan_past_the_sample_cap_is_usage_error(
+        tmp_path, small_run, capsys, monkeypatch, flags):
+    # Refused with the sample count before the scan starts, which would
+    # otherwise run for minutes or never end.
+    from diracembed import verify
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the sup-scan ran")
+
+    monkeypatch.setattr(verify, "_sup_scan", no_scan)
+    flags = [small_run[0] if f == "CONFIG" else f for f in flags]
+    rc = main(["oscillatory", *flags, "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a, x0, x_max: the sup-scan would "
+                          "take "), err
+    assert "samples, above SCAN_SAMPLES_MAX = 1e+08" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

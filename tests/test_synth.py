@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -288,20 +289,24 @@ def test_schedule_pieces_mirror_and_tile(small_sched):
 
 def test_schedule_phase_chaining(small_pot, free_target_07, free_target_13):
     # Each own piece starts at the phase the track carried to its left
-    # edge (the phase keeps evolving as a bystander between own pieces).
-    tracks = track_targets(small_pot, [free_target_07, free_target_13])
-    for i, lam in enumerate((0.7, 1.3)):
-        own = sorted((pc for pc in small_pot.pieces
-                      if pc.side > 0 and pc.lam == lam),
-                     key=lambda pc: pc.a)
-        tr = tracks[(i, 1)]
-        assert tr.own_starts == [pc.a for pc in own]
-        xs, _, xi = tr.samples()
-        for pc in own:
-            idx = int(np.argmin(np.abs(xs - pc.a)))
-            assert xs[idx] == pc.a
-            assert pc.xi0 == pytest.approx(xi[idx] % (2 * np.pi), abs=1e-9)
-            assert 0.0 <= pc.xi0 < 2 * np.pi
+    # edge (the phase keeps evolving as a bystander between own pieces),
+    # reduced mod 2 pi; the first one at XI0.
+    targets = [free_target_07, free_target_13]
+    for side in (1, -1):
+        pieces = sorted((pc for pc in small_pot.pieces if pc.side == side),
+                        key=lambda pc: pc.a)
+        for i, target in enumerate(targets):
+            own = [pc for pc in pieces if pc.lam == target.lam]
+            assert own[0].xi0 == synth.XI0
+            tracker = Tracker(i, target, side)
+            for pc in pieces:
+                if pc.lam == target.lam and tracker.xi is not None:
+                    assert pc.xi0 == pytest.approx(tracker.xi % (2 * np.pi),
+                                                   abs=1e-9)
+                    assert 0.0 <= pc.xi0 < 2 * np.pi
+                tracker.advance(pc)
+            assert tracker.own_starts == [pc.a for pc in own]
+            assert tracker.max_seam_gap <= verify.SEAM_TOL
 
 
 def test_seam_gap_has_no_rounding_floor(free_target_07):
@@ -328,17 +333,48 @@ def test_schedule_tracks_cover_both_sides(small_pot, free_target_07,
         assert tr.side == s
         assert tr.target_index == i
         assert len(tr.own_starts) >= 4
-        # l2_tail_estimate reads own_starts and the samples in this order
+        # l2_tail_estimate reads own_starts and one sum per cycle in this
+        # order, the last cycle open
         assert tr.own_starts == sorted(tr.own_starts)
-        # runs outward from the activation point, anchored at lnR = 0
-        # (segment junctions may repeat a sample)
-        xs, ln_R, _ = tr.samples()
-        assert ln_R[0] == 0.0
-        assert np.all(s * np.diff(xs) >= 0.0)
+        assert len(tr.cycle_sums) == len(tr.own_starts)
+        assert all(v > 0.0 for v in tr.cycle_sums)
         # ~2.4 lnR drop per own piece dominates the bystander wiggle
-        assert ln_R[-1] < -10.0
+        assert tr.ln_R < -10.0
     for i in (0, 1):  # mirrored pieces: each side starts at the same |x|
         assert tracks[(i, 1)].own_starts[0] == tracks[(i, -1)].own_starts[0]
+
+
+def test_tracker_cycle_sums_integrate_every_sample(small_pot, free_target_07,
+                                                  free_target_13):
+    # Each cycle's sum is int R^2 d|x| from one own piece's a to the next's:
+    # the trapezoid over slaved_amplitude's full grid on own pieces and over
+    # integrate_R_xi's samples across the others, from ln R = 0 at the
+    # target's first own piece.
+    targets = [free_target_07, free_target_13]
+    tracks = track_targets(small_pot, targets)
+    for (i, side), tr in tracks.items():
+        target = targets[i]
+        pieces = sorted((pc for pc in small_pot.pieces if pc.side == side),
+                        key=lambda pc: pc.a)
+        start = next(n for n, pc in enumerate(pieces) if pc.lam == target.lam)
+        cycles, ln_R, xi = [], 0.0, None
+        for pc in pieces[start:]:
+            if pc.lam == target.lam:
+                xs, lr = slaved_amplitude(pc, ln_R)
+                assert xs.size == pc.x_grid.size
+                ln_R = lr[-1] if side > 0 else lr[0]
+                xi = float(pc.xi_at(side * pc.x_end))
+                cycles.append([])
+            else:
+                run = integrate_R_xi(target.data, pc.V_interp, side * pc.a,
+                                     side * pc.x_end, xi, lnR0=ln_R)
+                xs, lr, ln_R, xi = run.xs, run.ln_R, run.ln_R[-1], run.xi[-1]
+            R2, ax = np.exp(2.0 * lr), np.abs(xs)
+            cycles[-1].append(np.sum(0.5 * (R2[1:] + R2[:-1])
+                                     * np.abs(np.diff(ax))))
+        expected = [math.fsum(c) for c in cycles]
+        assert len(tr.cycle_sums) == len(expected)
+        assert tr.cycle_sums == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_schedule_validation(free_target_07, free_target_13):

@@ -227,6 +227,25 @@ def test_oscillatory_powerlaw_hypotheses():
                              x0_list=[10.0], x_max=1e3)
 
 
+def test_sup_scan_sample_cap_refuses_before_any_table(free_target_07,
+                                                      monkeypatch):
+    # Past SCAN_SAMPLES_MAX both checks refuse before they tabulate Gamma or
+    # start the scan; criterion 5's scan to 1e6, the largest a test runs,
+    # stays well inside the cap.
+    def never(*args, **kwargs):
+        raise AssertionError("tabulated or scanned")
+
+    monkeypatch.setattr(verify, "_sup_scan", never)
+    with pytest.raises(ValueError, match="7.1.e[+]08 samples"):
+        oscillatory_check_42(free_target_07, never, a=1e4, x0_list=[10.0],
+                             x_max=1e4)
+    with pytest.raises(ValueError, match="6.43e[+]302 samples"):
+        oscillatory_check_41(a=1e300, beta1=1.0, beta2=1.0, x0_list=[10.0],
+                             x_max=100.0)
+    criterion5 = (1e6 - 1e2) / (verify.SCAN_PHASE_STEP / 2.0)
+    assert 5.0 * criterion5 < verify.SCAN_SAMPLES_MAX
+
+
 def test_oscillatory_powerlaw_phase_reaches_the_last_sample(monkeypatch):
     # beta1 = 2: theta = a*x + c*arctan(x).  The scan's last sample lies
     # a step past x_max (10.52 against 10.51); the tabulated integral must
@@ -463,37 +482,47 @@ def test_nonembedding_rejects_large_envelope(free_target_07):
 
 
 def _synthetic_track(own_starts, alpha):
-    # What l2_tail_estimate reads of a Tracker, on the plus side
-    xs = np.linspace(own_starts[0], own_starts[-1], 4001)
-    samples = (xs, -alpha * (xs - xs[0]), np.zeros_like(xs))
+    # What l2_tail_estimate reads of a Tracker, on the plus side: each
+    # cycle's exact int R^2 d|x| for R^2 = exp(-2 alpha (|x| - x0)), then an
+    # open last cycle that carries more than the one before it.
+    x0 = own_starts[0] if own_starts else 0.0
+    sums = [(np.exp(-2.0 * alpha * (lo - x0)) - np.exp(-2.0 * alpha * (hi - x0)))
+            / (2.0 * alpha) for lo, hi in zip(own_starts, own_starts[1:])]
+    open_sum = 10.0 * sums[-1] if sums else 1.0
     return SimpleNamespace(target_index=0, side=1, own_starts=list(own_starts),
-                           max_seam_gap=0.0, seam_a=np.nan,
-                           samples=lambda: samples)
+                           cycle_sums=(sums + [open_sum]) if own_starts else [],
+                           max_seam_gap=0.0, seam_a=np.nan)
 
 
 def test_l2_tail_on_synthetic_geometric_track():
     # R^2 = exp(-2 alpha x) with equal cycles of length L gives exact
-    # cycle ratio exp(-2 alpha L).
+    # cycle ratio exp(-2 alpha L); the open last cycle is not read.
     alpha, L = 0.5, 4.0
     tr = _synthetic_track([10.0, 14.0, 18.0, 22.0, 26.0], alpha)
     rep = l2_tail_estimate(tr)
     assert rep.verdict
     expected = float(np.exp(-2.0 * alpha * L))
-    assert rep.ratios == pytest.approx([expected] * 3, rel=1e-4)
+    assert rep.ratios == pytest.approx([expected] * 3, rel=1e-12)
     s0 = rep.cycle_sums[0]
     assert rep.cycle_sums == pytest.approx(
-        [s0 * expected ** i for i in range(4)], rel=1e-4)
+        [s0 * expected ** i for i in range(4)], rel=1e-12)
+    assert rep.cycle_bounds == tr.own_starts
 
 
 def test_l2_tail_flags_slow_decay():
     rep = l2_tail_estimate(_synthetic_track([10.0, 14.0, 18.0, 22.0], 0.05))
     assert not rep.verdict
+    assert len(rep.ratios) == 2
     assert all(r > 0.5 for r in rep.ratios)
 
 
 def test_l2_tail_needs_enough_cycles():
-    with pytest.raises(InconclusiveTail):
-        l2_tail_estimate(_synthetic_track([10.0, 14.0, 18.0], 0.5))
+    # own pieces at 10, 14, 18 close two cycles; the one from 18 is open
+    for own_starts in ([10.0, 14.0, 18.0], [10.0], []):
+        n = max(len(own_starts) - 1, 0)
+        with pytest.raises(InconclusiveTail,
+                           match=f"only {n} complete cycles"):
+            l2_tail_estimate(_synthetic_track(own_starts, 0.5))
 
 
 def test_tails_across_assembled_potential(small_pot, free_target_07,
