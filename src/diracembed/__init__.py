@@ -23,7 +23,6 @@ from .synth import (
     EmbeddingTarget,
     assemble,
     check_nonresonance,
-    choose_C,
     piece_potential,
     rebuild_potential,
     schedule,

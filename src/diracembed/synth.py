@@ -48,7 +48,6 @@ from .pruefer import (LOCK_ATOL, LOCK_RTOL, STEP_CAP_PER_RATE, integrate_R_xi,
 __all__ = [
     "EmbeddingTarget",
     "check_nonresonance",
-    "choose_C",
     "XiTrajectory",
     "solve_xi",
     "PotentialPiece",
@@ -86,20 +85,15 @@ FRAME_RECIPE = {"method": "magnus4", "n_grid": FRAME_INTERVALS}
 
 @dataclass(frozen=True)
 class EmbeddingTarget:
-    """One energy to embed: its Floquet frame plus its decay constant C."""
+    """One energy to embed: its Floquet frame, which fixes its decay C."""
 
     data: DerivedPeriodicData
-    C: float
 
     @classmethod
-    def at(cls, p: PeriodicCoefficient, q: PeriodicCoefficient, lam: float,
-           C: float | None = None) -> EmbeddingTarget:
-        """Target at energy lam, its frame from ``floquet_solution``.
-
-        C defaults to ``choose_C(data)``.
-        """
-        data = derived_data(floquet_solution(p, q, lam))
-        return cls(data, choose_C(data) if C is None else C)
+    def at(cls, p: PeriodicCoefficient, q: PeriodicCoefficient,
+           lam: float) -> EmbeddingTarget:
+        """Target at energy lam, its frame from ``floquet_solution``."""
+        return cls(derived_data(floquet_solution(p, q, lam)))
 
     @property
     def lam(self) -> float:
@@ -113,26 +107,21 @@ class EmbeddingTarget:
     def omega(self) -> float:
         return self.data.omega
 
+    @property
+    def C(self) -> float:
+        """Decay constant giving slope -(100 + RHO_MARGIN) for this frame."""
+        return 2.0 * (DECAY_EXPONENT + RHO_MARGIN) / self.data.Psi_mean
+
     def __post_init__(self):
         if not 0.0 < self.k < np.pi:
             raise ValueError(f"quasimomentum {self.k} outside (0, pi)")
         if self.omega == 0.0 or not np.isfinite(self.omega):
             raise ValueError("wronskian omega must be nonzero and finite")
-        floor = 2.0 * (DECAY_EXPONENT + 1.0) / self.data.Psi_mean
-        if self.C < floor - 1e-12:
-            raise ValueError(
-                f"decay constant C={self.C} below {floor:.6g}; "
-                "the certified slope needs C >= 2*(100+1)/Psi_mean")
 
     @property
     def envelope(self) -> float:
         """Peak of |V|*(|x|-b) over any piece: |omega|*C."""
         return abs(self.omega) * self.C
-
-
-def choose_C(data: DerivedPeriodicData) -> float:
-    """Decay constant giving slope -(100 + RHO_MARGIN) for this frame."""
-    return 2.0 * (DECAY_EXPONENT + RHO_MARGIN) / data.Psi_mean
 
 
 def check_nonresonance(lambdas, p: PeriodicCoefficient, q: PeriodicCoefficient,
@@ -245,23 +234,16 @@ def _slaved_V(omega: float, traj: XiTrajectory, x, xi):
 
 @dataclass
 class PotentialPiece(XiTrajectory):
-    """A phase-locked trajectory of one target, with its potential sampled.
+    """A target's phase-locked trajectory, its lam and omega, and its samples.
 
     V is slaved to the phase: V = -omega C w(x) sin xi / (x - b_s).
     """
 
-    target: EmbeddingTarget
+    lam: float
+    omega: float
     x_grid: np.ndarray
     xi_grid: np.ndarray
     V_grid: np.ndarray
-
-    @property
-    def lam(self) -> float:
-        return self.target.lam
-
-    @property
-    def omega(self) -> float:
-        return self.target.omega
 
     def V_interp(self, x):
         """V at x by np.interp on the samples, 0 off the piece."""
@@ -291,12 +273,13 @@ def piece_potential(target: EmbeddingTarget, traj: XiTrajectory) -> PotentialPie
     xs = traj.x_lo + (span / n) * np.arange(n + 1)
     xi = traj.xi_at(xs)
     V = _slaved_V(target.omega, traj, xs, xi)
-    return PotentialPiece(**vars(traj), target=target, x_grid=xs, xi_grid=xi,
-                          V_grid=V)
+    return PotentialPiece(**vars(traj), lam=target.lam, omega=target.omega,
+                          x_grid=xs, xi_grid=xi, V_grid=V)
 
 
-def slaved_amplitude(piece: PotentialPiece, lnR_start: float = 0.0):
-    """ln R of the decaying solution carried by a piece, by quadrature.
+def slaved_amplitude(target: EmbeddingTarget, piece: PotentialPiece,
+                     lnR_start: float = 0.0):
+    """ln R of the decaying solution a piece of target carries, by quadrature.
 
     The piece's potential is slaved to its stored phase, so the pair
     (R, xi_grid) solves the perturbed Pruefer system exactly and ln R
@@ -307,11 +290,10 @@ def slaved_amplitude(piece: PotentialPiece, lnR_start: float = 0.0):
     percent of a piece.  Returns (x ascending, ln R samples) anchored
     to lnR_start at the piece's inner edge |x| = a.
     """
-    data = piece.target.data
     xs = piece.x_grid
     h = float(xs[1] - xs[0])
-    integrand = (piece.V_grid / piece.omega) \
-        * np.asarray(data.Psi_f(xs), dtype=float) * np.sin(piece.xi_grid)
+    Psi = np.asarray(target.data.Psi_f(xs), dtype=float)
+    integrand = (piece.V_grid / piece.omega) * Psi * np.sin(piece.xi_grid)
     F = cumulative_simpson_uniform(integrand, h, f0=0.0)
     if piece.side > 0:
         return xs, lnR_start + F
@@ -352,7 +334,7 @@ class Tracker:
                     self.max_seam_gap, self.seam_a = float(gap), piece.a
             self.own_starts.append(piece.a)
             self.cycle_sums.append(0.0)
-            xs, ln_R = slaved_amplitude(piece, self.ln_R)
+            xs, ln_R = slaved_amplitude(self.target, piece, self.ln_R)
             self.xi = float(piece.xi_at(side * piece.x_end))
             self.ln_R = float(ln_R[-1] if side > 0 else ln_R[0])
         elif self.xi is not None:
@@ -536,15 +518,10 @@ def schedule(targets, mode: str = "finite", *, a0: float, x_max: float,
             for tracker in trackers:  # the next own piece's seed
                 tracker.advance(piece)
             piece.csv_rows  # formatted on this side's core; crosses as text
-            piece.target = None  # the caller puts it back: no frame to pickle
             pieces.append(piece)
         return pieces
 
-    pieces: list[PotentialPiece] = []
-    for c, pair in zip(owners, zip(*both_sides(one_side))):
-        for piece in pair:
-            piece.target = targets[c]
-            pieces.append(piece)
+    pieces = [pc for pair in zip(*both_sides(one_side)) for pc in pair]
     metadata = {
         "mode": mode, "a0": float(a0), "x_max": float(x_max), "b": float(b),
         "C_bound": float(C_bound), "K": float(K), "safety": SAFETY,
@@ -592,19 +569,32 @@ def write_manifest(pot: SynthesizedPotential, path: str,
     write_json(path, doc)
 
 
+def _number(name: str, val) -> float:
+    """The manifest number val as a float: a JSON number (not true or false)
+    and finite, or a ValueError naming it, as a config's is."""
+    if not is_number(val):
+        raise ValueError(f"{name}: expected a number, got {val!r}")
+    try:
+        if math.isfinite(val):
+            return float(val)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise ValueError(f"{name}: {val!r} is not finite")
+
+
 def _field(doc, key: str, where: str = "", kind=float):
-    """doc[key] of the manifest object ``where``, a float when kind is float
-    (a JSON number: not true or false).  A value of the wrong JSON type is a
-    ValueError naming its key, as a config's is; a missing key stays a
-    KeyError."""
+    """doc[key] of the manifest object ``where``, a ``_number`` when kind is
+    float.  A value of the wrong JSON type is a ValueError naming its key; a
+    missing key stays a KeyError."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where or 'manifest'}: expected a JSON object, "
                          f"got {doc!r}")
     name, val = f"{where}.{key}" if where else key, doc[key]
-    if not (is_number(val) if kind is float else isinstance(val, kind)):
-        expected = "a number" if kind is float else kind.__name__
-        raise ValueError(f"{name}: expected {expected}, got {val!r}")
-    return float(val) if kind is float else val
+    if kind is float:
+        return _number(name, val)
+    if not isinstance(val, kind):
+        raise ValueError(f"{name}: expected {kind.__name__}, got {val!r}")
+    return val
 
 
 def _only(doc: dict, keys, where: str = "") -> None:
@@ -643,9 +633,10 @@ def read_manifest(manifest) -> Manifest:
     """Check a manifest (path or dict) and build its targets; no phase lock
     runs.  A value of the wrong JSON type, a key no run writes and a recorded
     method constant that is not the run's are each a ValueError naming the key.
-    Each target's k and omega must be its frame's, and T, N and one piece per
-    cycle and side the plan of the manifest's own inputs (PlanMismatch
-    otherwise); xi0 and C are the pieces' own, and K is only typed."""
+    Each target's k, omega and C must be its frame's, and T, N and one piece
+    per cycle and side the plan of the manifest's own inputs, and K within the
+    probe's guard 2 max(2C/k) <= K <= a0 - b (PlanMismatch otherwise); xi0
+    and C are the pieces' own.  A non-finite number is a ValueError."""
     if isinstance(manifest, (str, os.PathLike)):
         with open(manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -685,9 +676,10 @@ def read_manifest(manifest) -> Manifest:
         lam, k, omega, C = (_field(entry, key, f"targets[{i}]")
                             for key in ("lambda", "k", "omega", "C"))
         _only(entry, ("lambda", "k", "omega", "C"), f"targets[{i}]")
-        targets.append(EmbeddingTarget.at(p, q, lam, C=C))
+        targets.append(EmbeddingTarget.at(p, q, lam))
         for key, got, want in (("k", k, targets[-1].k),
-                               ("omega", omega, targets[-1].omega)):
+                               ("omega", omega, targets[-1].omega),
+                               ("C", C, targets[-1].C)):
             if got != want:  # synth writes the frame's own floats
                 raise PlanMismatch(f"targets[{i}].{key}: {got!r} in the "
                                    f"manifest, but the frame gives {want!r}")
@@ -713,15 +705,18 @@ def read_manifest(manifest) -> Manifest:
     elif "h_name" in manifest:
         raise ValueError(f"h_name: {manifest['h_name']!r}, but every {mode} "
                          "run is built without an envelope")
-    a0, x_max, b, C_bound, _ = (_field(manifest, key) for key
+    a0, x_max, b, C_bound, K = (_field(manifest, key) for key
                                 in ("a0", "x_max", "b", "C_bound", "K"))
     listed = [_field(manifest, key, kind=list) for key in ("T", "N")]
     for key, col in zip(("T", "N"), listed):
         for r, val in enumerate(col):
-            if not is_number(val):
-                raise ValueError(f"{key}[{r}]: expected a number, got {val!r}")
+            _number(f"{key}[{r}]", val)
     T, N, owners, _ = plan(C_bound, [t.envelope for t in targets], mode, a0,
                            x_max, b, h)
+    floor = 2.0 * max(2.0 * t.C / t.k for t in targets)  # as probe_constants
+    if not floor <= K <= a0 - b:
+        raise PlanMismatch(f"K: {K!r} in the manifest, but the probe's guard "
+                           f"is {floor!r} <= K <= a0 - b = {a0 - b!r}")
     _on_plan("both sides", "T_r, N_r", list(zip_longest(*listed)),
              list(zip_longest(T, N)))
     cycles = [(T_r, T_next, targets[c].lam, b, _taper(T_r, T_next))

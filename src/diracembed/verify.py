@@ -343,7 +343,7 @@ def decay_check(target: EmbeddingTarget, piece: PotentialPiece) -> DecayReport:
     than the additive constant; also measures the scheduling prefactor
     C_bound = 2 * sup R * ((|x|-b)/(a-b))^100.
     """
-    xs, ln_R = slaved_amplitude(piece, 0.0)
+    xs, ln_R = slaved_amplitude(target, piece, 0.0)
     if piece.side < 0:
         xs, ln_R = xs[::-1], ln_R[::-1]  # integration order, start first
     lnratio = np.log((np.abs(xs) - piece.b) / (piece.a - piece.b))

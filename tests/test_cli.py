@@ -1,6 +1,7 @@
 """Command line: artifacts, the config file, exit codes, determinism."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -190,7 +191,8 @@ def test_verify_rejects_a_manifest_off_its_plan(tmp_path, small_run, capsys,
 def test_manifest_the_plan_cannot_lay_out_is_usage_error(tmp_path, small_run,
                                                          capsys, key, val):
     # Breakpoints that would shrink or never pass x_max: the plan refuses
-    # them rather than loop.
+    # them rather than loop.  An infinite x_max is refused before the plan,
+    # as a manifest number that is not finite.
     cfg_path, out = small_run
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         doc = {**json.load(fh), key: val}
@@ -199,6 +201,9 @@ def test_manifest_the_plan_cannot_lay_out_is_usage_error(tmp_path, small_run,
                  str(tmp_path / "manifest.json"),
                  "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
+    if not np.isfinite(val):
+        assert f"config error: {key}: {val!r} is not finite" in err
+        return
     assert "C_bound >= 2 and 0 <= b < a0 < x_max < inf" in err
     assert f"{key} = {val:g}" in err
 
@@ -584,13 +589,33 @@ def test_manifest_with_another_frame_recipe_is_usage_error(
     ("coefficients.q.sin",
      lambda doc: doc["coefficients"]["q"].update(sin=[float("nan")])),
     ("K: expected a number, got 'junk'", lambda doc: doc.update(K="junk")),
+    ("pieces[0].xi0: nan is not finite",
+     lambda doc: doc["pieces"][0].update(xi0=math.nan)),
+    ("pieces[0].xi0: inf is not finite",
+     lambda doc: doc["pieces"][0].update(xi0=math.inf)),
+    ("pieces[0].C: nan is not finite",
+     lambda doc: doc["pieces"][0].update(C=math.nan)),
+    ("targets[0].lambda: inf is not finite",
+     lambda doc: doc["targets"][0].update({"lambda": math.inf})),
+    ("C_bound: inf is not finite", lambda doc: doc.update(C_bound=math.inf)),
+    ("K: nan is not finite", lambda doc: doc.update(K=math.nan)),
+    ("K: inf is not finite", lambda doc: doc.update(K=math.inf)),
+    ("T[1]: -inf is not finite",
+     lambda doc: doc["T"].__setitem__(1, -math.inf)),
+    ("N[0]: nan is not finite",
+     lambda doc: doc["N"].__setitem__(0, math.nan)),
+    (f"pieces[0].a: {10 ** 400!r} is not finite",
+     lambda doc: doc["pieces"][0].update(a=10 ** 400)),
 ], ids=["lambda_list", "floquet_integrator_list", "side_unknown", "T_str",
-        "N_null", "coefficient_key_unknown", "q_sin_nan", "K_str"])
+        "N_null", "coefficient_key_unknown", "q_sin_nan", "K_str", "xi0_nan",
+        "xi0_inf", "piece_C_nan", "lambda_inf", "C_bound_inf", "K_nan",
+        "K_inf", "T_minus_inf", "N_nan", "a_past_the_float_range"])
 def test_mistyped_manifest_is_usage_error(tmp_path, small_run, capsys, key,
                                           tamper):
-    # A manifest value of the wrong JSON type, or a side other than
-    # plus/minus, is a configuration error that names its key, not a
-    # traceback or a failed check.
+    # A manifest value of the wrong JSON type, a number that is not finite
+    # (JSON's NaN and Infinity), or a side other than plus/minus, is a
+    # configuration error that names its key, not a traceback or a failed
+    # check.
     cfg_path, out = small_run
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -666,12 +691,22 @@ def test_unknown_manifest_key_or_method_constant_is_usage_error(
      "targets[0].k: 99.0 in the manifest, but the frame gives "),
     (lambda doc: doc["targets"][1].update(omega=-5.0),
      "targets[1].omega: -5.0 in the manifest, but the frame gives "),
-], ids=["k", "omega"])
+    (lambda doc: doc["targets"][1].update(
+        C=math.nextafter(doc["targets"][1]["C"], math.inf)),
+     "targets[1].C: "),
+    (lambda doc: doc["targets"][0].update(C=1e9),
+     "targets[0].C: 1000000000.0 in the manifest, but the frame gives "),
+    (lambda doc: doc.update(K=-5.0),
+     "K: -5.0 in the manifest, but the probe's guard is "),
+    (lambda doc: doc.update(K=1e6),
+     "K: 1000000.0 in the manifest, but the probe's guard is "),
+], ids=["k", "omega", "C_one_ulp", "C_1e9", "K_negative", "K_1e6"])
 def test_verify_rejects_a_target_off_its_frame(tmp_path, small_run, capsys,
                                                monkeypatch, tamper, prefix):
-    # A target's k and omega are its frame's, derived from lambda and the
-    # background as T and N are from the plan: any other value is a failed
-    # check before any phase lock.
+    # A target's k, omega and C are its frame's, derived from lambda and the
+    # background as T and N are from the plan, and K lies in the probe's
+    # guard 2 max(2C/k) <= K <= a0 - b: any other value is a failed check
+    # before any phase lock.
     from diracembed import synth
 
     def no_lock(*args, **kwargs):

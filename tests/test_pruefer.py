@@ -25,7 +25,7 @@ from diracembed.pruefer import (
     to_prufer,
     xi_rate,
 )
-from diracembed.synth import EmbeddingTarget, choose_C, piece_potential, solve_xi
+from diracembed.synth import EmbeddingTarget, piece_potential, solve_xi
 
 RNG = np.random.default_rng(20240713)
 
@@ -338,7 +338,7 @@ def lock_case(data, side, tw):
     it up: (law arguments, rate, x0, x1)."""
     lo, hi = (700.0, 760.0) if side > 0 else (-760.0, -700.0)
     x0, x1 = (lo, hi) if side > 0 else (hi, lo)
-    args = (2.0 * choose_C(data), side * 50.0, (lo, hi, tw))
+    args = (2.0 * EmbeddingTarget(data=data).C, side * 50.0, (lo, hi, tw))
     return args, xi_rate(data), x0, x1
 
 
@@ -489,7 +489,7 @@ def test_phase_flow_matches_the_field_calls(which, free_target_07,
     calls: the loop reference on the fields reaches the same nodes,
     slopes and nfev for a phase lock."""
     target = free_target_07 if which == "free" \
-        else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
+        else EmbeddingTarget(data=generic_data)
 
     def run():
         return solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
@@ -548,7 +548,7 @@ def test_stepper_matches_solve_ivp(which, free_target_07, generic_data,
     ends), < 1e-4 between nodes (Hermite interpolation level), nfev
     within 3%."""
     target = free_target_07 if which == "free" \
-        else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
+        else EmbeddingTarget(data=generic_data)
 
     def run():
         return solve_xi(target, 700.0, 0.0, 0.3, 760.0, side=-1,
@@ -571,7 +571,7 @@ def test_stepper_matches_solve_ivp(which, free_target_07, generic_data,
 def lock_target(which, free_target_07, mass_pq, generic_data):
     data = {"free": free_target_07.data, "mass": mass_data(mass_pq),
             "generic": generic_data}[which]
-    return EmbeddingTarget(data=data, C=choose_C(data))
+    return EmbeddingTarget(data=data)
 
 
 @pytest.mark.parametrize("which,cap", [("free", 1.0), ("mass", 1.0),
@@ -630,7 +630,7 @@ def test_phase_law_sees_floats_only(which, free_target_07, generic_data,
     spline is built from the stepper's own slopes, which are law(t, xi)
     at each accepted node."""
     target = free_target_07 if which == "free" \
-        else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
+        else EmbeddingTarget(data=generic_data)
     seen, laws, splines, lookups = [], [], [], []
     real_law, real_spline = pruefer.phase_law, pruefer.cubic_hermite
     real_taper, real_frame = pruefer.taper_window, _util.FrameTable.__call__

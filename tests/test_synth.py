@@ -25,7 +25,6 @@ from diracembed.synth import (
     EmbeddingTarget,
     Tracker,
     check_nonresonance,
-    choose_C,
     envelope_excess,
     piece_potential,
     probe_constants,
@@ -47,14 +46,12 @@ RNG = np.random.default_rng(20240714)
 
 
 def test_choose_C_free_frame(free_data):
-    assert choose_C(free_data) == pytest.approx(210.0, abs=1e-6)
+    assert EmbeddingTarget(data=free_data).C == pytest.approx(210.0, abs=1e-6)
 
 
 def test_target_envelope_and_floor(free_target_07):
     t = free_target_07
     assert t.envelope == pytest.approx(abs(t.omega) * t.C)
-    with pytest.raises(ValueError):
-        EmbeddingTarget(data=t.data, C=50.0)
 
 
 def test_check_nonresonance_accepts_separated_pair(free_pq):
@@ -188,7 +185,7 @@ def test_float_paths_equal_the_array_paths(which, free_target_07,
     phase law, re-evaluated at the accepted nodes of a phase lock,
     against the slopes the stepper handed to the Hermite spline."""
     t = free_target_07 if which == "free" \
-        else EmbeddingTarget(data=generic_data, C=choose_C(generic_data))
+        else EmbeddingTarget(data=generic_data)
     laws, splines = [], []
     real, real_spline = pruefer.phase_law, pruefer.cubic_hermite
 
@@ -233,7 +230,7 @@ def test_slaved_amplitude_decays_at_the_certified_slope(free_target_07):
     a, x_end = 700.0, float(700.0 * np.e ** 0.5)
     traj = solve_xi(t, a, 0.0, np.pi / 2, x_end, taper_width=1.0)
     piece = piece_potential(t, traj)
-    xs, ln_R = slaved_amplitude(piece, 0.0)
+    xs, ln_R = slaved_amplitude(t, piece, 0.0)
     assert ln_R[0] == 0.0
     drop = ln_R[-1] - ln_R[0]
     # slope -(100 + rho_margin)/ln-ratio with an O(1) oscillatory remainder
@@ -251,7 +248,7 @@ def test_slaved_amplitude_minus_side_anchors_at_inner_edge(free_target_13):
     t = free_target_13
     traj = solve_xi(t, 700.0, 0.0, 0.4, 900.0, side=-1, taper_width=1.0)
     piece = piece_potential(t, traj)
-    xs, ln_R = slaved_amplitude(piece, 0.5)
+    xs, ln_R = slaved_amplitude(t, piece, 0.5)
     assert xs[0] < 0.0 and xs[0] == pytest.approx(-900.0)
     assert ln_R[-1] == pytest.approx(0.5)   # anchored at x = -700
     assert ln_R[0] < 0.5 - 10.0             # decayed at x = -900
@@ -360,7 +357,7 @@ def test_tracker_cycle_sums_integrate_every_sample(small_pot, free_target_07,
         cycles, ln_R, xi = [], 0.0, None
         for pc in pieces[start:]:
             if pc.lam == target.lam:
-                xs, lr = slaved_amplitude(pc, ln_R)
+                xs, lr = slaved_amplitude(target, pc, ln_R)
                 assert xs.size == pc.x_grid.size
                 ln_R = lr[-1] if side > 0 else lr[0]
                 xi = float(pc.xi_at(side * pc.x_end))

@@ -49,7 +49,7 @@ def test_decay_slope_matches_design_exponent(free_target_07, long_piece):
     assert -115.0 < rep.slope < -95.0
     assert rep.max_rise <= max(rep.C_add, 0.0) + 1e-9
     assert rep.C_bound >= 2.0
-    _, ln_R = slaved_amplitude(long_piece, 0.0)
+    _, ln_R = slaved_amplitude(free_target_07, long_piece, 0.0)
     assert ln_R[0] == 0.0
     assert ln_R[-1] < -95.0
     d = rep.to_dict()
